@@ -328,6 +328,13 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     )
 
 
+def _stack_svd(Phi: np.ndarray):
+    """Thin SVD ``(U, s, Vt)`` of the stack plus its numerical rank under ``RANK_TOL``."""
+    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
+    rank = int(np.count_nonzero(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    return U, s, Vt, rank
+
+
 def stack_condition(stacked: StackedSystem) -> float:
     """Smallest-singular-value-based condition estimate of the stack:
     ``1 / sigma_min(Phi)`` over the n row directions.
@@ -337,22 +344,22 @@ def stack_condition(stacked: StackedSystem) -> float:
     there). Appending an injection never increases the estimate; it is the
     guidance metric for choosing frequencies and patterns.
     """
-    n = stacked.n
-    s = np.linalg.svd(stacked.Phi, compute_uv=False)
-    if s.size < n or s[0] == 0.0 or s[n - 1] < RANK_TOL * s[0]:
-        return float("inf")
-    return float(1.0 / s[n - 1])
+    _, s, _, rank = _stack_svd(stacked.Phi)
+    return float(1.0 / s[stacked.n - 1]) if rank == stacked.n else float("inf")
 
 
 def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult:
     """Least-squares stiffness estimate ``argmin_S |S Phi - F|_F`` over
-    symmetric matrices.
+    symmetric matrices, from one thin SVD ``Phi = U diag(s) V^T``.
 
-    Symmetry is built into the parameterization (upper-triangle unknowns),
-    not imposed afterwards. Requires the potential stack to have full row
-    rank: if the smallest of the n singular values of Phi falls below
-    ``1e-10`` times the largest, :class:`RankDeficiencyError` reports the
-    numerical rank -- the signature failure of a single-injection stack.
+    The stack must have full row rank: if the smallest of the n singular
+    values falls below ``1e-10`` times the largest, :class:`RankDeficiencyError`
+    reports the numerical rank -- the signature failure of a single-injection
+    stack. The normal equations ``S G + G S = F Phi^T + Phi F^T``, a Lyapunov
+    equation in ``G = Phi Phi^T = U diag(s^2) U^T``, are diagonal in U:
+    ``S = U S~ U^T`` with ``S~_ij = (C_ij + C_ji) / (s_i^2 + s_j^2)``, where
+    ``C = U^T F V diag(s)``. Neither G (which squares cond(Phi)) nor an
+    n^2 x n^2 design is formed: O(n^2 N + n^3) time, O(n N + n^2) memory, n = 289 runs.
 
     ``observed_nodes`` selects boundary-only observation: when the listed
     node positions do not cover every node, the equation rows at
@@ -361,8 +368,7 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
     identifiability gap immediately instead of attempting a regularized
     completion.
     """
-    Phi, F = stacked.Phi, stacked.F
-    n, N = Phi.shape
+    Phi, F, n = stacked.Phi, stacked.F, stacked.n
     if observed_nodes is not None:
         observed = np.unique(np.asarray(observed_nodes, dtype=int))
         if observed.size and (observed.min() < 0 or observed.max() >= n):
@@ -374,9 +380,7 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
                 f"{hidden}x{hidden} symmetric block over unobserved nodes undetermined",
                 rank_gap=hidden * (hidden + 1) // 2,
             )
-    s = np.linalg.svd(Phi, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
-    rank = int(np.count_nonzero(s >= RANK_TOL * smax)) if smax > 0 else 0
+    U, s, Vt, rank = _stack_svd(Phi)
     if rank < n:
         raise RankDeficiencyError(
             "potential stack does not have full row rank; add independent injections",
@@ -384,17 +388,9 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
             required_rank=n,
         )
 
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    design = np.zeros((n * N, len(pairs)))
-    for p, (a, b) in enumerate(pairs):
-        design[a * N : (a + 1) * N, p] += Phi[b, :]
-        if a != b:
-            design[b * N : (b + 1) * N, p] += Phi[a, :]
-    coeffs, *_ = np.linalg.lstsq(design, F.ravel(), rcond=None)
-
-    S_hat = np.zeros((n, n))
-    for p, (a, b) in enumerate(pairs):
-        S_hat[a, b] = S_hat[b, a] = coeffs[p]
+    C = (U.T @ F @ Vt.T) * s
+    S_hat = U @ ((C + C.T) / np.add.outer(s**2, s**2)) @ U.T
+    S_hat = 0.5 * (S_hat + S_hat.T)
     residual = float(np.linalg.norm(S_hat @ Phi - F))
     return StackSolveResult(S_hat=S_hat, residual=residual, phi_singular_values=s)
 
@@ -497,7 +493,7 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
                 if not stripped:
                     continue
                 if stripped.startswith("#"):
-                    comments.append(stripped[1:].strip())
+                    comments.append((line_no, stripped[1:].strip()))
                     continue
                 try:
                     rows.append([float(v) for v in stripped.split(",")])
@@ -516,12 +512,15 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
         raise FormatError(f"potential {Phi.shape} and load {F.shape} matrices disagree")
     sigma_spread = 0.0
     labels = []
-    for comment in comments:
-        if comment.startswith("sigma_spread,"):
-            sigma_spread = float(comment.split(",")[1])
-        elif comment.startswith("label,"):
-            _, freq, p_idx, ground = comment.split(",")
-            labels.append((float(freq), int(p_idx), int(ground)))
+    for line_no, comment in comments:
+        try:
+            if comment.startswith("sigma_spread,"):
+                sigma_spread = float(comment[len("sigma_spread,"):])
+            elif comment.startswith("label,"):
+                _, freq, p_idx, ground = comment.split(",")
+                labels.append((float(freq), int(p_idx), int(ground)))
+        except ValueError:
+            raise FormatError(f"bad comment {comment!r}", line_no=line_no) from None
     if labels and len(labels) != Phi.shape[1]:
         raise FormatError(f"{len(labels)} labels for {Phi.shape[1]} injections")
     return StackedSystem(Phi=Phi, F=F, labels=tuple(labels), sigma_spread=sigma_spread)

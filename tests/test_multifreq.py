@@ -9,6 +9,7 @@ from eitkit import (
     DomainError,
     Electrode,
     Element,
+    FormatError,
     IdentifiabilityError,
     Inclusion,
     Mesh,
@@ -19,9 +20,11 @@ from eitkit import (
     TissueModel,
     assemble,
     build_disk_mesh,
+    load_stacked_system,
     load_sweep_config,
     make_phantom,
     recover_conductivity,
+    save_stacked_system,
     save_sweep_config,
     simulate_sweep,
     stack_condition,
@@ -46,6 +49,23 @@ def full_rank_sweep(mesh, frequencies=(1000.0,)) -> SweepConfig:
         pairing="cross" if len(frequencies) == 1 else "zip",
         ground="rotate",
     )
+
+
+def lstsq_stack_solve(Phi, F):
+    """Reference symmetric least squares: the n(n+1)/2 upper-triangle
+    unknowns as an explicit (n N) x n(n+1)/2 design solved by ``lstsq``."""
+    n, N = Phi.shape
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    design = np.zeros((n * N, len(pairs)))
+    for p, (a, b) in enumerate(pairs):
+        design[a * N : (a + 1) * N, p] += Phi[b, :]
+        if a != b:
+            design[b * N : (b + 1) * N, p] += Phi[a, :]
+    coeffs, *_ = np.linalg.lstsq(design, F.ravel(), rcond=None)
+    S_hat = np.zeros((n, n))
+    for p, (a, b) in enumerate(pairs):
+        S_hat[a, b] = S_hat[b, a] = coeffs[p]
+    return S_hat, float(np.linalg.norm(S_hat @ Phi - F))
 
 
 def test_tissue_model_dispersionless_is_frequency_independent():
@@ -195,6 +215,43 @@ def test_stack_solve_recovers_true_matrix():
     assert np.linalg.norm(result.S_hat - S_true) <= 1e-8 * np.linalg.norm(S_true)
 
 
+@pytest.mark.parametrize("refine", [0, 1])
+@pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-3])
+def test_stack_solve_matches_lstsq_oracle(refine, noise):
+    mesh = build_disk_mesh(1.0, refine)
+    n = mesh.n_nodes
+    rng = np.random.default_rng(20 + refine)
+    tissue = TissueModel.dispersionless(rng.uniform(0.5, 3.0, size=mesh.n_elements))
+    # 2n injections with distinct offsets: overdetermined, so noise leaves a residual
+    patterns = nodal_patterns(n, n) + nodal_patterns(n, n, offset=3)
+    config = SweepConfig((1000.0,), patterns, ground="rotate")
+    stacked = simulate_sweep(mesh, tissue, config)
+    Phi = stacked.Phi + noise * np.abs(stacked.Phi).max() * rng.standard_normal(stacked.Phi.shape)
+    result = stack_solve(StackedSystem(Phi=Phi, F=stacked.F, labels=stacked.labels))
+    S_oracle, residual_oracle = lstsq_stack_solve(Phi, stacked.F)
+    assert np.linalg.norm(result.S_hat - S_oracle) <= 1e-10 * np.linalg.norm(S_oracle)
+    assert result.residual <= residual_oracle * (1 + 1e-10) + 1e-12
+    assert_array_equal(result.S_hat, result.S_hat.T)
+
+
+def test_stack_solve_recovers_laplacian_at_refine_3():
+    mesh = build_disk_mesh(1.0, 3)
+    n = mesh.n_nodes
+    assert n == 289
+    rng = np.random.default_rng(289)
+    adjacent = np.zeros((n, n), dtype=bool)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        adjacent[mesh.triangles[:, i], mesh.triangles[:, j]] = True
+    W = np.triu(rng.uniform(0.5, 3.0, size=(n, n)) * (adjacent | adjacent.T), 1)
+    W += W.T
+    S = np.diag(W.sum(axis=1)) - W
+    Phi = rng.standard_normal((n, n))
+    F = S @ Phi
+    F -= F.mean(axis=0)  # remove rounding drift from the zero column sums
+    result = stack_solve(StackedSystem(Phi=Phi, F=F, labels=()))
+    assert np.linalg.norm(result.S_hat - S) <= 1e-9 * np.linalg.norm(S)
+
+
 def test_stack_condition_monotone_under_appending():
     mesh = build_disk_mesh(1.0, 0)
     tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
@@ -313,8 +370,6 @@ def test_end_to_end_identity_with_dispersion_diversity():
 
 
 def test_stacked_system_csv_round_trip(tmp_path):
-    from eitkit import load_stacked_system, save_stacked_system
-
     mesh = build_disk_mesh(1.0, 0)
     tissue = TissueModel.uniform(mesh.n_elements, 2.0, 1.0, 1e-4)
     config = SweepConfig((100.0, 4000.0), nodal_patterns(mesh.n_nodes, 3), ground="rotate")
@@ -326,6 +381,18 @@ def test_stacked_system_csv_round_trip(tmp_path):
     assert_array_equal(again.F, stacked.F)
     assert again.labels == stacked.labels
     assert again.sigma_spread == stacked.sigma_spread
+
+
+@pytest.mark.parametrize(
+    "comment", ["label,1000", "label,1000,0,x", "sigma_spread,abc", "sigma_spread,1,2"]
+)
+def test_load_stacked_system_malformed_comment_is_format_error(tmp_path, comment):
+    phi_path, f_path = tmp_path / "phi.csv", tmp_path / "f.csv"
+    phi_path.write_text(f"# sigma_spread,0\n# {comment}\n1,0\n0,1\n")
+    f_path.write_text("1,-1\n-1,1\n")
+    with pytest.raises(FormatError) as err:
+        load_stacked_system(phi_path, f_path)
+    assert err.value.line_no == 2
 
 
 def test_sweep_config_file_round_trip(tmp_path):
