@@ -108,30 +108,25 @@ class CumulantMatrixSet:
         return np.tensordot(w, self.tensor, axes=(0, 0))
 
 
-def _symmetric_second_moment(z: np.ndarray) -> np.ndarray:
-    """(1/T) z^T z computed pairwise so the result is exactly symmetric."""
-    t, m = z.shape
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            v = float(np.dot(z[:, i], z[:, j])) / t
-            out[i, j] = v
-            out[j, i] = v
-    return out
+def _fill_symmetric(a: np.ndarray) -> np.ndarray:
+    """Copy of a square 2-D or cubic 3-D array in which every entry is read
+    from its sorted index (``out[j, i] = a[i, j]`` for ``i <= j``), so the
+    result is exactly symmetric whatever rounding produced ``a``."""
+    return a[tuple(np.sort(np.indices(a.shape), axis=0))]
 
 
-def _symmetric_third_moment(z: np.ndarray) -> np.ndarray:
-    """(1/T) sum_t z_i z_j z_k as an exactly symmetric (M, M, M) tensor."""
-    t, m = z.shape
-    out = np.empty((m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            zij = z[:, i] * z[:, j]
-            for k in range(j, m):
-                v = float(np.dot(zij, z[:, k])) / t
-                out[i, j, k] = out[i, k, j] = out[j, i, k] = v
-                out[j, k, i] = out[k, i, j] = out[k, j, i] = v
-    return out
+def _second_moment_sum(z: np.ndarray) -> np.ndarray:
+    """Raw sum ``z^T z`` (one GEMM), exactly symmetric."""
+    return _fill_symmetric(z.T @ z)
+
+
+def _third_moment_sum(z: np.ndarray) -> np.ndarray:
+    """Raw sums ``sum_t z_i z_j z_k`` as an exactly symmetric (M, M, M)
+    tensor, one GEMM ``(z * z_i)^T z`` per slice i."""
+    out = np.empty((z.shape[1],) * 3)
+    for i in range(z.shape[1]):
+        out[i] = (z * z[:, i : i + 1]).T @ z
+    return _fill_symmetric(out)
 
 
 def correlation(ensemble: MeasurementEnsemble, center: bool = False) -> CorrelationMatrix:
@@ -146,7 +141,7 @@ def correlation(ensemble: MeasurementEnsemble, center: bool = False) -> Correlat
     z = ensemble.samples
     if center:
         z = z - z.mean(axis=0)
-    return CorrelationMatrix(matrix=_symmetric_second_moment(z), centered=center)
+    return CorrelationMatrix(matrix=_second_moment_sum(z) / z.shape[0], centered=center)
 
 
 def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:
@@ -158,7 +153,7 @@ def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:
     if ensemble.sample_count < 3:
         raise SampleSizeError("third cumulants need at least 3 samples")
     z = ensemble.samples - ensemble.samples.mean(axis=0)
-    return CumulantMatrixSet(tensor=_symmetric_third_moment(z))
+    return CumulantMatrixSet(tensor=_third_moment_sum(z) / z.shape[0])
 
 
 class MomentAccumulator:
@@ -166,7 +161,8 @@ class MomentAccumulator:
 
     Accumulates ``n``, ``sum y``, ``sum y y^T`` and ``sum y x y x y`` so that
     ``merge`` over chunks followed by a finalizer equals the one-shot
-    estimate on the concatenated data within 1e-12.
+    estimate on the concatenated data within 1e-12. ``update`` adds a
+    chunk's raw sums as they are, so an empty chunk changes nothing.
     """
 
     def __init__(self, channel_count: int):
@@ -186,11 +182,10 @@ class MomentAccumulator:
             )
         if not np.all(np.isfinite(z)):
             raise DomainError("samples contain non-finite entries")
-        t = z.shape[0]
-        self.n += t
+        self.n += z.shape[0]
         self.s1 += z.sum(axis=0)
-        self.s2 += t * _symmetric_second_moment(z)
-        self.s3 += t * _symmetric_third_moment(z)
+        self.s2 += _second_moment_sum(z)
+        self.s3 += _third_moment_sum(z)
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -219,24 +214,17 @@ class MomentAccumulator:
             raise SampleSizeError("third cumulants need at least 3 samples")
         m = self.s1 / self.n
         raw2 = self.s2 / self.n
-        raw3 = self.s3 / self.n
-        mc = self.channel_count
-        out = np.empty((mc, mc, mc))
-        # central third moment from raw moments, filled for i<=j<=k so the
-        # tensor is exactly symmetric
-        for i in range(mc):
-            for j in range(i, mc):
-                for k in range(j, mc):
-                    v = (
-                        raw3[i, j, k]
-                        - m[i] * raw2[j, k]
-                        - m[j] * raw2[i, k]
-                        - m[k] * raw2[i, j]
-                        + 2.0 * m[i] * m[j] * m[k]
-                    )
-                    out[i, j, k] = out[i, k, j] = out[j, i, k] = v
-                    out[j, k, i] = out[k, i, j] = out[k, j, i] = v
-        return CumulantMatrixSet(tensor=out)
+        mi, mj, mk = m[:, None, None], m[None, :, None], m[None, None, :]
+        # central third moment from raw moments, entry (i, j, k) =
+        # raw3[i,j,k] - m_i raw2[j,k] - m_j raw2[i,k] - m_k raw2[i,j] + 2 m_i m_j m_k
+        central = (
+            self.s3 / self.n
+            - mi * raw2[None, :, :]
+            - mj * raw2[:, None, :]
+            - mk * raw2[:, :, None]
+            + 2.0 * mi * mj * mk
+        )
+        return CumulantMatrixSet(tensor=_fill_symmetric(central))
 
 
 def save_ensemble(ensemble: MeasurementEnsemble, path, header_lines: tuple[str, ...] = ()) -> None:

@@ -1,23 +1,21 @@
 """Subspace-fitting inversion: truncated SVD, Kronecker projector, and
-extraction of the full family of least-eigenvalue candidate solutions.
+the full family of least-eigenvalue candidate solutions.
 
 Given a symmetric M x M statistic matrix of rank d, the d dominant right
 singular vectors R span the signal subspace. An M x d matrix A fits the
 data iff its columns lie in span(R), i.e. iff vec(A) lies in the range of
 ``B = I_d (x) R`` under column-stacking vectorization (``vec(R C) =
 (I (x) R) vec(C)``; column stacking is the convention used throughout
-this package). The orthogonal projector onto the complement,
-
-    Q = I - B (B^T B)^{-1} B^T,
-
-therefore has exactly d**2 zero eigenvalues, and unvectorizing their
-eigenvectors yields d**2 mutually orthogonal exact minimizers of the fit
+this package). R has orthonormal columns, so ``B^T B = I`` and the
+projector onto the complement of range(B) is ``Q = I_d (x) (I_M - R R^T)``.
+Its null space is spanned by the d**2 orthonormal columns of B, which
+unvectorize to d**2 mutually orthogonal exact minimizers of the fit
 residual. That the whole family fits equally well is precisely the
 non-uniqueness of single-injection subspace inversion; picking one member
 requires outside information.
 
-All operations here are pure; the eigenvector sign is fixed so outputs
-are deterministic.
+All operations here are pure; the candidate sign is fixed so outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -136,10 +134,11 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
 
 def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     """Projector onto the complement of the vectorized subspace-consistent
-    matrices: ``Q = I_{Md} - B (B^T B)^{-1} B^T`` with ``B = I_d (x) R``.
+    matrices, in closed form ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``.
 
-    ``R`` must have orthonormal columns (within 1e-8). For orthonormal R
-    the projector spectrum is exactly {0 (x d**2), 1 (x Md - d**2)}.
+    ``R`` must have orthonormal columns (within 1e-8), so ``B^T B = I`` and
+    the spectrum of the exactly symmetric Q is {0 (x d**2), 1 (x Md - d**2)}.
+    Nothing is solved, so no :class:`NumericalError` is raised.
     """
     R = np.asarray(R, dtype=float)
     if R.ndim != 2:
@@ -153,41 +152,31 @@ def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     if float(np.max(np.abs(gram - np.eye(d)))) > ORTHONORMALITY_TOL:
         raise DomainError("columns of R must be orthonormal within 1e-8")
 
-    B = np.kron(np.eye(d), R)
-    BtB = B.T @ B
-    sv = np.linalg.svd(BtB, compute_uv=False)
-    if sv[-1] < 1e-12 * sv[0]:
-        raise NumericalError("normal equations B^T B are numerically singular")
-    try:
-        X = np.linalg.solve(BtB, B.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"normal equations solve failed: {exc}") from exc
-    Q = np.eye(m * d) - B @ X
-    Q = 0.5 * (Q + Q.T)
-    return ProjectorQ(Q=Q, B=B)
+    block = np.eye(m) - R @ R.T
+    Q = np.kron(np.eye(d), 0.5 * (block + block.T))
+    return ProjectorQ(Q=Q, B=np.kron(np.eye(d), R))
 
 
 def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
-    """All d**2 least-eigenvalue solutions of the projector.
-
-    The d**2 eigenvectors with smallest eigenvalues are unvectorized
-    column-major into M x d matrices. Signs are fixed by making each
-    candidate's largest-magnitude entry positive, so results are
-    deterministic.
+    """All d**2 least-eigenvalue solutions of the projector: the normalized
+    columns of B. Column ``k = b d + a`` is ``e_b (x) R[:, a]``; unvectorized
+    column-major, it is the M x d matrix with ``R[:, a]`` in column b. Each
+    sign makes the largest-magnitude entry positive, so results are
+    deterministic. As ``Q = I_d (x) Q[:M, :M]``, ``eigenvalues`` and
+    ``null_count`` come from that block's spectrum, each value taken d times.
     """
     if projector.B.shape != (M * d, d * d):
         raise DimensionError(
             f"projector was built for shape {projector.B.shape}, not (M d, d^2) = ({M * d}, {d * d})"
         )
     try:
-        w, V = np.linalg.eigh(projector.Q)
+        w = np.linalg.eigvalsh(projector.Q[:M, :M])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
-    count = d * d
     mats = []
-    for k in range(count):
-        vec = V[:, k]
+    for vec in projector.B.T:
+        vec = vec / np.linalg.norm(vec)
         peak = int(np.argmax(np.abs(vec)))
         if vec[peak] < 0:
             vec = -vec
@@ -196,10 +185,10 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
         mats.append(mat)
     return CandidateSet(
         candidates=tuple(mats),
-        eigenvalues=w[:count].copy(),
+        eigenvalues=np.repeat(w[:d], d),
         channel_count=M,
         rank=d,
-        null_count=int(np.count_nonzero(w < 1e-8)),
+        null_count=d * int(np.count_nonzero(w < 1e-8)),
     )
 
 
@@ -260,33 +249,43 @@ def save_candidates(cset: CandidateSet, path, header_lines: tuple[str, ...] = ()
 
 def load_candidates(path) -> CandidateSet:
     """Read a candidate-set file written by :func:`save_candidates`."""
-    m = d = None
+    m = d = eigen_line = None
     eigenvalues: np.ndarray | None = None
     blocks: list[list[list[float]]] = [[]]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("M,"):
-                    m = int(body[2:])
-                elif body.startswith("d,"):
-                    d = int(body[2:])
-                elif body.startswith("eigenvalues,"):
-                    eigenvalues = np.array([float(v) for v in body.split(",")[1:]])
+                key, _, value = stripped[1:].strip().partition(",")
+                try:
+                    if key == "M":
+                        m = int(value)
+                    elif key == "d":
+                        d = int(value)
+                    elif key == "eigenvalues":
+                        eigenvalues = np.array([float(v) for v in value.split(",")])
+                        eigen_line = line_no
+                except ValueError as exc:
+                    raise FormatError(f"bad {key} header: {exc}", line_no=line_no) from None
                 continue
             if not stripped:
                 if blocks[-1]:
                     blocks.append([])
                 continue
             try:
-                blocks[-1].append([float(v) for v in next(csv.reader([stripped]))])
+                row = [float(v) for v in next(csv.reader([stripped]))]
             except ValueError as exc:
                 raise FormatError(f"bad float: {exc}", line_no=line_no) from None
+            if blocks[-1] and len(row) != len(blocks[-1][0]):
+                raise FormatError(f"ragged candidate block: row has {len(row)} fields, "
+                                  f"the block's first row {len(blocks[-1][0])}", line_no=line_no)
+            blocks[-1].append(row)
     if blocks and not blocks[-1]:
         blocks.pop()
     if m is None or d is None or eigenvalues is None:
         raise FormatError("candidate file is missing its M/d/eigenvalues header")
+    if eigenvalues.size != d * d:
+        raise FormatError(f"expected {d * d} eigenvalues, found {eigenvalues.size}", line_no=eigen_line)
     if len(blocks) != d * d:
         raise FormatError(f"expected {d * d} candidate blocks, found {len(blocks)}")
     mats = []

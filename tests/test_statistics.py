@@ -78,9 +78,13 @@ def test_third_cumulants_match_brute_force_oracle():
 
 def test_third_cumulants_trilinear_symmetry_exact():
     rng = np.random.default_rng(6)
-    tensor = third_cumulants(MeasurementEnsemble(rng.standard_normal((50, 5)))).tensor
-    for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
-        assert_array_equal(tensor, tensor.transpose(perm))
+    samples = rng.standard_normal((50, 5))
+    merged = MomentAccumulator(5)
+    for chunk in np.array_split(samples, 3):
+        merged = merged.merge(MomentAccumulator(5).update(chunk))
+    for tensor in (third_cumulants(MeasurementEnsemble(samples)).tensor, merged.third_cumulants().tensor):
+        for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
+            assert_array_equal(tensor, tensor.transpose(perm))
 
 
 def test_pooled_cumulants_weighted():
@@ -144,7 +148,7 @@ def test_statistics_invariant_under_reordering():
     assert_allclose(third_cumulants(a).tensor, third_cumulants(b).tensor, atol=1e-12)
 
 
-@pytest.mark.parametrize("splits", [2, 3, 5])
+@pytest.mark.parametrize("splits", [2, 3, 5, 300])  # 300 > T leaves empty chunks
 def test_accumulator_merge_equals_concatenated(splits):
     rng = np.random.default_rng(10)
     samples = rng.standard_normal((240, 3)) + 0.7

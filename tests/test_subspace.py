@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import subspace_angles
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 from eitkit import (
     DimensionError,
     DomainError,
+    FormatError,
     MeasurementEnsemble,
     build_projector,
     extract_candidates,
@@ -17,6 +20,17 @@ from eitkit import (
     truncated_svd,
 )
 from conftest import random_orthonormal
+
+
+def normal_equations_projector(R: np.ndarray, d: int):
+    """Independent oracle: ``Q = I - B (B^T B)^{-1} B^T`` from a solve of
+    the normal equations, and the full eigendecomposition of the Md x Md
+    matrix Q (ascending eigenvalues, eigenvectors as columns)."""
+    B = np.kron(np.eye(d), R)
+    Q = np.eye(B.shape[0]) - B @ np.linalg.solve(B.T @ B, B.T)
+    Q = 0.5 * (Q + Q.T)
+    w, V = np.linalg.eigh(Q)
+    return Q, w, V
 
 
 def test_truncated_svd_diagonal_input():
@@ -143,6 +157,23 @@ def test_extract_candidates_shape_guard():
         extract_candidates(proj, 4, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_form_matches_normal_equations_oracle(data):
+    m = data.draw(st.integers(2, 10), label="M")
+    d = data.draw(st.integers(1, m), label="d")
+    R = random_orthonormal(m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    Q_ref, w_ref, V_ref = normal_equations_projector(R, d)
+    proj = build_projector(R, d)
+    assert np.max(np.abs(proj.Q - Q_ref)) <= 1e-12
+    cset = extract_candidates(proj, m, d)
+    vecs = np.column_stack([mat.ravel(order="F") for mat in cset.candidates])
+    assert np.max(subspace_angles(vecs, V_ref[:, : d * d])) <= 1e-10
+    assert np.max(np.abs(cset.eigenvalues - w_ref[: d * d])) <= 1e-12
+    assert cset.null_count == int(np.count_nonzero(w_ref < 1e-8))
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(d * d))) <= 1e-10
+
+
 def test_candidate_set_invariants():
     rng = np.random.default_rng(3)
     m, d = 5, 2
@@ -160,11 +191,7 @@ def test_candidate_set_invariants():
 
 
 def test_candidates_invariant_under_positive_scaling():
-    # the candidate family depends on Y only through its singular vectors;
-    # the d**2-fold degenerate null space means individual eigenvectors are
-    # only pinned up to rotation within the family, so candidate-by-candidate
-    # equality is asserted where scaling is exact in floating point and
-    # span equality is asserted for arbitrary scales
+    # the candidate family depends on Y only through its singular vectors
     rng = np.random.default_rng(4)
     Y = rng.standard_normal((5, 5))
     Y = 0.5 * (Y + Y.T)
@@ -181,9 +208,8 @@ def test_candidates_invariant_under_positive_scaling():
             assert_array_equal(a, b)
 
     scaled, _ = candidates_of(3.7 * Y)
-    base_vecs = np.column_stack([m.ravel(order="F") for m in base.candidates])
-    scaled_vecs = np.column_stack([m.ravel(order="F") for m in scaled.candidates])
-    assert np.max(subspace_angles(base_vecs, scaled_vecs)) <= 1e-8
+    for a, b in zip(base.candidates, scaled.candidates):
+        assert np.max(np.abs(a - b)) <= 1e-12
     for mat in scaled.candidates:
         assert fitting_residual(mat, base_dec) <= 1e-8
 
@@ -256,3 +282,29 @@ def test_candidate_csv_round_trip(tmp_path):
     assert_array_equal(again.eigenvalues, cset.eigenvalues)
     for a, b in zip(again.candidates, cset.candidates):
         assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "header, line_no",
+    [
+        ("# M,abc\n# d,1\n# eigenvalues,0\n", 1),
+        ("# M,2\n# d,0\n# eigenvalues,\n", 3),
+        ("# M,2\n# d,1\n# eigenvalues,zz\n", 3),
+        ("# M,2\n# d,1\n# eigenvalues,0,0\n", 3),
+    ],
+    ids=["bad-M", "empty-eigenvalues", "bad-eigenvalue", "eigenvalue-count"],
+)
+def test_load_candidates_rejects_bad_header(tmp_path, header, line_no):
+    path = tmp_path / "cands.csv"
+    path.write_text(header + "1\n0\n")
+    with pytest.raises(FormatError) as err:
+        load_candidates(path)
+    assert err.value.line_no == line_no
+
+
+def test_load_candidates_rejects_ragged_block(tmp_path):
+    path = tmp_path / "cands.csv"
+    path.write_text("# M,2\n# d,1\n# eigenvalues,0\n1\n0,0\n")
+    with pytest.raises(FormatError) as err:
+        load_candidates(path)
+    assert err.value.line_no == 5
