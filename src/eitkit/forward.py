@@ -3,10 +3,22 @@ for nodal potentials under injected boundary currents.
 
 The discretization is the classical linear triangle: each element
 contributes ``sigma_e * area * B^T B`` with ``B`` the constant gradient
-matrix of the three barycentric shape functions. The assembled matrix is
-symmetric, has zero row sums, and is positive semidefinite with a
-one-dimensional null space (the constant potential) on a connected mesh;
-fixing one reference node to zero potential makes it positive definite.
+matrix of the three barycentric shape functions. One vectorized kernel
+computes all ``(n_e, 3, 3)`` local matrices at once, and ``assemble``
+scatters them into a CSC sparse matrix ``S`` (about 7 nonzeros per row;
+29 057 at n = 4225). ``S`` is exactly symmetric, has zero row sums, and is
+positive semidefinite with a one-dimensional null space (the constant
+potential) on a connected mesh; fixing one reference node to zero
+potential makes it positive definite. The gauge zeroes that node's row and
+column in the CSC arrays directly, in O(nnz).
+
+:class:`ForwardFactorization` orders the grounded matrix by reverse
+Cuthill-McKee, which keeps its nonzeros in a band of half-width b around
+the diagonal (b = 129 at n = 4225), and runs banded Cholesky (LAPACK
+``dpbtrf``/``dpbtrs``) in O(n b^2) time and O(n b) memory. A matrix that is
+not positive definite raises :class:`NumericalError` whose ``pivot_index``
+is the 1-based row, in the caller's node order, at which elimination broke
+down.
 
 ``assemble`` and ``solve_forward`` are pure functions; independent drive
 patterns on the same (mesh, field) may be solved concurrently. Use
@@ -20,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse import csc_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     CompatibilityError,
@@ -91,12 +105,21 @@ class CurrentPattern:
             )
 
 
+class _StiffnessMatrix(csc_array):
+    """CSC array whose ``nbytes`` is its true storage size (the data,
+    row-index and column-pointer arrays)."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(eq=False)
 class StiffnessSystem:
-    """System matrix ``S`` and load ``F``; ``ground_node`` is None before
-    the gauge is fixed."""
+    """System matrix ``S`` (an n x n CSC sparse array) and load ``F``;
+    ``ground_node`` is None before the gauge is fixed."""
 
-    S: np.ndarray
+    S: csc_array
     F: np.ndarray
     ground_node: int | None = None
 
@@ -117,6 +140,32 @@ class VoltageSolution:
     phi: np.ndarray
     ground_node: int
     residual_inf: float
+
+
+def _local_stiffness(pts: np.ndarray, sigma, scale: float) -> np.ndarray:
+    """Local stiffness ``sigma / (4 area) (b b^T + c c^T)`` of every triangle.
+
+    ``pts`` holds the vertices, shape (n_e, 3, 2); ``sigma`` is a scalar or
+    one value per element. Raises :class:`GeometryError` for the
+    lowest-index element with ``area <= 1e-14 * scale**2``, carrying its
+    vertices. Returns shape (n_e, 3, 3).
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    area = 0.5 * np.abs(
+        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    )
+    threshold = DEGENERACY_FACTOR * scale * scale
+    bad = ~(area > threshold)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise GeometryError(
+            f"degenerate triangle (area {area[e]:g}, threshold {threshold:g})",
+            vertices=[tuple(p) for p in pts[e]],
+        )
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    outer = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    return (sigma / (4.0 * area))[:, None, None] * outer
 
 
 def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None) -> np.ndarray:
@@ -143,30 +192,22 @@ def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None)
         raise DimensionError(f"expected three 2-d vertices, got shape {pts.shape}")
     if not (np.isfinite(sigma_e) and sigma_e > 0.0):
         raise DomainError(f"sigma_e must be positive and finite, got {sigma_e!r}")
-
-    (x1, y1), (x2, y2), (x3, y3) = pts
-    area2 = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    area = 0.5 * abs(area2)
     if scale is None:
         span = pts.max(axis=0) - pts.min(axis=0)
         scale = math.hypot(span[0], span[1])
-    if not area > DEGENERACY_FACTOR * scale * scale:
-        raise GeometryError(
-            f"degenerate triangle (area {area:g}, threshold {DEGENERACY_FACTOR * scale * scale:g})",
-            vertices=[(x1, y1), (x2, y2), (x3, y3)],
-        )
-
-    b = np.array([y2 - y3, y3 - y1, y1 - y2])
-    c = np.array([x3 - x2, x1 - x3, x2 - x1])
-    return (sigma_e / (4.0 * area)) * (np.outer(b, b) + np.outer(c, c))
+    return _local_stiffness(pts[None], float(sigma_e), scale)[0]
 
 
 def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     """Assemble the global stiffness matrix for a conductivity field.
 
-    The result is pre-gauge: row sums are zero within 1e-12 and the load
-    vector is initialized to zero. The matrix is linear in the field, so
-    scaling the field by ``c`` scales the matrix by exactly ``c``.
+    The result is pre-gauge: ``S`` is a CSC sparse array with the mesh
+    graph's pattern (the diagonal plus one entry per edge direction), row
+    sums are zero within 1e-12 and the load vector is initialized to zero.
+    Each entry sums its element contributions in element order, so ``S``
+    is exactly symmetric and the same on every run. The matrix is linear
+    in the field, so scaling the field by ``c`` scales the matrix by
+    exactly ``c``.
     """
     sigma = conductivity.values if isinstance(conductivity, ConductivityField) else None
     if sigma is None:
@@ -180,14 +221,20 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
         raise MeshValidationError(report)
 
     n = mesh.n_nodes
-    scale = mesh.bounding_box_diagonal
-    S = np.zeros((n, n))
     tri = mesh.triangles
-    coords = mesh.coords
-    for e in range(mesh.n_elements):
-        idx = tri[e]
-        Ke = element_stiffness(coords[idx], sigma[e], scale=scale)
-        S[np.ix_(idx, idx)] += Ke
+    local = _local_stiffness(mesh.coords[tri], sigma, mesh.bounding_box_diagonal)
+    # entry (e, a, b) lands at row tri[e, a], column tri[e, b]; a stable sort
+    # by (column, row) keeps each entry's contributions in element order
+    key = (tri[:, None, :] * n + tri[:, :, None]).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    data = np.add.reduceat(local.ravel()[order], first)
+    entries = key[first]
+    # int32 indices, as scipy itself builds them for a matrix of this size
+    indices = (entries % n).astype(np.int32)
+    indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.int32)
+    S = _StiffnessMatrix((data, indices, indptr), shape=(n, n))
     return StiffnessSystem(S=S, F=np.zeros(n), ground_node=None)
 
 
@@ -201,15 +248,17 @@ def _nodal_load(mesh: Mesh, pattern: CurrentPattern) -> np.ndarray:
     return F
 
 
-def ground_system(S: np.ndarray, F: np.ndarray, ground_pos: int) -> tuple[np.ndarray, np.ndarray]:
+def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndarray]:
     """Pin one node to zero potential by symmetric row/column elimination.
 
-    Keeps the matrix symmetric and, on a connected mesh, positive definite.
+    Works on a copy of the CSC arrays in O(nnz): the row and column of the
+    ground node are zeroed in place and its diagonal set to 1. Keeps the
+    matrix symmetric and, on a connected mesh, positive definite.
     """
-    Sg = S.copy()
+    Sg = _StiffnessMatrix(S, copy=True)
     Fg = F.copy()
-    Sg[ground_pos, :] = 0.0
-    Sg[:, ground_pos] = 0.0
+    Sg.data[Sg.indices == ground_pos] = 0.0
+    Sg.data[Sg.indptr[ground_pos]:Sg.indptr[ground_pos + 1]] = 0.0
     Sg[ground_pos, ground_pos] = 1.0
     Fg[ground_pos] = 0.0
     return Sg, Fg
@@ -238,30 +287,47 @@ def apply_pattern(system: StiffnessSystem, mesh: Mesh, pattern, ground_node: int
 
 
 class ForwardFactorization:
-    """Cholesky factorization of a grounded system, reusable across loads.
+    """Banded Cholesky factorization of a grounded system, reusable across loads.
 
-    The factor is computed once and never mutated, so it is safe to share
-    across concurrent solves.
+    The rows and columns are permuted by reverse Cuthill-McKee, and the
+    permuted lower band is factored with LAPACK ``dpbtrf``. The factor is a
+    read-only array computed once, so it is safe to share across
+    concurrent solves. A dense ``S`` is accepted and converted to CSC.
     """
 
     def __init__(self, system: StiffnessSystem):
         if not system.grounded:
             raise DomainError("system must be grounded (positive definite) before factorization")
         self.ground_node = system.ground_node
-        self._S = system.S.copy()  # residual checks must not see later mutation
-        factor, info = lapack.dpotrf(system.S, lower=1)
+        S = csc_array(system.S, dtype=float, copy=True)  # residual checks must not see later mutation
+        S.sum_duplicates()  # the band is filled by assignment, one entry per position
+        perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(perm.size)
+        coo = S.tocoo()
+        rows, cols = inverse[coo.row], inverse[coo.col]
+        lower = rows >= cols
+        offsets = rows[lower] - cols[lower]
+        band = np.zeros((int(offsets.max(initial=0)) + 1, S.shape[0]), order="F")
+        band[offsets, cols[lower]] = coo.data[lower]
+        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(
                 "Cholesky factorization failed: matrix is not positive definite",
-                pivot_index=int(info),
+                pivot_index=int(perm[info - 1]) + 1 if info > 0 else int(info),
             )
+        factor.setflags(write=False)
+        self._S = S
+        self._perm = perm
         self._factor = factor
 
     def solve(self, F: np.ndarray) -> VoltageSolution:
         F = np.asarray(F, dtype=float)
-        phi, info = lapack.dpotrs(self._factor, F, lower=1)
+        x, info = lapack.dpbtrs(self._factor, F[self._perm], lower=1)
         if info != 0:
             raise NumericalError("triangular solve failed", pivot_index=int(info))
+        phi = np.empty_like(x)
+        phi[self._perm] = x
         residual = float(np.max(np.abs(self._S @ phi - F)))
         bound = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(F))))
         if residual > bound:
@@ -272,7 +338,7 @@ class ForwardFactorization:
 
 
 def solve_forward(system: StiffnessSystem) -> VoltageSolution:
-    """Solve the grounded system by direct symmetric (Cholesky) factorization."""
+    """Solve the grounded system by direct banded Cholesky factorization."""
     return ForwardFactorization(system).solve(system.F)
 
 

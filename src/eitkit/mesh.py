@@ -121,6 +121,11 @@ class Mesh:
         hi = self.coords.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
+    @cached_property
+    def validation_report(self) -> "ValidationReport":
+        """Every violated invariant (see :func:`validate`), checked once."""
+        return _check_invariants(self)
+
 
 def signed_area(p0, p1, p2) -> float:
     """Signed area of the triangle (p0, p1, p2); positive when the vertices
@@ -236,8 +241,13 @@ def validate(mesh: Mesh) -> ValidationReport:
     """Check every structural invariant and report each violation.
 
     Nothing is raised: all problems are collected into the report so a
-    broken mesh can be diagnosed in one pass.
+    broken mesh can be diagnosed in one pass. A mesh is immutable, so the
+    check runs once per mesh and later calls return the same report.
     """
+    return mesh.validation_report
+
+
+def _check_invariants(mesh: Mesh) -> ValidationReport:
     defects: list[MeshDefect] = []
 
     seen_ids: dict[int, int] = {}

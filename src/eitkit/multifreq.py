@@ -61,9 +61,9 @@ from .forward import (
     CurrentPattern,
     ForwardFactorization,
     StiffnessSystem,
+    _local_stiffness,
     _nodal_load,
     assemble,
-    element_stiffness,
     ground_system,
 )
 from .mesh import Mesh
@@ -258,27 +258,24 @@ def _resolve_nodal_pattern(mesh: Mesh, pattern) -> np.ndarray:
         raise DimensionError(
             f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}"
         )
-    if not np.all(np.isfinite(f)):
-        raise DomainError("nodal pattern contains non-finite entries")
-    if np.count_nonzero(f) < 2:
-        raise DomainError("a drive pattern needs at least two nonzero currents")
-    total = float(f.sum())
-    if abs(total) > ZERO_SUM_TOL:
-        raise CompatibilityError(
-            f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {total:g}"
-        )
+    CurrentPattern(dict(enumerate(f)))  # finite, >= 2 nonzero, sums to zero
     return f.copy()
 
 
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
     """Run every injection of the sweep and stack potentials and loads.
 
-    For each (frequency, pattern) the tissue law gives the per-element
-    conductivity, the system is assembled, gauged at the injection's
-    reference node and solved; the grounded potential and the pre-gauge
-    load are stacked in config order. Forward errors are re-raised with
-    the (frequency, pattern) index prepended. Per-injection solves are
-    independent; factorizations are cached per (frequency, ground).
+    For each frequency the tissue law gives the per-element conductivity,
+    and the system is assembled, grounded at the reference node of the
+    frequency's first injection and factored once. Every injection at that
+    frequency is solved with this one factorization, giving ``phi``, and
+    its potential against its own reference node ``g`` is ``phi - phi[g]``.
+    That shift is exact, not an approximation: ``S`` has zero row sums, so
+    ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
+    row's equation holds as well, and ``phi - phi[g]`` is therefore the
+    unique solution that vanishes at ``g``. The grounded potential and the
+    pre-gauge load are stacked in config order. Forward errors are
+    re-raised with the (frequency, pattern) index prepended.
     """
     if tissue.n_elements != mesh.n_elements:
         raise DimensionError(
@@ -292,30 +289,29 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     Phi = np.zeros((n, len(injections)))
     F = np.zeros((n, len(injections)))
     labels = []
-    factor_cache: dict[tuple[float, int], ForwardFactorization] = {}
-    system_cache: dict[float, StiffnessSystem] = {}
+    factors: dict[float, tuple[int, ForwardFactorization]] = {}
 
     for col, (freq, p_idx) in enumerate(injections):
         ground_pos = (col % n) if config.ground == "rotate" else mesh.node_index[config.ground]
         ground_id = mesh.nodes[ground_pos].id
         try:
             load = _resolve_nodal_pattern(mesh, config.patterns[p_idx])
-            if freq not in system_cache:
-                system_cache[freq] = assemble(mesh, tissue.sigma_at(freq))
-            key = (freq, ground_pos)
-            if key not in factor_cache:
-                Sg, _ = ground_system(system_cache[freq].S, np.zeros(n), ground_pos)
-                factor_cache[key] = ForwardFactorization(
-                    StiffnessSystem(S=Sg, F=np.zeros(n), ground_node=ground_id)
+            if freq not in factors:
+                Sg, Fg = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, load, ground_pos)
+                factors[freq] = (
+                    ground_pos,
+                    ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=ground_id)),
                 )
-            _, load_g = ground_system(system_cache[freq].S, load, ground_pos)
-            solution = factor_cache[key].solve(load_g)
+            factor_pos, factorization = factors[freq]
+            load_g = load.copy()
+            load_g[factor_pos] = 0.0
+            phi = factorization.solve(load_g).phi
         except Exception as exc:
             exc.args = (
                 f"injection {col} (frequency {freq:g} Hz, pattern {p_idx}): {exc}",
             ) + exc.args[1:]
             raise
-        Phi[:, col] = solution.phi
+        Phi[:, col] = phi - phi[ground_pos]
         F[:, col] = load
         labels.append((freq, p_idx, ground_id))
 
@@ -402,14 +398,15 @@ def _assembly_operator(mesh: Mesh) -> tuple[np.ndarray, tuple[np.ndarray, np.nda
     n = mesh.n_nodes
     iu = np.triu_indices(n)
     weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    scale = mesh.bounding_box_diagonal
+    tri = mesh.triangles
+    local = _local_stiffness(mesh.coords[tri], 1.0, mesh.bounding_box_diagonal)
+    lo = np.minimum(tri[:, :, None], tri[:, None, :])
+    hi = np.maximum(tri[:, :, None], tri[:, None, :])
+    row = lo * n - lo * (lo - 1) // 2 + (hi - lo)  # position of (lo, hi) in iu
+    element = np.broadcast_to(np.arange(mesh.n_elements)[:, None, None], row.shape)
     design = np.zeros((iu[0].size, mesh.n_elements))
-    for e in range(mesh.n_elements):
-        idx = mesh.triangles[e]
-        Ke = element_stiffness(mesh.coords[idx], 1.0, scale=scale)
-        Se = np.zeros((n, n))
-        Se[np.ix_(idx, idx)] = Ke
-        design[:, e] = weights * Se[iu]
+    # (a, b) and (b, a) write the same entry with the same value: local is symmetric
+    design[row, element] = weights[row] * local
     return design, iu, weights
 
 

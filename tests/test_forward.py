@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse import csc_array
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import eitkit.mesh
 from eitkit import (
     CompatibilityError,
     ConductivityField,
     CurrentPattern,
     DimensionError,
     DomainError,
+    Electrode,
+    Element,
     ForwardFactorization,
     GeometryError,
+    Mesh,
+    MeshValidationError,
+    Node,
     NumericalError,
     StiffnessSystem,
     UnknownElectrodeError,
@@ -20,6 +30,7 @@ from eitkit import (
     measure,
     solve_forward,
     uniform_field,
+    validate,
 )
 
 RIGHT_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -90,29 +101,31 @@ def test_current_pattern_validation():
 
 def test_assemble_single_element_equals_local(triangle_mesh):
     system = assemble(triangle_mesh, ConductivityField(np.array([1.0])))
-    assert_allclose(system.S, RIGHT_TRIANGLE_K, atol=1e-15)
+    assert_allclose(system.S.toarray(), RIGHT_TRIANGLE_K, atol=1e-15)
     assert_array_equal(system.F, np.zeros(3))
     assert system.ground_node is None
 
 
 def test_assemble_linear_in_field(disk_r1):
-    S1 = assemble(disk_r1, uniform_field(disk_r1, 1.0)).S
-    S2 = assemble(disk_r1, uniform_field(disk_r1, 2.0)).S
+    S1 = assemble(disk_r1, uniform_field(disk_r1, 1.0)).S.toarray()
+    S2 = assemble(disk_r1, uniform_field(disk_r1, 2.0)).S.toarray()
     assert_array_equal(S2, 2.0 * S1)
 
 
 def test_assemble_row_sums_vanish(disk_r1):
     system = assemble(disk_r1, uniform_field(disk_r1, 1.0))
-    assert np.max(np.abs(system.S.sum(axis=1))) <= 1e-12
-    assert_allclose(system.S, system.S.T, atol=1e-12)
+    S = system.S.toarray()
+    assert np.max(np.abs(S.sum(axis=1))) <= 1e-12
+    assert_allclose(S, S.T, atol=1e-12)
 
 
 def test_assemble_positive_semidefinite_with_one_null_direction(disk_r1):
     system = assemble(disk_r1, uniform_field(disk_r1, 1.0))
-    w = np.linalg.eigvalsh(system.S)
+    S = system.S.toarray()
+    w = np.linalg.eigvalsh(S)
     assert w[0] > -1e-12
     assert w[1] > 1e-10  # second eigenvalue bounded away: single null direction
-    assert_allclose(system.S @ np.ones(disk_r1.n_nodes), 0.0, atol=1e-12)
+    assert_allclose(S @ np.ones(disk_r1.n_nodes), 0.0, atol=1e-12)
 
 
 def test_assemble_rejects_wrong_field_length(disk_r1):
@@ -128,7 +141,7 @@ def test_apply_pattern_load_and_grounding(disk_r1):
     # original system untouched (pure function)
     assert system.ground_node is None
     assert np.count_nonzero(system.F) == 0
-    w = np.linalg.eigvalsh(grounded.S)
+    w = np.linalg.eigvalsh(grounded.S.toarray())
     assert w.min() > 0
 
 
@@ -284,5 +297,145 @@ def test_brute_force_oracle_small_meshes(mesh_name, request):
         ground = mesh.nodes[int(rng.integers(mesh.n_nodes))].id
         system = apply_pattern(assemble(mesh, field), mesh, pattern, ground)
         phi = solve_forward(system).phi
-        oracle = np.linalg.inv(system.S) @ system.F
+        oracle = np.linalg.inv(system.S.toarray()) @ system.F
         assert np.max(np.abs(phi - oracle)) <= 1e-12
+
+
+def loop_assemble(mesh, sigma):
+    """Reference assembly: one element_stiffness call per element, added
+    into a dense n x n matrix."""
+    S = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for e, idx in enumerate(mesh.triangles):
+        Ke = element_stiffness(mesh.coords[idx], sigma[e], scale=mesh.bounding_box_diagonal)
+        S[np.ix_(idx, idx)] += Ke
+    return S
+
+
+def jittered_disk(refine, rng):
+    """Disk mesh with every interior node moved by up to 5% of the
+    refinement's edge length in each coordinate; boundary nodes stay."""
+    mesh = build_disk_mesh(1.0, refine)
+    boundary = set(mesh.boundary_nodes)
+    amplitude = 0.05 * 0.5**refine
+    nodes = tuple(
+        node if node.id in boundary
+        else Node(node.id, node.x + amplitude * rng.uniform(-1, 1), node.y + amplitude * rng.uniform(-1, 1))
+        for node in mesh.nodes
+    )
+    return Mesh(nodes, mesh.elements, mesh.boundary_nodes, mesh.electrodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(refine=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_kernel_assembly_matches_element_loop(refine, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_disk(refine, rng)
+    assert validate(mesh).ok
+    sigma = rng.uniform(0.1, 10.0, mesh.n_elements)
+    other = rng.uniform(0.1, 10.0, mesh.n_elements)
+    S = assemble(mesh, sigma).S.toarray()
+    oracle = loop_assemble(mesh, sigma)
+    scale = np.abs(oracle).max()
+    assert np.abs(S - oracle).max() <= 1e-13 * scale
+    assert_array_equal(S, S.T)
+    assert np.abs(S.sum(axis=1)).max() <= 1e-12
+    combined = assemble(mesh, 0.3 * sigma + 1.7 * other).S.toarray()
+    expected = 0.3 * S + 1.7 * assemble(mesh, other).S.toarray()
+    assert np.abs(combined - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    # banded Cholesky against a dense solve of the same grounded matrix
+    a, b = (int(v) for v in rng.choice(8, size=2, replace=False))
+    ground = mesh.nodes[int(rng.integers(mesh.n_nodes))].id
+    grounded = apply_pattern(assemble(mesh, sigma), mesh, CurrentPattern({a: 1.0, b: -1.0}), ground)
+    phi = solve_forward(grounded).phi
+    dense = np.linalg.solve(grounded.S.toarray(), grounded.F)
+    assert np.abs(phi - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_assemble_rejects_sliver_that_passes_validation():
+    # slivers over the hypotenuse (element 1) and the left edge (element 2):
+    # areas 5e-16 are positive but far below 1e-14 * diag**2 = 2e-14
+    delta = 1e-15
+    mesh = Mesh(
+        nodes=(
+            Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.0, 1.0),
+            Node(3, 0.5, 0.5 + delta), Node(4, -delta, 0.5),
+        ),
+        elements=(Element(0, (0, 1, 2)), Element(1, (1, 3, 2)), Element(2, (2, 4, 0))),
+        boundary_nodes=(0, 1, 3, 2, 4),
+        electrodes=(Electrode(0, 0), Electrode(1, 1), Electrode(2, 2)),
+    )
+    assert validate(mesh).ok
+    with pytest.raises(GeometryError) as oracle:
+        loop_assemble(mesh, np.ones(3))
+    with pytest.raises(GeometryError) as err:
+        assemble(mesh, np.ones(3))
+    assert err.value.vertices == oracle.value.vertices == [(1.0, 0.0), (0.5, 0.5 + delta), (0.0, 1.0)]
+
+
+def test_non_positive_definite_pivot_names_original_row():
+    # weighted path graph in scrambled node order, diagonally dominant, with
+    # one diagonal entry made negative
+    rng = np.random.default_rng(5)
+    n = 12
+    order = rng.permutation(n)
+    S = np.zeros((n, n))
+    for u, v in zip(order[:-1], order[1:]):
+        S[u, v] = S[v, u] = -1.0
+    S += np.diag(3.0 + np.abs(S).sum(axis=1))
+    bad = int(order[5])
+    S[bad, bad] = -1.0
+    perm = reverse_cuthill_mckee(csc_array(S), symmetric_mode=True)
+    position = int(np.flatnonzero(perm == bad)[0])
+    assert position not in (0, bad)
+    with pytest.raises(NumericalError) as err:
+        ForwardFactorization(StiffnessSystem(S=S, F=np.zeros(n), ground_node=0))
+    assert err.value.pivot_index == bad + 1
+
+
+def test_refine_5_sweep_residual_and_reciprocity():
+    mesh = build_disk_mesh(1.0, 5, n_electrodes=16)
+    assert mesh.n_nodes == 4225
+    rng = np.random.default_rng(45)
+    system = assemble(mesh, rng.uniform(0.5, 5.0, mesh.n_elements))
+    assert system.S.nnz == 29057
+    ids = sorted(mesh.electrode_map)
+    rows = [mesh.node_index[mesh.electrode_map[e]] for e in ids]
+    factor = None
+    transfer = np.zeros((16, 16))
+    for k in range(16):
+        pattern = CurrentPattern({ids[k]: 1.0, ids[(k + 1) % 16]: -1.0})
+        grounded = apply_pattern(system, mesh, pattern, ground_node=0)
+        if factor is None:
+            factor = ForwardFactorization(grounded)
+        solution = factor.solve(grounded.F)
+        assert solution.residual_inf <= 1e-9 * (1.0 + np.abs(grounded.F).max())
+        phi = solution.phi[rows]
+        transfer[k] = phi - np.roll(phi, -1)  # adjacent measurement pairs
+    assert np.abs(transfer - transfer.T).max() <= 1e-9 * np.abs(transfer).max()
+
+
+def test_assemble_validates_each_mesh_once(monkeypatch):
+    calls = []
+    check = eitkit.mesh._check_invariants
+
+    def counting(mesh):
+        calls.append(mesh)
+        return check(mesh)
+
+    monkeypatch.setattr(eitkit.mesh, "_check_invariants", counting)
+    mesh = build_disk_mesh(1.0, 1)
+    assemble(mesh, uniform_field(mesh, 1.0))
+    assemble(mesh, uniform_field(mesh, 2.0))
+    assert len(calls) == 1
+
+    broken = Mesh(
+        nodes=mesh.nodes,
+        elements=(Element(0, tuple(reversed(mesh.elements[0].nodes))),) + mesh.elements[1:],
+        boundary_nodes=mesh.boundary_nodes,
+        electrodes=mesh.electrodes,
+    )
+    for _ in range(2):
+        with pytest.raises(MeshValidationError):
+            assemble(broken, uniform_field(broken, 1.0))
+    assert len(calls) == 2

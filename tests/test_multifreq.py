@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import eitkit.multifreq
 from eitkit import (
     CompatibilityError,
     CurrentPattern,
@@ -192,6 +193,38 @@ def test_stack_solve_identity_stack():
     assert result.residual <= 1e-12
 
 
+def test_rotate_sweep_factors_once_per_frequency(monkeypatch):
+    created = []
+
+    class CountingFactorization(eitkit.multifreq.ForwardFactorization):
+        def __init__(self, system):
+            created.append(system)
+            super().__init__(system)
+
+    monkeypatch.setattr(eitkit.multifreq, "ForwardFactorization", CountingFactorization)
+    mesh = build_disk_mesh(1.0, 1)
+    n = mesh.n_nodes
+    rng = np.random.default_rng(8)
+    n_e = mesh.n_elements
+    tissue = TissueModel(rng.uniform(1.0, 3.0, n_e), rng.uniform(0.2, 0.9, n_e), np.full(n_e, 1e-4))
+    config = SweepConfig((1e3, 1e4), nodal_patterns(n, n), pairing="cross", ground="rotate")
+    stacked = simulate_sweep(mesh, tissue, config)
+    assert len(created) == 2
+
+    # dense oracle: assemble, ground at the injection's own node, solve
+    oracle = np.zeros_like(stacked.Phi)
+    for col, (freq, p_idx, ground_id) in enumerate(stacked.labels):
+        g = mesh.node_index[ground_id]
+        S = assemble(mesh, tissue.sigma_at(freq)).S.toarray()
+        S[g, :] = S[:, g] = 0.0
+        S[g, g] = 1.0
+        load = config.patterns[p_idx].copy()
+        load[g] = 0.0
+        oracle[:, col] = np.linalg.solve(S, load)
+    assert [label[2] for label in stacked.labels] == [mesh.nodes[col % n].id for col in range(2 * n)]
+    assert np.abs(stacked.Phi - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
 def test_stack_solve_single_injection_is_rank_deficient():
     mesh = build_disk_mesh(1.0, 0)
     tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
@@ -211,7 +244,7 @@ def test_stack_solve_recovers_true_matrix():
     tissue = TissueModel.dispersionless(sigma)
     stacked = simulate_sweep(mesh, tissue, full_rank_sweep(mesh))
     result = stack_solve(stacked)
-    S_true = assemble(mesh, sigma).S
+    S_true = assemble(mesh, sigma).S.toarray()
     assert np.linalg.norm(result.S_hat - S_true) <= 1e-8 * np.linalg.norm(S_true)
 
 
@@ -286,7 +319,7 @@ def test_stack_solve_boundary_only_observation_reports_gap():
 def test_recover_conductivity_exact_matrix(disk_r1):
     rng = np.random.default_rng(2)
     sigma = rng.uniform(0.5, 4.0, size=disk_r1.n_elements)
-    S_true = assemble(disk_r1, sigma).S
+    S_true = assemble(disk_r1, sigma).S.toarray()
     recovered = recover_conductivity(S_true, disk_r1)
     assert np.max(np.abs(recovered.sigma - sigma) / sigma) <= 1e-9
     assert recovered.negative_elements == ()
@@ -320,7 +353,7 @@ def test_recover_conductivity_localizes_inclusion(disk_r1):
 
 
 def test_recover_conductivity_requires_symmetry(disk_r1):
-    S = assemble(disk_r1, np.ones(disk_r1.n_elements)).S.copy()
+    S = assemble(disk_r1, np.ones(disk_r1.n_elements)).S.toarray()
     S[0, 1] += 1.0
     with pytest.raises(DomainError):
         recover_conductivity(S, disk_r1)
@@ -334,7 +367,7 @@ def test_recover_conductivity_duplicate_elements_not_identifiable():
         boundary_nodes=(0, 1, 2),
         electrodes=(Electrode(0, 0), Electrode(1, 1)),
     )
-    S_true = assemble(mesh, np.array([1.0, 1.0])).S
+    S_true = assemble(mesh, np.array([1.0, 1.0])).S.toarray()
     with pytest.raises(IdentifiabilityError) as err:
         recover_conductivity(S_true, mesh)
     assert err.value.rank_gap == 1
