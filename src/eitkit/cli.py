@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 usage/IO error, 2 domain or validation error,
 3 failed demonstration claim, 4 rank-deficient stack.
 
 Every command accepts ``--config FILE`` (flat ``key = value`` lines under
-``[<command>]`` or ``[global]`` section headers; flags override file
-values) and ``--seed N``. Each output starts with a reproducibility
-header echoing the resolved configuration, the seed and the version, so
-reruns are byte-identical; timestamps go to standard error only.
+``[<command>]`` or ``[global]`` section headers, where lines before the
+first header belong to ``[global]``; flags override file values) and
+``--seed N``. Each output starts with a reproducibility header echoing
+the resolved configuration, the seed and the version, so reruns are
+byte-identical; timestamps go to standard error only.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from . import __version__
 from .errors import EitError, FormatError, RankDeficiencyError
 from .forward import CurrentPattern, apply_pattern, assemble, measure, solve_forward, uniform_field
 from .mesh import Mesh, build_disk_mesh, load_mesh, parse_mesh_file, save_mesh, validate
-from .multifreq import load_sweep_config, recover_conductivity, simulate_sweep, stack_solve
+from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, simulate_sweep, stack_solve
 from .phantom import make_demo_fixture
 from .statistics import correlation, load_ensemble, third_cumulants
 from .subspace import build_projector, extract_candidates, fitting_residual, save_candidates, truncated_svd
+from .textio import convert, data_lines, key_value, read_lines, sections, write_lines
 
 DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
@@ -119,48 +121,31 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {"global": {}}
-    current = "global"
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1].strip().lower()
-                sections.setdefault(current, {})
-                continue
-            if "=" not in line:
-                raise FormatError(f"expected 'key = value', got {line!r}", line_no=line_no)
-            key, _, value = line.partition("=")
-            sections[current][key.strip().lower().replace("-", "_")] = value.strip()
-    return sections
+def _load_config(path) -> dict[str, dict[str, tuple[int, str]]]:
+    """Config sections as ``{command path: {key: (line_no, value)}}``; lines
+    before the first header form the ``global`` section."""
+    names = {"global"} | {" ".join(filter(None, key)) for key in _HANDLERS}
+    config = {}
+    for name, lines in sections(read_lines(path), names, preamble="global").items():
+        config[name] = {}
+        for line_no, text in lines:
+            key, value = key_value(line_no, text)
+            config[name][key.lower().replace("-", "_")] = (line_no, value)
+    return config
 
 
 def _resolve(args, command_path: str, defaults: dict):
     """Flag value if given, else config-file value, else built-in default."""
-    config: dict[str, dict[str, str]] = {"global": {}}
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
-    scoped = config.get(command_path.lower(), {})
-    fallback = config.get("global", {})
+    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    from_file = {**config.get("global", {}), **config.get(command_path, {})}
 
     resolved = {}
-    for dest, (default, conv) in defaults.items():
+    for dest, (default, conv) in {**defaults, "seed": (0, int)}.items():
         value = getattr(args, dest, None)
-        if value is None:
-            raw = scoped.get(dest, fallback.get(dest))
-            if raw is not None:
-                value = conv(raw) if conv is not None else raw
-        if value is None:
-            value = default
-        resolved[dest] = value
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        raw = scoped.get("seed", fallback.get("seed"))
-        seed = int(raw) if raw is not None else 0
-    resolved["seed"] = seed
+        if value is None and dest in from_file:
+            line_no, raw = from_file[dest]
+            value = convert(raw, conv, line_no, dest)
+        resolved[dest] = default if value is None else value
     return resolved
 
 
@@ -211,18 +196,13 @@ def cmd_mesh_validate(args) -> int:
 
 def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
     values: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("element"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise FormatError(f"expected 'element,sigma', got {line!r}", line_no=line_no)
-            try:
-                values[int(parts[0])] = float(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"bad number: {exc}", line_no=line_no) from None
+    for line_no, text in data_lines(read_lines(path)):
+        if text.lower().startswith("element"):
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise FormatError(f"expected 'element,sigma', got {text!r}", line_no=line_no)
+        values[convert(parts[0], int, line_no, "element")] = convert(parts[1], float, line_no, "sigma")
     missing = [e.id for e in mesh.elements if e.id not in values]
     if missing:
         raise FormatError(f"sigma file is missing element(s) {missing[:8]}")
@@ -231,18 +211,11 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
 
 def _load_pattern_file(path) -> CurrentPattern:
     currents: dict[int, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            target, sep, amp = line.partition(":")
-            if not sep:
-                raise FormatError(f"expected '<electrode>: <amps>', got {line!r}", line_no=line_no)
-            try:
-                currents[int(target.strip())] = currents.get(int(target.strip()), 0.0) + float(amp)
-            except ValueError as exc:
-                raise FormatError(f"bad pattern entry: {exc}", line_no=line_no) from None
+    for line_no, text in data_lines(read_lines(path)):
+        is_node, eid, amp = _pattern_entry(text, line_no)
+        if is_node:
+            raise FormatError(f"expected '<electrode>: <amps>', got {text!r}", line_no=line_no)
+        currents[eid] = currents.get(eid, 0.0) + amp
     return CurrentPattern(currents)
 
 
@@ -276,12 +249,8 @@ def cmd_forward(args) -> int:
     voltages = measure(solution, mesh, reference)
 
     electrode_ids = [eid for eid in sorted(mesh.electrode_map) if eid != reference]
-    with open(resolved["out"], "w", encoding="utf-8") as fh:
-        for line in _header("forward", resolved):
-            fh.write(f"# {line}\n")
-        fh.write("electrode,voltage\n")
-        for eid, v in zip(electrode_ids, voltages):
-            fh.write(f"{eid},{v:.17g}\n")
+    lines = ["electrode,voltage"] + [f"{eid},{v:.17g}" for eid, v in zip(electrode_ids, voltages)]
+    write_lines(resolved["out"], lines, _header("forward", resolved))
     print(f"wrote {resolved['out']}: {voltages.size} voltages, "
           f"solve residual {solution.residual_inf:.3g}")
     return 0
@@ -435,21 +404,18 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
 
 def _write_pgm(path, grid: np.ndarray, header_lines: tuple[str, ...]) -> None:
     h, w = grid.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("P2\n")
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"{w} {h}\n255\n")
-        for row in grid:
-            line = ""
-            for v in row:
-                token = str(int(v))
-                if line and len(line) + 1 + len(token) > 70:
-                    fh.write(line + "\n")
-                    line = token
-                else:
-                    line = token if not line else line + " " + token
-            fh.write(line + "\n")
+    lines = ["P2", *(f"# {line}" for line in header_lines), f"{w} {h}", "255"]
+    for row in grid:
+        line = ""
+        for v in row:
+            token = str(int(v))
+            if line and len(line) + 1 + len(token) > 70:
+                lines.append(line)
+                line = token
+            else:
+                line = token if not line else line + " " + token
+        lines.append(line)
+    write_lines(path, lines)
 
 
 def cmd_reconstruct_multifreq(args) -> int:
@@ -471,17 +437,15 @@ def cmd_reconstruct_multifreq(args) -> int:
     recovered = recover_conductivity(solve.S_hat, mesh, solve_residual=solve.residual)
 
     header = _header("reconstruct multifreq", resolved)
-    with open(resolved["out_sigma"], "w", encoding="utf-8") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write(f"# matrix_solve_residual = {solve.residual:.17g}\n")
-        fh.write(f"# assembly_fit_residual = {recovered.fit_residual:.17g}\n")
-        fh.write(f"# sigma_spread = {stacked.sigma_spread:.17g}\n")
-        if recovered.negative_elements:
-            fh.write(f"# negative_elements = {list(recovered.negative_elements)}\n")
-        fh.write("element,sigma\n")
-        for elem, value in zip(mesh.elements, recovered.sigma):
-            fh.write(f"{elem.id},{value:.17g}\n")
+    diagnostics = [
+        f"matrix_solve_residual = {solve.residual:.17g}",
+        f"assembly_fit_residual = {recovered.fit_residual:.17g}",
+        f"sigma_spread = {stacked.sigma_spread:.17g}",
+    ]
+    if recovered.negative_elements:
+        diagnostics.append(f"negative_elements = {list(recovered.negative_elements)}")
+    lines = ["element,sigma"] + [f"{e.id},{v:.17g}" for e, v in zip(mesh.elements, recovered.sigma)]
+    write_lines(resolved["out_sigma"], lines, header + tuple(diagnostics))
 
     grid, (vmin, vmax) = render_element_field(mesh, recovered.sigma, resolved["pixels"])
     _write_pgm(
@@ -501,19 +465,20 @@ def cmd_reconstruct_multifreq(args) -> int:
 # ---------------------------------------------------------------- main ----
 
 
+_HANDLERS = {
+    ("mesh", "gen"): cmd_mesh_gen,
+    ("mesh", "validate"): cmd_mesh_validate,
+    ("forward", None): cmd_forward,
+    ("demo", None): cmd_demo,
+    ("reconstruct", "svd"): cmd_reconstruct_svd,
+    ("reconstruct", "multifreq"): cmd_reconstruct_multifreq,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    handlers = {
-        ("mesh", "gen"): cmd_mesh_gen,
-        ("mesh", "validate"): cmd_mesh_validate,
-        ("forward", None): cmd_forward,
-        ("demo", None): cmd_demo,
-        ("reconstruct", "svd"): cmd_reconstruct_svd,
-        ("reconstruct", "multifreq"): cmd_reconstruct_multifreq,
-    }
-    handler = handlers[(args.command, getattr(args, "subcommand", None))]
+    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
 
     try:
         code = handler(args)

@@ -5,10 +5,10 @@ concurrent tasks. Construction never validates invariants beyond basic
 types; :func:`validate` reports every violation, and :func:`load_mesh`
 refuses meshes whose report is non-empty.
 
-Mesh file format (UTF-8 text, ``#`` starts a comment line)::
+Mesh file format (the shared text rules are in :mod:`eitkit.textio`)::
 
     [nodes]
-    <id> <x> <y>          one node per line, 17-significant-digit floats
+    <id> <x> <y>          one node per line
     [elements]
     <id> <n1> <n2> <n3>   counter-clockwise node ids
     [boundary]
@@ -26,8 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, MeshFormatError, MeshValidationError
+from .textio import convert, read_lines, sections, write_lines
 
-_SECTIONS = ("[nodes]", "[elements]", "[boundary]", "[electrodes]")
+# field names of one line in each section, in file order
+_FIELDS = {
+    "nodes": ("id", "x", "y"),
+    "elements": ("id", "n1", "n2", "n3"),
+    "boundary": ("node",),
+    "electrodes": ("id", "node"),
+}
 
 
 @dataclass(frozen=True)
@@ -418,9 +425,8 @@ def _connectivity_defects(mesh: Mesh, known: set[int]) -> list[MeshDefect]:
 
 def save_mesh(mesh: Mesh, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write a mesh file; ``save_mesh`` then :func:`load_mesh` reproduces the
-    mesh exactly (floats carry 17 significant digits)."""
-    lines: list[str] = [f"# {h}" for h in header_lines]
-    lines.append("[nodes]")
+    mesh exactly."""
+    lines = ["[nodes]"]
     lines += [f"{n.id} {n.x:.17g} {n.y:.17g}" for n in mesh.nodes]
     lines.append("[elements]")
     lines += [f"{e.id} {e.nodes[0]} {e.nodes[1]} {e.nodes[2]}" for e in mesh.elements]
@@ -428,8 +434,7 @@ def save_mesh(mesh: Mesh, path, header_lines: tuple[str, ...] = ()) -> None:
     lines += [str(n) for n in mesh.boundary_nodes]
     lines.append("[electrodes]")
     lines += [f"{el.id} {el.node}" for el in mesh.electrodes]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines, header_lines)
 
 
 def load_mesh(path) -> Mesh:
@@ -454,85 +459,29 @@ def load_mesh(path) -> Mesh:
 def parse_mesh_file(path) -> Mesh:
     """Parse a mesh file without checking invariants (use :func:`validate`
     to inspect a suspect mesh; :func:`load_mesh` does both)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+    lines = read_lines(path, MeshFormatError)
+    groups = sections(lines, _FIELDS, MeshFormatError)
 
-    nodes: list[Node] = []
-    elements: list[Element] = []
-    boundary: list[int] = []
-    electrodes: list[Electrode] = []
-    seen_sections: list[str] = []
-    section: str | None = None
+    def records(name):
+        fields = _FIELDS[name]
+        kinds = (int, float, float) if name == "nodes" else (int,) * len(fields)
+        for line_no, text in groups.get(name, ()):
+            parts = text.split()
+            if len(parts) != len(fields):
+                raise MeshFormatError(
+                    f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields",
+                    line_no=line_no,
+                )
+            yield [convert(p, k, line_no, f, MeshFormatError) for p, k, f in zip(parts, kinds, fields)]
 
-    for line_no, raw_line in enumerate(raw, start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower() in _SECTIONS:
-            section = line.lower()
-            if section in seen_sections:
-                raise MeshFormatError(f"section {section} repeated", line_no=line_no)
-            seen_sections.append(section)
-            continue
-        if line.startswith("["):
-            raise MeshFormatError(f"unknown section {line!r}", line_no=line_no)
-        if section is None:
-            raise MeshFormatError(f"data before any section header: {line!r}", line_no=line_no)
-
-        parts = line.split()
-        if section == "[nodes]":
-            if len(parts) != 3:
-                raise MeshFormatError(
-                    f"node line needs 'id x y', got {len(parts)} fields", line_no=line_no
-                )
-            nodes.append(
-                Node(
-                    _parse_int(parts[0], line_no, "id"),
-                    _parse_float(parts[1], line_no, "x"),
-                    _parse_float(parts[2], line_no, "y"),
-                )
-            )
-        elif section == "[elements]":
-            if len(parts) != 4:
-                raise MeshFormatError(
-                    f"element line needs 'id n1 n2 n3', got {len(parts)} fields", line_no=line_no
-                )
-            ids = [_parse_int(p, line_no, f) for p, f in zip(parts, ("id", "n1", "n2", "n3"))]
-            elements.append(Element(ids[0], (ids[1], ids[2], ids[3])))
-        elif section == "[boundary]":
-            if len(parts) != 1:
-                raise MeshFormatError(
-                    f"boundary line holds one node id, got {len(parts)} fields", line_no=line_no
-                )
-            boundary.append(_parse_int(parts[0], line_no, "node"))
-        else:
-            if len(parts) != 2:
-                raise MeshFormatError(
-                    f"electrode line needs 'id node', got {len(parts)} fields", line_no=line_no
-                )
-            electrodes.append(
-                Electrode(_parse_int(parts[0], line_no, "id"), _parse_int(parts[1], line_no, "node"))
-            )
-
-    missing = [s for s in _SECTIONS if s not in seen_sections]
+    nodes = tuple(Node(*r) for r in records("nodes"))
+    elements = tuple(Element(r[0], tuple(r[1:])) for r in records("elements"))
+    boundary = tuple(r[0] for r in records("boundary"))
+    electrodes = tuple(Electrode(*r) for r in records("electrodes"))
+    missing = [f"[{name}]" for name in _FIELDS if name not in groups]
     if missing:
         raise MeshFormatError(
             f"file is truncated or incomplete: missing section(s) {', '.join(missing)}",
-            line_no=len(raw),
+            line_no=len(lines),
         )
-
-    return Mesh(tuple(nodes), tuple(elements), tuple(boundary), tuple(electrodes))
-
-
-def _parse_int(token: str, line_no: int, field: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise MeshFormatError(f"expected integer, got {token!r}", line_no=line_no, field=field) from None
-
-
-def _parse_float(token: str, line_no: int, field: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise MeshFormatError(f"expected float, got {token!r}", line_no=line_no, field=field) from None
+    return Mesh(nodes, elements, boundary, electrodes)

@@ -25,7 +25,7 @@ Two practical points about rank:
   of sigma(omega) across the sweep quantifies how hard the assumption was
   broken.
 
-Sweep config file format (``#`` starts a comment)::
+Sweep config file format (the shared text rules are in :mod:`eitkit.textio`)::
 
     [frequencies]
     <hertz, one per line>
@@ -67,6 +67,7 @@ from .forward import (
     ground_system,
 )
 from .mesh import Mesh
+from .textio import convert, data_lines, float_rows, format_row, key_value, read_lines, sections, write_lines
 
 RANK_TOL = 1e-10
 
@@ -464,52 +465,27 @@ def save_stacked_system(stacked: StackedSystem, phi_path, f_path) -> None:
     """Serialize the stack as a pair of CSV matrices (potentials, loads),
     one node per row, one injection per column. Injection labels and the
     dispersion spread ride along as comment lines on the potentials file."""
-    def write_matrix(path, matrix, comments=()):
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            for row in matrix:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
     comments = [f"sigma_spread,{stacked.sigma_spread:.17g}"]
     comments += [
         f"label,{freq:.17g},{p_idx},{ground}" for freq, p_idx, ground in stacked.labels
     ]
-    write_matrix(phi_path, stacked.Phi, comments)
-    write_matrix(f_path, stacked.F)
+    write_lines(phi_path, map(format_row, stacked.Phi), comments)
+    write_lines(f_path, map(format_row, stacked.F))
 
 
 def load_stacked_system(phi_path, f_path) -> StackedSystem:
     """Read a stack written by :func:`save_stacked_system`."""
-    def read_matrix(path):
-        rows = []
-        comments = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                if stripped.startswith("#"):
-                    comments.append((line_no, stripped[1:].strip()))
-                    continue
-                try:
-                    rows.append([float(v) for v in stripped.split(",")])
-                except ValueError as exc:
-                    raise FormatError(f"bad float: {exc}", line_no=line_no) from None
-        if not rows:
-            raise FormatError(f"{path} holds no matrix rows")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise FormatError(f"{path} has ragged rows (widths {sorted(widths)})")
-        return np.array(rows), comments
-
-    Phi, comments = read_matrix(phi_path)
-    F, _ = read_matrix(f_path)
-    if Phi.shape != F.shape:
-        raise FormatError(f"potential {Phi.shape} and load {F.shape} matrices disagree")
+    lines = read_lines(phi_path)
+    Phi = float_rows(data_lines(lines))
+    F = float_rows(data_lines(read_lines(f_path)))
+    if Phi.size == 0 or Phi.shape != F.shape:
+        raise FormatError(f"potential {Phi.shape} and load {F.shape} matrices are empty or disagree")
     sigma_spread = 0.0
     labels = []
-    for line_no, comment in comments:
+    for line_no, text in lines:
+        if not text.startswith("#"):
+            continue
+        comment = text[1:].strip()
         try:
             if comment.startswith("sigma_spread,"):
                 sigma_spread = float(comment[len("sigma_spread,"):])
@@ -525,8 +501,7 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
 
 def save_sweep_config(config: SweepConfig, tissue: TissueModel, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write a sweep config file (see module docstring for the format)."""
-    lines: list[str] = [f"# {h}" for h in header_lines]
-    lines.append("[frequencies]")
+    lines = ["[frequencies]"]
     lines += [f"{f:.17g}" for f in config.frequencies]
     lines.append("[patterns]")
     for pattern in config.patterns:
@@ -538,80 +513,56 @@ def save_sweep_config(config: SweepConfig, tissue: TissueModel, path, header_lin
             entries = [(int(k), float(v)) for k, v in enumerate(np.asarray(pattern)) if v != 0.0]
             lines.append(", ".join(f"node {k}: {v:.17g}" for k, v in entries))
     lines.append("[model]")
-    if (
-        np.all(tissue.sigma0 == tissue.sigma0[0])
-        and np.all(tissue.sigma_inf == tissue.sigma_inf[0])
-        and np.all(tissue.tau == tissue.tau[0])
-    ):
-        lines.append(f"sigma0 = {tissue.sigma0[0]:.17g}")
-        lines.append(f"sigma_inf = {tissue.sigma_inf[0]:.17g}")
-        lines.append(f"tau = {tissue.tau[0]:.17g}")
-    else:
-        lines.append(f"sigma0 = {float(np.median(tissue.sigma0)):.17g}")
-        lines.append(f"sigma_inf = {float(np.median(tissue.sigma_inf)):.17g}")
-        lines.append(f"tau = {float(np.median(tissue.tau)):.17g}")
-        for e in range(tissue.n_elements):
-            lines.append(
-                f"element {e}: {tissue.sigma0[e]:.17g} {tissue.sigma_inf[e]:.17g} {tissue.tau[e]:.17g}"
-            )
+    params = {"sigma0": tissue.sigma0, "sigma_inf": tissue.sigma_inf, "tau": tissue.tau}
+    uniform = all(np.all(v == v[0]) for v in params.values())
+    lines += [f"{k} = {v[0] if uniform else float(np.median(v)):.17g}" for k, v in params.items()]
+    if not uniform:
+        lines += [
+            f"element {e}: {tissue.sigma0[e]:.17g} {tissue.sigma_inf[e]:.17g} {tissue.tau[e]:.17g}"
+            for e in range(tissue.n_elements)
+        ]
     lines.append("[sweep]")
     lines.append(f"pairing = {config.pairing}")
     lines.append(f"ground = {config.ground}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines, header_lines)
 
 
 def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     """Parse a sweep config file against a mesh (the mesh fixes the element
     count for the model and the node count for nodal patterns)."""
-    frequencies: list[float] = []
-    patterns: list = []
+    groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
+    frequencies = [
+        convert(text, float, line_no, "frequency") for line_no, text in groups.get("frequencies", ())
+    ]
+    patterns = [
+        _parse_pattern_line(text, mesh, line_no) for line_no, text in groups.get("patterns", ())
+    ]
+
     model_uniform: dict[str, float] = {}
     model_overrides: dict[int, tuple[float, float, float]] = {}
-    sweep_opts: dict[str, str] = {}
-    section = None
+    for line_no, text in groups.get("model", ()):
+        if text.lower().startswith("element"):
+            eid, _, triple = text[len("element"):].partition(":")
+            try:
+                s0, si, t = (float(v) for v in triple.split())
+                model_overrides[int(eid)] = (s0, si, t)
+            except ValueError:
+                raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
+        else:
+            key, value = key_value(line_no, text)
+            if key not in ("sigma0", "sigma_inf", "tau"):
+                raise FormatError(f"unknown model key {key!r}", line_no=line_no)
+            model_uniform[key] = convert(value, float, line_no, key)
 
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                section = line.lower()
-                if section not in ("[frequencies]", "[patterns]", "[model]", "[sweep]"):
-                    raise FormatError(f"unknown section {line!r}", line_no=line_no)
-                continue
-            if section == "[frequencies]":
-                try:
-                    frequencies.append(float(line))
-                except ValueError:
-                    raise FormatError(f"bad frequency {line!r}", line_no=line_no) from None
-            elif section == "[patterns]":
-                patterns.append(_parse_pattern_line(line, mesh, line_no))
-            elif section == "[model]":
-                if line.lower().startswith("element"):
-                    body = line[len("element"):].strip()
-                    eid_str, _, triple = body.partition(":")
-                    try:
-                        eid = int(eid_str)
-                        s0, si, tau = (float(v) for v in triple.split())
-                    except ValueError:
-                        raise FormatError(f"bad element override {line!r}", line_no=line_no) from None
-                    model_overrides[eid] = (s0, si, tau)
-                else:
-                    key, _, value = line.partition("=")
-                    key = key.strip()
-                    if key not in ("sigma0", "sigma_inf", "tau"):
-                        raise FormatError(f"unknown model key {key!r}", line_no=line_no)
-                    try:
-                        model_uniform[key] = float(value.strip())
-                    except ValueError:
-                        raise FormatError(f"bad value for {key}", line_no=line_no) from None
-            elif section == "[sweep]":
-                key, _, value = line.partition("=")
-                sweep_opts[key.strip()] = value.strip()
-            else:
-                raise FormatError("data before any section header", line_no=line_no)
+    pairing, ground = "cross", 0
+    for line_no, text in groups.get("sweep", ()):
+        key, value = key_value(line_no, text)
+        if key == "pairing":
+            pairing = value
+        elif key == "ground":
+            ground = value if value == "rotate" else convert(value, int, line_no, "ground")
+        else:
+            raise FormatError(f"unknown sweep key {key!r}", line_no=line_no)
 
     for key in ("sigma0", "sigma_inf", "tau"):
         if key not in model_uniform:
@@ -626,55 +577,47 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
         sigma0[eid], sigma_inf[eid], tau[eid] = s0, si, t
     tissue = TissueModel(sigma0, sigma_inf, tau)
 
-    ground: int | str = sweep_opts.get("ground", "0")
-    if ground != "rotate":
-        try:
-            ground = int(ground)
-        except ValueError:
-            raise FormatError(f"ground must be 'rotate' or a node id, got {ground!r}") from None
     config = SweepConfig(
         frequencies=tuple(frequencies),
         patterns=tuple(patterns),
-        pairing=sweep_opts.get("pairing", "cross"),
+        pairing=pairing,
         ground=ground,
     )
     return config, tissue
 
 
-def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
-    """One pattern per line: comma-separated ``id: amps`` entries.
+def _pattern_entry(chunk: str, line_no: int) -> tuple[bool, int, float]:
+    """One ``<id>: <amps>`` entry as (addresses a node, id, amps); a
+    ``node`` prefix on the id addresses a mesh node, a bare id an electrode."""
+    target, sep, amps = chunk.partition(":")
+    if not sep:
+        raise FormatError(f"expected '<id>: <amps>', got {chunk!r}", line_no=line_no)
+    target = target.strip()
+    nodal = target.lower().startswith("node")
+    if nodal:
+        target = target[4:]
+    return nodal, convert(target, int, line_no, "id"), convert(amps, float, line_no, "amps")
 
-    Bare ids address electrodes; a ``node`` prefix addresses mesh nodes
-    directly. A line mixing the two resolves everything to nodes.
+
+def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
+    """One pattern per line: comma-separated ``<id>: <amps>`` entries.
+
+    A line mixing electrode and node entries resolves everything to nodes.
     """
     electrode_entries: dict[int, float] = {}
     nodal = np.zeros(mesh.n_nodes)
     has_nodal = False
     for chunk in line.split(","):
-        chunk = chunk.strip()
-        if not chunk:
+        if not chunk.strip():
             continue
-        target, _, amp_str = chunk.partition(":")
-        target = target.strip()
-        try:
-            amp = float(amp_str.strip())
-        except ValueError:
-            raise FormatError(f"bad current in {chunk!r}", line_no=line_no) from None
-        if target.lower().startswith("node"):
+        is_node, target, amp = _pattern_entry(chunk, line_no)
+        if is_node:
             has_nodal = True
-            try:
-                node_id = int(target[4:].strip())
-            except ValueError:
-                raise FormatError(f"bad node id in {chunk!r}", line_no=line_no) from None
-            if node_id not in mesh.node_index:
-                raise FormatError(f"unknown node {node_id}", line_no=line_no)
-            nodal[mesh.node_index[node_id]] += amp
+            if target not in mesh.node_index:
+                raise FormatError(f"unknown node {target}", line_no=line_no)
+            nodal[mesh.node_index[target]] += amp
         else:
-            try:
-                eid = int(target)
-            except ValueError:
-                raise FormatError(f"bad electrode id in {chunk!r}", line_no=line_no) from None
-            electrode_entries[eid] = electrode_entries.get(eid, 0.0) + amp
+            electrode_entries[target] = electrode_entries.get(target, 0.0) + amp
     if has_nodal:
         for eid, amp in electrode_entries.items():
             if eid not in mesh.electrode_map:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .mesh import Mesh
 from .statistics import MeasurementEnsemble
+from .textio import convert, key_value, read_lines, sections, write_lines
 
 SOURCE_STREAM = 0
 NOISE_STREAM = 1
@@ -273,50 +274,30 @@ def make_phantom(mesh: Mesh, background: float, inclusions=()) -> Phantom:
 def save_phantom_spec(phantom: Phantom, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write the phantom descriptors (not the per-element field) as a
     key-value file that :func:`load_phantom_spec` re-applies to a mesh."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for h in header_lines:
-            fh.write(f"# {h}\n")
-        fh.write("[phantom]\n")
-        fh.write(f"background = {phantom.background:.17g}\n")
-        for inc in phantom.inclusions:
-            fh.write(
-                f"inclusion = {inc.center[0]:.17g} {inc.center[1]:.17g} "
-                f"{inc.radius:.17g} {inc.contrast:.17g}\n"
-            )
+    lines = ["[phantom]", f"background = {phantom.background:.17g}"]
+    lines += [
+        f"inclusion = {inc.center[0]:.17g} {inc.center[1]:.17g} {inc.radius:.17g} {inc.contrast:.17g}"
+        for inc in phantom.inclusions
+    ]
+    write_lines(path, lines, header_lines)
 
 
 def load_phantom_spec(path, mesh: Mesh) -> Phantom:
     """Read a phantom spec file and instantiate it on a mesh."""
     background: float | None = None
     inclusions: list[Inclusion] = []
-    section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("["):
-                section = line.lower()
-                if section != "[phantom]":
-                    raise FormatError(f"unknown section {line!r}", line_no=line_no)
-                continue
-            if section != "[phantom]":
-                raise FormatError("data before [phantom] section", line_no=line_no)
-            if "=" not in line:
-                raise FormatError(f"expected 'key = value', got {line!r}", line_no=line_no)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
+    for line_no, text in sections(read_lines(path), ("phantom",)).get("phantom", ()):
+        key, value = key_value(line_no, text)
+        if key == "background":
+            background = convert(value, float, line_no, key)
+        elif key == "inclusion":
             try:
-                if key == "background":
-                    background = float(value)
-                elif key == "inclusion":
-                    x, y, radius, contrast = (float(v) for v in value.split())
-                    inclusions.append(Inclusion((x, y), radius, contrast))
-                else:
-                    raise FormatError(f"unknown key {key!r}", line_no=line_no)
-            except ValueError as exc:
-                raise FormatError(f"bad value for {key}: {exc}", line_no=line_no) from None
+                x, y, radius, contrast = (float(v) for v in value.split())
+            except ValueError:
+                raise FormatError(f"expected 'x y radius contrast', got {value!r}", line_no=line_no) from None
+            inclusions.append(Inclusion((x, y), radius, contrast))
+        else:
+            raise FormatError(f"unknown key {key!r}", line_no=line_no)
     if background is None:
         raise FormatError("phantom spec is missing 'background'")
     return make_phantom(mesh, background, inclusions)

@@ -11,17 +11,18 @@ is associative: :class:`MomentAccumulator` lets chunks be accumulated
 independently (possibly concurrently) and merged, with the merged result
 matching a single pass over the concatenated data.
 
-Ensemble file format: CSV, one time sample per row, header ``y0..y{M-1}``.
+Ensemble file format (the shared text rules are in :mod:`eitkit.textio`):
+CSV, one time sample per row, header ``y0..y{M-1}``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, SampleSizeError
+from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,44 +230,25 @@ class MomentAccumulator:
 
 def save_ensemble(ensemble: MeasurementEnsemble, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write an ensemble as CSV with a ``y0..y{M-1}`` header row."""
-    m = ensemble.channel_count
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for h in header_lines:
-            fh.write(f"# {h}\n")
-        writer = csv.writer(fh)
-        writer.writerow([f"y{k}" for k in range(m)])
-        for row in ensemble.samples:
-            writer.writerow([f"{v:.17g}" for v in row])
+    columns = ",".join(f"y{k}" for k in range(ensemble.channel_count))
+    write_lines(path, [columns, *map(format_row, ensemble.samples)], header_lines)
 
 
 def load_ensemble(path) -> MeasurementEnsemble:
     """Read an ensemble CSV written by :func:`save_ensemble`."""
-    rows: list[list[float]] = []
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = next(csv.reader([stripped]))
-            if header is None:
-                header = [f.strip() for f in fields]
-                expected = [f"y{k}" for k in range(len(header))]
-                if header != expected:
-                    raise FormatError(
-                        f"expected header {','.join(expected)}, got {stripped!r}", line_no=line_no
-                    )
-                continue
-            if len(fields) != len(header):
-                raise FormatError(
-                    f"expected {len(header)} columns, got {len(fields)}", line_no=line_no
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError as exc:
-                raise FormatError(f"bad float: {exc}", line_no=line_no) from None
-    if header is None:
+    lines = data_lines(read_lines(path))
+    if not lines:
         raise FormatError("ensemble file has no header row")
-    if len(rows) < 2:
-        raise SampleSizeError(f"ensemble file holds {len(rows)} samples, need at least 2")
-    return MeasurementEnsemble(np.array(rows))
+    line_no, text = lines[0]
+    header = [f.strip() for f in text.split(",")]
+    expected = [f"y{k}" for k in range(len(header))]
+    if header != expected:
+        raise FormatError(f"expected header {','.join(expected)}, got {text!r}", line_no=line_no)
+    rows = lines[1:]
+    width = rows[0][1].count(",") + 1 if rows else len(header)
+    if width != len(header):
+        raise FormatError(f"expected {len(header)} columns, got {width}", line_no=rows[0][0])
+    samples = float_rows(rows)  # holds every later row to the first row's width
+    if len(samples) < 2:
+        raise SampleSizeError(f"ensemble file holds {len(samples)} samples, need at least 2")
+    return MeasurementEnsemble(samples)

@@ -20,13 +20,13 @@ deterministic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, NumericalError
 from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
+from .textio import convert, float_rows, format_row, read_lines, write_lines
 
 ORTHONORMALITY_TOL = 1e-8
 GAP_FACTOR = 1e-10
@@ -234,69 +234,47 @@ def fitting_residual(A: np.ndarray, basis) -> float:
 def save_candidates(cset: CandidateSet, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write a candidate set as blank-line separated CSV blocks, one M x d
     matrix per block, with a header carrying M, d and the eigenvalues."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for h in header_lines:
-            fh.write(f"# {h}\n")
-        fh.write(f"# M,{cset.channel_count}\n")
-        fh.write(f"# d,{cset.rank}\n")
-        fh.write("# eigenvalues," + ",".join(f"{v:.17g}" for v in cset.eigenvalues) + "\n")
-        for idx, mat in enumerate(cset.candidates):
-            if idx:
-                fh.write("\n")
-            for row in mat:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    header = (*header_lines, f"M,{cset.channel_count}", f"d,{cset.rank}",
+              "eigenvalues," + format_row(cset.eigenvalues))
+    lines: list[str] = []
+    for idx, mat in enumerate(cset.candidates):
+        if idx:
+            lines.append("")
+        lines += map(format_row, mat)
+    write_lines(path, lines, header)
 
 
 def load_candidates(path) -> CandidateSet:
     """Read a candidate-set file written by :func:`save_candidates`."""
     m = d = eigen_line = None
     eigenvalues: np.ndarray | None = None
-    blocks: list[list[list[float]]] = [[]]
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped.startswith("#"):
-                key, _, value = stripped[1:].strip().partition(",")
-                try:
-                    if key == "M":
-                        m = int(value)
-                    elif key == "d":
-                        d = int(value)
-                    elif key == "eigenvalues":
-                        eigenvalues = np.array([float(v) for v in value.split(",")])
-                        eigen_line = line_no
-                except ValueError as exc:
-                    raise FormatError(f"bad {key} header: {exc}", line_no=line_no) from None
-                continue
-            if not stripped:
-                if blocks[-1]:
-                    blocks.append([])
-                continue
-            try:
-                row = [float(v) for v in next(csv.reader([stripped]))]
-            except ValueError as exc:
-                raise FormatError(f"bad float: {exc}", line_no=line_no) from None
-            if blocks[-1] and len(row) != len(blocks[-1][0]):
-                raise FormatError(f"ragged candidate block: row has {len(row)} fields, "
-                                  f"the block's first row {len(blocks[-1][0])}", line_no=line_no)
-            blocks[-1].append(row)
-    if blocks and not blocks[-1]:
-        blocks.pop()
+    blocks: list[list[tuple[int, str]]] = [[]]
+    for line_no, text in read_lines(path):
+        if text.startswith("#"):
+            key, _, value = text[1:].strip().partition(",")
+            if key == "M":
+                m = convert(value, int, line_no, "M")
+            elif key == "d":
+                d = convert(value, int, line_no, "d")
+            elif key == "eigenvalues":
+                eigenvalues, eigen_line = float_rows([(line_no, value)])[0], line_no
+        elif text:
+            blocks[-1].append((line_no, text))
+        elif blocks[-1]:
+            blocks.append([])
+    matrices = [float_rows(block) for block in blocks if block]
     if m is None or d is None or eigenvalues is None:
         raise FormatError("candidate file is missing its M/d/eigenvalues header")
     if eigenvalues.size != d * d:
         raise FormatError(f"expected {d * d} eigenvalues, found {eigenvalues.size}", line_no=eigen_line)
-    if len(blocks) != d * d:
-        raise FormatError(f"expected {d * d} candidate blocks, found {len(blocks)}")
-    mats = []
-    for block in blocks:
-        arr = np.array(block)
+    if len(matrices) != d * d:
+        raise FormatError(f"expected {d * d} candidate blocks, found {len(matrices)}")
+    for arr in matrices:
         if arr.shape != (m, d):
             raise FormatError(f"candidate block has shape {arr.shape}, expected ({m}, {d})")
         arr.setflags(write=False)
-        mats.append(arr)
     return CandidateSet(
-        candidates=tuple(mats),
+        candidates=tuple(matrices),
         eigenvalues=eigenvalues,
         channel_count=m,
         rank=d,

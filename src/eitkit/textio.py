@@ -1,0 +1,98 @@
+"""Text rules shared by every eitkit file format; each format's own layout
+lives in the module that reads it.
+
+* Files are UTF-8; one that does not decode raises :class:`FormatError`
+  (or the caller's subclass).
+* Lines starting with ``#`` are comments; comment and blank lines carry no data.
+* ``[name]`` section headers match case-insensitively. A name the format does
+  not know, a repeated header, and data before the first header are errors.
+* Floats are written with 17 significant digits, so they read back exactly.
+* Parse errors carry the 1-based line number, and the field where there is one.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def read_lines(path, error=FormatError) -> list[tuple[int, str]]:
+    """Every line of a UTF-8 text file as ``(line_no, stripped text)``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return [(line_no, line.strip()) for line_no, line in enumerate(raw, start=1)]
+
+
+def data_lines(lines) -> list[tuple[int, str]]:
+    """The lines left after dropping blank and ``#`` comment lines."""
+    return [(line_no, text) for line_no, text in lines if text and not text.startswith("#")]
+
+
+def sections(lines, names, error=FormatError, preamble=None) -> dict[str, list[tuple[int, str]]]:
+    """The data lines grouped by section, for the lower-case section
+    ``names``; lines before the first header form section ``preamble``
+    when one is given."""
+    groups: dict[str, list[tuple[int, str]]] = {}
+    current = preamble
+    for line_no, text in data_lines(lines):
+        if text.startswith("["):
+            name = text[1:-1].strip().lower() if text.endswith("]") else None
+            if name not in names:
+                raise error(f"unknown section {text!r}", line_no=line_no)
+            if name in groups:
+                raise error(f"section [{name}] repeated", line_no=line_no)
+            groups[name] = []
+            current = name
+        elif current is None:
+            raise error(f"data before any section header: {text!r}", line_no=line_no)
+        else:
+            groups.setdefault(current, []).append((line_no, text))
+    return groups
+
+
+def key_value(line_no: int, text: str) -> tuple[str, str]:
+    """Split a ``key = value`` line into its stripped halves."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise FormatError(f"expected 'key = value', got {text!r}", line_no=line_no)
+    return key.strip(), value.strip()
+
+
+def convert(token: str, kind, line_no: int, field: str | None = None, error=FormatError):
+    """``kind(token)``, raising a line-numbered error that names the field."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise error(f"expected {kind.__name__}, got {token!r}", line_no=line_no, field=field) from None
+
+
+def float_rows(lines) -> np.ndarray:
+    """Comma-separated float rows as one 2-D array (``(0,)`` when empty)."""
+    rows: list[list[float]] = []
+    for line_no, text in lines:
+        try:
+            row = [float(v) for v in text.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"bad float: {exc}", line_no=line_no) from None
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(
+                f"ragged rows: {len(row)} fields, the first row has {len(rows[0])}", line_no=line_no
+            )
+        rows.append(row)
+    return np.array(rows)
+
+
+def format_row(values) -> str:
+    """One comma-separated row of 17-significant-digit floats."""
+    return ",".join(f"{v:.17g}" for v in values)
+
+
+def write_lines(path, lines, header_lines=()) -> None:
+    """Write ``header_lines`` as ``# `` comments, then ``lines``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {h}\n" for h in header_lines)
+        fh.writelines(f"{line}\n" for line in lines)

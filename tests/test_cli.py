@@ -333,3 +333,37 @@ def test_header_present_in_outputs(capsys, tmp_path, mesh_file):
     assert lines[0] == "# eitkit 0.1.0"
     assert "# command = forward" in lines
     assert "# seed = 5" in lines
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["mesh", "gen"], "[mesh gen]\nradius = 1.0\nrefine = abc\n"),
+        (["forward"], "# run\n[forward]\nground = 1.5\n"),
+    ],
+)
+def test_bad_config_value_exits_2_with_its_line(capsys, tmp_path, command, text):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    code, _, err = run(capsys, *command, "--config", str(config))
+    assert code == 2
+    assert "(line 3)" in err
+
+
+def test_misspelled_config_section_exits_2(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("[forwrd]\nground = 1\n")
+    code, _, err = run(capsys, "forward", "--config", str(config))
+    assert code == 2
+    assert "unknown section" in err and "(line 1)" in err
+
+
+def test_config_leading_lines_and_explicit_global(capsys, tmp_path):
+    out = tmp_path / "m.mesh"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# comment only\n[global]\nseed = 4\n[mesh gen]\nout = {out}\n")
+    assert run(capsys, "mesh", "gen", "--config", str(config))[0] == 0
+    assert "# seed = 4" in out.read_text().splitlines()
+    config.write_text(f"seed = 5\nout = {out}\n")
+    assert run(capsys, "mesh", "gen", "--config", str(config))[0] == 0
+    assert "# seed = 5" in out.read_text().splitlines()

@@ -463,3 +463,20 @@ def test_sweep_config_file_per_element_overrides(tmp_path):
     assert tissue.sigma_inf[3] == 4.0
     assert tissue.tau[3] == 1e-5
     assert tissue.sigma0[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "sweep, line_no",
+    [("pairng = zip\n", 6), ("pairing zip\n", 6), ("pairing = cross\nground = 1.5\n", 7)],
+    ids=["unknown-key", "no-equals", "bad-ground"],
+)
+def test_sweep_section_typos_are_format_errors(tmp_path, sweep, line_no):
+    mesh = build_disk_mesh(1.0, 0)
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[sweep]\n" + sweep
+        + "[model]\nsigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
+    )
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == line_no

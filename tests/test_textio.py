@@ -1,0 +1,270 @@
+"""The shared text layer: one place opens files, every reader turns any
+malformed input into an EitError, and every writer round-trips exactly."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+import eitkit
+from eitkit import (
+    CandidateSet,
+    CurrentPattern,
+    EitError,
+    Electrode,
+    Element,
+    FormatError,
+    Inclusion,
+    MeasurementEnsemble,
+    Mesh,
+    MeshFormatError,
+    Node,
+    StackedSystem,
+    SweepConfig,
+    TissueModel,
+    build_disk_mesh,
+    load_candidates,
+    load_ensemble,
+    load_mesh,
+    load_phantom_spec,
+    load_stacked_system,
+    load_sweep_config,
+    make_phantom,
+    parse_mesh_file,
+    save_candidates,
+    save_ensemble,
+    save_mesh,
+    save_phantom_spec,
+    save_stacked_system,
+    save_sweep_config,
+)
+from eitkit.cli import _load_config, _load_pattern_file, _load_sigma_csv, main
+
+SRC = Path(eitkit.__file__).parent
+MESH = build_disk_mesh(1.0, 0)
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+READERS = {
+    "mesh": load_mesh,
+    "sweep": lambda p: load_sweep_config(p, MESH),
+    "stack": lambda p: load_stacked_system(p, p),
+    "phantom": lambda p: load_phantom_spec(p, MESH),
+    "ensemble": load_ensemble,
+    "candidates": load_candidates,
+    "cli-config": _load_config,
+    "cli-sigma": lambda p: _load_sigma_csv(p, MESH),
+    "cli-pattern": _load_pattern_file,
+}
+
+
+def test_only_textio_opens_files():
+    opened = [
+        f"{path.name}:{no}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "textio.py"
+        for no, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\bopen\(", line)
+    ]
+    assert opened == []
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_non_utf8_file_is_format_error(tmp_path, name):
+    path = tmp_path / "binary"
+    path.write_bytes(b"[nodes]\n\xff\xfe\x00\x81 1 2\n")
+    expected = MeshFormatError if name == "mesh" else FormatError
+    with pytest.raises(expected, match="not UTF-8"):
+        READERS[name](path)
+
+
+def test_mesh_validate_on_binary_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "binary.mesh"
+    path.write_bytes(bytes(range(256)))
+    assert main(["mesh", "validate", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, line_no",
+    [
+        ("mesh", "[nodes]\n0 0 0\n[elements]\n[NODES]\n", 4),
+        ("sweep", "[frequencies]\n10\n# gap\n[frequencies]\n20\n", 4),
+        ("phantom", "[phantom]\nbackground = 1\n[phantom]\n", 3),
+        ("cli-config", "seed = 1\n[demo]\nd = 2\n[Demo]\nd = 3\n", 4),
+        ("cli-config", "seed = 1\n[global]\nseed = 2\n", 2),
+    ],
+)
+def test_repeated_section_is_format_error(tmp_path, name, text, line_no):
+    path = tmp_path / "repeated"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="repeated") as err:
+        READERS[name](path)
+    assert err.value.line_no == line_no
+
+
+# ------------------------------------------------------------ fuzzing ----
+
+TOKENS = [
+    "[nodes]", "[elements]", "[boundary]", "[electrodes]", "[frequencies]", "[patterns]",
+    "[model]", "[sweep]", "[phantom]", "[global]", "[demo]", "[mesh gen]", "[forward]", "[",
+    "]", "#", ",", ":", "=", " ", "\n", "\n", "\r\n", "\t", "0", "1", "2", "7", "-1", "1.5",
+    "-2.5e-3", "1e308", "1e999", "nan", "inf", "-0", "node", "element", "electrode,voltage",
+    "y0", "y1", "y2", "M", "d", "eigenvalues", "label", "sigma_spread", "sigma0", "sigma_inf",
+    "tau", "pairing", "ground", "rotate", "cross", "zip", "background", "inclusion", "seed",
+    "refine", "\xff", "é",
+]
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=60).map(lambda t: "".join(t).encode())
+raw_bytes = st.binary(max_size=200)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(token_soup, raw_bytes))
+def test_fuzzed_input_raises_only_eit_errors(tmp_path, name, data):
+    path = tmp_path / "fuzz"
+    path.write_bytes(data)
+    try:
+        READERS[name](path)
+    except EitError:
+        pass
+
+
+# -------------------------------------------------------- round trips ----
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-150, max_value=1e150)
+ids = st.integers(-(2**40), 2**40)
+
+
+@SETTINGS
+@given(
+    nodes=st.lists(st.tuples(ids, finite, finite), min_size=1, max_size=8),
+    elements=st.lists(st.tuples(ids, ids, ids, ids), max_size=8),
+    boundary=st.lists(ids, max_size=8),
+    electrodes=st.lists(st.tuples(ids, ids), max_size=8),
+)
+def test_mesh_round_trip(tmp_path, nodes, elements, boundary, electrodes):
+    mesh = Mesh(
+        tuple(Node(*n) for n in nodes),
+        tuple(Element(e[0], e[1:]) for e in elements),
+        tuple(boundary),
+        tuple(Electrode(*e) for e in electrodes),
+    )
+    path = tmp_path / "m.mesh"
+    save_mesh(mesh, path, header_lines=("header",))
+    assert parse_mesh_file(path) == mesh
+
+
+@st.composite
+def sweep_setups(draw):
+    n, n_e = MESH.n_nodes, MESH.n_elements
+    electrodes = sorted(MESH.electrode_map)
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            a, b = draw(st.permutations(electrodes))[:2]
+            amp = draw(st.floats(min_value=1e-6, max_value=10.0))
+            patterns.append(CurrentPattern({a: amp, b: -amp}))
+        else:
+            a, b = draw(st.permutations(range(n)))[:2]
+            amp = draw(st.floats(min_value=1e-6, max_value=10.0))
+            vec = np.zeros(n)
+            vec[a], vec[b] = amp, -amp
+            patterns.append(vec)
+    pairing = draw(st.sampled_from(["cross", "zip"]))
+    n_freq = len(patterns) if pairing == "zip" else draw(st.integers(1, 4))
+    freqs = draw(st.lists(positive, min_size=n_freq, max_size=n_freq, unique=True))
+    ground = draw(st.one_of(st.just("rotate"), st.integers(0, n - 1)))
+    size = n_e if draw(st.booleans()) else 1  # per-element or uniform tissue
+    params = [positive, positive, st.floats(0.0, 1e3)]  # sigma0, sigma_inf, tau
+    tissue = TissueModel(*(
+        np.resize(draw(st.lists(p, min_size=size, max_size=size)), n_e) for p in params
+    ))
+    return SweepConfig(tuple(freqs), tuple(patterns), pairing, ground), tissue
+
+
+@SETTINGS
+@given(setup=sweep_setups())
+def test_sweep_config_round_trip(tmp_path, setup):
+    config, tissue = setup
+    path = tmp_path / "sweep.cfg"
+    save_sweep_config(config, tissue, path, header_lines=("header",))
+    again, again_tissue = load_sweep_config(path, MESH)
+    assert (again.frequencies, again.pairing, again.ground) == (
+        config.frequencies, config.pairing, config.ground)
+    assert len(again.patterns) == len(config.patterns)
+    for got, want in zip(again.patterns, config.patterns):
+        if isinstance(want, CurrentPattern):
+            assert got.currents == want.currents
+        else:
+            assert_array_equal(got, want)
+    for name in ("sigma0", "sigma_inf", "tau"):
+        assert_array_equal(getattr(again_tissue, name), getattr(tissue, name))
+
+
+@SETTINGS
+@given(
+    background=positive,
+    inclusions=st.lists(st.tuples(finite, finite, positive, st.floats(1e-6, 1e6)), max_size=4),
+)
+def test_phantom_spec_round_trip(tmp_path, background, inclusions):
+    phantom = make_phantom(MESH, background, [Inclusion((x, y), r, c) for x, y, r, c in inclusions])
+    path = tmp_path / "phantom.cfg"
+    save_phantom_spec(phantom, path, header_lines=("header",))
+    again = load_phantom_spec(path, MESH)
+    assert again.background == phantom.background
+    assert again.inclusions == phantom.inclusions
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 6), k=st.integers(1, 5))
+def test_stacked_system_round_trip(tmp_path, data, n, k):
+    Phi = np.array(data.draw(st.lists(finite, min_size=n * k, max_size=n * k))).reshape(n, k)
+    F = np.array(data.draw(st.lists(st.integers(-1000, 1000), min_size=n * k, max_size=n * k)),
+                 dtype=float).reshape(n, k)
+    F[-1] -= F.sum(axis=0)  # integer-valued columns cancel exactly
+    labels = tuple(data.draw(st.tuples(positive, st.integers(0, 99), st.integers(0, 99)))
+                   for _ in range(k))
+    stacked = StackedSystem(Phi=Phi, F=F, labels=labels, sigma_spread=data.draw(positive))
+    phi_path, f_path = tmp_path / "phi.csv", tmp_path / "f.csv"
+    save_stacked_system(stacked, phi_path, f_path)
+    again = load_stacked_system(phi_path, f_path)
+    assert_array_equal(again.Phi, Phi)
+    assert_array_equal(again.F, F)
+    assert again.labels == labels
+    assert again.sigma_spread == stacked.sigma_spread
+
+
+@SETTINGS
+@given(data=st.data(), t=st.integers(2, 8), m=st.integers(1, 5))
+def test_ensemble_round_trip(tmp_path, data, t, m):
+    samples = np.array(data.draw(st.lists(finite, min_size=t * m, max_size=t * m))).reshape(t, m)
+    path = tmp_path / "ens.csv"
+    save_ensemble(MeasurementEnsemble(samples), path, header_lines=("header",))
+    assert_array_equal(load_ensemble(path).samples, samples)
+    assert b"\r" not in path.read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), m=st.integers(1, 5), d=st.integers(1, 3))
+def test_candidate_set_round_trip(tmp_path, data, m, d):
+    mats = tuple(
+        np.array(data.draw(st.lists(finite, min_size=m * d, max_size=m * d))).reshape(m, d)
+        for _ in range(d * d)
+    )
+    eigenvalues = np.array(data.draw(st.lists(finite, min_size=d * d, max_size=d * d)))
+    cset = CandidateSet(candidates=mats, eigenvalues=eigenvalues, channel_count=m, rank=d,
+                        null_count=int(np.count_nonzero(eigenvalues < 1e-8)))
+    path = tmp_path / "cands.csv"
+    save_candidates(cset, path, header_lines=("header",))
+    again = load_candidates(path)
+    assert (again.channel_count, again.rank, again.null_count) == (m, d, cset.null_count)
+    assert_array_equal(again.eigenvalues, eigenvalues)
+    for got, want in zip(again.candidates, mats, strict=True):
+        assert_array_equal(got, want)
