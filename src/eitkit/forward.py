@@ -198,6 +198,26 @@ def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None)
     return _local_stiffness(pts[None], float(sigma_e), scale)[0]
 
 
+def _placement(mesh: Mesh):
+    """Where local entry (e, a, b), at row ``tri[e, a]`` and column
+    ``tri[e, b]``, lands in the CSC ``S``: ``(order, first, rows, cols, slot)``.
+
+    ``order`` stably sorts the flattened local entries by (column, row), so
+    each nonzero sums its contributions in element order, from ``first``;
+    ``rows`` and ``cols`` locate the nonzeros; ``slot`` (n_e, 3, 3) is the
+    nonzero that each local entry lands on.
+    """
+    n = mesh.n_nodes
+    tri = mesh.triangles
+    key = (tri[:, None, :] * n + tri[:, :, None]).ravel()
+    order = np.argsort(key, kind="stable")
+    starts = np.diff(key[order], prepend=-1) != 0
+    entries = key[order][starts]
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(starts) - 1
+    return order, np.flatnonzero(starts), entries % n, entries // n, slot.reshape(tri.shape[0], 3, 3)
+
+
 def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     """Assemble the global stiffness matrix for a conductivity field.
 
@@ -221,19 +241,12 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
         raise MeshValidationError(report)
 
     n = mesh.n_nodes
-    tri = mesh.triangles
-    local = _local_stiffness(mesh.coords[tri], sigma, mesh.bounding_box_diagonal)
-    # entry (e, a, b) lands at row tri[e, a], column tri[e, b]; a stable sort
-    # by (column, row) keeps each entry's contributions in element order
-    key = (tri[:, None, :] * n + tri[:, :, None]).ravel()
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
+    local = _local_stiffness(mesh.coords[mesh.triangles], sigma, mesh.bounding_box_diagonal)
+    order, first, rows, cols, _ = _placement(mesh)
     data = np.add.reduceat(local.ravel()[order], first)
-    entries = key[first]
     # int32 indices, as scipy itself builds them for a matrix of this size
-    indices = (entries % n).astype(np.int32)
-    indptr = np.searchsorted(entries, np.arange(n + 1) * n).astype(np.int32)
+    indices = rows.astype(np.int32)
+    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
     S = _StiffnessMatrix((data, indices, indptr), shape=(n, n))
     return StiffnessSystem(S=S, F=np.zeros(n), ground_node=None)
 

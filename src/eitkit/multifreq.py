@@ -63,6 +63,7 @@ from .forward import (
     StiffnessSystem,
     _local_stiffness,
     _nodal_load,
+    _placement,
     assemble,
     ground_system,
 )
@@ -326,7 +327,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
 
 
 def _stack_svd(Phi: np.ndarray):
-    """Thin SVD ``(U, s, Vt)`` of the stack plus its numerical rank under ``RANK_TOL``."""
+    """Thin SVD ``(U, s, Vt)`` of a matrix plus its numerical rank under ``RANK_TOL``."""
     U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
     rank = int(np.count_nonzero(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     return U, s, Vt, rank
@@ -392,33 +393,17 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
     return StackSolveResult(S_hat=S_hat, residual=residual, phi_singular_values=s)
 
 
-def _assembly_operator(mesh: Mesh) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Linear map from per-element conductivity to the weighted upper
-    triangle of the stiffness matrix (off-diagonal weight sqrt(2), so the
-    2-norm of the image equals the Frobenius norm of the matrix)."""
-    n = mesh.n_nodes
-    iu = np.triu_indices(n)
-    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    tri = mesh.triangles
-    local = _local_stiffness(mesh.coords[tri], 1.0, mesh.bounding_box_diagonal)
-    lo = np.minimum(tri[:, :, None], tri[:, None, :])
-    hi = np.maximum(tri[:, :, None], tri[:, None, :])
-    row = lo * n - lo * (lo - 1) // 2 + (hi - lo)  # position of (lo, hi) in iu
-    element = np.broadcast_to(np.arange(mesh.n_elements)[:, None, None], row.shape)
-    design = np.zeros((iu[0].size, mesh.n_elements))
-    # (a, b) and (b, a) write the same entry with the same value: local is symmetric
-    design[row, element] = weights[row] * local
-    return design, iu, weights
-
-
 def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | None = None) -> RecoveredField:
-    """Invert the assembly map: ``argmin_sigma |assemble(mesh, sigma) - S_hat|_F``.
+    """Invert the assembly map: ``argmin_sigma |assemble(mesh, sigma) - sym(S_hat)|_F``.
 
-    The assembly map is linear in the per-element conductivity, so this is
-    plain linear least squares over the symmetric entries. The element
-    count must not exceed the number of independent matrix entries, and
-    the assembly operator must have full column rank; otherwise the field
-    is not identifiable and the rank gap is reported.
+    The map is linear in sigma and writes only the nonzeros of S (the
+    diagonal and both directions of each mesh edge). An entry of
+    ``sym(S_hat)`` off that pattern adds a constant to the objective, so it
+    does not move sigma. One thin SVD of the design over the nonzeros gives
+    the rank check, the solve, ``sensitivity = 1/s_min`` and
+    ``operator_condition = s_max/s_min``; ``fit_residual`` counts every
+    entry. More elements than the n(n+1)/2 independent entries, or a
+    rank-deficient design, raise :class:`IdentifiabilityError` with the gap.
     """
     S_hat = np.asarray(S_hat, dtype=float)
     n = mesh.n_nodes
@@ -435,28 +420,28 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
             rank_gap=mesh.n_elements - independent_entries,
         )
 
-    design, iu, weights = _assembly_operator(mesh)
-    sv = np.linalg.svd(design, compute_uv=False)
-    rank = int(np.count_nonzero(sv >= RANK_TOL * sv[0])) if sv.size else 0
+    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
+    _, _, rows, cols, slot = _placement(mesh)
+    design = np.zeros((rows.size, mesh.n_elements))
+    # the nine local entries of a (non-degenerate) element land on nine distinct nonzeros
+    design[slot, np.arange(mesh.n_elements)[:, None, None]] = local
+    U, s, Vt, rank = _stack_svd(design)
     if rank < mesh.n_elements:
         raise IdentifiabilityError(
             "assembly operator is rank deficient; conductivity is not identifiable",
             rank_gap=mesh.n_elements - rank,
         )
 
-    target = weights * (0.5 * (S_hat + S_hat.T))[iu]
-    sigma, *_ = np.linalg.lstsq(design, target, rcond=None)
-
-    # design rows cover the full weighted upper triangle, so this 2-norm is
-    # the Frobenius distance between assemble(mesh, sigma) and sym(S_hat)
-    fit_residual = float(np.linalg.norm(design @ sigma - target))
+    residual = 0.5 * (S_hat + S_hat.T)  # sym(S_hat) until the fit is subtracted
+    sigma = Vt.T @ ((U.T @ residual[rows, cols]) / s)
+    residual[rows, cols] -= design @ sigma
     negative = tuple(int(e) for e in np.flatnonzero(~(sigma > 0.0)))
     return RecoveredField(
         sigma=sigma,
         negative_elements=negative,
-        fit_residual=fit_residual,
-        sensitivity=float(1.0 / sv[rank - 1]),
-        operator_condition=float(sv[0] / sv[rank - 1]),
+        fit_residual=float(np.linalg.norm(residual)),
+        sensitivity=float(1.0 / s[-1]),
+        operator_condition=float(s[0] / s[-1]),
         solve_residual=solve_residual,
     )
 
@@ -539,13 +524,13 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     ]
 
     model_uniform: dict[str, float] = {}
-    model_overrides: dict[int, tuple[float, float, float]] = {}
+    model_overrides: dict[int, tuple[int, tuple[float, float, float]]] = {}
     for line_no, text in groups.get("model", ()):
         if text.lower().startswith("element"):
             eid, _, triple = text[len("element"):].partition(":")
             try:
                 s0, si, t = (float(v) for v in triple.split())
-                model_overrides[int(eid)] = (s0, si, t)
+                model_overrides[int(eid)] = (line_no, (s0, si, t))
             except ValueError:
                 raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
         else:
@@ -571,9 +556,9 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     sigma0 = np.full(n_e, model_uniform["sigma0"])
     sigma_inf = np.full(n_e, model_uniform["sigma_inf"])
     tau = np.full(n_e, model_uniform["tau"])
-    for eid, (s0, si, t) in model_overrides.items():
+    for eid, (line_no, (s0, si, t)) in model_overrides.items():
         if not 0 <= eid < n_e:
-            raise FormatError(f"element override {eid} outside 0..{n_e - 1}")
+            raise FormatError(f"element override {eid} outside 0..{n_e - 1}", line_no=line_no)
         sigma0[eid], sigma_inf[eid], tau[eid] = s0, si, t
     tissue = TissueModel(sigma0, sigma_inf, tau)
 

@@ -15,10 +15,11 @@ def write_pattern(path, entries):
     path.write_text("".join(f"{eid}: {amp}\n" for eid, amp in entries))
 
 
-def read_voltages(path):
+def read_id_values(path):
+    """``id,value`` CSV rows as a dict, skipping comments and the column header."""
     out = {}
     for line in path.read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("electrode"):
+        if not line or line.startswith(("#", "electrode", "element")):
             continue
         eid, value = line.split(",")
         out[int(eid)] = float(value)
@@ -89,7 +90,7 @@ def test_forward_uniform_halves_voltages(capsys, tmp_path, mesh_file):
     code, *_ = run(capsys, "forward", "--mesh", str(mesh_file), "--uniform", "2.0",
                    "--pattern", str(pattern), "--ground", "0", "--out", str(out2))
     assert code == 0
-    v1, v2 = read_voltages(out1), read_voltages(out2)
+    v1, v2 = read_id_values(out1), read_id_values(out2)
     assert set(v1) == set(v2) and len(v1) == 7
     for eid in v1:
         assert v2[eid] == pytest.approx(v1[eid] / 2.0, rel=1e-12)
@@ -107,7 +108,7 @@ def test_forward_antisymmetric_profile(capsys, tmp_path, mesh_file):
                    "--pattern", str(pattern), "--ground", str(ground),
                    "--reference", "2", "--out", str(out))
     assert code == 0
-    v = read_voltages(out)
+    v = read_id_values(out)
     for a, b in ((0, 4), (1, 3), (7, 5)):
         assert abs(v[a] + v[b]) <= 1e-9
     assert abs(v[6]) <= 1e-9
@@ -136,7 +137,7 @@ def test_forward_sigma_file_round(capsys, tmp_path, mesh_file):
                "--pattern", str(pattern), "--ground", "0", "--out", str(out_a))[0] == 0
     assert run(capsys, "forward", "--mesh", str(mesh_file), "--uniform", "1.0",
                "--pattern", str(pattern), "--ground", "0", "--out", str(out_b))[0] == 0
-    assert read_voltages(out_a) == read_voltages(out_b)
+    assert read_id_values(out_a) == read_id_values(out_b)
 
 
 def test_demo_default_passes(capsys):
@@ -248,12 +249,7 @@ def test_reconstruct_multifreq_end_to_end(capsys, tmp_path):
                        "--out-image", str(image_out), "--pixels", "40")
     assert code == 0
 
-    values = {}
-    for line in sigma_out.read_text().splitlines():
-        if line.startswith("#") or line.startswith("element") or not line:
-            continue
-        eid, v = line.split(",")
-        values[int(eid)] = float(v)
+    values = read_id_values(sigma_out)
     expected = {e.id: (5.0 if e.id == 2 else 1.0) for e in mesh.elements}
     for eid, v in values.items():
         assert v == pytest.approx(expected[eid], rel=1e-6)
@@ -268,6 +264,25 @@ def test_reconstruct_multifreq_end_to_end(capsys, tmp_path):
     pixels = [int(tok) for line in body[2:] for tok in line.split()]
     assert len(pixels) == 40 * 40
     assert max(pixels) == 255 and min(pixels) == 0
+
+
+def test_reconstruct_multifreq_recovers_phantom_at_refine_3(capsys, tmp_path):
+    mesh_path = tmp_path / "m.mesh"
+    main(["mesh", "gen", "--radius", "1.0", "--refine", "3", "--out", str(mesh_path)])
+    mesh = load_mesh(mesh_path)
+    assert mesh.n_nodes == 289
+    sweep = tmp_path / "sweep.cfg"
+    write_sweep_config(sweep, mesh)
+    sigma_out = tmp_path / "sigma.csv"
+    code, out, _ = run(capsys, "reconstruct", "multifreq", "--mesh", str(mesh_path),
+                       "--sweep", str(sweep), "--out-sigma", str(sigma_out),
+                       "--out-image", str(tmp_path / "sigma.pgm"), "--pixels", "16")
+    assert code == 0
+    assert "injections: 289," in out
+    values = read_id_values(sigma_out)
+    assert sorted(values) == [e.id for e in mesh.elements]
+    for eid, v in values.items():
+        assert v == pytest.approx(5.0 if eid == 2 else 1.0, rel=1e-9)
 
 
 def test_reconstruct_multifreq_single_pattern_exits_4(capsys, tmp_path):

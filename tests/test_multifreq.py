@@ -21,6 +21,7 @@ from eitkit import (
     TissueModel,
     assemble,
     build_disk_mesh,
+    element_stiffness,
     load_stacked_system,
     load_sweep_config,
     make_phantom,
@@ -67,6 +68,29 @@ def lstsq_stack_solve(Phi, F):
     for p, (a, b) in enumerate(pairs):
         S_hat[a, b] = S_hat[b, a] = coeffs[p]
     return S_hat, float(np.linalg.norm(S_hat @ Phi - F))
+
+
+def weighted_triangle_recover(matrices, mesh):
+    """Reference inverse: the upper triangle of each sym(S_hat), off-diagonal
+    entries weighted by sqrt(2), fitted over an explicit n(n+1)/2 x n_e
+    design by one ``lstsq``. Returns the sigma columns, the Frobenius fit
+    residuals and the design's singular values."""
+    n = mesh.n_nodes
+    iu = np.triu_indices(n)
+    position = np.full((n, n), -1)
+    position[iu] = np.arange(iu[0].size)
+    weights = np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    design = np.zeros((iu[0].size, mesh.n_elements))
+    for e, tri in enumerate(mesh.triangles):
+        local = element_stiffness(mesh.coords[tri], 1.0, mesh.bounding_box_diagonal)
+        for a in range(3):
+            for b in range(a, 3):
+                row = position[min(tri[a], tri[b]), max(tri[a], tri[b])]
+                design[row, e] = weights[row] * local[a, b]
+    targets = np.stack([weights * (0.5 * (S + S.T))[iu] for S in matrices], axis=1)
+    sigmas, _, _, sv = np.linalg.lstsq(design, targets, rcond=None)
+    residuals = np.linalg.norm(design @ sigmas - targets, axis=0)
+    return sigmas, residuals, sv
 
 
 def test_tissue_model_dispersionless_is_frequency_independent():
@@ -326,6 +350,24 @@ def test_recover_conductivity_exact_matrix(disk_r1):
     assert recovered.fit_residual <= 1e-9 * np.linalg.norm(S_true)
 
 
+@pytest.mark.parametrize("refine", [0, 1, 2, 3])
+def test_recover_conductivity_matches_weighted_triangle_oracle(refine):
+    mesh = build_disk_mesh(1.0, refine)
+    rng = np.random.default_rng(40 + refine)
+    S = assemble(mesh, rng.uniform(0.5, 3.0, size=mesh.n_elements)).S.toarray()
+    matrices = []
+    for noise in (0.0, 1e-6, 1e-3):
+        E = rng.standard_normal(S.shape)
+        matrices.append(S + noise * np.abs(S).max() * 0.5 * (E + E.T))
+    sigmas, residuals, sv = weighted_triangle_recover(matrices, mesh)
+    for S_hat, sigma, residual in zip(matrices, sigmas.T, residuals):
+        recovered = recover_conductivity(S_hat, mesh)
+        assert np.max(np.abs(recovered.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+        assert abs(recovered.fit_residual - residual) <= 1e-10 * residual + 1e-12 * np.linalg.norm(S)
+        assert recovered.sensitivity == pytest.approx(1.0 / sv[-1], rel=1e-10)
+        assert recovered.operator_condition == pytest.approx(sv[0] / sv[-1], rel=1e-10)
+
+
 @pytest.mark.parametrize("eps", [1e-8, 1e-4])
 def test_recover_conductivity_perturbation_bounded_by_sensitivity(disk_r1, eps):
     rng = np.random.default_rng(3)
@@ -374,10 +416,19 @@ def test_recover_conductivity_duplicate_elements_not_identifiable():
 
 
 def test_recover_conductivity_too_many_elements_guard(square_mesh):
-    # a 2-node "matrix" has 3 independent entries; fake excess elements by
-    # passing a mesh slice mismatch instead: use shape guard
     with pytest.raises(DimensionError):
         recover_conductivity(np.eye(3), square_mesh)
+    # seven elements over one triangle: a 3 x 3 symmetric matrix has only 6 entries
+    nodes = (Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.0, 1.0))
+    mesh = Mesh(
+        nodes=nodes,
+        elements=tuple(Element(e, (0, 1, 2)) for e in range(7)),
+        boundary_nodes=(0, 1, 2),
+        electrodes=(Electrode(0, 0), Electrode(1, 1)),
+    )
+    with pytest.raises(IdentifiabilityError) as err:
+        recover_conductivity(np.eye(3), mesh)
+    assert err.value.rank_gap == 1
 
 
 def test_end_to_end_identity_with_dispersion_diversity():
@@ -466,16 +517,21 @@ def test_sweep_config_file_per_element_overrides(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sweep, line_no",
-    [("pairng = zip\n", 6), ("pairing zip\n", 6), ("pairing = cross\nground = 1.5\n", 7)],
-    ids=["unknown-key", "no-equals", "bad-ground"],
+    "sweep, model, line_no",
+    [
+        ("pairng = zip\n", "", 6),
+        ("pairing zip\n", "", 6),
+        ("pairing = cross\nground = 1.5\n", "", 7),
+        ("", "element 999: 1 1 0\n", 10),
+    ],
+    ids=["unknown-key", "no-equals", "bad-ground", "element-out-of-range"],
 )
-def test_sweep_section_typos_are_format_errors(tmp_path, sweep, line_no):
+def test_sweep_section_typos_are_format_errors(tmp_path, sweep, model, line_no):
     mesh = build_disk_mesh(1.0, 0)
     path = tmp_path / "sweep.cfg"
     path.write_text(
         "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[sweep]\n" + sweep
-        + "[model]\nsigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
+        + "[model]\nsigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n" + model
     )
     with pytest.raises(FormatError) as err:
         load_sweep_config(path, mesh)

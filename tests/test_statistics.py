@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from eitkit import (
@@ -162,6 +164,34 @@ def test_accumulator_merge_equals_concatenated(splits):
         acc.correlation(center=True).matrix, correlation(whole, center=True).matrix, atol=1e-12
     )
     assert_allclose(acc.third_cumulants().tensor, third_cumulants(whole).tensor, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_accumulator_any_chunking_and_merge_tree_matches_one_shot(data):
+    t = data.draw(st.integers(3, 40), label="T")
+    m = data.draw(st.integers(1, 4), label="M")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = np.random.default_rng(seed).standard_normal((t, m)) + 0.7
+    # repeated cut points leave empty chunks
+    cuts = sorted(data.draw(st.lists(st.integers(0, t), max_size=8), label="cuts"))
+    pending = [MomentAccumulator(m).update(chunk) for chunk in np.split(samples, cuts)]
+    while len(pending) > 1:  # merge any two pending nodes: an arbitrary, uneven tree
+        i = data.draw(st.integers(0, len(pending) - 1), label="left")
+        left = pending.pop(i)
+        j = data.draw(st.integers(0, len(pending) - 1), label="right")
+        pending.append(left.merge(pending.pop(j)))
+    acc = pending[0]
+    whole = MeasurementEnsemble(samples)
+    assert acc.n == t
+    for center in (False, True):
+        assert_allclose(
+            acc.correlation(center=center).matrix,
+            correlation(whole, center=center).matrix,
+            rtol=0,
+            atol=1e-12,
+        )
+    assert_allclose(acc.third_cumulants().tensor, third_cumulants(whole).tensor, rtol=0, atol=1e-12)
 
 
 def test_accumulator_merge_shape_guard():
