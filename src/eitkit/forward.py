@@ -93,16 +93,21 @@ class CurrentPattern:
     def __post_init__(self):
         fixed = {int(k): float(v) for k, v in self.currents.items()}
         object.__setattr__(self, "currents", fixed)
-        vals = np.array(list(fixed.values()), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("pattern currents must be finite")
-        if np.count_nonzero(vals) < 2:
-            raise DomainError("a drive pattern needs at least two nonzero currents")
-        total = float(vals.sum())
-        if abs(total) > ZERO_SUM_TOL:
-            raise CompatibilityError(
-                f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {total:g}"
-            )
+        _check_currents(np.array(list(fixed.values()), dtype=float))
+
+
+def _check_currents(vals: np.ndarray) -> None:
+    """A drive pattern's currents are finite, at least two are nonzero,
+    and they sum to zero within ``ZERO_SUM_TOL``."""
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("pattern currents must be finite")
+    if np.count_nonzero(vals) < 2:
+        raise DomainError("a drive pattern needs at least two nonzero currents")
+    total = float(vals.sum())
+    if abs(total) > ZERO_SUM_TOL:
+        raise CompatibilityError(
+            f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {total:g}"
+        )
 
 
 class _StiffnessMatrix(csc_array):

@@ -52,6 +52,7 @@ from .errors import (
     CompatibilityError,
     DimensionError,
     DomainError,
+    EitError,
     FormatError,
     IdentifiabilityError,
     RankDeficiencyError,
@@ -61,6 +62,7 @@ from .forward import (
     CurrentPattern,
     ForwardFactorization,
     StiffnessSystem,
+    _check_currents,
     _local_stiffness,
     _nodal_load,
     _placement,
@@ -260,8 +262,16 @@ def _resolve_nodal_pattern(mesh: Mesh, pattern) -> np.ndarray:
         raise DimensionError(
             f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}"
         )
-    CurrentPattern(dict(enumerate(f)))  # finite, >= 2 nonzero, sums to zero
+    _check_currents(f)
     return f.copy()
+
+
+def _annotated(exc: EitError, where: str) -> EitError:
+    """A new error of ``exc``'s class and attributes whose message is
+    prefixed with ``where``; ``exc`` itself is left as it was."""
+    new = type(exc).__new__(type(exc), f"{where}: {exc}")
+    new.__dict__.update(vars(exc))
+    return new
 
 
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
@@ -276,8 +286,10 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
     row's equation holds as well, and ``phi - phi[g]`` is therefore the
     unique solution that vanishes at ``g``. The grounded potential and the
-    pre-gauge load are stacked in config order. Forward errors are
-    re-raised with the (frequency, pattern) index prepended.
+    pre-gauge load are stacked in config order. An :class:`EitError` from
+    an injection is raised again as a new error of the same class, its
+    message prefixed with the (frequency, pattern) index and chained to
+    the original; any other exception passes through untouched.
     """
     if tissue.n_elements != mesh.n_elements:
         raise DimensionError(
@@ -308,11 +320,8 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
             load_g = load.copy()
             load_g[factor_pos] = 0.0
             phi = factorization.solve(load_g).phi
-        except Exception as exc:
-            exc.args = (
-                f"injection {col} (frequency {freq:g} Hz, pattern {p_idx}): {exc}",
-            ) + exc.args[1:]
-            raise
+        except EitError as exc:
+            raise _annotated(exc, f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})") from exc
         Phi[:, col] = phi - phi[ground_pos]
         F[:, col] = load
         labels.append((freq, p_idx, ground_id))
@@ -551,7 +560,8 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
 
     for key in ("sigma0", "sigma_inf", "tau"):
         if key not in model_uniform:
-            raise FormatError(f"[model] section is missing {key!r}")
+            header = groups["model"].line_no if "model" in groups else None
+            raise FormatError(f"[model] section is missing {key!r}", line_no=header)
     n_e = mesh.n_elements
     sigma0 = np.full(n_e, model_uniform["sigma0"])
     sigma_inf = np.full(n_e, model_uniform["sigma_inf"])

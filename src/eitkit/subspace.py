@@ -14,6 +14,10 @@ residual. That the whole family fits equally well is precisely the
 non-uniqueness of single-injection subspace inversion; picking one member
 requires outside information.
 
+Every one of those objects follows from R alone, so :class:`ProjectorQ`
+keeps only R: the candidates are built straight from its columns, and the
+dense (Md)**2 Q and (Md) x d**2 B are derived only when a caller asks.
+
 All operations here are pure; the candidate sign is fixed so outputs are
 deterministic.
 """
@@ -21,6 +25,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,20 +64,33 @@ class SubspaceDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorQ:
-    """Orthogonal projector Q onto the complement of range(B), with the
-    Kronecker basis factor B = I_d (x) R of shape (M d, d**2)."""
+    """Orthogonal projector onto the complement of range(B), held as the
+    M x d orthonormal basis R it is built from (read-only).
 
-    Q: np.ndarray
-    B: np.ndarray
+    The dense forms are derived on first access and then cached: ``Q =
+    I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
+    factor ``B = I_d (x) R``, (M d) x d**2. Nothing in eitkit reads them;
+    :func:`extract_candidates` works from R directly.
+    """
+
+    R: np.ndarray
 
     @property
     def channel_count(self) -> int:
-        return self.B.shape[0] // self.rank
+        return self.R.shape[0]
 
     @property
     def rank(self) -> int:
-        d2 = self.B.shape[1]
-        return int(round(d2 ** 0.5))
+        return self.R.shape[1]
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        block = np.eye(self.channel_count) - self.R @ self.R.T
+        return np.kron(np.eye(self.rank), 0.5 * (block + block.T))
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return np.kron(np.eye(self.rank), self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +152,14 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
 
 def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     """Projector onto the complement of the vectorized subspace-consistent
-    matrices, in closed form ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``.
+    matrices, ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``, kept as
+    a read-only copy of R (see :class:`ProjectorQ`).
 
     ``R`` must have orthonormal columns (within 1e-8), so ``B^T B = I`` and
     the spectrum of the exactly symmetric Q is {0 (x d**2), 1 (x Md - d**2)}.
     Nothing is solved, so no :class:`NumericalError` is raised.
     """
-    R = np.asarray(R, dtype=float)
+    R = np.array(R, dtype=float)
     if R.ndim != 2:
         raise DimensionError(f"R must be an M x d matrix, got shape {R.shape}")
     m, cols = R.shape
@@ -151,40 +170,42 @@ def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     gram = R.T @ R
     if float(np.max(np.abs(gram - np.eye(d)))) > ORTHONORMALITY_TOL:
         raise DomainError("columns of R must be orthonormal within 1e-8")
-
-    block = np.eye(m) - R @ R.T
-    Q = np.kron(np.eye(d), 0.5 * (block + block.T))
-    return ProjectorQ(Q=Q, B=np.kron(np.eye(d), R))
+    R.setflags(write=False)
+    return ProjectorQ(R=R)
 
 
 def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     """All d**2 least-eigenvalue solutions of the projector: the normalized
     columns of B. Column ``k = b d + a`` is ``e_b (x) R[:, a]``; unvectorized
-    column-major, it is the M x d matrix with ``R[:, a]`` in column b. Each
+    column-major, it is the M x d matrix with ``R[:, a]`` in column b, so
+    the candidates are built from R in one step, without forming B. Each
     sign makes the largest-magnitude entry positive, so results are
-    deterministic. As ``Q = I_d (x) Q[:M, :M]``, ``eigenvalues`` and
-    ``null_count`` come from that block's spectrum, each value taken d times.
+    deterministic. As ``Q = I_d (x) P`` with ``P = sym(I_M - R R^T)``,
+    ``eigenvalues`` and ``null_count`` come from P's spectrum, each value
+    taken d times.
     """
-    if projector.B.shape != (M * d, d * d):
+    R = projector.R
+    if R.shape != (M, d):
+        m, r = R.shape
         raise DimensionError(
-            f"projector was built for shape {projector.B.shape}, not (M d, d^2) = ({M * d}, {d * d})"
+            f"projector was built for shape {(m * r, r * r)}, not (M d, d^2) = ({M * d}, {d * d})"
         )
+    block = np.eye(M) - R @ R.T
     try:
-        w = np.linalg.eigvalsh(projector.Q[:M, :M])
+        w = np.linalg.eigvalsh(0.5 * (block + block.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
-    mats = []
-    for vec in projector.B.T:
-        vec = vec / np.linalg.norm(vec)
-        peak = int(np.argmax(np.abs(vec)))
-        if vec[peak] < 0:
-            vec = -vec
-        mat = vec.reshape((M, d), order="F")
-        mat.setflags(write=False)
-        mats.append(mat)
+    columns = R / np.linalg.norm(R, axis=0)
+    flip = columns[np.argmax(np.abs(columns), axis=0), np.arange(d)] < 0
+    columns = np.where(flip, -columns, columns)
+    # [b, a] holds column a in column b; like B's entries, each zero is
+    # 0 * R[i, a] and keeps that entry's sign
+    stack = np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]
+    stack = stack.reshape(d * d, M, d)
+    stack.setflags(write=False)
     return CandidateSet(
-        candidates=tuple(mats),
+        candidates=tuple(stack),
         eigenvalues=np.repeat(w[:d], d),
         channel_count=M,
         rank=d,

@@ -32,11 +32,20 @@ def data_lines(lines) -> list[tuple[int, str]]:
     return [(line_no, text) for line_no, text in lines if text and not text.startswith("#")]
 
 
-def sections(lines, names, error=FormatError, preamble=None) -> dict[str, list[tuple[int, str]]]:
+class Section(list):
+    """A section's ``(line_no, text)`` data lines; ``line_no`` is the line
+    of its ``[name]`` header (None for the preamble)."""
+
+    def __init__(self, line_no: int | None = None):
+        super().__init__()
+        self.line_no = line_no
+
+
+def sections(lines, names, error=FormatError, preamble=None) -> dict[str, Section]:
     """The data lines grouped by section, for the lower-case section
     ``names``; lines before the first header form section ``preamble``
     when one is given."""
-    groups: dict[str, list[tuple[int, str]]] = {}
+    groups: dict[str, Section] = {}
     current = preamble
     for line_no, text in data_lines(lines):
         if text.startswith("["):
@@ -45,12 +54,12 @@ def sections(lines, names, error=FormatError, preamble=None) -> dict[str, list[t
                 raise error(f"unknown section {text!r}", line_no=line_no)
             if name in groups:
                 raise error(f"section [{name}] repeated", line_no=line_no)
-            groups[name] = []
+            groups[name] = Section(line_no)
             current = name
         elif current is None:
             raise error(f"data before any section header: {text!r}", line_no=line_no)
         else:
-            groups.setdefault(current, []).append((line_no, text))
+            groups.setdefault(current, Section()).append((line_no, text))
     return groups
 
 

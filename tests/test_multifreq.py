@@ -196,8 +196,12 @@ def test_simulate_sweep_annotates_forward_errors():
     bad[0] = 1.0
     bad[4] = -0.5  # does not cancel
     config = SweepConfig((250.0,), (bad,), ground=0)
-    with pytest.raises(CompatibilityError, match=r"injection 0 \(frequency 250"):
+    with pytest.raises(CompatibilityError, match=r"injection 0 \(frequency 250") as err:
         simulate_sweep(mesh, tissue, config)
+    cause = err.value.__cause__
+    assert type(cause) is CompatibilityError
+    assert str(err.value) == f"injection 0 (frequency 250 Hz, pattern 0): {cause}"
+    assert not str(cause).startswith("injection")
 
 
 def test_stack_solve_identity_stack():
@@ -516,22 +520,25 @@ def test_sweep_config_file_per_element_overrides(tmp_path):
     assert tissue.sigma0[0] == 1.0
 
 
+MODEL = "sigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
+
+
 @pytest.mark.parametrize(
     "sweep, model, line_no",
     [
-        ("pairng = zip\n", "", 6),
-        ("pairing zip\n", "", 6),
-        ("pairing = cross\nground = 1.5\n", "", 7),
-        ("", "element 999: 1 1 0\n", 10),
+        ("pairng = zip\n", MODEL, 6),
+        ("pairing zip\n", MODEL, 6),
+        ("pairing = cross\nground = 1.5\n", MODEL, 7),
+        ("", MODEL + "element 999: 1 1 0\n", 10),
+        ("pairing = cross\n", "sigma0 = 1.0\ntau = 0\n", 7),
     ],
-    ids=["unknown-key", "no-equals", "bad-ground", "element-out-of-range"],
+    ids=["unknown-key", "no-equals", "bad-ground", "element-out-of-range", "missing-model-key"],
 )
 def test_sweep_section_typos_are_format_errors(tmp_path, sweep, model, line_no):
     mesh = build_disk_mesh(1.0, 0)
     path = tmp_path / "sweep.cfg"
     path.write_text(
-        "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[sweep]\n" + sweep
-        + "[model]\nsigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n" + model
+        "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[sweep]\n" + sweep + "[model]\n" + model
     )
     with pytest.raises(FormatError) as err:
         load_sweep_config(path, mesh)

@@ -33,6 +33,24 @@ def normal_equations_projector(R: np.ndarray, d: int):
     return Q, w, V
 
 
+def column_loop_candidates(R: np.ndarray, d: int):
+    """Reference: the candidates as the normalized, sign-fixed columns of
+    the dense ``B = I_d (x) R``, one column at a time, and the eigenvalues
+    from the leading M x M block of the dense ``Q``."""
+    m = R.shape[0]
+    block = np.eye(m) - R @ R.T
+    Q = np.kron(np.eye(d), 0.5 * (block + block.T))
+    w = np.linalg.eigvalsh(Q[:m, :m])
+    mats = []
+    for vec in np.kron(np.eye(d), R).T:
+        vec = vec / np.linalg.norm(vec)
+        peak = int(np.argmax(np.abs(vec)))
+        if vec[peak] < 0:
+            vec = -vec
+        mats.append(vec.reshape((m, d), order="F"))
+    return mats, np.repeat(w[:d], d), d * int(np.count_nonzero(w < 1e-8))
+
+
 def test_truncated_svd_diagonal_input():
     dec = truncated_svd(np.diag([3.0, 2.0, 1.0, 0.0]), 3)
     assert_allclose(dec.sigma, [3.0, 2.0, 1.0])
@@ -172,6 +190,39 @@ def test_closed_form_matches_normal_equations_oracle(data):
     assert np.max(np.abs(cset.eigenvalues - w_ref[: d * d])) <= 1e-12
     assert cset.null_count == int(np.count_nonzero(w_ref < 1e-8))
     assert np.max(np.abs(vecs.T @ vecs - np.eye(d * d))) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_candidates_from_R_match_column_loop(data):
+    m = data.draw(st.integers(1, 40), label="M")
+    d = data.draw(st.integers(1, m), label="d")
+    R = random_orthonormal(m, d, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    mats, eigenvalues, null_count = column_loop_candidates(R, d)
+    proj = build_projector(R, d)
+    cset = extract_candidates(proj, m, d)
+    assert len(cset.candidates) == d * d
+    for got, want in zip(cset.candidates, mats):
+        assert got.shape == (m, d) and not got.flags.writeable
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert_array_equal(np.signbit(got), np.signbit(want))
+    assert_array_equal(cset.eigenvalues, eigenvalues)
+    assert cset.null_count == null_count
+    block = np.eye(m) - R @ R.T
+    assert_array_equal(proj.Q, np.kron(np.eye(d), 0.5 * (block + block.T)))
+    assert_array_equal(proj.B, np.kron(np.eye(d), R))
+
+
+def test_projector_builds_dense_forms_only_on_access():
+    R = random_orthonormal(6, 2, np.random.default_rng(10))
+    proj = build_projector(R, 2)
+    extract_candidates(proj, 6, 2)
+    assert "Q" not in vars(proj) and "B" not in vars(proj)
+    assert proj.Q is proj.Q and proj.B is proj.B
+    assert "Q" in vars(proj) and "B" in vars(proj)
+    assert (proj.channel_count, proj.rank) == (6, 2)
+    R[0, 0] = 5.0  # the projector keeps its own read-only copy
+    assert proj.R[0, 0] != 5.0 and not proj.R.flags.writeable
 
 
 def test_candidate_set_invariants():
