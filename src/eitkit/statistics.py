@@ -18,6 +18,7 @@ CSV, one time sample per row, header ``y0..y{M-1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -112,8 +113,18 @@ class CumulantMatrixSet:
 def _fill_symmetric(a: np.ndarray) -> np.ndarray:
     """Copy of a square 2-D or cubic 3-D array in which every entry is read
     from its sorted index (``out[j, i] = a[i, j]`` for ``i <= j``), so the
-    result is exactly symmetric whatever rounding produced ``a``."""
-    return a[tuple(np.sort(np.indices(a.shape), axis=0))]
+    result is exactly symmetric whatever rounding produced ``a``.
+
+    Only the entries of ``a`` whose index is sorted are read; the others may
+    hold anything. The sorted index is formed in closed form: ``lo`` and
+    ``hi`` are the elementwise min and max of the index and, in 3-D,
+    ``mid = i + j + k - lo - hi``."""
+    idx = np.indices(a.shape, sparse=True)
+    lo = reduce(np.minimum, idx)
+    hi = reduce(np.maximum, idx)
+    if a.ndim == 2:
+        return a[lo, hi]
+    return a[lo, sum(idx) - lo - hi, hi]
 
 
 def _second_moment_sum(z: np.ndarray) -> np.ndarray:
@@ -123,10 +134,20 @@ def _second_moment_sum(z: np.ndarray) -> np.ndarray:
 
 def _third_moment_sum(z: np.ndarray) -> np.ndarray:
     """Raw sums ``sum_t z_i z_j z_k`` as an exactly symmetric (M, M, M)
-    tensor, one GEMM ``(z * z_i)^T z`` per slice i."""
-    out = np.empty((z.shape[1],) * 3)
-    for i in range(z.shape[1]):
-        out[i] = (z * z[:, i : i + 1]).T @ z
+    tensor.
+
+    Only the sorted-index triangle ``i <= j <= k`` that
+    :func:`_fill_symmetric` reads is computed: one GEMM
+    ``(z[:, i:] * z_i)^T z[:, i:]`` fills the block ``[i, i:, i:]`` of
+    slice i, about ``2 T (M - i)^2`` flops, a third of the full tensor's
+    ``2 T M^3`` in all. A Fortran-ordered ``z`` keeps every ``z[:, i:]``
+    contiguous, so no GEMM operand is copied."""
+    z = np.asfortranarray(z)
+    m = z.shape[1]
+    out = np.empty((m, m, m))
+    for i in range(m):
+        tail = z[:, i:]
+        out[i, i:, i:] = (tail * z[:, i : i + 1]).T @ tail
     return _fill_symmetric(out)
 
 
@@ -153,7 +174,7 @@ def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:
     """
     if ensemble.sample_count < 3:
         raise SampleSizeError("third cumulants need at least 3 samples")
-    z = ensemble.samples - ensemble.samples.mean(axis=0)
+    z = np.subtract(ensemble.samples, ensemble.samples.mean(axis=0), order="F")
     return CumulantMatrixSet(tensor=_third_moment_sum(z) / z.shape[0])
 
 

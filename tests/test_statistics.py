@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from eitkit import (
     save_ensemble,
     third_cumulants,
 )
+from eitkit.statistics import _fill_symmetric
 
 
 def brute_third_cumulants(samples: np.ndarray) -> np.ndarray:
@@ -87,6 +90,68 @@ def test_third_cumulants_trilinear_symmetry_exact():
     for tensor in (third_cumulants(MeasurementEnsemble(samples)).tensor, merged.third_cumulants().tensor):
         for perm in [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]:
             assert_array_equal(tensor, tensor.transpose(perm))
+
+
+def einsum_third_moments(z: np.ndarray) -> np.ndarray:
+    """Oracle for the triangle kernel: every (i, j, k) entry summed by einsum."""
+    return np.einsum("ti,tj,tk->ijk", z, z, z)
+
+
+def layouts(x: np.ndarray) -> dict:
+    """The same kind of T x M samples as C-ordered, Fortran-ordered and
+    strided arrays; ``x`` has 2T rows so that ``x[::2]`` holds T."""
+    t = x.shape[0] // 2
+    return {
+        "C": np.ascontiguousarray(x[:t]),
+        "F": np.asfortranarray(x[:t]),
+        "rows[::2]": x[::2],
+        "cols[::-1]": x[:t, ::-1],
+    }
+
+
+def assert_exactly_symmetric(tensor: np.ndarray) -> None:
+    for perm in permutations(range(3)):
+        assert_array_equal(tensor, tensor.transpose(perm))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_third_moment_kernel_matches_einsum_for_any_layout(m):
+    rng = np.random.default_rng(100 + m)
+    for t in (3, 17, 200):
+        x = rng.standard_normal((2 * t, m)) ** 3 + 0.7
+        for name, samples in layouts(x).items():
+            z = samples - samples.mean(axis=0)
+            expect = einsum_third_moments(z) / t
+            scale = np.abs(expect).max()
+            tensor = third_cumulants(MeasurementEnsemble(samples)).tensor
+            assert_allclose(tensor, expect, rtol=0, atol=1e-12 * scale, err_msg=name)
+            assert_exactly_symmetric(tensor)
+
+            acc = MomentAccumulator(m).update(samples[:0])  # an empty chunk adds nothing
+            assert_array_equal(acc.s3, np.zeros((m, m, m)))
+            acc.update(samples)
+            raw = einsum_third_moments(samples)
+            assert_allclose(acc.s3, raw, rtol=0, atol=1e-12 * np.abs(raw).max(), err_msg=name)
+            assert_exactly_symmetric(acc.s3)
+            merged = acc.third_cumulants().tensor
+            assert_allclose(merged, expect, rtol=0, atol=1e-12 * scale, err_msg=name)
+            assert_exactly_symmetric(merged)
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 5, 32])
+def test_fill_symmetric_reads_only_the_sorted_index(ndim, m):
+    shape = (m,) * ndim
+    index = np.indices(shape)
+    a = np.random.default_rng(14).standard_normal(shape)
+    # the general sorted-index gather the closed form replaces
+    expect = a[tuple(np.sort(index, axis=0))]
+    assert_array_equal(_fill_symmetric(a), expect)
+    unsorted = np.any(np.diff(index, axis=0) < 0, axis=0)
+    a[unsorted] = np.nan
+    out = _fill_symmetric(a)
+    assert not np.isnan(out).any()
+    assert_array_equal(out, expect)
 
 
 def test_pooled_cumulants_weighted():
@@ -170,7 +235,7 @@ def test_accumulator_merge_equals_concatenated(splits):
 @given(st.data())
 def test_accumulator_any_chunking_and_merge_tree_matches_one_shot(data):
     t = data.draw(st.integers(3, 40), label="T")
-    m = data.draw(st.integers(1, 4), label="M")
+    m = data.draw(st.integers(1, 9), label="M")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     samples = np.random.default_rng(seed).standard_normal((t, m)) + 0.7
     # repeated cut points leave empty chunks
