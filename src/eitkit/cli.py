@@ -32,6 +32,8 @@ from .textio import convert, data_lines, key_value, read_lines, sections, write_
 
 DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
+STATISTICS = ("correlation", "cumulant", "pooled")
+RENDER_PAIR_BUDGET = 8192  # element-pixel pairs tested at once by render_element_field
 
 
 class DemoClaimError(EitError):
@@ -102,10 +104,10 @@ def _build_parser() -> _Parser:
     svd.add_argument("--demo-fixture", action="store_const", const=True, default=None,
                      dest="demo_fixture", help="use the canonical demonstration ensemble")
     svd.add_argument("--d", type=int, default=None, help="signal-subspace rank (default 3)")
-    svd.add_argument("--statistic", choices=("correlation", "cumulant", "pooled"), default=None,
+    svd.add_argument("--statistic", choices=STATISTICS, default=None,
                      help="statistic fed to the decomposition (default correlation)")
     svd.add_argument("--cumulant-index", type=int, default=None, dest="cumulant_index",
-                     help="which cumulant matrix when --statistic cumulant (default 0)")
+                     help="which cumulant matrix, 0..M-1, when --statistic cumulant (default 0)")
     svd.add_argument("--center", action="store_const", const=True, default=None,
                      help="remove the sample mean before the correlation")
     svd.add_argument("--out", default=None, help="candidate-set CSV output")
@@ -116,7 +118,8 @@ def _build_parser() -> _Parser:
     mf.add_argument("--sweep", default=None, help="sweep config file")
     mf.add_argument("--out-sigma", default=None, dest="out_sigma", help="recovered sigma CSV")
     mf.add_argument("--out-image", default=None, dest="out_image", help="grayscale PGM image")
-    mf.add_argument("--pixels", type=int, default=None, help="image width/height (default 120)")
+    mf.add_argument("--pixels", type=int, default=None,
+                    help="image width/height, at least 1 (default 120)")
 
     return parser
 
@@ -151,6 +154,17 @@ def _resolve(args, command_path: str, defaults: dict):
 
 def _as_bool(raw: str) -> bool:
     return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+def _one_of(*choices: str):
+    """Converter accepting only ``choices``; a config value outside them
+    becomes a line-numbered FormatError through ``convert``."""
+    def conv(raw: str) -> str:
+        if raw not in choices:
+            raise ValueError(raw)
+        return raw
+    conv.__name__ = "one of " + ", ".join(choices)
+    return conv
 
 
 def _header(command: str, resolved: dict) -> tuple[str, ...]:
@@ -329,7 +343,7 @@ def cmd_reconstruct_svd(args) -> int:
         "ensemble": (None, str),
         "demo_fixture": (False, _as_bool),
         "d": (3, int),
-        "statistic": ("correlation", str),
+        "statistic": ("correlation", _one_of(*STATISTICS)),
         "cumulant_index": (0, int),
         "center": (False, _as_bool),
         "out": (None, str),
@@ -371,7 +385,16 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     """Rasterize a per-element field onto a square pixel grid.
 
     Gray levels map the field range linearly to 0..255 (mid-gray 128 when
-    the field is constant); pixels outside every element are 0.
+    the field is constant); pixels outside every element are 0. A pixel is
+    inside an element when its barycentric coordinates pass with a 1e-12
+    tolerance; a pixel inside several elements (on a shared edge or vertex)
+    takes the lowest-index one.
+
+    Each element is tested only against the pixels of its bounding box,
+    widened by 1e-9 of the mesh's bounding-box diagonal so that every pixel
+    the tolerance admits is a candidate. The element-pixel pairs are
+    tested in blocks of about ``RENDER_PAIR_BUDGET``, so the cost is
+    O(P² + pairs) and the memory O(P²) plus one block.
     Returns (grid, (vmin, vmax)).
     """
     values = np.asarray(values, dtype=float)
@@ -379,8 +402,6 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     hi = mesh.coords.max(axis=0)
     xs = np.linspace(lo[0], hi[0], pixels)
     ys = np.linspace(hi[1], lo[1], pixels)  # top row of the image is max y
-    px, py = np.meshgrid(xs, ys)
-    points = np.column_stack([px.ravel(), py.ravel()])
 
     vmin, vmax = float(values.min()), float(values.max())
     if vmax > vmin:
@@ -388,34 +409,56 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     else:
         grays = np.full(values.shape, 128, dtype=int)
 
-    grid = np.zeros(points.shape[0], dtype=int)
-    claimed = np.zeros(points.shape[0], dtype=bool)
-    tri = mesh.triangles
-    coords = mesh.coords
-    for e in range(mesh.n_elements):
-        a, b, c = coords[tri[e]]
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        l1 = ((points[:, 0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (points[:, 1] - a[1])) / det
-        l2 = ((b[0] - a[0]) * (points[:, 1] - a[1]) - (points[:, 0] - a[0]) * (b[1] - a[1])) / det
-        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12) & ~claimed
-        grid[inside] = grays[e]
-        claimed |= inside
+    n_e = mesh.n_elements
+    tri = mesh.coords[mesh.triangles]
+    ax, ay = tri[:, 0, 0], tri[:, 0, 1]
+    bax, bay = tri[:, 1, 0] - ax, tri[:, 1, 1] - ay
+    cax, cay = tri[:, 2, 0] - ax, tri[:, 2, 1] - ay
+    det = bax * cay - cax * bay
+
+    # candidate columns [c0, c0 + width) and rows [r0, r1) of each element's
+    # box; ys descends, so rows are found on its ascending reverse
+    margin = 1e-9 * mesh.bounding_box_diagonal
+    (x_lo, y_lo), (x_hi, y_hi) = tri.min(axis=1).T - margin, tri.max(axis=1).T + margin
+    c0 = np.searchsorted(xs, x_lo, "left")
+    width = np.searchsorted(xs, x_hi, "right") - c0
+    r0 = pixels - np.searchsorted(ys[::-1], y_hi, "right")
+    r1 = pixels - np.searchsorted(ys[::-1], y_lo, "left")
+    counts = width * (r1 - r0)
+    firsts = np.cumsum(counts) - counts  # each element's first pair
+    del tri, x_lo, y_lo, x_hi, y_hi  # keeps the peak of the block loop low
+
+    owner = np.full(pixels * pixels, n_e)  # n_e marks a pixel outside every element
+    start = 0
+    while start < n_e:
+        stop = int(np.searchsorted(firsts, firsts[start] + RENDER_PAIR_BUDGET))
+        e = np.repeat(np.arange(start, stop), counts[start:stop])
+        pair = np.arange(firsts[start], firsts[start] + e.size) - firsts[e]  # index within its box
+        row, col = np.divmod(pair, width[e])
+        row += r0[e]
+        col += c0[e]
+        dx, dy = xs[col] - ax[e], ys[row] - ay[e]
+        l1 = (dx * cay[e] - cax[e] * dy) / det[e]
+        l2 = (bax[e] * dy - dx * bay[e]) / det[e]
+        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
+        np.minimum.at(owner, (row * pixels + col)[inside], e[inside])
+        start = stop
+    grid = np.append(grays, 0)[owner]
     return grid.reshape(pixels, pixels), (vmin, vmax)
 
 
 def _write_pgm(path, grid: np.ndarray, header_lines: tuple[str, ...]) -> None:
+    """Plain (P2) PGM; each image row's gray levels are wrapped greedily
+    into lines of at most 70 characters."""
     h, w = grid.shape
     lines = ["P2", *(f"# {line}" for line in header_lines), f"{w} {h}", "255"]
-    for row in grid:
-        line = ""
-        for v in row:
-            token = str(int(v))
-            if line and len(line) + 1 + len(token) > 70:
-                lines.append(line)
-                line = token
-            else:
-                line = token if not line else line + " " + token
-        lines.append(line)
+    for row in grid.tolist():
+        text = " ".join(map(str, row))
+        while len(text) > 70:
+            cut = text.rfind(" ", 0, 71)
+            lines.append(text[:cut])
+            text = text[cut + 1:]
+        lines.append(text)
     write_lines(path, lines)
 
 
@@ -430,6 +473,8 @@ def cmd_reconstruct_multifreq(args) -> int:
     for required in ("mesh", "sweep", "out_sigma", "out_image"):
         if resolved[required] is None:
             raise UsageError(f"reconstruct multifreq needs --{required.replace('_', '-')}")
+    if resolved["pixels"] < 1:
+        raise UsageError(f"--pixels must be at least 1, got {resolved['pixels']}")
 
     mesh = load_mesh(resolved["mesh"])
     config, tissue = load_sweep_config(resolved["sweep"], mesh)

@@ -493,8 +493,21 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
     return StackedSystem(Phi=Phi, F=F, labels=tuple(labels), sigma_spread=sigma_spread)
 
 
-def save_sweep_config(config: SweepConfig, tissue: TissueModel, path, header_lines: tuple[str, ...] = ()) -> None:
-    """Write a sweep config file (see module docstring for the format)."""
+def save_sweep_config(
+    config: SweepConfig,
+    tissue: TissueModel,
+    path,
+    header_lines: tuple[str, ...] = (),
+    *,
+    mesh: Mesh | None = None,
+) -> None:
+    """Write a sweep config file (see module docstring for the format).
+
+    A nodal pattern's entry for row k names node ``mesh.nodes[k].id``;
+    without a mesh it names k, which is right for meshes whose node ids
+    are 0..n-1.
+    """
+    node_ids = None if mesh is None else [node.id for node in mesh.nodes]
     lines = ["[frequencies]"]
     lines += [f"{f:.17g}" for f in config.frequencies]
     lines.append("[patterns]")
@@ -505,7 +518,9 @@ def save_sweep_config(config: SweepConfig, tissue: TissueModel, path, header_lin
             )
         else:
             entries = [(int(k), float(v)) for k, v in enumerate(np.asarray(pattern)) if v != 0.0]
-            lines.append(", ".join(f"node {k}: {v:.17g}" for k, v in entries))
+            lines.append(", ".join(
+                f"node {k if node_ids is None else node_ids[k]}: {v:.17g}" for k, v in entries
+            ))
     lines.append("[model]")
     params = {"sigma0": tissue.sigma0, "sigma_inf": tissue.sigma_inf, "tau": tissue.tau}
     uniform = all(np.all(v == v[0]) for v in params.values())

@@ -93,7 +93,10 @@ class CumulantMatrixSet:
         return self.tensor.shape[0]
 
     def matrix(self, i: int) -> np.ndarray:
-        """The i-th cumulant matrix ``C_i[j, k] = cum(y_j, y_k, y_i)``."""
+        """The i-th cumulant matrix ``C_i[j, k] = cum(y_j, y_k, y_i)``, for
+        i in 0..M-1; any other i raises DomainError."""
+        if not 0 <= i < self.channel_count:
+            raise DomainError(f"cumulant index {i} outside 0..{self.channel_count - 1}")
         return self.tensor[i]
 
     def pooled(self, weights=None) -> np.ndarray:

@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eitkit import build_disk_mesh, load_candidates, load_mesh
-from eitkit.cli import main, render_element_field
+from eitkit import Mesh, build_disk_mesh, load_candidates, load_mesh
+from eitkit.cli import _write_pgm, main, render_element_field
+from eitkit.textio import write_lines
 
 
 def run(capsys, *argv):
@@ -212,6 +218,39 @@ def test_reconstruct_svd_cumulant_statistic(capsys, tmp_path):
     assert code == 0
 
 
+def skewed_ensemble_file(path):
+    from eitkit import MeasurementEnsemble, save_ensemble
+
+    rng = np.random.default_rng(21)
+    sources = rng.gamma(1.0, 1.0, size=(400, 2)) - 1.0
+    save_ensemble(MeasurementEnsemble(sources @ rng.standard_normal((5, 2)).T), path)
+    return path
+
+
+@pytest.mark.parametrize("index", ["99", "5", "-1"])
+def test_reconstruct_svd_cumulant_index_outside_channels_exits_2(capsys, tmp_path, index):
+    ens_path = skewed_ensemble_file(tmp_path / "skewed.csv")
+    out = tmp_path / "cands.csv"
+    code, _, err = run(capsys, "reconstruct", "svd", "--ensemble", str(ens_path), "--d", "2",
+                       "--statistic", "cumulant", "--cumulant-index", index, "--out", str(out))
+    assert code == 2
+    assert f"cumulant index {index} outside 0..4" in err
+    assert not out.exists()
+
+
+def test_reconstruct_svd_unknown_config_statistic_exits_2_with_its_line(capsys, tmp_path):
+    ens_path = skewed_ensemble_file(tmp_path / "skewed.csv")
+    out = tmp_path / "cands.csv"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[reconstruct svd]\nensemble = {ens_path}\nd = 2\nstatistic = foo\n")
+    code, _, err = run(capsys, "reconstruct", "svd", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "(line 4)" in err and "'foo'" in err and "[field: statistic]" in err
+    assert not out.exists()
+    config.write_text(f"[reconstruct svd]\nensemble = {ens_path}\nd = 2\nstatistic = pooled\n")
+    assert run(capsys, "reconstruct", "svd", "--config", str(config), "--out", str(out))[0] == 0
+
+
 def test_reconstruct_svd_from_ensemble_file(capsys, tmp_path):
     from eitkit import make_demo_fixture, save_ensemble
 
@@ -299,6 +338,21 @@ def test_reconstruct_multifreq_single_pattern_exits_4(capsys, tmp_path):
     assert "numerical rank 1" in err
 
 
+@pytest.mark.parametrize("pixels", ["-3", "0"])
+def test_reconstruct_multifreq_pixels_below_1_is_usage_error(capsys, tmp_path, pixels):
+    mesh_path = tmp_path / "m.mesh"
+    main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
+    sweep = tmp_path / "sweep.cfg"
+    write_sweep_config(sweep, load_mesh(mesh_path))
+    sigma_out, image_out = tmp_path / "s.csv", tmp_path / "s.pgm"
+    code, _, err = run(capsys, "reconstruct", "multifreq", "--mesh", str(mesh_path),
+                       "--sweep", str(sweep), "--out-sigma", str(sigma_out),
+                       "--out-image", str(image_out), "--pixels", pixels)
+    assert code == 1
+    assert f"--pixels must be at least 1, got {pixels}" in err
+    assert not sigma_out.exists() and not image_out.exists()
+
+
 def test_outputs_byte_identical_across_reruns(capsys, tmp_path):
     mesh_path = tmp_path / "m.mesh"
     main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
@@ -336,6 +390,96 @@ def test_render_element_field_constant_is_midgray():
     inside = grid[12, 12]
     assert inside == 128
     assert grid[0, 0] == 0  # corner is outside the disk
+
+
+def render_per_element_loop(mesh, values, pixels):
+    """The per-element rasterizer the bounding-box kernel replaced: every
+    element tests every pixel, and a pixel goes to the first element that
+    claims it."""
+    values = np.asarray(values, dtype=float)
+    lo = mesh.coords.min(axis=0)
+    hi = mesh.coords.max(axis=0)
+    xs = np.linspace(lo[0], hi[0], pixels)
+    ys = np.linspace(hi[1], lo[1], pixels)
+    px, py = np.meshgrid(xs, ys)
+    points = np.column_stack([px.ravel(), py.ravel()])
+    vmin, vmax = float(values.min()), float(values.max())
+    if vmax > vmin:
+        grays = np.rint((values - vmin) / (vmax - vmin) * 255).astype(int)
+    else:
+        grays = np.full(values.shape, 128, dtype=int)
+    grid = np.zeros(points.shape[0], dtype=int)
+    claimed = np.zeros(points.shape[0], dtype=bool)
+    for e in range(mesh.n_elements):
+        a, b, c = mesh.coords[mesh.triangles[e]]
+        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
+        l1 = ((points[:, 0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (points[:, 1] - a[1])) / det
+        l2 = ((b[0] - a[0]) * (points[:, 1] - a[1]) - (points[:, 0] - a[0]) * (b[1] - a[1])) / det
+        inside = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12) & ~claimed
+        grid[inside] = grays[e]
+        claimed |= inside
+    return grid.reshape(pixels, pixels), (vmin, vmax)
+
+
+DISKS = [build_disk_mesh(1.0, refine) for refine in range(4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    refine=st.integers(0, 3),
+    permute=st.booleans(),
+    constant=st.booleans(),
+    pixels=st.one_of(st.sampled_from([1, 2, 120]), st.integers(1, 60).map(lambda k: 2 * k + 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_render_matches_per_element_loop(refine, permute, constant, pixels, seed):
+    rng = np.random.default_rng(seed)
+    mesh = DISKS[refine]
+    if permute:  # reorders which element claims a shared edge or vertex
+        order = rng.permutation(mesh.n_elements)
+        mesh = Mesh(mesh.nodes, tuple(mesh.elements[k] for k in order), mesh.boundary_nodes,
+                    mesh.electrodes)
+    values = np.full(mesh.n_elements, 2.5) if constant else rng.standard_normal(mesh.n_elements)
+    grid, value_range = render_element_field(mesh, values, pixels)
+    want, want_range = render_per_element_loop(mesh, values, pixels)
+    assert grid.dtype == want.dtype
+    assert np.array_equal(grid, want)
+    assert value_range == want_range
+
+
+def write_pgm_token_loop(path, grid, header_lines):
+    """The token-by-token PGM writer the row-join writer replaced."""
+    h, w = grid.shape
+    lines = ["P2", *(f"# {line}" for line in header_lines), f"{w} {h}", "255"]
+    for row in grid:
+        line = ""
+        for v in row:
+            token = str(int(v))
+            if line and len(line) + 1 + len(token) > 70:
+                lines.append(line)
+                line = token
+            else:
+                line = token if not line else line + " " + token
+        lines.append(line)
+    write_lines(path, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 90)),
+    top=st.sampled_from([1, 10, 100, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_pgm_matches_token_loop(shape, top, seed):
+    grid = np.random.default_rng(seed).integers(0, top, size=shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.pgm", Path(tmp) / "want.pgm"
+        _write_pgm(got, grid, ("eitkit", "sigma_range = [0, 1]"))
+        write_pgm_token_loop(want, grid, ("eitkit", "sigma_range = [0, 1]"))
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_text().splitlines()
+    assert all(len(line) <= 70 for line in lines)
+    assert [int(tok) for line in lines[5:] for tok in line.split()] == grid.ravel().tolist()
 
 
 def test_header_present_in_outputs(capsys, tmp_path, mesh_file):

@@ -166,6 +166,14 @@ def test_pooled_cumulants_weighted():
         cset.pooled(np.ones(4))
 
 
+def test_cumulant_matrix_index_outside_channels_is_domain_error():
+    cset = third_cumulants(MeasurementEnsemble(np.random.default_rng(13).standard_normal((40, 3))))
+    assert_array_equal(cset.matrix(2), cset.tensor[2])
+    for i in (3, 99, -1, -3):
+        with pytest.raises(DomainError, match=f"cumulant index {i} outside 0..2"):
+            cset.matrix(i)
+
+
 def test_third_cumulants_rank_one_closed_form():
     # y(t) = s(t) a with deterministic scalar s of known third moment
     s = np.array([2.0, -1.0, -1.0, 0.5, -0.5, 0.0] * 5)

@@ -161,9 +161,24 @@ def test_mesh_round_trip(tmp_path, nodes, elements, boundary, electrodes):
     assert parse_mesh_file(path) == mesh
 
 
+def relabel_nodes(mesh, ids):
+    """``mesh`` with node k renamed ``ids[k]`` everywhere."""
+    new = dict(zip((node.id for node in mesh.nodes), ids))
+    return Mesh(
+        tuple(Node(new[node.id], node.x, node.y) for node in mesh.nodes),
+        tuple(Element(e.id, tuple(new[v] for v in e.nodes)) for e in mesh.elements),
+        tuple(new[v] for v in mesh.boundary_nodes),
+        tuple(Electrode(e.id, new[e.node]) for e in mesh.electrodes),
+    )
+
+
 @st.composite
 def sweep_setups(draw):
     n, n_e = MESH.n_nodes, MESH.n_elements
+    mesh = MESH
+    if draw(st.booleans()):  # node ids that are not the row indices 0..n-1
+        mesh = relabel_nodes(MESH, draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                                                 unique=True)))
     electrodes = sorted(MESH.electrode_map)
     patterns = []
     for _ in range(draw(st.integers(1, 4))):
@@ -180,22 +195,22 @@ def sweep_setups(draw):
     pairing = draw(st.sampled_from(["cross", "zip"]))
     n_freq = len(patterns) if pairing == "zip" else draw(st.integers(1, 4))
     freqs = draw(st.lists(positive, min_size=n_freq, max_size=n_freq, unique=True))
-    ground = draw(st.one_of(st.just("rotate"), st.integers(0, n - 1)))
+    ground = draw(st.one_of(st.just("rotate"), st.sampled_from([node.id for node in mesh.nodes])))
     size = n_e if draw(st.booleans()) else 1  # per-element or uniform tissue
     params = [positive, positive, st.floats(0.0, 1e3)]  # sigma0, sigma_inf, tau
     tissue = TissueModel(*(
         np.resize(draw(st.lists(p, min_size=size, max_size=size)), n_e) for p in params
     ))
-    return SweepConfig(tuple(freqs), tuple(patterns), pairing, ground), tissue
+    return mesh, SweepConfig(tuple(freqs), tuple(patterns), pairing, ground), tissue
 
 
 @SETTINGS
 @given(setup=sweep_setups())
 def test_sweep_config_round_trip(tmp_path, setup):
-    config, tissue = setup
+    mesh, config, tissue = setup
     path = tmp_path / "sweep.cfg"
-    save_sweep_config(config, tissue, path, header_lines=("header",))
-    again, again_tissue = load_sweep_config(path, MESH)
+    save_sweep_config(config, tissue, path, header_lines=("header",), mesh=mesh)
+    again, again_tissue = load_sweep_config(path, mesh)
     assert (again.frequencies, again.pairing, again.ground) == (
         config.frequencies, config.pairing, config.ground)
     assert len(again.patterns) == len(config.patterns)
@@ -206,6 +221,25 @@ def test_sweep_config_round_trip(tmp_path, setup):
             assert_array_equal(got, want)
     for name in ("sigma0", "sigma_inf", "tau"):
         assert_array_equal(getattr(again_tissue, name), getattr(tissue, name))
+
+
+def test_sweep_config_without_mesh_names_nodes_by_row(tmp_path):
+    config = SweepConfig((1000.0,), (np.array([1.0, -1.0, 0.0]),), "cross", 1)
+    path = tmp_path / "sweep.cfg"
+    save_sweep_config(config, TissueModel.dispersionless(np.ones(1)), path)
+    assert "node 0: 1, node 1: -1" in path.read_text().splitlines()
+    mesh = Mesh(
+        (Node(1, 0.0, 0.0), Node(2, 1.0, 0.0), Node(3, 0.0, 1.0)),
+        (Element(0, (1, 2, 3)),),
+        (1, 2, 3),
+        (Electrode(0, 1), Electrode(1, 2), Electrode(2, 3)),
+    )
+    with pytest.raises(FormatError, match="unknown node 0"):
+        load_sweep_config(path, mesh)
+    save_sweep_config(config, TissueModel.dispersionless(np.ones(1)), path, mesh=mesh)
+    assert "node 1: 1, node 2: -1" in path.read_text().splitlines()
+    again, _ = load_sweep_config(path, mesh)
+    assert_array_equal(again.patterns[0], [1.0, -1.0, 0.0])
 
 
 @SETTINGS
