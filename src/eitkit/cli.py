@@ -7,9 +7,17 @@ Exit codes: 0 success, 1 usage/IO error, 2 domain or validation error,
 Every command accepts ``--config FILE`` (flat ``key = value`` lines under
 ``[<command>]`` or ``[global]`` section headers, where lines before the
 first header belong to ``[global]``; flags override file values) and
-``--seed N``. Each output starts with a reproducibility header echoing
-the resolved configuration, the seed and the version, so reruns are
-byte-identical; timestamps go to standard error only.
+``--seed N``. A config key must be a flag of its section's command (under
+``[global]``, of any command) or ``seed``, and a switch's value must be
+one of ``1/true/yes/on`` or ``0/false/no/off`` in any case; an unknown key
+or any other switch value is a line-numbered error (exit 2). Each output
+starts with a reproducibility header echoing the resolved configuration,
+the seed and the version, so reruns are byte-identical; timestamps go to
+standard error only.
+
+Each flag is declared once, in ``_COMMANDS``: the parser, the config
+sections and keys, the defaults and the required-flag checks all come
+from that table.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
 STATISTICS = ("correlation", "cumulant", "pooled")
 RENDER_PAIR_BUDGET = 8192  # element-pixel pairs tested at once by render_element_field
+REQUIRED = object()  # the table default of a flag its command cannot run without
 
 
 class DemoClaimError(EitError):
@@ -55,105 +64,84 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="eitkit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"eitkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key = value config file supplying flag defaults")
-        p.add_argument("--seed", type=int, default=None, help="seed echoed into outputs")
-
-    mesh_p = sub.add_parser("mesh", help="generate or validate mesh files")
-    mesh_sub = mesh_p.add_subparsers(dest="subcommand", required=True)
-
-    gen = mesh_sub.add_parser("gen", help="build a disk mesh")
-    common(gen)
-    gen.add_argument("--radius", type=float, default=None, help="disk radius in meters (default 1.0)")
-    gen.add_argument("--refine", type=int, default=None, help="subdivision levels (default 0)")
-    gen.add_argument("--electrodes", type=int, default=None, help="electrode count (default 8)")
-    gen.add_argument("--out", default=None, help="output mesh file")
-
-    val = mesh_sub.add_parser("validate", help="check a mesh file and print the report")
-    common(val)
-    val.add_argument("path", help="mesh file to check")
-
-    fwd = sub.add_parser("forward", help="solve one drive pattern and write electrode voltages")
-    common(fwd)
-    fwd.add_argument("--mesh", default=None, help="mesh file")
-    fwd.add_argument("--sigma", default=None, help="per-element conductivity CSV")
-    fwd.add_argument("--uniform", type=float, default=None, help="uniform conductivity in S/m")
-    fwd.add_argument("--pattern", default=None, help="pattern file: '<electrode>: <amps>' lines")
-    fwd.add_argument("--ground", type=int, default=None, help="node pinned to zero potential")
-    fwd.add_argument("--reference", type=int, default=None,
-                     help="reference electrode for voltages (default: lowest id)")
-    fwd.add_argument("--out", default=None, help="output voltage CSV")
-
-    demo = sub.add_parser(
-        "demo",
-        help="run the canonical 4-channel/3-source subspace demonstration and check its claims",
-    )
-    common(demo)
-    demo.add_argument("--tolerance", type=float, default=None,
-                      help="tolerance on the unit entries (default 1e-8)")
-    demo.add_argument("--d", type=int, default=None, help="override the subspace rank (default 3)")
-    demo.add_argument("--repeats", type=int, default=None, help="ensemble design repeats (default 1)")
-
-    rec = sub.add_parser("reconstruct", help="subspace (svd) or multi-injection reconstruction")
-    rec_sub = rec.add_subparsers(dest="subcommand", required=True)
-
-    svd = rec_sub.add_parser("svd", help="emit the full candidate set of the subspace fit")
-    common(svd)
-    svd.add_argument("--ensemble", default=None, help="measurement ensemble CSV")
-    svd.add_argument("--demo-fixture", action="store_const", const=True, default=None,
-                     dest="demo_fixture", help="use the canonical demonstration ensemble")
-    svd.add_argument("--d", type=int, default=None, help="signal-subspace rank (default 3)")
-    svd.add_argument("--statistic", choices=STATISTICS, default=None,
-                     help="statistic fed to the decomposition (default correlation)")
-    svd.add_argument("--cumulant-index", type=int, default=None, dest="cumulant_index",
-                     help="which cumulant matrix, 0..M-1, when --statistic cumulant (default 0)")
-    svd.add_argument("--center", action="store_const", const=True, default=None,
-                     help="remove the sample mean before the correlation")
-    svd.add_argument("--out", default=None, help="candidate-set CSV output")
-
-    mf = rec_sub.add_parser("multifreq", help="simulate a sweep, solve the stack, recover sigma")
-    common(mf)
-    mf.add_argument("--mesh", default=None, help="mesh file")
-    mf.add_argument("--sweep", default=None, help="sweep config file")
-    mf.add_argument("--out-sigma", default=None, dest="out_sigma", help="recovered sigma CSV")
-    mf.add_argument("--out-image", default=None, dest="out_image", help="grayscale PGM image")
-    mf.add_argument("--pixels", type=int, default=None,
-                    help="image width/height, at least 1 (default 120)")
-
+    groups = {}
+    for path, (handler, help_text, flags) in _COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        if group and group not in groups:
+            group_parser = sub.add_parser(group, help=_GROUPS[group])
+            groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
+        leaf = (groups[group] if group else sub).add_parser(name, help=help_text)
+        leaf.set_defaults(handler=handler)
+        leaf.add_argument("--config", help="key = value config file supplying flag defaults")
+        leaf.add_argument("--seed", type=int, help="seed echoed into outputs")
+        if path == "mesh validate":
+            leaf.add_argument("path", help="mesh file to check")
+        for dest, (default, conv, text) in flags.items():
+            flag = "--" + dest.replace("_", "-")
+            if conv is _as_bool:
+                leaf.add_argument(flag, action="store_const", const=True, help=text)
+                continue
+            if default is not None and default is not REQUIRED:  # `is`, as 0 == False
+                text += f" (default {str(default).replace('e-0', 'e-')})"  # 1e-8, not 1e-08
+            if hasattr(conv, "choices"):
+                leaf.add_argument(flag, choices=conv.choices, help=text)
+            else:
+                leaf.add_argument(flag, type=conv, help=text)
     return parser
 
 
 def _load_config(path) -> dict[str, dict[str, tuple[int, str]]]:
     """Config sections as ``{command path: {key: (line_no, value)}}``; lines
-    before the first header form the ``global`` section."""
-    names = {"global"} | {" ".join(filter(None, key)) for key in _HANDLERS}
+    before the first header form the ``global`` section. A key must be a
+    flag of its section's command (of any command under ``global``) or
+    ``seed``."""
+    keys = {name: {"seed", *flags} for name, (_, _, flags) in _COMMANDS.items()}
+    keys["global"] = set().union(*keys.values())
     config = {}
-    for name, lines in sections(read_lines(path), names, preamble="global").items():
+    for name, lines in sections(read_lines(path), set(keys), preamble="global").items():
         config[name] = {}
         for line_no, text in lines:
             key, value = key_value(line_no, text)
-            config[name][key.lower().replace("-", "_")] = (line_no, value)
+            key = key.lower().replace("-", "_")
+            if key not in keys[name]:
+                raise FormatError(f"unknown key {key!r} in [{name}]", line_no=line_no)
+            config[name][key] = (line_no, value)
     return config
 
 
-def _resolve(args, command_path: str, defaults: dict):
-    """Flag value if given, else config-file value, else built-in default."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+def _resolve(args, command_path: str) -> dict:
+    """Each flag of ``command_path`` and the seed: the flag value if given,
+    else the config-file value, else the table default.
+
+    Every value is converted before a missing required flag is reported, so
+    a bad config value is a line-numbered FormatError (exit 2) first.
+    """
+    config = _load_config(args.config) if args.config else {}
     from_file = {**config.get("global", {}), **config.get(command_path, {})}
 
     resolved = {}
-    for dest, (default, conv) in {**defaults, "seed": (0, int)}.items():
-        value = getattr(args, dest, None)
+    for dest, (default, conv, _) in {**_COMMANDS[command_path][2], "seed": (0, int, None)}.items():
+        value = getattr(args, dest)
         if value is None and dest in from_file:
             line_no, raw = from_file[dest]
             value = convert(raw, conv, line_no, dest)
         resolved[dest] = default if value is None else value
+    for dest, value in resolved.items():
+        if value is REQUIRED:
+            raise UsageError(f"{command_path} needs --{dest.replace('_', '-')}")
     return resolved
 
 
 def _as_bool(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    word = raw.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
+_as_bool.__name__ = "one of 1, true, yes, on, 0, false, no, off"
 
 
 def _one_of(*choices: str):
@@ -164,6 +152,7 @@ def _one_of(*choices: str):
             raise ValueError(raw)
         return raw
     conv.__name__ = "one of " + ", ".join(choices)
+    conv.choices = choices
     return conv
 
 
@@ -183,14 +172,7 @@ def _print_header(command: str, resolved: dict) -> None:
 
 
 def cmd_mesh_gen(args) -> int:
-    resolved = _resolve(args, "mesh gen", {
-        "radius": (1.0, float),
-        "refine": (0, int),
-        "electrodes": (8, int),
-        "out": (None, str),
-    })
-    if resolved["out"] is None:
-        raise UsageError("mesh gen needs --out")
+    resolved = _resolve(args, "mesh gen")
     mesh = build_disk_mesh(resolved["radius"], resolved["refine"], resolved["electrodes"])
     save_mesh(mesh, resolved["out"], header_lines=_header("mesh gen", resolved))
     print(f"wrote {resolved['out']}: {mesh.n_nodes} nodes, {mesh.n_elements} elements, "
@@ -199,6 +181,7 @@ def cmd_mesh_gen(args) -> int:
 
 
 def cmd_mesh_validate(args) -> int:
+    _resolve(args, "mesh validate")
     mesh = parse_mesh_file(args.path)
     report = validate(mesh)
     print(str(report))
@@ -234,18 +217,7 @@ def _load_pattern_file(path) -> CurrentPattern:
 
 
 def cmd_forward(args) -> int:
-    resolved = _resolve(args, "forward", {
-        "mesh": (None, str),
-        "sigma": (None, str),
-        "uniform": (None, float),
-        "pattern": (None, str),
-        "ground": (None, int),
-        "reference": (None, int),
-        "out": (None, str),
-    })
-    for required in ("mesh", "pattern", "out"):
-        if resolved[required] is None:
-            raise UsageError(f"forward needs --{required}")
+    resolved = _resolve(args, "forward")
     if (resolved["sigma"] is None) == (resolved["uniform"] is None):
         raise UsageError("forward needs exactly one of --sigma or --uniform")
 
@@ -278,11 +250,7 @@ def _format_matrix(mat: np.ndarray) -> str:
 
 
 def cmd_demo(args) -> int:
-    resolved = _resolve(args, "demo", {
-        "tolerance": (1e-8, float),
-        "d": (3, int),
-        "repeats": (1, int),
-    })
+    resolved = _resolve(args, "demo")
     tol = resolved["tolerance"]
     d = resolved["d"]
 
@@ -339,17 +307,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_reconstruct_svd(args) -> int:
-    resolved = _resolve(args, "reconstruct svd", {
-        "ensemble": (None, str),
-        "demo_fixture": (False, _as_bool),
-        "d": (3, int),
-        "statistic": ("correlation", _one_of(*STATISTICS)),
-        "cumulant_index": (0, int),
-        "center": (False, _as_bool),
-        "out": (None, str),
-    })
-    if resolved["out"] is None:
-        raise UsageError("reconstruct svd needs --out")
+    resolved = _resolve(args, "reconstruct svd")
     if resolved["demo_fixture"] and resolved["ensemble"]:
         raise UsageError("give either --ensemble or --demo-fixture, not both")
     if resolved["demo_fixture"]:
@@ -463,16 +421,7 @@ def _write_pgm(path, grid: np.ndarray, header_lines: tuple[str, ...]) -> None:
 
 
 def cmd_reconstruct_multifreq(args) -> int:
-    resolved = _resolve(args, "reconstruct multifreq", {
-        "mesh": (None, str),
-        "sweep": (None, str),
-        "out_sigma": (None, str),
-        "out_image": (None, str),
-        "pixels": (120, int),
-    })
-    for required in ("mesh", "sweep", "out_sigma", "out_image"):
-        if resolved[required] is None:
-            raise UsageError(f"reconstruct multifreq needs --{required.replace('_', '-')}")
+    resolved = _resolve(args, "reconstruct multifreq")
     if resolved["pixels"] < 1:
         raise UsageError(f"--pixels must be at least 1, got {resolved['pixels']}")
 
@@ -511,23 +460,62 @@ def cmd_reconstruct_multifreq(args) -> int:
 # ---------------------------------------------------------------- main ----
 
 
-_HANDLERS = {
-    ("mesh", "gen"): cmd_mesh_gen,
-    ("mesh", "validate"): cmd_mesh_validate,
-    ("forward", None): cmd_forward,
-    ("demo", None): cmd_demo,
-    ("reconstruct", "svd"): cmd_reconstruct_svd,
-    ("reconstruct", "multifreq"): cmd_reconstruct_multifreq,
+_GROUPS = {
+    "mesh": "generate or validate mesh files",
+    "reconstruct": "subspace (svd) or multi-injection reconstruction",
+}
+
+# command path -> (handler, help, {flag dest: (default, converter, help)});
+# every command also takes --config and --seed
+_COMMANDS = {
+    "mesh gen": (cmd_mesh_gen, "build a disk mesh", {
+        "radius": (1.0, float, "disk radius in meters"),
+        "refine": (0, int, "subdivision levels"),
+        "electrodes": (8, int, "electrode count"),
+        "out": (REQUIRED, str, "output mesh file"),
+    }),
+    "mesh validate": (cmd_mesh_validate, "check a mesh file and print the report", {}),
+    "forward": (cmd_forward, "solve one drive pattern and write electrode voltages", {
+        "mesh": (REQUIRED, str, "mesh file"),
+        "sigma": (None, str, "per-element conductivity CSV"),
+        "uniform": (None, float, "uniform conductivity in S/m"),
+        "pattern": (REQUIRED, str, "pattern file: '<electrode>: <amps>' lines"),
+        "ground": (None, int, "node pinned to zero potential"),
+        "reference": (None, int, "reference electrode for voltages (default: lowest id)"),
+        "out": (REQUIRED, str, "output voltage CSV"),
+    }),
+    "demo": (cmd_demo, "run the canonical 4-channel/3-source subspace demonstration and "
+             "check its claims", {
+        "tolerance": (1e-8, float, "tolerance on the unit entries"),
+        "d": (3, int, "override the subspace rank"),
+        "repeats": (1, int, "ensemble design repeats"),
+    }),
+    "reconstruct svd": (cmd_reconstruct_svd, "emit the full candidate set of the subspace fit", {
+        "ensemble": (None, str, "measurement ensemble CSV"),
+        "demo_fixture": (False, _as_bool, "use the canonical demonstration ensemble"),
+        "d": (3, int, "signal-subspace rank"),
+        "statistic": ("correlation", _one_of(*STATISTICS), "statistic fed to the decomposition"),
+        "cumulant_index": (0, int, "which cumulant matrix, 0..M-1, when --statistic cumulant"),
+        "center": (False, _as_bool, "remove the sample mean before the correlation"),
+        "out": (REQUIRED, str, "candidate-set CSV output"),
+    }),
+    "reconstruct multifreq": (cmd_reconstruct_multifreq, "simulate a sweep, solve the stack, "
+                              "recover sigma", {
+        "mesh": (REQUIRED, str, "mesh file"),
+        "sweep": (REQUIRED, str, "sweep config file"),
+        "out_sigma": (REQUIRED, str, "recovered sigma CSV"),
+        "out_image": (REQUIRED, str, "grayscale PGM image"),
+        "pixels": (120, int, "image width/height, at least 1"),
+    }),
 }
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[(args.command, getattr(args, "subcommand", None))]
 
     try:
-        code = handler(args)
+        code = args.handler(args)
     except RankDeficiencyError as exc:
         print(f"eitkit: rank deficiency: {exc}", file=sys.stderr)
         code = 4

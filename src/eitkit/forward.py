@@ -121,8 +121,8 @@ class _StiffnessMatrix(csc_array):
 
 @dataclass(eq=False)
 class StiffnessSystem:
-    """System matrix ``S`` (an n x n CSC sparse array) and load ``F``;
-    ``ground_node`` is None before the gauge is fixed."""
+    """System matrix ``S`` (an n x n CSC sparse array) and load ``F``, shape
+    (n,) or (n, k); ``ground_node`` is None before the gauge is fixed."""
 
     S: csc_array
     F: np.ndarray
@@ -139,8 +139,10 @@ class StiffnessSystem:
 
 @dataclass(frozen=True, eq=False)
 class VoltageSolution:
-    """Nodal potentials in volts; the ground node is pinned to zero and
-    the recorded residual satisfies ``|S phi - F|_inf <= 1e-9 (1 + |F|_inf)``."""
+    """Nodal potentials in volts, shape (n,), or (n, k) for k loads solved
+    at once; the ground node is pinned to zero and every column satisfies
+    ``|S phi - F|_inf <= 1e-9 (1 + |F|_inf)``. ``residual_inf`` is the
+    largest column residual."""
 
     phi: np.ndarray
     ground_node: int
@@ -340,19 +342,25 @@ class ForwardFactorization:
         self._factor = factor
 
     def solve(self, F: np.ndarray) -> VoltageSolution:
+        """Potentials for one load of shape (n,) or for k loads at once,
+        shape (n, k); ``phi`` has the shape of ``F``. Each column must meet
+        its own residual bound, as if it were solved alone."""
         F = np.asarray(F, dtype=float)
         x, info = lapack.dpbtrs(self._factor, F[self._perm], lower=1)
         if info != 0:
             raise NumericalError("triangular solve failed", pivot_index=int(info))
         phi = np.empty_like(x)
         phi[self._perm] = x
-        residual = float(np.max(np.abs(self._S @ phi - F)))
-        bound = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(F))))
-        if residual > bound:
+        residual = np.max(np.abs(self._S @ phi - F), axis=0)
+        bound = RESIDUAL_TOL * (1.0 + np.max(np.abs(F), axis=0))
+        over = np.flatnonzero(residual > bound)
+        if over.size:
             raise NumericalError(
-                f"solve residual {residual:g} exceeds bound {bound:g}"
+                f"solve residual {residual.flat[over[0]]:g} exceeds bound {bound.flat[over[0]]:g}"
             )
-        return VoltageSolution(phi=phi, ground_node=self.ground_node, residual_inf=residual)
+        return VoltageSolution(
+            phi=phi, ground_node=self.ground_node, residual_inf=float(np.max(residual, initial=0.0))
+        )
 
 
 def solve_forward(system: StiffnessSystem) -> VoltageSolution:

@@ -263,7 +263,7 @@ def _resolve_nodal_pattern(mesh: Mesh, pattern) -> np.ndarray:
             f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}"
         )
     _check_currents(f)
-    return f.copy()
+    return f
 
 
 def _annotated(exc: EitError, where: str) -> EitError:
@@ -279,17 +279,20 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
 
     For each frequency the tissue law gives the per-element conductivity,
     and the system is assembled, grounded at the reference node of the
-    frequency's first injection and factored once. Every injection at that
-    frequency is solved with this one factorization, giving ``phi``, and
-    its potential against its own reference node ``g`` is ``phi - phi[g]``.
-    That shift is exact, not an approximation: ``S`` has zero row sums, so
+    frequency's first injection and factored once. The loads of every
+    injection at that frequency are solved as one (n, k) block with this
+    one factorization, giving ``phi``, and each column's potential against
+    its own reference node ``g`` is ``phi - phi[g]``. That shift is exact,
+    not an approximation: ``S`` has zero row sums, so
     ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
     row's equation holds as well, and ``phi - phi[g]`` is therefore the
     unique solution that vanishes at ``g``. The grounded potential and the
-    pre-gauge load are stacked in config order. An :class:`EitError` from
-    an injection is raised again as a new error of the same class, its
-    message prefixed with the (frequency, pattern) index and chained to
-    the original; any other exception passes through untouched.
+    pre-gauge load are stacked in config order. An :class:`EitError` is
+    raised again as a new error of the same class, its message prefixed
+    with the (frequency, pattern) index and chained to the original: the
+    failing injection for a pattern error, the frequency's first injection
+    for an assembly, factorization or solve error. Any other exception
+    passes through untouched.
     """
     if tissue.n_elements != mesh.n_elements:
         raise DimensionError(
@@ -300,37 +303,39 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         raise DomainError(f"ground node {config.ground} is not a mesh node")
 
     injections = config.injections()
-    Phi = np.zeros((n, len(injections)))
-    F = np.zeros((n, len(injections)))
-    labels = []
-    factors: dict[float, tuple[int, ForwardFactorization]] = {}
+    cols = np.arange(len(injections))
+    if config.ground == "rotate":
+        grounds = cols % n
+    else:
+        grounds = np.full(cols.size, mesh.node_index[config.ground])
+    Phi = np.zeros((n, cols.size))
+    F = np.zeros((n, cols.size))
 
-    for col, (freq, p_idx) in enumerate(injections):
-        ground_pos = (col % n) if config.ground == "rotate" else mesh.node_index[config.ground]
-        ground_id = mesh.nodes[ground_pos].id
+    def where(col):
+        freq, p_idx = injections[col]
+        return f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})"
+
+    for freq in config.frequencies:
+        block = [col for col, (f, _) in enumerate(injections) if f == freq]
+        for col in block:
+            try:
+                F[:, col] = _resolve_nodal_pattern(mesh, config.patterns[injections[col][1]])
+            except EitError as exc:
+                raise _annotated(exc, where(col)) from exc
+        first = grounds[block[0]]
         try:
-            load = _resolve_nodal_pattern(mesh, config.patterns[p_idx])
-            if freq not in factors:
-                Sg, Fg = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, load, ground_pos)
-                factors[freq] = (
-                    ground_pos,
-                    ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=ground_id)),
-                )
-            factor_pos, factorization = factors[freq]
-            load_g = load.copy()
-            load_g[factor_pos] = 0.0
-            phi = factorization.solve(load_g).phi
+            Sg, loads = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, F[:, block], first)
+            system = StiffnessSystem(S=Sg, F=loads, ground_node=mesh.nodes[first].id)
+            phi = ForwardFactorization(system).solve(loads).phi
         except EitError as exc:
-            raise _annotated(exc, f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})") from exc
-        Phi[:, col] = phi - phi[ground_pos]
-        F[:, col] = load
-        labels.append((freq, p_idx, ground_id))
+            raise _annotated(exc, where(block[0])) from exc
+        Phi[:, block] = phi - phi[grounds[block], np.arange(len(block))]
 
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
         Phi=Phi,
         F=F,
-        labels=tuple(labels),
+        labels=tuple((f, p_idx, mesh.nodes[g].id) for (f, p_idx), g in zip(injections, grounds)),
         sigma_spread=float(spread.max()) if spread.size else 0.0,
     )
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitkit import Mesh, build_disk_mesh, load_candidates, load_mesh
-from eitkit.cli import _write_pgm, main, render_element_field
+from eitkit import Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
+from eitkit.cli import _COMMANDS, REQUIRED, _as_bool, _write_pgm, main, render_element_field
 from eitkit.textio import write_lines
 
 
@@ -526,3 +526,189 @@ def test_config_leading_lines_and_explicit_global(capsys, tmp_path):
     config.write_text(f"seed = 5\nout = {out}\n")
     assert run(capsys, "mesh", "gen", "--config", str(config))[0] == 0
     assert "# seed = 5" in out.read_text().splitlines()
+
+
+# ------------------------------------------------------- command table ----
+
+TABLE_FLAGS = [(command, dest) for command, (_, _, flags) in _COMMANDS.items() for dest in flags]
+
+# flags every run of a command gives, except the flag under test and the
+# one it excludes
+CLI_BASE = {
+    "mesh gen": {"out": "{tmp}/out/m.mesh"},
+    "forward": {"mesh": "{tmp}/m1.mesh", "uniform": "1.0", "pattern": "{tmp}/p1.txt",
+                "out": "{tmp}/out/v.csv"},
+    "demo": {},
+    "reconstruct svd": {"ensemble": "{tmp}/e1.csv", "d": "2", "out": "{tmp}/out/c.csv"},
+    "reconstruct multifreq": {"mesh": "{tmp}/m1.mesh", "sweep": "{tmp}/w1.cfg",
+                              "out_sigma": "{tmp}/out/s.csv", "out_image": "{tmp}/out/s.pgm",
+                              "pixels": "8"},
+}
+EXCLUDES = {"sigma": "uniform", "demo_fixture": "ensemble"}
+
+# (command, flag) -> (config value, command-line value or True for a switch)
+CLI_CASES = {
+    ("mesh gen", "radius"): ("1.5", "2"),
+    ("mesh gen", "refine"): ("1", "0"),
+    ("mesh gen", "electrodes"): ("4", "8"),
+    ("mesh gen", "out"): ("{tmp}/out/a.mesh", "{tmp}/out/b.mesh"),
+    ("forward", "mesh"): ("{tmp}/m1.mesh", "{tmp}/m2.mesh"),
+    ("forward", "sigma"): ("{tmp}/s1.csv", "{tmp}/s2.csv"),
+    ("forward", "uniform"): ("2", "3"),
+    ("forward", "pattern"): ("{tmp}/p1.txt", "{tmp}/p2.txt"),
+    ("forward", "ground"): ("1", "2"),
+    ("forward", "reference"): ("1", "2"),
+    ("forward", "out"): ("{tmp}/out/a.csv", "{tmp}/out/b.csv"),
+    ("demo", "tolerance"): ("1e-9", "1e-7"),
+    ("demo", "d"): ("2", "1"),
+    ("demo", "repeats"): ("2", "3"),
+    ("reconstruct svd", "ensemble"): ("{tmp}/e1.csv", "{tmp}/e2.csv"),
+    ("reconstruct svd", "demo_fixture"): ("yes", True),
+    ("reconstruct svd", "d"): ("1", "2"),
+    ("reconstruct svd", "statistic"): ("cumulant", "pooled"),
+    ("reconstruct svd", "cumulant_index"): ("1", "2"),
+    ("reconstruct svd", "center"): ("On", True),
+    ("reconstruct svd", "out"): ("{tmp}/out/a.csv", "{tmp}/out/b.csv"),
+    ("reconstruct multifreq", "mesh"): ("{tmp}/m1.mesh", "{tmp}/m2.mesh"),
+    ("reconstruct multifreq", "sweep"): ("{tmp}/w1.cfg", "{tmp}/w2.cfg"),
+    ("reconstruct multifreq", "out_sigma"): ("{tmp}/out/a.csv", "{tmp}/out/b.csv"),
+    ("reconstruct multifreq", "out_image"): ("{tmp}/out/a.pgm", "{tmp}/out/b.pgm"),
+    ("reconstruct multifreq", "pixels"): ("9", "10"),
+}
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Two copies of every input file the table's commands read, so that a
+    config value and a flag value can name different files."""
+    mesh = build_disk_mesh(1.0, 0)
+    for k, pattern in ((1, [(0, 1.0), (4, -1.0)]), (2, [(1, 1.0), (5, -1.0)])):
+        save_mesh(mesh, tmp_path / f"m{k}.mesh")
+        write_pattern(tmp_path / f"p{k}.txt", pattern)
+        (tmp_path / f"s{k}.csv").write_text("".join(f"{e.id},{k}\n" for e in mesh.elements))
+        skewed_ensemble_file(tmp_path / f"e{k}.csv")
+        write_sweep_config(tmp_path / f"w{k}.cfg", mesh)
+    (tmp_path / "out").mkdir()
+    return tmp_path
+
+
+def run_with_config(capsys, tmp, command, flags, config_lines):
+    """Run ``command`` with ``flags`` and a config file; return the exit
+    code, the standard error and the header lines of standard output and of
+    every file written under ``tmp/out``."""
+    for old in (tmp / "out").iterdir():
+        old.unlink()
+    config = tmp / "run.cfg"
+    config.write_text("".join(f"{line}\n" for line in [f"[{command}]", *config_lines]))
+    argv = [*command.split(), "--config", str(config)]
+    for dest, value in flags.items():
+        argv.append("--" + dest.replace("_", "-"))
+        if value is not True:
+            argv.append(value.format(tmp=tmp))
+    code, out, err = run(capsys, *argv)
+    texts = [out] + [path.read_text() for path in sorted((tmp / "out").iterdir())]
+    return code, err, [line for text in texts for line in text.splitlines() if line[:2] == "# "]
+
+
+@pytest.mark.parametrize("command, dest", TABLE_FLAGS)
+def test_table_flag_reads_its_config_key_and_the_command_line_wins(
+    capsys, cli_inputs, command, dest
+):
+    config_value, flag_value = (
+        v if v is True else v.format(tmp=cli_inputs) for v in CLI_CASES[command, dest]
+    )
+    echo = _COMMANDS[command][2][dest][1]  # the header shows the converted value
+    base = {k: v for k, v in CLI_BASE[command].items() if k not in (dest, EXCLUDES.get(dest))}
+    key = dest.replace("_", "-")  # config keys take the flag's spelling too
+
+    code, err, header = run_with_config(capsys, cli_inputs, command, base,
+                                        [f"{key} = {config_value}"])
+    assert code == 0, err
+    assert f"# {dest} = {echo(config_value)}" in header
+
+    # a switch can only turn on, so the file turns it off
+    under = "off" if flag_value is True else config_value
+    code, err, header = run_with_config(capsys, cli_inputs, command, {**base, dest: flag_value},
+                                        [f"{key} = {under}"])
+    assert code == 0, err
+    assert f"# {dest} = {echo('on' if flag_value is True else flag_value)}" in header
+
+
+@pytest.mark.parametrize(
+    "command, dest",
+    [(c, d) for c, d in TABLE_FLAGS if _COMMANDS[c][2][d][0] is REQUIRED],
+)
+def test_missing_required_flag_exits_1(capsys, cli_inputs, command, dest):
+    flags = {k: v for k, v in CLI_BASE[command].items() if k != dest}
+    code, err, _ = run_with_config(capsys, cli_inputs, command, flags, [])
+    assert code == 1
+    assert f"eitkit: error: {command} needs --{dest.replace('_', '-')}\n" in err
+
+
+DEFAULT_HELP = {
+    "mesh gen": "subdivision levels (default 0)",
+    "demo": "tolerance on the unit entries (default 1e-8)",
+    "reconstruct svd": "when --statistic cumulant (default 0)",
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_lists_every_table_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for dest in ("config", "seed", *_COMMANDS[command][2]):
+        assert f"--{dest.replace('_', '-')} " in text
+    assert DEFAULT_HELP.get(command, "") in text
+
+
+@pytest.mark.parametrize(
+    "text, key, line_no",
+    [
+        ("[mesh gen]\nradius = 1.0\nrefnie = 3\n", "refnie", 3),
+        ("[mesh gen]\npixels = 3\n", "pixels", 2),  # a flag, but not of mesh gen
+        ("# run\n[global]\nrefnie = 3\n", "refnie", 3),
+        ("refnie = 3\n", "refnie", 1),
+        ("[global]\n = 3\n", "", 2),
+    ],
+)
+def test_unknown_config_key_exits_2_with_its_line(capsys, tmp_path, text, key, line_no):
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / "m.mesh"
+    code, _, err = run(capsys, "mesh", "gen", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert f"unknown key {key!r}" in err and f"(line {line_no})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", ["1", "true", "YES", "On", "0", "False", "no", "OFF"])
+def test_config_booleans_take_eight_spellings_in_any_case(raw):
+    assert _as_bool(f" {raw} ") is (raw.lower() in ("1", "true", "yes", "on"))
+
+
+def test_config_boolean_outside_the_eight_spellings_exits_2_with_its_line(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("[reconstruct svd]\ndemo-fixture = yes\ncenter = ture\n")
+    out = tmp_path / "cands.csv"
+    code, _, err = run(capsys, "reconstruct", "svd", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "(line 3)" in err and "'ture'" in err and "[field: center]" in err
+    assert not out.exists()
+
+
+def test_mesh_validate_reads_its_config(capsys, tmp_path, mesh_file):
+    capsys.readouterr()  # what the mesh_file fixture printed
+    _, report, _ = run(capsys, "mesh", "validate", str(mesh_file))
+    config = tmp_path / "run.cfg"
+    code, _, err = run(capsys, "mesh", "validate", "--config", str(config), str(mesh_file))
+    assert code == 1
+    assert "run.cfg" in err
+    config.write_text("[mesh validat]\nseed = 4\n")
+    code, _, err = run(capsys, "mesh", "validate", "--config", str(config), str(mesh_file))
+    assert code == 2
+    assert "unknown section" in err and "(line 1)" in err
+    config.write_text("[mesh validate]\nseed = 4\n")
+    code, out, _ = run(capsys, "mesh", "validate", "--config", str(config), str(mesh_file))
+    assert (code, out) == (0, report)

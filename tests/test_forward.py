@@ -226,6 +226,44 @@ def test_factorization_reused_across_loads(disk_r1):
         assert_allclose(factor.solve(sys_k.F).phi, solve_forward(sys_k).phi, atol=1e-14)
 
 
+def test_block_solve_equals_per_column_solves(disk_r1):
+    system = assemble(disk_r1, uniform_field(disk_r1, 1.3))
+    loads = [
+        apply_pattern(system, disk_r1, CurrentPattern(p), 0)
+        for p in ({0: 1.0, 4: -1.0}, {1: 2.0, 6: -2.0}, {2: 1.0, 3: 1.0, 5: -2.0})
+    ]
+    factor = ForwardFactorization(loads[0])
+    block = factor.solve(np.column_stack([g.F for g in loads]))
+    singles = [factor.solve(g.F) for g in loads]
+    assert block.phi.shape == (disk_r1.n_nodes, 3)
+    assert_array_equal(block.phi, np.column_stack([s.phi for s in singles]))
+    assert block.residual_inf == max(s.residual_inf for s in singles)
+
+
+def test_block_solve_checks_each_column_against_its_own_bound(disk_r1):
+    # a large column whose potential vanishes at node j and a small one that
+    # does not; perturbing S[j, j] leaves the large column's residual at
+    # zero and lifts the small one's above its own bound, though not above
+    # the large column's
+    system = assemble(disk_r1, uniform_field(disk_r1, 1.0))
+    grounded = apply_pattern(system, disk_r1, CurrentPattern({0: 1.0, 4: -1.0}), 0)
+    factor = ForwardFactorization(grounded)
+    rng = np.random.default_rng(5)
+    j = 3
+    phi = rng.standard_normal((disk_r1.n_nodes, 2))
+    phi[0] = 0.0  # the ground node
+    phi[:, 0] *= 1e6
+    phi[j] = (0.0, 1.0)
+    F = grounded.S @ phi
+    factor.solve(F)
+    factor._S = factor._S + csc_array(([1e-6], ([j], [j])), shape=factor._S.shape)
+    assert factor.solve(F[:, 0]).residual_inf <= 1e-9 * (1.0 + np.abs(F[:, 0]).max())
+    with pytest.raises(NumericalError, match="exceeds bound"):
+        factor.solve(F[:, 1])
+    with pytest.raises(NumericalError, match="exceeds bound"):
+        factor.solve(F)
+
+
 def test_measure_zero_and_gauge_invariance(disk_r1, triangle_mesh):
     from eitkit import VoltageSolution
 

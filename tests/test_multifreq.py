@@ -204,6 +204,30 @@ def test_simulate_sweep_annotates_forward_errors():
     assert not str(cause).startswith("injection")
 
 
+def test_simulate_sweep_names_the_failing_pattern_and_the_first_injection_of_a_frequency(
+    monkeypatch,
+):
+    mesh = build_disk_mesh(1.0, 0)
+    tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
+    good, bad = nodal_patterns(mesh.n_nodes, 2)
+    bad = bad * np.array([1.0] * (mesh.n_nodes - 1) + [3.0])  # no longer cancels
+    with pytest.raises(CompatibilityError, match=r"^injection 1 \(frequency 250 Hz, pattern 1\)"):
+        simulate_sweep(mesh, tissue, SweepConfig((250.0, 500.0), (good, bad), ground=0))
+
+    real = eitkit.multifreq.assemble
+    calls = []
+
+    def fail_second_assembly(mesh, sigma):
+        calls.append(sigma)
+        if len(calls) == 2:
+            raise DomainError("assembly failed")
+        return real(mesh, sigma)
+
+    monkeypatch.setattr(eitkit.multifreq, "assemble", fail_second_assembly)
+    with pytest.raises(DomainError, match=r"^injection 2 \(frequency 500 Hz, pattern 0\)"):
+        simulate_sweep(mesh, tissue, SweepConfig((250.0, 500.0), (good, good), ground=0))
+
+
 def test_stack_solve_identity_stack():
     n = 6
     rng = np.random.default_rng(0)
@@ -251,6 +275,47 @@ def test_rotate_sweep_factors_once_per_frequency(monkeypatch):
         oracle[:, col] = np.linalg.solve(S, load)
     assert [label[2] for label in stacked.labels] == [mesh.nodes[col % n].id for col in range(2 * n)]
     assert np.abs(stacked.Phi - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def simulate_sweep_per_injection(mesh, tissue, config):
+    """The per-injection loop the block solve replaced: one factorization
+    per frequency, grounded at its first injection, then one solve and one
+    shift per injection."""
+    from eitkit import ForwardFactorization, StiffnessSystem
+    from eitkit.forward import ground_system
+
+    n = mesh.n_nodes
+    injections = config.injections()
+    Phi, F, labels, factors = np.zeros((n, len(injections))), np.zeros((n, len(injections))), [], {}
+    for col, (freq, p_idx) in enumerate(injections):
+        g = col % n if config.ground == "rotate" else mesh.node_index[config.ground]
+        load = np.asarray(config.patterns[p_idx], dtype=float)
+        if freq not in factors:
+            Sg, Fg = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, load, g)
+            factors[freq] = (g, ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=0)))
+        factor_g, factor = factors[freq]
+        load_g = load.copy()
+        load_g[factor_g] = 0.0
+        phi = factor.solve(load_g).phi
+        Phi[:, col] = phi - phi[g]
+        F[:, col] = load
+        labels.append((freq, p_idx, mesh.nodes[g].id))
+    return Phi, F, tuple(labels)
+
+
+@pytest.mark.parametrize("pairing, ground", [("cross", "rotate"), ("cross", 5), ("zip", "rotate")])
+def test_block_sweep_equals_per_injection_loop(pairing, ground):
+    mesh = build_disk_mesh(1.0, 2)
+    n, n_e = mesh.n_nodes, mesh.n_elements
+    rng = np.random.default_rng(12)
+    tissue = TissueModel(rng.uniform(1.0, 3.0, n_e), rng.uniform(0.2, 0.9, n_e), np.full(n_e, 1e-4))
+    frequencies = (1e3, 1e4) if pairing == "cross" else tuple(1e3 * (1 + k) for k in range(n))
+    config = SweepConfig(frequencies, nodal_patterns(n, n), pairing=pairing, ground=ground)
+    stacked = simulate_sweep(mesh, tissue, config)
+    Phi, F, labels = simulate_sweep_per_injection(mesh, tissue, config)
+    assert_array_equal(stacked.Phi, Phi)
+    assert_array_equal(stacked.F, F)
+    assert stacked.labels == labels
 
 
 def test_stack_solve_single_injection_is_rank_deficient():
