@@ -36,7 +36,7 @@ from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, 
 from .phantom import make_demo_fixture
 from .statistics import correlation, load_ensemble, third_cumulants
 from .subspace import build_projector, extract_candidates, fitting_residual, save_candidates, truncated_svd
-from .textio import convert, data_lines, key_value, read_lines, sections, write_lines
+from .textio import convert, data_lines, key_value, put_once, read_lines, sections, write_lines
 
 DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
@@ -94,7 +94,7 @@ def _load_config(path) -> dict[str, dict[str, tuple[int, str]]]:
     """Config sections as ``{command path: {key: (line_no, value)}}``; lines
     before the first header form the ``global`` section. A key must be a
     flag of its section's command (of any command under ``global``) or
-    ``seed``."""
+    ``seed``, and appear at most once in its section."""
     keys = {name: {"seed", *flags} for name, (_, _, flags) in _COMMANDS.items()}
     keys["global"] = set().union(*keys.values())
     config = {}
@@ -105,7 +105,7 @@ def _load_config(path) -> dict[str, dict[str, tuple[int, str]]]:
             key = key.lower().replace("-", "_")
             if key not in keys[name]:
                 raise FormatError(f"unknown key {key!r} in [{name}]", line_no=line_no)
-            config[name][key] = (line_no, value)
+            put_once(config[name], key, (line_no, value), line_no, f"[{name}] key")
     return config
 
 
@@ -192,6 +192,9 @@ def cmd_mesh_validate(args) -> int:
 
 
 def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
+    """One ``element,sigma`` row per mesh element; a repeated row or an
+    element id not on the mesh is a line-numbered error."""
+    ids = {e.id for e in mesh.elements}
     values: dict[int, float] = {}
     for line_no, text in data_lines(read_lines(path)):
         if text.lower().startswith("element"):
@@ -199,7 +202,10 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
         parts = text.split(",")
         if len(parts) != 2:
             raise FormatError(f"expected 'element,sigma', got {text!r}", line_no=line_no)
-        values[convert(parts[0], int, line_no, "element")] = convert(parts[1], float, line_no, "sigma")
+        eid = convert(parts[0], int, line_no, "element")
+        if eid not in ids:
+            raise FormatError(f"element {eid} is not on the mesh", line_no=line_no)
+        put_once(values, eid, convert(parts[1], float, line_no, "sigma"), line_no, "element")
     missing = [e.id for e in mesh.elements if e.id not in values]
     if missing:
         raise FormatError(f"sigma file is missing element(s) {missing[:8]}")

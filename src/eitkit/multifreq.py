@@ -40,6 +40,8 @@ Sweep config file format (the shared text rules are in :mod:`eitkit.textio`)::
     [sweep]
     pairing = cross | zip
     ground = rotate | <node id>
+
+A ``[model]`` or ``[sweep]`` key, or an element override, given twice is an error.
 """
 
 from __future__ import annotations
@@ -70,7 +72,17 @@ from .forward import (
     ground_system,
 )
 from .mesh import Mesh
-from .textio import convert, data_lines, float_rows, format_row, key_value, read_lines, sections, write_lines
+from .textio import (
+    convert,
+    data_lines,
+    float_rows,
+    format_row,
+    key_value,
+    put_once,
+    read_lines,
+    sections,
+    write_lines,
+)
 
 RANK_TOL = 1e-10
 
@@ -559,24 +571,24 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
             eid, _, triple = text[len("element"):].partition(":")
             try:
                 s0, si, t = (float(v) for v in triple.split())
-                model_overrides[int(eid)] = (line_no, (s0, si, t))
+                eid = int(eid)
             except ValueError:
                 raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
+            put_once(model_overrides, eid, (line_no, (s0, si, t)), line_no, "element override")
         else:
             key, value = key_value(line_no, text)
             if key not in ("sigma0", "sigma_inf", "tau"):
                 raise FormatError(f"unknown model key {key!r}", line_no=line_no)
-            model_uniform[key] = convert(value, float, line_no, key)
+            put_once(model_uniform, key, convert(value, float, line_no, key), line_no, "model key")
 
-    pairing, ground = "cross", 0
+    sweep: dict[str, str | int] = {}
     for line_no, text in groups.get("sweep", ()):
         key, value = key_value(line_no, text)
-        if key == "pairing":
-            pairing = value
-        elif key == "ground":
-            ground = value if value == "rotate" else convert(value, int, line_no, "ground")
-        else:
+        if key not in ("pairing", "ground"):
             raise FormatError(f"unknown sweep key {key!r}", line_no=line_no)
+        if key == "ground" and value != "rotate":
+            value = convert(value, int, line_no, "ground")
+        put_once(sweep, key, value, line_no, "sweep key")
 
     for key in ("sigma0", "sigma_inf", "tau"):
         if key not in model_uniform:
@@ -595,8 +607,8 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     config = SweepConfig(
         frequencies=tuple(frequencies),
         patterns=tuple(patterns),
-        pairing=pairing,
-        ground=ground,
+        pairing=sweep.get("pairing", "cross"),
+        ground=sweep.get("ground", 0),
     )
     return config, tissue
 

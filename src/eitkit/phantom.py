@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     AssumptionViolationError,
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .mesh import Mesh
 from .statistics import MeasurementEnsemble
-from .textio import convert, key_value, read_lines, sections, write_lines
+from .textio import convert, key_value, put_once, read_lines, sections, write_lines
 
 SOURCE_STREAM = 0
 NOISE_STREAM = 1
@@ -63,11 +62,11 @@ class SourceSpec:
 class NoiseSpec:
     """Additive Gaussian measurement noise.
 
-    ``white`` is i.i.d. N(0, std^2). ``colored`` passes white Gaussian
-    samples through the first-order recursion ``n_t = a n_{t-1} + w_t``
-    with ``coefficients = (a,)``, |a| < 1, scaled so the stationary
-    marginal std equals ``std``; the output stays Gaussian, so its third
-    cumulants vanish just like the white case.
+    ``white`` is i.i.d. N(0, std^2). ``colored`` is the first-order
+    recursion ``n_t = a n_{t-1} + w_t`` with ``coefficients = (a,)``,
+    |a| < 1, white Gaussian drive ``w_t`` and a stationary start ``n_0``,
+    scaled so every ``n_t`` has std ``std``; the output stays Gaussian, so
+    its third cumulants vanish just like the white case.
     """
 
     kind: str
@@ -140,6 +139,8 @@ def _draw_sources(spec: SourceSpec, T: int, rng: np.random.Generator) -> np.ndar
 
 
 def _draw_noise(spec: NoiseSpec, T: int, channels: int, rng: np.random.Generator) -> np.ndarray:
+    """(T, channels) samples; colored noise runs ``n_t = a n_{t-1} + w_t``
+    over time from the stationary draw ``n_0``, all channels at once."""
     if spec.std == 0.0:
         return np.zeros((T, channels))
     if spec.kind == "white":
@@ -148,10 +149,10 @@ def _draw_noise(spec: NoiseSpec, T: int, channels: int, rng: np.random.Generator
     drive_std = spec.std * np.sqrt(1.0 - a * a)
     w = rng.normal(0.0, drive_std, size=(T, channels))
     n0 = rng.normal(0.0, spec.std, size=channels)
-    # exact stationary start: n_0 at marginal std, then recurse
     out = np.empty((T, channels))
-    for ch in range(channels):
-        out[:, ch], _ = lfilter([1.0], [1.0, -a], w[:, ch], zi=[a * n0[ch]])
+    prev = n0
+    for t in range(T):
+        prev = out[t] = a * prev + w[t]
     return out
 
 
@@ -284,12 +285,12 @@ def save_phantom_spec(phantom: Phantom, path, header_lines: tuple[str, ...] = ()
 
 def load_phantom_spec(path, mesh: Mesh) -> Phantom:
     """Read a phantom spec file and instantiate it on a mesh."""
-    background: float | None = None
+    spec: dict[str, float] = {}
     inclusions: list[Inclusion] = []
     for line_no, text in sections(read_lines(path), ("phantom",)).get("phantom", ()):
         key, value = key_value(line_no, text)
         if key == "background":
-            background = convert(value, float, line_no, key)
+            put_once(spec, key, convert(value, float, line_no, key), line_no)
         elif key == "inclusion":
             try:
                 x, y, radius, contrast = (float(v) for v in value.split())
@@ -298,6 +299,6 @@ def load_phantom_spec(path, mesh: Mesh) -> Phantom:
             inclusions.append(Inclusion((x, y), radius, contrast))
         else:
             raise FormatError(f"unknown key {key!r}", line_no=line_no)
-    if background is None:
+    if "background" not in spec:
         raise FormatError("phantom spec is missing 'background'")
-    return make_phantom(mesh, background, inclusions)
+    return make_phantom(mesh, spec["background"], inclusions)

@@ -5,7 +5,8 @@ lives in the module that reads it.
   (or the caller's subclass).
 * Lines starting with ``#`` are comments; comment and blank lines carry no data.
 * ``[name]`` section headers match case-insensitively. A name the format does
-  not know, a repeated header, and data before the first header are errors.
+  not know, a repeated header, and data before the first header are errors;
+  so is a key given twice in one section.
 * Floats are written with 17 significant digits, so they read back exactly.
 * Parse errors carry the 1-based line number, and the field where there is one.
 """
@@ -69,6 +70,13 @@ def key_value(line_no: int, text: str) -> tuple[str, str]:
     if not sep:
         raise FormatError(f"expected 'key = value', got {text!r}", line_no=line_no)
     return key.strip(), value.strip()
+
+
+def put_once(mapping: dict, key, value, line_no: int, what: str = "key") -> None:
+    """``mapping[key] = value``; a key already there is a line-numbered error."""
+    if key in mapping:
+        raise FormatError(f"{what} {key!r} repeated", line_no=line_no)
+    mapping[key] = value
 
 
 def convert(token: str, kind, line_no: int, field: str | None = None, error=FormatError):

@@ -146,6 +146,30 @@ def test_forward_sigma_file_round(capsys, tmp_path, mesh_file):
     assert read_id_values(out_a) == read_id_values(out_b)
 
 
+@pytest.mark.parametrize(
+    "row, message, line_no",
+    [
+        ("3,2.0", "element 3 repeated", 6),  # the original row 3 follows it
+        ("999,2.0", "element 999 is not on the mesh", 5),
+    ],
+)
+def test_forward_bad_sigma_row_exits_2_with_its_line(capsys, tmp_path, mesh_file, row, message,
+                                                      line_no):
+    mesh = load_mesh(mesh_file)
+    rows = [f"{e.id},1.0" for e in mesh.elements]
+    rows.insert(3, row)  # after the column header and three rows
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("element,sigma\n" + "\n".join(rows) + "\n")
+    pattern = tmp_path / "pattern.txt"
+    write_pattern(pattern, [(1, 1.0), (5, -1.0)])
+    out = tmp_path / "v.csv"
+    code, _, err = run(capsys, "forward", "--mesh", str(mesh_file), "--sigma", str(sigma),
+                       "--pattern", str(pattern), "--ground", "0", "--out", str(out))
+    assert code == 2
+    assert message in err and f"(line {line_no})" in err
+    assert not out.exists()
+
+
 def test_demo_default_passes(capsys):
     code, out, _ = run(capsys, "demo")
     assert code == 0
@@ -381,6 +405,32 @@ def test_config_file_supplies_defaults_and_flags_override(capsys, tmp_path):
     code, *_ = run(capsys, "mesh", "gen", "--config", str(config), "--refine", "0")
     assert code == 0
     assert load_mesh(out).n_nodes == 9  # flag beats file
+
+
+def test_repeated_config_key_exits_2_with_its_line(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    out = tmp_path / "m.mesh"
+    config.write_text("[mesh gen]\nrefine = 1\nradius = 1.0\nrefine = 2\n")
+    code, _, err = run(capsys, "mesh", "gen", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "'refine' repeated" in err and "(line 4)" in err
+    assert not out.exists()
+
+
+def test_repeated_sweep_key_exits_2_with_its_line(capsys, tmp_path):
+    mesh_path = tmp_path / "m.mesh"
+    main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
+    sweep = tmp_path / "sweep.cfg"
+    write_sweep_config(sweep, load_mesh(mesh_path))
+    sweep.write_text(sweep.read_text() + "pairing = zip\n")
+    line_no = len(sweep.read_text().splitlines())
+    sigma_out, image_out = tmp_path / "sigma.csv", tmp_path / "sigma.pgm"
+    code, _, err = run(capsys, "reconstruct", "multifreq", "--mesh", str(mesh_path),
+                       "--sweep", str(sweep), "--out-sigma", str(sigma_out),
+                       "--out-image", str(image_out))
+    assert code == 2
+    assert "'pairing' repeated" in err and f"(line {line_no})" in err
+    assert not sigma_out.exists() and not image_out.exists()
 
 
 def test_render_element_field_constant_is_midgray():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from eitkit import (
@@ -17,6 +19,7 @@ from eitkit import (
     save_phantom_spec,
     third_cumulants,
 )
+from eitkit.phantom import NOISE_STREAM, _draw_noise, _stream
 
 WHITE = NoiseSpec("white", 0.0)
 
@@ -100,6 +103,40 @@ def test_colored_noise_is_stationary_ar1():
     assert np.std(x) == pytest.approx(std, rel=0.02)
     lag1 = np.mean(x[1:] * x[:-1]) / np.mean(x * x)
     assert lag1 == pytest.approx(a, abs=0.02)
+
+
+def lfilter_noise(noise, T, channels, seed):
+    """The colored draw as ``scipy.signal.lfilter`` filters it, one channel
+    at a time, from the same noise stream."""
+    from scipy.signal import lfilter  # the oracle only: eitkit does not load scipy.signal
+
+    a = noise.coefficients[0]
+    rng = _stream(seed, NOISE_STREAM)
+    w = rng.normal(0.0, noise.std * np.sqrt(1.0 - a * a), size=(T, channels))
+    n0 = rng.normal(0.0, noise.std, size=channels)
+    columns = [lfilter([1.0], [1.0, -a], w[:, ch], zi=[a * n0[ch]])[0] for ch in range(channels)]
+    return np.column_stack(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+    std=st.floats(0.0, 10.0),
+    T=st.integers(1, 3000),
+    channels=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_colored_noise_equals_lfilter_bitwise(a, std, T, channels, seed):
+    noise = NoiseSpec("colored", std, (a,))
+    expected = lfilter_noise(noise, T, channels, seed)
+    assert_array_equal(_draw_noise(noise, T, channels, _stream(seed, NOISE_STREAM)), expected)
+    if T == 1:  # an ensemble needs two samples
+        return
+    assert_array_equal(generate_noise_ensemble(channels, noise, T, seed).samples, expected)
+    A = 0.5 * np.arange(1.0, channels + 1.0)[:, None]
+    source = SourceSpec(1, "skewed")
+    signal = generate_ensemble(A, source, WHITE, T, seed).samples
+    assert_array_equal(generate_ensemble(A, source, noise, T, seed).samples, signal + expected)
 
 
 def test_noise_spec_validation():

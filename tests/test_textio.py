@@ -1,7 +1,10 @@
 """The shared text layer: one place opens files, every reader turns any
 malformed input into an EitError, and every writer round-trips exactly."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,20 @@ def test_only_textio_opens_files():
     assert opened == []
 
 
+def test_import_loads_only_linalg_and_sparse_from_scipy():
+    # a fresh interpreter: tests in this process may have loaded more of scipy
+    probe = (
+        "import sys, eitkit, eitkit.cli\n"
+        "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
+        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
+        "    and not name.startswith('scipy._') and hasattr(mod, '__path__'))))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout.split() == ["scipy.linalg", "scipy.sparse"]
+
+
 @pytest.mark.parametrize("name", sorted(READERS))
 def test_non_utf8_file_is_format_error(tmp_path, name):
     path = tmp_path / "binary"
@@ -104,6 +121,60 @@ def test_repeated_section_is_format_error(tmp_path, name, text, line_no):
     path.write_text(text)
     with pytest.raises(FormatError, match="repeated") as err:
         READERS[name](path)
+    assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, key, line_no",
+    [
+        ("[mesh gen]\nrefine = 1\nrefine = 2\n", "refine", 3),
+        ("seed = 1\n# again\nseed = 2\n", "seed", 3),
+        ("[global]\nout = a\n[forward]\nout = b\nOut = c\n", "out", 5),
+        ("[reconstruct svd]\ncumulant-index = 1\ncumulant_index = 2\n", "cumulant_index", 3),
+    ],
+)
+def test_repeated_config_key_is_format_error(tmp_path, text, key, line_no):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"{key!r} repeated") as err:
+        _load_config(path)
+    assert err.value.line_no == line_no
+
+
+SWEEP_HEAD = "[frequencies]\n10\n[patterns]\n0: 1, 4: -1\n"  # lines 1-4
+SWEEP_MODEL = "[model]\nsigma0 = 1\nsigma_inf = 1\ntau = 0\n"  # lines 5-8
+
+
+@pytest.mark.parametrize(
+    "tail, key, line_no",
+    [
+        ("[model]\nsigma0 = 1\nsigma_inf = 1\nsigma0 = 2\ntau = 0\n", "sigma0", 8),
+        (SWEEP_MODEL + "tau = 1e-3\n", "tau", 9),
+        (SWEEP_MODEL + "element 3: 1 1 0\nelement 03: 2 1 0\n", 3, 10),
+        (SWEEP_MODEL + "[sweep]\npairing = cross\npairing = zip\n", "pairing", 11),
+        (SWEEP_MODEL + "[sweep]\nground = rotate\n# then\nground = 0\n", "ground", 12),
+    ],
+)
+def test_repeated_sweep_key_is_format_error(tmp_path, tail, key, line_no):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(SWEEP_HEAD + tail)
+    with pytest.raises(FormatError, match=f"{key!r} repeated") as err:
+        load_sweep_config(path, MESH)
+    assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("[phantom]\nbackground = 1\nbackground = 2\n", 3),
+        ("[phantom]\nbackground = 1\ninclusion = 0 0 0.5 2\nbackground = 1\n", 4),
+    ],
+)
+def test_repeated_phantom_background_is_format_error(tmp_path, text, line_no):
+    path = tmp_path / "phantom.spec"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="'background' repeated") as err:
+        load_phantom_spec(path, MESH)
     assert err.value.line_no == line_no
 
 
