@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, MeshFormatError, MeshValidationError
 from .textio import convert, read_lines, sections, write_lines
@@ -105,15 +107,22 @@ class Mesh:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        c = np.array([[node.x, node.y] for node in self.nodes], dtype=float)
+        c = np.array([[node.x, node.y] for node in self.nodes], dtype=float).reshape(-1, 2)
         c.setflags(write=False)
         return c
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """Element connectivity as row positions into :attr:`coords`."""
+        """Element connectivity as row positions into :attr:`coords`.
+
+        Raises :class:`MeshValidationError` when an element names a node
+        that is not on the mesh.
+        """
         idx = self.node_index
-        t = np.array([[idx[n] for n in e.nodes] for e in self.elements], dtype=int)
+        try:
+            t = np.array([[idx[n] for n in e.nodes] for e in self.elements], dtype=int)
+        except KeyError:
+            raise MeshValidationError(self.validation_report) from None
         t.setflags(write=False)
         return t
 
@@ -134,21 +143,18 @@ class Mesh:
         return _check_invariants(self)
 
 
-def signed_area(p0, p1, p2) -> float:
-    """Signed area of the triangle (p0, p1, p2); positive when the vertices
-    run counter-clockwise."""
+def _signed_areas(pts: np.ndarray) -> np.ndarray:
+    """Signed area of each triangle in an (n_e, 3, 2) array of corners;
+    positive when the corners run counter-clockwise."""
     return 0.5 * (
-        (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
+        (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
+        - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
     )
 
 
 def element_areas(mesh: Mesh) -> np.ndarray:
     """Signed area of every element, in element order."""
-    pts = mesh.coords[mesh.triangles]
-    return 0.5 * (
-        (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
-        - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
-    )
+    return _signed_areas(mesh.coords[mesh.triangles])
 
 
 def total_area(mesh: Mesh) -> float:
@@ -247,180 +253,148 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
 def validate(mesh: Mesh) -> ValidationReport:
     """Check every structural invariant and report each violation.
 
-    Nothing is raised: all problems are collected into the report so a
-    broken mesh can be diagnosed in one pass. A mesh is immutable, so the
-    check runs once per mesh and later calls return the same report.
+    Nothing is raised, except :class:`DomainError` for an id that is not an
+    integer of at most 64 bits: all problems are collected into the report
+    so a broken mesh can be diagnosed in one pass. A mesh is immutable, so
+    the check runs once per mesh and later calls return the same report.
+
+    The report lists node defects in node order, then element defects in
+    element order, then the boundary loop, then electrode defects in
+    electrode order, then connectivity: ``not-edge-connected`` names each
+    component by its first element in mesh order, ids sorted, and
+    ``isolated-node`` lists the unused node ids, sorted. Where an id is
+    given to two nodes, the last of them is the one elements refer to.
     """
     return mesh.validation_report
 
 
+def _int64(ids: list) -> np.ndarray:
+    array = np.array(ids)
+    if array.size and array.dtype.kind != "i":
+        raise DomainError("mesh ids must be integers that fit in a signed 64-bit integer")
+    return array.astype(np.int64)
+
+
+def _repeated(ids: list) -> np.ndarray:
+    """True where an id already appeared earlier in ``ids``."""
+    mask = np.ones(len(ids), dtype=bool)
+    mask[np.unique(_int64(ids), return_index=True)[1]] = False
+    return mask
+
+
 def _check_invariants(mesh: Mesh) -> ValidationReport:
+    nodes, elements, loop, electrodes = mesh.nodes, mesh.elements, mesh.boundary_nodes, mesh.electrodes
+    n, n_e, n_el = len(nodes), len(elements), len(electrodes)
+    # one code per distinct id anywhere in the mesh, node ids listed first;
+    # pos[code] is the row of the last node with that id, -1 if none has it
+    all_ids = [node.id for node in nodes] + [v for e in elements for v in e.nodes]
+    all_ids += list(loop) + [el.node for el in electrodes]
+    uniq, seen, code = np.unique(_int64(all_ids), return_index=True, return_inverse=True)
+    pos = np.full(uniq.size, -1)
+    np.maximum.at(pos, code[:n], np.arange(n))
+    tri_end, loop_end = n + 3 * n_e, n + 3 * n_e + len(loop)
+    node_code, tri = code[:n], code[n:tri_end].reshape(n_e, 3)
+    loop_code, el_code = code[tri_end:loop_end], code[loop_end:]
     defects: list[MeshDefect] = []
 
-    seen_ids: dict[int, int] = {}
-    for node in mesh.nodes:
-        if node.id in seen_ids:
-            defects.append(
-                MeshDefect("duplicate-node-id", (node.id,), "node id appears more than once")
-            )
-        seen_ids[node.id] = 1
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):
-            defects.append(
-                MeshDefect("non-finite-coordinate", (node.id,), f"({node.x}, {node.y})")
-            )
+    def flag(kind: str, ids, detail: str) -> None:
+        defects.append(MeshDefect(kind, tuple(ids), detail))
 
-    known = {node.id for node in mesh.nodes}
-    pos = {node.id: (node.x, node.y) for node in mesh.nodes}
+    dup_node = seen[node_code] != np.arange(n)
+    non_finite = ~np.isfinite(mesh.coords).all(axis=1)
+    for k in np.flatnonzero(dup_node | non_finite):
+        node = nodes[k]
+        if dup_node[k]:
+            flag("duplicate-node-id", [node.id], "node id appears more than once")
+        if non_finite[k]:
+            flag("non-finite-coordinate", [node.id], f"({node.x}, {node.y})")
 
-    element_ids = set()
-    edge_set: set[frozenset] = set()
-    for elem in mesh.elements:
-        if elem.id in element_ids:
-            defects.append(
-                MeshDefect("duplicate-element-id", (elem.id,), "element id appears more than once")
-            )
-        element_ids.add(elem.id)
-        missing = [n for n in elem.nodes if n not in known]
-        if missing:
-            defects.append(
-                MeshDefect(
-                    "unknown-node-reference",
-                    (elem.id, *missing),
-                    f"element {elem.id} references unknown node(s) {missing}",
-                )
-            )
-            continue
-        if len(set(elem.nodes)) != 3:
-            defects.append(
-                MeshDefect("repeated-element-node", (elem.id,), f"nodes {elem.nodes}")
-            )
-            continue
-        a, b, c = (pos[n] for n in elem.nodes)
-        area = signed_area(a, b, c)
-        if not area > 0.0:
-            defects.append(
-                MeshDefect(
-                    "non-positive-area",
-                    (elem.id,),
-                    f"element {elem.id} has signed area {area:g}; nodes must run counter-clockwise",
-                )
-            )
-        for u, v in ((elem.nodes[0], elem.nodes[1]),
-                     (elem.nodes[1], elem.nodes[2]),
-                     (elem.nodes[2], elem.nodes[0])):
-            edge_set.add(frozenset((u, v)))
+    tri_pos = pos[tri]
+    unknown = (tri_pos < 0).any(axis=1)
+    after = tri[:, [1, 2, 0]]  # side j of element k runs from corner j to corner j + 1
+    repeated = (tri == after).any(axis=1)
+    sound = ~(unknown | repeated)
+    area = np.zeros(n_e)
+    with np.errstate(all="ignore"):
+        area[sound] = _signed_areas(mesh.coords[tri_pos[sound]])
+    flipped = sound & ~(area > 0.0)
+    dup_elem = _repeated([e.id for e in elements])
+    for k in np.flatnonzero(dup_elem | unknown | repeated | flipped):
+        elem = elements[k]
+        if dup_elem[k]:
+            flag("duplicate-element-id", [elem.id], "element id appears more than once")
+        if unknown[k]:
+            missing = [v for v, p in zip(elem.nodes, tri_pos[k]) if p < 0]
+            flag("unknown-node-reference", [elem.id, *missing],
+                 f"element {elem.id} references unknown node(s) {missing}")
+        elif repeated[k]:
+            flag("repeated-element-node", [elem.id], f"nodes {elem.nodes}")
+        elif flipped[k]:
+            flag("non-positive-area", [elem.id], f"element {elem.id} has signed area "
+                 f"{float(area[k]):g}; nodes must run counter-clockwise")
 
-    loop = mesh.boundary_nodes
-    unknown_boundary = [n for n in loop if n not in known]
-    if unknown_boundary:
-        defects.append(
-            MeshDefect("unknown-boundary-node", tuple(unknown_boundary), "not present in [nodes]")
-        )
+    # the edge table: the sorted distinct unordered-pair keys of element
+    # sides, a sentinel above them, and which of them a sound element has
+    def pair_key(a, b):
+        return np.minimum(a, b) * uniq.size + np.maximum(a, b)
+
+    keys, owner, edge = np.unique(pair_key(tri, after).ravel(), return_index=True, return_inverse=True)
+    keys = np.append(keys, np.iinfo(np.int64).max)
+    on_sound = np.zeros(keys.size, dtype=bool)
+    on_sound[edge.reshape(n_e, 3)[sound]] = True
+    unknown_loop = pos[loop_code] < 0
+    if unknown_loop.any():
+        flag("unknown-boundary-node", [v for v, bad in zip(loop, unknown_loop) if bad],
+             "not present in [nodes]")
     elif len(loop) < 3:
-        defects.append(
-            MeshDefect("degenerate-boundary-loop", tuple(loop), f"loop of length {len(loop)}")
-        )
+        flag("degenerate-boundary-loop", loop, f"loop of length {len(loop)}")
     else:
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            if frozenset((a, b)) not in edge_set:
-                defects.append(
-                    MeshDefect(
-                        "broken-boundary-loop",
-                        (a, b),
-                        f"consecutive boundary nodes {a}, {b} do not share an element edge",
-                    )
-                )
+        pair = pair_key(loop_code, np.concatenate((loop_code[1:], loop_code[:1])))
+        at = np.searchsorted(keys, pair)
+        for k in np.flatnonzero((keys[at] != pair) | ~on_sound[at]):
+            a, b = loop[k], loop[(k + 1) % len(loop)]
+            flag("broken-boundary-loop", [a, b],
+                 f"consecutive boundary nodes {a}, {b} do not share an element edge")
 
-    boundary_set = set(loop)
-    electrode_nodes: dict[int, int] = {}
-    electrode_ids = set()
-    for el in mesh.electrodes:
-        if el.id in electrode_ids:
-            defects.append(
-                MeshDefect("duplicate-electrode-id", (el.id,), "electrode id appears more than once")
-            )
-        electrode_ids.add(el.id)
-        if el.node not in known:
-            defects.append(
-                MeshDefect("electrode-unknown-node", (el.id, el.node), "electrode node not in [nodes]")
-            )
+    dup_el = _repeated([el.id for el in electrodes])
+    el_unknown = pos[el_code] < 0
+    on_loop = np.bincount(loop_code, minlength=uniq.size) > 0
+    # first[code]: the first electrode, among those on a known node, on that node
+    first = np.full(uniq.size, n_el)
+    np.minimum.at(first, el_code[~el_unknown], np.flatnonzero(~el_unknown))
+    shared = ~el_unknown & (first[el_code] != np.arange(n_el))
+    for k in np.flatnonzero(dup_el | el_unknown | ~on_loop[el_code] | shared):
+        el = electrodes[k]
+        if dup_el[k]:
+            flag("duplicate-electrode-id", [el.id], "electrode id appears more than once")
+        if el_unknown[k]:
+            flag("electrode-unknown-node", [el.id, el.node], "electrode node not in [nodes]")
             continue
-        if el.node not in boundary_set:
-            defects.append(
-                MeshDefect(
-                    "electrode-not-on-boundary",
-                    (el.id, el.node),
-                    f"electrode {el.id} sits on interior node {el.node}",
-                )
-            )
-        if el.node in electrode_nodes:
-            defects.append(
-                MeshDefect(
-                    "electrodes-share-node",
-                    (electrode_nodes[el.node], el.id, el.node),
-                    f"electrodes {electrode_nodes[el.node]} and {el.id} share node {el.node}",
-                )
-            )
-        else:
-            electrode_nodes[el.node] = el.id
+        if not on_loop[el_code[k]]:
+            flag("electrode-not-on-boundary", [el.id, el.node],
+                 f"electrode {el.id} sits on interior node {el.node}")
+        if shared[k]:
+            other = electrodes[first[el_code[k]]].id
+            flag("electrodes-share-node", [other, el.id, el.node],
+                 f"electrodes {other} and {el.id} share node {el.node}")
 
-    defects.extend(_connectivity_defects(mesh, known))
-
+    if not n_e:
+        if n:
+            flag("empty-mesh", [], "mesh has nodes but no elements")
+        return ValidationReport(tuple(defects))
+    # elements sharing an edge key are adjacent: each side links its element
+    # to the first element that has the same side
+    links = (np.ones(3 * n_e), owner[edge] // 3, np.arange(0, 3 * n_e + 1, 3))
+    count, label = connected_components(csr_array(links, shape=(n_e, n_e)), directed=False)
+    if count > 1:
+        firsts = np.unique(label, return_index=True)[1]
+        flag("not-edge-connected", sorted(elements[k].id for k in firsts),
+             f"elements split into {count} edge-connected components")
+    used = np.bincount(tri.ravel(), minlength=uniq.size) > 0
+    isolated = uniq[(pos >= 0) & ~used]
+    if isolated.size:
+        flag("isolated-node", [int(v) for v in isolated], "node belongs to no element")
     return ValidationReport(tuple(defects))
-
-
-def _connectivity_defects(mesh: Mesh, known: set[int]) -> list[MeshDefect]:
-    """Edge-connectivity: all elements form one component under shared-edge
-    adjacency, and every node belongs to some element."""
-    defects: list[MeshDefect] = []
-    if not mesh.elements:
-        if mesh.nodes:
-            defects.append(
-                MeshDefect("empty-mesh", (), "mesh has nodes but no elements")
-            )
-        return defects
-
-    used: set[int] = set()
-    edge_owner: dict[frozenset, int] = {}
-    parent = list(range(len(mesh.elements)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for k, elem in enumerate(mesh.elements):
-        used.update(elem.nodes)
-        for u, v in ((elem.nodes[0], elem.nodes[1]),
-                     (elem.nodes[1], elem.nodes[2]),
-                     (elem.nodes[2], elem.nodes[0])):
-            key = frozenset((u, v))
-            if key in edge_owner:
-                union(k, edge_owner[key])
-            edge_owner[key] = k
-
-    roots = {find(k) for k in range(len(mesh.elements))}
-    if len(roots) > 1:
-        reps = sorted(mesh.elements[find(k)].id for k in roots)
-        defects.append(
-            MeshDefect(
-                "not-edge-connected",
-                tuple(reps),
-                f"elements split into {len(roots)} edge-connected components",
-            )
-        )
-    isolated = sorted(known - used)
-    if isolated:
-        defects.append(
-            MeshDefect("isolated-node", tuple(isolated), "node belongs to no element")
-        )
-    return defects
 
 
 def save_mesh(mesh: Mesh, path, header_lines: tuple[str, ...] = ()) -> None:
@@ -472,7 +446,13 @@ def parse_mesh_file(path) -> Mesh:
                     f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields",
                     line_no=line_no,
                 )
-            yield [convert(p, k, line_no, f, MeshFormatError) for p, k, f in zip(parts, kinds, fields)]
+            row = [convert(p, k, line_no, f, MeshFormatError) for p, k, f in zip(parts, kinds, fields)]
+            for value, k, f in zip(row, kinds, fields):
+                if k is int and not -(2**63) <= value < 2**63:
+                    raise MeshFormatError(
+                        f"id {value} does not fit in a signed 64-bit integer", line_no=line_no, field=f
+                    )
+            yield row
 
     nodes = tuple(Node(*r) for r in records("nodes"))
     elements = tuple(Element(r[0], tuple(r[1:])) for r in records("elements"))

@@ -36,7 +36,7 @@ Sweep config file format (the shared text rules are in :mod:`eitkit.textio`)::
     sigma0 = <S/m>         uniform dispersion parameters
     sigma_inf = <S/m>
     tau = <seconds>
-    element <id>: <sigma0> <sigma_inf> <tau>   per-element override
+    element <id>: <sigma0> <sigma_inf> <tau>   override for one element id
     [sweep]
     pairing = cross | zip
     ground = rotate | <node id>
@@ -520,11 +520,17 @@ def save_sweep_config(
 ) -> None:
     """Write a sweep config file (see module docstring for the format).
 
-    A nodal pattern's entry for row k names node ``mesh.nodes[k].id``;
-    without a mesh it names k, which is right for meshes whose node ids
-    are 0..n-1.
+    A nodal pattern's entry for row k names node ``mesh.nodes[k].id``, and
+    the override for tissue row e names element ``mesh.elements[e].id``;
+    without a mesh they name k and e, which is right for meshes whose node
+    and element ids are 0..n-1 and 0..n_e-1.
     """
+    if mesh is not None and tissue.n_elements != mesh.n_elements:
+        raise DimensionError(
+            f"tissue model covers {tissue.n_elements} elements, mesh has {mesh.n_elements}"
+        )
     node_ids = None if mesh is None else [node.id for node in mesh.nodes]
+    element_ids = range(tissue.n_elements) if mesh is None else [e.id for e in mesh.elements]
     lines = ["[frequencies]"]
     lines += [f"{f:.17g}" for f in config.frequencies]
     lines.append("[patterns]")
@@ -544,8 +550,8 @@ def save_sweep_config(
     lines += [f"{k} = {v[0] if uniform else float(np.median(v)):.17g}" for k, v in params.items()]
     if not uniform:
         lines += [
-            f"element {e}: {tissue.sigma0[e]:.17g} {tissue.sigma_inf[e]:.17g} {tissue.tau[e]:.17g}"
-            for e in range(tissue.n_elements)
+            f"element {eid}: {tissue.sigma0[e]:.17g} {tissue.sigma_inf[e]:.17g} {tissue.tau[e]:.17g}"
+            for e, eid in enumerate(element_ids)
         ]
     lines.append("[sweep]")
     lines.append(f"pairing = {config.pairing}")
@@ -555,7 +561,12 @@ def save_sweep_config(
 
 def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     """Parse a sweep config file against a mesh (the mesh fixes the element
-    count for the model and the node count for nodal patterns)."""
+    count for the model and the node count for nodal patterns).
+
+    ``element <id>`` overrides and ``node <id>`` entries name mesh element
+    and node ids; an id that is not on the mesh is a line-numbered
+    :class:`FormatError`.
+    """
     groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
     frequencies = [
         convert(text, float, line_no, "frequency") for line_no, text in groups.get("frequencies", ())
@@ -598,10 +609,11 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     sigma0 = np.full(n_e, model_uniform["sigma0"])
     sigma_inf = np.full(n_e, model_uniform["sigma_inf"])
     tau = np.full(n_e, model_uniform["tau"])
+    row = {e.id: k for k, e in enumerate(mesh.elements)}
     for eid, (line_no, (s0, si, t)) in model_overrides.items():
-        if not 0 <= eid < n_e:
-            raise FormatError(f"element override {eid} outside 0..{n_e - 1}", line_no=line_no)
-        sigma0[eid], sigma_inf[eid], tau[eid] = s0, si, t
+        if eid not in row:
+            raise FormatError(f"element override {eid} is not a mesh element", line_no=line_no)
+        sigma0[row[eid]], sigma_inf[row[eid]], tau[row[eid]] = s0, si, t
     tissue = TissueModel(sigma0, sigma_inf, tau)
 
     config = SweepConfig(

@@ -179,8 +179,8 @@ def generate_ensemble(
             "mixing-matrix columns must be linearly independent; "
             f"singular-value ratio {sv[-1] / sv[0]:.3g}"
         )
-    if not (isinstance(T, int) and T >= 1):
-        raise SampleSizeError(f"sample count T must be a positive integer, got {T!r}")
+    if not (isinstance(T, int) and T >= 2):
+        raise SampleSizeError(f"sample count T must be >= 2, got {T!r}")
 
     x = _draw_sources(source, T, _stream(seed, SOURCE_STREAM))
     n = _draw_noise(noise, T, m, _stream(seed, NOISE_STREAM))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitkit import (
     DomainError,
@@ -14,10 +16,12 @@ from eitkit import (
     build_disk_mesh,
     element_areas,
     load_mesh,
+    make_phantom,
     save_mesh,
     total_area,
     validate,
 )
+from eitkit.mesh import MeshDefect, ValidationReport, parse_mesh_file
 
 
 def expected_counts(refinement: int) -> tuple[int, int, int]:
@@ -206,6 +210,30 @@ def test_load_reports_line_context(tmp_path):
     assert err.value.field == "x"
 
 
+def test_load_rejects_ids_beyond_64_bits(tmp_path, triangle_mesh):
+    path = tmp_path / "big.mesh"
+    save_mesh(triangle_mesh, path)
+    path.write_text(path.read_text().replace("\n2 1 0\n", f"\n{2**63} 1 0\n"))
+    with pytest.raises(MeshFormatError, match="64-bit") as err:
+        load_mesh(path)
+    assert (err.value.line_no, err.value.field) == (3, "id")
+
+
+@pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 1.5])
+@pytest.mark.parametrize("field", ["node", "element", "electrode"])
+def test_validate_rejects_ids_beyond_64_bits(triangle_mesh, field, big):
+    nodes, elements, electrodes = triangle_mesh.nodes, triangle_mesh.elements, triangle_mesh.electrodes
+    if field == "node":
+        nodes += (Node(big, 2.0, 2.0),)
+    elif field == "element":
+        elements += (Element(big, (1, 2, 3)),)
+    else:
+        electrodes += (Electrode(big, 1),)
+    mesh = Mesh(nodes, elements, triangle_mesh.boundary_nodes, electrodes)
+    with pytest.raises(DomainError, match="64-bit"):
+        validate(mesh)
+
+
 def test_load_unknown_node_reference_is_validation_error(tmp_path, triangle_mesh):
     path = tmp_path / "bad.mesh"
     save_mesh(triangle_mesh, path)
@@ -228,3 +256,310 @@ def test_comments_are_ignored_on_load(tmp_path, disk_r1):
     path = tmp_path / "disk.mesh"
     save_mesh(disk_r1, path, header_lines=("made for a test", "second line"))
     assert load_mesh(path) == disk_r1
+
+
+# ------------------------------------------------ reference validation ----
+# The per-element validation that the array pass replaced, kept as the
+# oracle. One edit: ``not-edge-connected`` names each component by its first
+# element in mesh order (the loop named whichever element the union-find
+# left as the root).
+
+
+def reference_signed_area(p0, p1, p2) -> float:
+    return 0.5 * (
+        (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p2[0] - p0[0]) * (p1[1] - p0[1])
+    )
+
+
+def reference_validate(mesh: Mesh) -> ValidationReport:
+    defects: list[MeshDefect] = []
+
+    seen_ids: dict[int, int] = {}
+    for node in mesh.nodes:
+        if node.id in seen_ids:
+            defects.append(
+                MeshDefect("duplicate-node-id", (node.id,), "node id appears more than once")
+            )
+        seen_ids[node.id] = 1
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            defects.append(
+                MeshDefect("non-finite-coordinate", (node.id,), f"({node.x}, {node.y})")
+            )
+
+    known = {node.id for node in mesh.nodes}
+    pos = {node.id: (node.x, node.y) for node in mesh.nodes}
+
+    element_ids = set()
+    edge_set: set[frozenset] = set()
+    for elem in mesh.elements:
+        if elem.id in element_ids:
+            defects.append(
+                MeshDefect("duplicate-element-id", (elem.id,), "element id appears more than once")
+            )
+        element_ids.add(elem.id)
+        missing = [n for n in elem.nodes if n not in known]
+        if missing:
+            defects.append(
+                MeshDefect(
+                    "unknown-node-reference",
+                    (elem.id, *missing),
+                    f"element {elem.id} references unknown node(s) {missing}",
+                )
+            )
+            continue
+        if len(set(elem.nodes)) != 3:
+            defects.append(
+                MeshDefect("repeated-element-node", (elem.id,), f"nodes {elem.nodes}")
+            )
+            continue
+        a, b, c = (pos[n] for n in elem.nodes)
+        area = reference_signed_area(a, b, c)
+        if not area > 0.0:
+            defects.append(
+                MeshDefect(
+                    "non-positive-area",
+                    (elem.id,),
+                    f"element {elem.id} has signed area {area:g}; nodes must run counter-clockwise",
+                )
+            )
+        for u, v in ((elem.nodes[0], elem.nodes[1]),
+                     (elem.nodes[1], elem.nodes[2]),
+                     (elem.nodes[2], elem.nodes[0])):
+            edge_set.add(frozenset((u, v)))
+
+    loop = mesh.boundary_nodes
+    unknown_boundary = [n for n in loop if n not in known]
+    if unknown_boundary:
+        defects.append(
+            MeshDefect("unknown-boundary-node", tuple(unknown_boundary), "not present in [nodes]")
+        )
+    elif len(loop) < 3:
+        defects.append(
+            MeshDefect("degenerate-boundary-loop", tuple(loop), f"loop of length {len(loop)}")
+        )
+    else:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            if frozenset((a, b)) not in edge_set:
+                defects.append(
+                    MeshDefect(
+                        "broken-boundary-loop",
+                        (a, b),
+                        f"consecutive boundary nodes {a}, {b} do not share an element edge",
+                    )
+                )
+
+    boundary_set = set(loop)
+    electrode_nodes: dict[int, int] = {}
+    electrode_ids = set()
+    for el in mesh.electrodes:
+        if el.id in electrode_ids:
+            defects.append(
+                MeshDefect("duplicate-electrode-id", (el.id,), "electrode id appears more than once")
+            )
+        electrode_ids.add(el.id)
+        if el.node not in known:
+            defects.append(
+                MeshDefect("electrode-unknown-node", (el.id, el.node), "electrode node not in [nodes]")
+            )
+            continue
+        if el.node not in boundary_set:
+            defects.append(
+                MeshDefect(
+                    "electrode-not-on-boundary",
+                    (el.id, el.node),
+                    f"electrode {el.id} sits on interior node {el.node}",
+                )
+            )
+        if el.node in electrode_nodes:
+            defects.append(
+                MeshDefect(
+                    "electrodes-share-node",
+                    (electrode_nodes[el.node], el.id, el.node),
+                    f"electrodes {electrode_nodes[el.node]} and {el.id} share node {el.node}",
+                )
+            )
+        else:
+            electrode_nodes[el.node] = el.id
+
+    defects.extend(reference_connectivity_defects(mesh, known))
+
+    return ValidationReport(tuple(defects))
+
+
+def reference_connectivity_defects(mesh: Mesh, known: set[int]) -> list[MeshDefect]:
+    defects: list[MeshDefect] = []
+    if not mesh.elements:
+        if mesh.nodes:
+            defects.append(
+                MeshDefect("empty-mesh", (), "mesh has nodes but no elements")
+            )
+        return defects
+
+    used: set[int] = set()
+    edge_owner: dict[frozenset, int] = {}
+    parent = list(range(len(mesh.elements)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for k, elem in enumerate(mesh.elements):
+        used.update(elem.nodes)
+        for u, v in ((elem.nodes[0], elem.nodes[1]),
+                     (elem.nodes[1], elem.nodes[2]),
+                     (elem.nodes[2], elem.nodes[0])):
+            key = frozenset((u, v))
+            if key in edge_owner:
+                union(k, edge_owner[key])
+            edge_owner[key] = k
+
+    first: dict[int, int] = {}
+    for k in range(len(mesh.elements)):
+        first.setdefault(find(k), k)
+    if len(first) > 1:
+        reps = sorted(mesh.elements[k].id for k in first.values())
+        defects.append(
+            MeshDefect(
+                "not-edge-connected",
+                tuple(reps),
+                f"elements split into {len(first)} edge-connected components",
+            )
+        )
+    isolated = sorted(known - used)
+    if isolated:
+        defects.append(
+            MeshDefect("isolated-node", tuple(isolated), "node belongs to no element")
+        )
+    return defects
+
+
+@st.composite
+def corrupted_disks(draw) -> Mesh:
+    """A refine 0-2 disk with a random handful of defects."""
+    disk = build_disk_mesh(1.0, draw(st.integers(0, 2)))
+    nodes = [[n.id, n.x, n.y] for n in disk.nodes]
+    elements = [[e.id, list(e.nodes)] for e in disk.elements]
+    loop = list(disk.boundary_nodes)
+    electrodes = [[el.id, el.node] for el in disk.electrodes]
+    unknown_ids = st.integers(10_000, 10_003)  # few, so elements can share them
+
+    def pick(items):
+        return draw(st.integers(0, len(items) - 1)) if items else None
+
+    for op in draw(st.lists(st.sampled_from(range(14)), min_size=1, max_size=5)):
+        k = pick(nodes) if op in (0, 1) else None
+        e = pick(elements) if op in (2, 3, 4, 5, 6) else None
+        b = pick(loop) if op == 7 else None
+        el = pick(electrodes) if op in (9, 10) else None
+        if op == 0 and k is not None:  # duplicate node id, or a second node with an old id
+            if draw(st.booleans()):
+                nodes[k][0] = nodes[pick(nodes)][0]
+            else:
+                nodes.append([nodes[k][0], draw(st.floats(-1, 1)), draw(st.floats(-1, 1))])
+        elif op == 1 and k is not None:
+            nodes[k][draw(st.sampled_from([1, 2]))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif op == 2 and e is not None:  # flipped element
+            nodes_e = elements[e][1]
+            nodes_e[0], nodes_e[1] = nodes_e[1], nodes_e[0]
+        elif op == 3 and e is not None:
+            elements[e][1][draw(st.integers(0, 2))] = draw(unknown_ids)
+        elif op == 4 and e is not None:  # repeated element node
+            i, j = draw(st.permutations([0, 1, 2]))[:2]
+            elements[e][1][i] = elements[e][1][j]
+        elif op == 5 and e is not None:
+            elements[e][0] = elements[pick(elements)][0]
+        elif op == 6 and e is not None:  # drop elements, which can split the mesh
+            del elements[e:e + draw(st.integers(1, 8))]
+        elif op == 7 and b is not None:  # edit the boundary loop
+            loop[b] = draw(st.one_of(st.sampled_from([n[0] for n in nodes]), unknown_ids))
+        elif op == 8:  # shorten the boundary loop
+            del loop[draw(st.integers(0, len(loop))):]
+        elif op == 9 and el is not None:  # interior, unknown or shared electrode node
+            electrodes[el][1] = draw(
+                st.one_of(
+                    st.sampled_from([n[0] for n in nodes] or [0]),
+                    st.sampled_from([v for _, v in electrodes]),
+                    unknown_ids,
+                )
+            )
+        elif op == 10 and el is not None:
+            electrodes[el][0] = electrodes[pick(electrodes)][0]
+        elif op == 11:  # isolated node
+            nodes.insert(pick(nodes) or 0, [draw(st.integers(20_000, 20_003)), 2.0, 2.0])
+        elif op == 12:  # shuffle element order
+            draw(st.randoms(use_true_random=False)).shuffle(elements)
+        elif op == 13:  # negative or large ids
+            shift = draw(st.sampled_from([-(2**40), -50, 2**40]))
+            nodes = [[i + shift, x, y] for i, x, y in nodes]
+            elements = [[i - shift, [v + shift for v in tri]] for i, tri in elements]
+            loop = [v + shift for v in loop]
+            electrodes = [[i + shift, v + shift] for i, v in electrodes]
+    return Mesh(
+        nodes=tuple(Node(*n) for n in nodes),
+        elements=tuple(Element(i, tuple(tri)) for i, tri in elements),
+        boundary_nodes=tuple(loop),
+        electrodes=tuple(Electrode(*el) for el in electrodes),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_disks())
+def test_validate_matches_reference_on_corrupted_disks(mesh):
+    assert validate(mesh) == reference_validate(mesh)
+    assert str(validate(mesh)) == str(reference_validate(mesh))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        Mesh((), (), (), ()),
+        Mesh((Node(0, 0.0, 0.0), Node(1, 1.0, 0.0)), (), (0, 1), (Electrode(0, 0),)),
+        Mesh(
+            (),
+            tuple(Element(k, tri) for k, tri in enumerate([(0, 1, 2), (2, 3, 4), (1, 2, 3), (5, 6, 7)])),
+            (0, 1, 2),
+            (),
+        ),
+        Mesh(
+            (Node(-7, 0.0, 0.0), Node(2**40, 1.0, 0.0), Node(-(2**40), 0.0, 1.0)),
+            (Element(-3, (-7, 2**40, -(2**40))), Element(2**40, (-7, -(2**40), 2**40))),
+            (-7, 2**40, -(2**40)),
+            (Electrode(-1, -7), Electrode(2**40, 2**40), Electrode(-2, -7)),
+        ),
+    ],
+    ids=["no-nodes-no-elements", "no-elements", "elements-without-nodes", "negative-and-2**40-ids"],
+)
+def test_validate_matches_reference_on_fixed_cases(mesh):
+    assert validate(mesh) == reference_validate(mesh)
+    assert str(validate(mesh)) == str(reference_validate(mesh))
+
+
+def test_validate_names_components_by_their_first_element():
+    disk = build_disk_mesh(1.0, 0)
+    # fan triangles 0 and 2 meet only through triangle 1, listed after both;
+    # triangle 5 is a component of its own
+    fan = [(30, 0), (20, 2), (40, 1), (10, 5)]
+    elements = tuple(Element(eid, disk.elements[k].nodes) for eid, k in fan)
+    mesh = Mesh(disk.nodes, elements, disk.boundary_nodes, disk.electrodes)
+    (defect,) = [d for d in validate(mesh).defects if d.kind == "not-edge-connected"]
+    assert defect.ids == (10, 30)
+    assert defect.detail == "elements split into 2 edge-connected components"
+
+
+def test_unknown_element_node_is_validation_error_everywhere(tmp_path, triangle_mesh):
+    path = tmp_path / "bad.mesh"
+    save_mesh(triangle_mesh, path)
+    path.write_text(path.read_text().replace("0 1 2 3", "0 1 2 7"))
+    for call in (element_areas, total_area, lambda m: make_phantom(m, 1.0, [])):
+        mesh = parse_mesh_file(path)
+        with pytest.raises(MeshValidationError) as err:
+            call(mesh)
+        assert err.value.report == validate(mesh)
+        assert any(d.kind == "unknown-node-reference" for d in err.value.report.defects)

@@ -585,6 +585,38 @@ def test_sweep_config_file_per_element_overrides(tmp_path):
     assert tissue.sigma0[0] == 1.0
 
 
+def test_sweep_config_element_overrides_name_element_ids(tmp_path):
+    disk = build_disk_mesh(1.0, 0)
+    mesh = Mesh(
+        disk.nodes,
+        tuple(Element(10 + k, e.nodes) for k, e in enumerate(disk.elements)),
+        disk.boundary_nodes,
+        disk.electrodes,
+    )
+    path = tmp_path / "sweep.cfg"
+    head = "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[model]\nsigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
+    path.write_text(head + "element 12: 5 5 0\n")
+    _, tissue = load_sweep_config(path, mesh)
+    assert_array_equal(tissue.sigma0, [1, 1, 5, 1, 1, 1, 1, 1])
+    path.write_text(head + "element 2: 5 5 0\n")
+    with pytest.raises(FormatError, match="element override 2 is not a mesh element") as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == 9
+
+    rng = np.random.default_rng(3)
+    tissue = TissueModel(*rng.uniform(0.5, 3.0, (3, mesh.n_elements)))
+    config = SweepConfig((1000.0,), (CurrentPattern({0: 1.0, 4: -1.0}),))
+    save_sweep_config(config, tissue, path, mesh=mesh)
+    assert "element 17: " in path.read_text()
+    _, again = load_sweep_config(path, mesh)
+    for name in ("sigma0", "sigma_inf", "tau"):
+        assert_array_equal(getattr(again, name), getattr(tissue, name))
+    save_sweep_config(config, tissue, path)  # without a mesh: row indices
+    assert "element 0: " in path.read_text() and "element 10: " not in path.read_text()
+    with pytest.raises(DimensionError, match="covers 8 elements, mesh has 32"):
+        save_sweep_config(config, tissue, path, mesh=build_disk_mesh(1.0, 1))
+
+
 MODEL = "sigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
 
 

@@ -9,6 +9,7 @@ from eitkit import (
     DomainError,
     Inclusion,
     NoiseSpec,
+    SampleSizeError,
     SourceSpec,
     correlation,
     generate_ensemble,
@@ -65,6 +66,13 @@ def test_generate_ensemble_rejects_dependent_columns():
     A = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(AssumptionViolationError, match="independent"):
         generate_ensemble(A, SourceSpec(2, "skewed"), WHITE, T=16, seed=0)
+
+
+@pytest.mark.parametrize("T", [1, 0, 2.0])
+def test_generate_ensemble_needs_two_samples_up_front(T):
+    A = np.array([[1.0], [2.0]])
+    with pytest.raises(SampleSizeError, match=rf"^sample count T must be >= 2, got {T!r}$"):
+        generate_ensemble(A, SourceSpec(1, "skewed"), WHITE, T, seed=0)
 
 
 def test_symmetric_binary_sources_hit_exact_levels():
