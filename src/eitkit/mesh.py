@@ -113,18 +113,33 @@ class Mesh:
 
     @cached_property
     def triangles(self) -> np.ndarray:
-        """Element connectivity as row positions into :attr:`coords`.
+        """Element connectivity, (n_elements, 3), as row positions into
+        :attr:`coords`; an id given to two nodes names the last of them.
 
         Raises :class:`MeshValidationError` when an element names a node
-        that is not on the mesh.
-        """
-        idx = self.node_index
-        try:
-            t = np.array([[idx[n] for n in e.nodes] for e in self.elements], dtype=int)
-        except KeyError:
-            raise MeshValidationError(self.validation_report) from None
+        that is not on the mesh, and :class:`DomainError` as :func:`validate`
+        does."""
+        pos, corners = self._id_table[:2]
+        t = pos[corners]
+        if (t < 0).any():
+            raise MeshValidationError(self.validation_report)
         t.setflags(write=False)
         return t
+
+    @cached_property
+    def _id_table(self) -> tuple[np.ndarray, ...]:
+        """``(pos, corners, ids, first, nodes, loop, electrodes)``: one code per
+        distinct id, node ids listed first. ``ids[code]`` is the id, ``first``
+        its first place, ``pos`` the row of the last node with it (-1 if none);
+        the rest are the codes of the (n_e, 3) corners, nodes, loop, electrodes."""
+        all_ids = [node.id for node in self.nodes] + [v for e in self.elements for v in e.nodes]
+        all_ids += list(self.boundary_nodes) + [el.node for el in self.electrodes]
+        uniq, first, code = np.unique(_int64(all_ids), return_index=True, return_inverse=True)
+        sizes = np.cumsum([self.n_nodes, 3 * self.n_elements, len(self.boundary_nodes)])
+        nodes, corners, loop, electrodes = np.split(code, sizes)
+        pos = np.full(uniq.size, -1)
+        np.maximum.at(pos, nodes, np.arange(nodes.size))
+        return pos, corners.reshape(-1, 3), uniq, first, nodes, loop, electrodes
 
     @cached_property
     def electrode_map(self) -> dict[int, int]:
@@ -161,6 +176,23 @@ def total_area(mesh: Mesh) -> float:
     return float(element_areas(mesh).sum())
 
 
+def _pair_key(a, b, size: int) -> np.ndarray:
+    """One key per unordered pair of codes below ``size``."""
+    return np.minimum(a, b) * size + np.maximum(a, b)
+
+
+def _edge_table(tri: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge table of an (n_e, 3) array of corner codes below ``size``: sorted
+    distinct side keys, the first side with each key, each side's key index.
+    Side ``3 k + j`` runs from corner j of element k to corner j + 1."""
+    return np.unique(_pair_key(tri, tri[:, [1, 2, 0]], size).ravel(),
+                     return_index=True, return_inverse=True)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Mesh:
     """Build a centered disk mesh by uniform subdivision of an 8-triangle fan.
 
@@ -168,6 +200,14 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
     (9 nodes, 8 triangles). Each refinement level splits every triangle
     into 4; midpoints of boundary edges are projected back onto the circle,
     so the triangulated polygon is always inscribed in the disk.
+
+    The numbering is fixed, which keeps ``mesh gen`` output byte-stable. Ids
+    are positions. A level keeps the old nodes, numbers one new node per side
+    by first appearance (elements in order, sides v0v1, v1v2, v2v0), splits
+    (v0, v1, v2) into (v0, m01, m20), (v1, m12, m01), (v2, m20, m12) and
+    (m01, m12, m20), and makes the boundary loop alternate old node and
+    midpoint. Electrode j is on loop position ``j * 8 * 2**refinement //
+    n_electrodes``.
 
     Parameters
     ----------
@@ -183,70 +223,49 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
     -------
     Mesh
         Node and element counts are deterministic functions of ``refinement``.
-    """
-    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
-        raise DomainError(f"radius must be a positive finite number, got {radius!r}")
-    if not (isinstance(refinement, int) and refinement >= 0):
-        raise DomainError(f"refinement must be a non-negative integer, got {refinement!r}")
 
-    radius = float(radius)
-    coords: list[tuple[float, float]] = [(0.0, 0.0)]
-    coords += [
-        (radius * math.cos(2.0 * math.pi * k / 8), radius * math.sin(2.0 * math.pi * k / 8))
-        for k in range(8)
-    ]
-    tris: list[tuple[int, int, int]] = [(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)]
-    boundary: list[int] = list(range(1, 9))
+    Raises :class:`DomainError`, before refining, on a bad argument or a ``bool``.
+    """
+    if not (isinstance(radius, (int, float)) and not isinstance(radius, bool)
+            and math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be a positive finite number, got {radius!r}")
+    if not (_is_int(refinement) and refinement >= 0):
+        raise DomainError(f"refinement must be a non-negative integer, got {refinement!r}")
+    n_boundary = 8 * 2 ** int(refinement)
+    if not (_is_int(n_electrodes) and 1 <= n_electrodes <= n_boundary):
+        raise DomainError(f"n_electrodes must be an integer in [1, {n_boundary}], got {n_electrodes!r}")
+    if n_boundary % n_electrodes != 0:
+        raise DomainError(f"n_electrodes must divide the boundary node count {n_boundary}, got {n_electrodes}")
+    radius, refinement, n_electrodes = float(radius), int(refinement), int(n_electrodes)
+
+    ring = [2.0 * math.pi * k / 8 for k in range(8)]
+    xy = np.array([(0.0, 0.0)] + [(radius * math.cos(t), radius * math.sin(t)) for t in ring])
+    tri = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)])
+    boundary = np.arange(1, 9)
 
     for _ in range(refinement):
-        boundary_edges = {
-            frozenset(pair) for pair in zip(boundary, boundary[1:] + boundary[:1])
-        }
-        midpoints: dict[frozenset, int] = {}
+        n = len(xy)
+        keys, first, side = _edge_table(tri, n)
+        # side key -> new node, numbered by the side's first appearance
+        number, firsts = n + np.argsort(np.argsort(first)), np.sort(first)
+        mid = 0.5 * (xy[tri.ravel()[firsts]] + xy[tri[:, [1, 2, 0]].ravel()[firsts]])
+        # rows of mid on the boundary; math.hypot, as np.hypot can differ in the last bit
+        rim = number[np.searchsorted(keys, _pair_key(boundary, np.roll(boundary, -1), n))] - n
+        r = np.array([math.hypot(x, y) for x, y in mid[rim].tolist()])
+        mid[rim] = mid[rim] * radius / r[:, None]
+        xy = np.concatenate((xy, mid))
+        (v0, v1, v2), (m01, m12, m20) = tri.T, number[side].reshape(-1, 3).T
+        tri = np.stack((v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20), axis=1).reshape(-1, 3)
+        boundary = np.stack((boundary, n + rim), axis=1).ravel()
 
-        def midpoint(a: int, b: int) -> int:
-            key = frozenset((a, b))
-            found = midpoints.get(key)
-            if found is not None:
-                return found
-            x = 0.5 * (coords[a][0] + coords[b][0])
-            y = 0.5 * (coords[a][1] + coords[b][1])
-            if key in boundary_edges:
-                r = math.hypot(x, y)
-                x, y = x * radius / r, y * radius / r
-            coords.append((x, y))
-            midpoints[key] = len(coords) - 1
-            return midpoints[key]
-
-        refined: list[tuple[int, int, int]] = []
-        for v0, v1, v2 in tris:
-            m01, m12, m20 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v2, v0)
-            refined += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
-        tris = refined
-
-        new_boundary: list[int] = []
-        for a, b in zip(boundary, boundary[1:] + boundary[:1]):
-            new_boundary += [a, midpoints[frozenset((a, b))]]
-        boundary = new_boundary
-
-    n_boundary = len(boundary)
-    if not (isinstance(n_electrodes, int) and 1 <= n_electrodes <= n_boundary):
-        raise DomainError(
-            f"n_electrodes must be an integer in [1, {n_boundary}], got {n_electrodes!r}"
-        )
-    if n_boundary % n_electrodes != 0:
-        raise DomainError(
-            f"n_electrodes must divide the boundary node count {n_boundary}, got {n_electrodes}"
-        )
-    stride = n_boundary // n_electrodes
-
+    # one int object per node id, shared by every element and loop entry
+    ids = np.array(range(len(xy)), dtype=object)
+    boundary = ids[boundary].tolist()
     return Mesh(
-        nodes=tuple(Node(i, x, y) for i, (x, y) in enumerate(coords)),
-        elements=tuple(Element(i, t) for i, t in enumerate(tris)),
+        nodes=tuple(map(Node, ids.tolist(), *xy.T.tolist())),
+        elements=tuple(map(Element, range(len(tri)), zip(*ids[tri].T.tolist()))),
         boundary_nodes=tuple(boundary),
-        electrodes=tuple(
-            Electrode(j, boundary[j * stride]) for j in range(n_electrodes)
-        ),
+        electrodes=tuple(map(Electrode, range(n_electrodes), boundary[::n_boundary // n_electrodes])),
     )
 
 
@@ -285,16 +304,7 @@ def _repeated(ids: list) -> np.ndarray:
 def _check_invariants(mesh: Mesh) -> ValidationReport:
     nodes, elements, loop, electrodes = mesh.nodes, mesh.elements, mesh.boundary_nodes, mesh.electrodes
     n, n_e, n_el = len(nodes), len(elements), len(electrodes)
-    # one code per distinct id anywhere in the mesh, node ids listed first;
-    # pos[code] is the row of the last node with that id, -1 if none has it
-    all_ids = [node.id for node in nodes] + [v for e in elements for v in e.nodes]
-    all_ids += list(loop) + [el.node for el in electrodes]
-    uniq, seen, code = np.unique(_int64(all_ids), return_index=True, return_inverse=True)
-    pos = np.full(uniq.size, -1)
-    np.maximum.at(pos, code[:n], np.arange(n))
-    tri_end, loop_end = n + 3 * n_e, n + 3 * n_e + len(loop)
-    node_code, tri = code[:n], code[n:tri_end].reshape(n_e, 3)
-    loop_code, el_code = code[tri_end:loop_end], code[loop_end:]
+    pos, tri, uniq, seen, node_code, loop_code, el_code = mesh._id_table
     defects: list[MeshDefect] = []
 
     def flag(kind: str, ids, detail: str) -> None:
@@ -311,8 +321,7 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
 
     tri_pos = pos[tri]
     unknown = (tri_pos < 0).any(axis=1)
-    after = tri[:, [1, 2, 0]]  # side j of element k runs from corner j to corner j + 1
-    repeated = (tri == after).any(axis=1)
+    repeated = (tri == tri[:, [1, 2, 0]]).any(axis=1)
     sound = ~(unknown | repeated)
     area = np.zeros(n_e)
     with np.errstate(all="ignore"):
@@ -333,15 +342,9 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
             flag("non-positive-area", [elem.id], f"element {elem.id} has signed area "
                  f"{float(area[k]):g}; nodes must run counter-clockwise")
 
-    # the edge table: the sorted distinct unordered-pair keys of element
-    # sides, a sentinel above them, and which of them a sound element has
-    def pair_key(a, b):
-        return np.minimum(a, b) * uniq.size + np.maximum(a, b)
-
-    keys, owner, edge = np.unique(pair_key(tri, after).ravel(), return_index=True, return_inverse=True)
-    keys = np.append(keys, np.iinfo(np.int64).max)
-    on_sound = np.zeros(keys.size, dtype=bool)
-    on_sound[edge.reshape(n_e, 3)[sound]] = True
+    keys, owner, edge = _edge_table(tri, uniq.size)
+    keys = np.append(keys, np.iinfo(np.int64).max)  # a sentinel above every key
+    on_sound = np.bincount(edge.reshape(n_e, 3)[sound].ravel(), minlength=keys.size) > 0
     unknown_loop = pos[loop_code] < 0
     if unknown_loop.any():
         flag("unknown-boundary-node", [v for v, bad in zip(loop, unknown_loop) if bad],
@@ -349,7 +352,7 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
     elif len(loop) < 3:
         flag("degenerate-boundary-loop", loop, f"loop of length {len(loop)}")
     else:
-        pair = pair_key(loop_code, np.concatenate((loop_code[1:], loop_code[:1])))
+        pair = _pair_key(loop_code, np.roll(loop_code, -1), uniq.size)
         at = np.searchsorted(keys, pair)
         for k in np.flatnonzero((keys[at] != pair) | ~on_sound[at]):
             a, b = loop[k], loop[(k + 1) % len(loop)]

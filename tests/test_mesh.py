@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitkit import (
@@ -65,6 +66,35 @@ def test_disk_mesh_rejects_bad_refinement_and_electrodes():
         build_disk_mesh(1.0, 0, n_electrodes=3)  # does not divide 8
     with pytest.raises(DomainError):
         build_disk_mesh(1.0, 0, n_electrodes=0)
+
+
+def test_disk_mesh_checks_electrodes_before_refining():
+    # 3 does not divide 8 * 2**40; refining that far would exhaust memory
+    with pytest.raises(DomainError, match="n_electrodes"):
+        build_disk_mesh(1.0, 40, n_electrodes=3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(True, 0), (1.0, True), (1.0, False), (1.0, 1, True)],
+    ids=["radius", "refine", "refine-0", "electrodes"],
+)
+def test_disk_mesh_rejects_bool_arguments(args):
+    with pytest.raises(DomainError):
+        build_disk_mesh(*args)
+
+
+def test_disk_mesh_accepts_numpy_integers():
+    mesh = build_disk_mesh(1.0, np.int64(1), n_electrodes=np.int32(4))
+    assert mesh == build_disk_mesh(1.0, 1, 4)
+    assert all(type(el.id) is int and type(el.node) is int for el in mesh.electrodes)
+
+
+def test_empty_mesh_has_no_area():
+    mesh = Mesh((Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.0, 1.0)), (), (0, 1, 2), ())
+    assert mesh.triangles.shape == (0, 3)
+    assert element_areas(mesh).shape == (0,)
+    assert total_area(mesh) == 0.0
 
 
 @pytest.mark.parametrize("refinement", [0, 1, 2])
@@ -256,6 +286,119 @@ def test_comments_are_ignored_on_load(tmp_path, disk_r1):
     path = tmp_path / "disk.mesh"
     save_mesh(disk_r1, path, header_lines=("made for a test", "second line"))
     assert load_mesh(path) == disk_r1
+
+
+# --------------------------------------------------- reference builder ----
+# The per-triangle refinement that the array pass replaced, kept as the
+# oracle: the new builder must give the same ids, bits and order.
+
+
+def reference_build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Mesh:
+    if not (isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0):
+        raise DomainError(f"radius must be a positive finite number, got {radius!r}")
+    if not (isinstance(refinement, int) and refinement >= 0):
+        raise DomainError(f"refinement must be a non-negative integer, got {refinement!r}")
+
+    radius = float(radius)
+    coords: list[tuple[float, float]] = [(0.0, 0.0)]
+    coords += [
+        (radius * math.cos(2.0 * math.pi * k / 8), radius * math.sin(2.0 * math.pi * k / 8))
+        for k in range(8)
+    ]
+    tris: list[tuple[int, int, int]] = [(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)]
+    boundary: list[int] = list(range(1, 9))
+
+    for _ in range(refinement):
+        boundary_edges = {
+            frozenset(pair) for pair in zip(boundary, boundary[1:] + boundary[:1])
+        }
+        midpoints: dict[frozenset, int] = {}
+
+        def midpoint(a: int, b: int) -> int:
+            key = frozenset((a, b))
+            found = midpoints.get(key)
+            if found is not None:
+                return found
+            x = 0.5 * (coords[a][0] + coords[b][0])
+            y = 0.5 * (coords[a][1] + coords[b][1])
+            if key in boundary_edges:
+                r = math.hypot(x, y)
+                x, y = x * radius / r, y * radius / r
+            coords.append((x, y))
+            midpoints[key] = len(coords) - 1
+            return midpoints[key]
+
+        refined: list[tuple[int, int, int]] = []
+        for v0, v1, v2 in tris:
+            m01, m12, m20 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v2, v0)
+            refined += [(v0, m01, m20), (v1, m12, m01), (v2, m20, m12), (m01, m12, m20)]
+        tris = refined
+
+        new_boundary: list[int] = []
+        for a, b in zip(boundary, boundary[1:] + boundary[:1]):
+            new_boundary += [a, midpoints[frozenset((a, b))]]
+        boundary = new_boundary
+
+    n_boundary = len(boundary)
+    if not (isinstance(n_electrodes, int) and 1 <= n_electrodes <= n_boundary):
+        raise DomainError(
+            f"n_electrodes must be an integer in [1, {n_boundary}], got {n_electrodes!r}"
+        )
+    if n_boundary % n_electrodes != 0:
+        raise DomainError(
+            f"n_electrodes must divide the boundary node count {n_boundary}, got {n_electrodes}"
+        )
+    stride = n_boundary // n_electrodes
+
+    return Mesh(
+        nodes=tuple(Node(i, x, y) for i, (x, y) in enumerate(coords)),
+        elements=tuple(Element(i, t) for i, t in enumerate(tris)),
+        boundary_nodes=tuple(boundary),
+        electrodes=tuple(
+            Electrode(j, boundary[j * stride]) for j in range(n_electrodes)
+        ),
+    )
+
+
+@st.composite
+def disk_arguments(draw) -> tuple[float, int, int]:
+    refinement = draw(st.integers(0, 5))
+    # the electrode counts that divide the 8 * 2**refinement boundary nodes
+    n_electrodes = 2 ** draw(st.integers(0, refinement + 3))
+    return draw(st.floats(1e-3, 1e3)), refinement, n_electrodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(disk_arguments(), st.sampled_from([int, np.int64]))
+def test_disk_mesh_matches_reference_builder(args, integer):
+    radius, refinement, n_electrodes = args
+    mesh = build_disk_mesh(radius, integer(refinement), integer(n_electrodes))
+    expected = reference_build_disk_mesh(radius, refinement, n_electrodes)
+    assert [(n.id, n.x, n.y) for n in mesh.nodes] == [(n.id, n.x, n.y) for n in expected.nodes]
+    assert mesh.elements == expected.elements
+    assert mesh.boundary_nodes == expected.boundary_nodes
+    assert mesh.electrodes == expected.electrodes
+    ids = [n.id for n in mesh.nodes] + [v for e in mesh.elements for v in (e.id, *e.nodes)]
+    ids += list(mesh.boundary_nodes) + [v for el in mesh.electrodes for v in (el.id, el.node)]
+    assert {type(v) for v in ids} == {int}
+    assert {type(v) for n in mesh.nodes for v in (n.x, n.y)} == {float}
+
+
+@pytest.mark.parametrize(
+    "refinement, digest",
+    [
+        (0, "f1ef675a98d71829ec5161908f27c22119a161eadcccd12c452b2872e950d926"),
+        (1, "15405d9ecd525d6f228131e8669086b29fd92029ed5d4f3440105457aa218483"),
+        (2, "193d2fbf93ff0297f49b74740ac311560481851c269368ca87f2cbc0a9efabbf"),
+        (3, "3a281424d2f994d608fc218e219d569ab92d97a531aaddc0cb6fcf2596282928"),
+        (4, "93a3b3720110e3a5cdc22f88a62b367e34c639037ab5fa12e2b1d0dde2515d1c"),
+        (5, "80b62f1ab162700da70078f18e69ff274b409ca4193c9f571d0344d211fac787"),
+    ],
+)
+def test_disk_mesh_file_is_byte_stable(tmp_path, refinement, digest):
+    path = tmp_path / "disk.mesh"
+    save_mesh(build_disk_mesh(1.0, refinement), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # ------------------------------------------------ reference validation ----
@@ -514,6 +657,31 @@ def corrupted_disks(draw) -> Mesh:
 def test_validate_matches_reference_on_corrupted_disks(mesh):
     assert validate(mesh) == reference_validate(mesh)
     assert str(validate(mesh)) == str(reference_validate(mesh))
+
+
+def reference_triangles(mesh: Mesh) -> np.ndarray:
+    """The per-vertex dict lookup that ``Mesh.triangles`` replaced, shaped
+    (n_elements, 3) also when there are no elements."""
+    idx = {node.id: k for k, node in enumerate(mesh.nodes)}
+    try:
+        return np.array([[idx[n] for n in e.nodes] for e in mesh.elements], dtype=int).reshape(-1, 3)
+    except KeyError:
+        raise MeshValidationError(validate(mesh)) from None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_disks())
+@example(Mesh((Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.0, 1.0)), (), (0, 1, 2), ()))
+def test_triangles_match_reference_on_corrupted_disks(mesh):
+    try:
+        expected = reference_triangles(mesh)
+    except MeshValidationError as reference_error:
+        with pytest.raises(MeshValidationError) as err:
+            mesh.triangles
+        assert err.value.report == reference_error.report == validate(mesh)
+    else:
+        assert mesh.triangles.shape == expected.shape
+        assert np.array_equal(mesh.triangles, expected)
 
 
 @pytest.mark.parametrize(
