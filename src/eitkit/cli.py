@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import EitError, FormatError, RankDeficiencyError
+from .errors import DimensionError, EitError, FormatError, RankDeficiencyError
 from .forward import CurrentPattern, apply_pattern, assemble, measure, solve_forward, uniform_field
 from .mesh import Mesh, build_disk_mesh, load_mesh, parse_mesh_file, save_mesh, validate
 from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, simulate_sweep, stack_solve
@@ -192,12 +192,12 @@ def cmd_mesh_validate(args) -> int:
 
 
 def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
-    """One ``element,sigma`` row per mesh element; a repeated row or an
-    element id not on the mesh is a line-numbered error."""
+    """One ``element,sigma`` row per mesh element, after an optional header;
+    a repeated row or an element id not on the mesh is a line-numbered error."""
     ids = {e.id for e in mesh.elements}
     values: dict[int, float] = {}
-    for line_no, text in data_lines(read_lines(path)):
-        if text.lower().startswith("element"):
+    for k, (line_no, text) in enumerate(data_lines(read_lines(path))):
+        if k == 0 and text.lower().replace(" ", "") == "element,sigma":
             continue
         parts = text.split(",")
         if len(parts) != 2:
@@ -212,12 +212,13 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
     return np.array([values[e.id] for e in mesh.elements])
 
 
-def _load_pattern_file(path) -> CurrentPattern:
+def _load_pattern_file(path, mesh: Mesh) -> CurrentPattern:
+    """One ``<electrode>: <amps>`` entry per line, naming an electrode on the mesh."""
     currents: dict[int, float] = {}
     for line_no, text in data_lines(read_lines(path)):
         is_node, eid, amp = _pattern_entry(text, line_no)
-        if is_node:
-            raise FormatError(f"expected '<electrode>: <amps>', got {text!r}", line_no=line_no)
+        if is_node or eid not in mesh.electrode_map:
+            raise FormatError(f"expected '<mesh electrode>: <amps>', got {text!r}", line_no=line_no)
         currents[eid] = currents.get(eid, 0.0) + amp
     return CurrentPattern(currents)
 
@@ -232,7 +233,7 @@ def cmd_forward(args) -> int:
         field = uniform_field(mesh, resolved["uniform"])
     else:
         field = _load_sigma_csv(resolved["sigma"], mesh)
-    pattern = _load_pattern_file(resolved["pattern"])
+    pattern = _load_pattern_file(resolved["pattern"], mesh)
     ground = resolved["ground"] if resolved["ground"] is not None else mesh.nodes[0].id
     reference = resolved["reference"] if resolved["reference"] is not None else min(mesh.electrode_map)
 
@@ -348,11 +349,11 @@ def cmd_reconstruct_svd(args) -> int:
 def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     """Rasterize a per-element field onto a square pixel grid.
 
-    Gray levels map the field range linearly to 0..255 (mid-gray 128 when
-    the field is constant); pixels outside every element are 0. A pixel is
-    inside an element when its barycentric coordinates pass with a 1e-12
-    tolerance; a pixel inside several elements (on a shared edge or vertex)
-    takes the lowest-index one.
+    ``values`` holds one entry per element. Gray levels map the field range
+    linearly to 0..255 (mid-gray 128 when the field is constant); pixels
+    outside every element are 0. A pixel is inside an element when its
+    barycentric coordinates pass with a 1e-12 tolerance; a pixel inside
+    several elements (on a shared edge or vertex) takes the lowest-index one.
 
     Each element is tested only against the pixels of its bounding box,
     widened by 1e-9 of the mesh's bounding-box diagonal so that every pixel
@@ -362,6 +363,8 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     Returns (grid, (vmin, vmax)).
     """
     values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_elements,):
+        raise DimensionError(f"need one value per element ({mesh.n_elements}), got shape {values.shape}")
     lo = mesh.coords.min(axis=0)
     hi = mesh.coords.max(axis=0)
     xs = np.linspace(lo[0], hi[0], pixels)

@@ -99,7 +99,7 @@ class CurrentPattern:
 def _check_currents(vals: np.ndarray) -> None:
     """A drive pattern's currents are finite, at least two are nonzero,
     and they sum to zero within ``ZERO_SUM_TOL``."""
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("pattern currents must be finite")
     if np.count_nonzero(vals) < 2:
         raise DomainError("a drive pattern needs at least two nonzero currents")
@@ -258,13 +258,20 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     return StiffnessSystem(S=S, F=np.zeros(n), ground_node=None)
 
 
-def _nodal_load(mesh: Mesh, pattern: CurrentPattern) -> np.ndarray:
-    F = np.zeros(mesh.n_nodes)
-    emap = mesh.electrode_map
-    for eid, current in pattern.currents.items():
-        if eid not in emap:
+def _nodal_load(mesh: Mesh, pattern, currents=None) -> np.ndarray:
+    """The load (a new array) of a :class:`CurrentPattern`, or of a length-n
+    nodal vector plus electrode ``currents``, checked by :func:`_check_currents`;
+    each electrode's current is added at its node, in order."""
+    nodal = not isinstance(pattern, CurrentPattern)
+    F = np.array(pattern, dtype=float) if nodal else np.zeros(mesh.n_nodes)
+    if F.shape != (mesh.n_nodes,):
+        raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {F.shape}")
+    for eid, current in ((currents or {}) if nodal else pattern.currents).items():
+        if eid not in mesh.electrode_map:
             raise UnknownElectrodeError(f"electrode {eid} is not on the mesh")
-        F[mesh.node_index[emap[eid]]] += current
+        F[mesh.node_index[mesh.electrode_map[eid]]] += current
+    if nodal:
+        _check_currents(F)
     return F
 
 

@@ -64,14 +64,13 @@ from .forward import (
     CurrentPattern,
     ForwardFactorization,
     StiffnessSystem,
-    _check_currents,
     _local_stiffness,
     _nodal_load,
     _placement,
     assemble,
     ground_system,
 )
-from .mesh import Mesh
+from .mesh import Mesh, _is_int
 from .textio import (
     convert,
     data_lines,
@@ -194,7 +193,7 @@ class SweepConfig:
                 f"zip pairing needs equal counts, got {len(freqs)} frequencies "
                 f"and {len(self.patterns)} patterns"
             )
-        if not (self.ground == "rotate" or isinstance(self.ground, int)):
+        if not (_is_int(self.ground) or isinstance(self.ground, str) and self.ground == "rotate"):
             raise DomainError(f"ground must be 'rotate' or a node id, got {self.ground!r}")
 
     def injections(self):
@@ -266,18 +265,6 @@ class RecoveredField:
     solve_residual: float | None = None
 
 
-def _resolve_nodal_pattern(mesh: Mesh, pattern) -> np.ndarray:
-    if isinstance(pattern, CurrentPattern):
-        return _nodal_load(mesh, pattern)
-    f = np.asarray(pattern, dtype=float)
-    if f.shape != (mesh.n_nodes,):
-        raise DimensionError(
-            f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}"
-        )
-    _check_currents(f)
-    return f
-
-
 def _annotated(exc: EitError, where: str) -> EitError:
     """A new error of ``exc``'s class and attributes whose message is
     prefixed with ``where``; ``exc`` itself is left as it was."""
@@ -289,29 +276,31 @@ def _annotated(exc: EitError, where: str) -> EitError:
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
     """Run every injection of the sweep and stack potentials and loads.
 
-    For each frequency the tissue law gives the per-element conductivity,
-    and the system is assembled, grounded at the reference node of the
-    frequency's first injection and factored once. The loads of every
-    injection at that frequency are solved as one (n, k) block with this
-    one factorization, giving ``phi``, and each column's potential against
-    its own reference node ``g`` is ``phi - phi[g]``. That shift is exact,
-    not an approximation: ``S`` has zero row sums, so
-    ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
-    row's equation holds as well, and ``phi - phi[g]`` is therefore the
-    unique solution that vanishes at ``g``. The grounded potential and the
-    pre-gauge load are stacked in config order. An :class:`EitError` is
-    raised again as a new error of the same class, its message prefixed
-    with the (frequency, pattern) index and chained to the original: the
-    failing injection for a pattern error, the frequency's first injection
-    for an assembly, factorization or solve error. Any other exception
-    passes through untouched.
+    Each pattern is resolved once into a column of an (n, P) load table,
+    which gives every injection its load. For each frequency the tissue law
+    gives the per-element conductivity, and the system is assembled,
+    grounded at the reference node of the frequency's first injection and
+    factored once. The loads of every injection at that frequency are
+    solved as one (n, k) block with this one factorization, giving ``phi``,
+    and each column's potential against its own reference node ``g`` is
+    ``phi - phi[g]``. That shift is exact, not an approximation: ``S`` has
+    zero row sums, so ``S (phi - phi[g]) = S phi``, every load sums to
+    zero, so the grounded row's equation holds as well, and
+    ``phi - phi[g]`` is therefore the unique solution that vanishes at
+    ``g``. The grounded potential and the pre-gauge load are stacked in
+    config order. An :class:`EitError` is raised again as a new error of
+    the same class, its message prefixed with the (frequency, pattern)
+    index and chained to the original: injection p, the first of pattern
+    p, for an error in pattern p, which comes before any assembly error;
+    the frequency's first injection for an assembly, factorization or
+    solve error. Any other exception passes through untouched.
     """
     if tissue.n_elements != mesh.n_elements:
         raise DimensionError(
             f"tissue model covers {tissue.n_elements} elements, mesh has {mesh.n_elements}"
         )
     n = mesh.n_nodes
-    if isinstance(config.ground, int) and config.ground not in mesh.node_index:
+    if config.ground != "rotate" and config.ground not in mesh.node_index:
         raise DomainError(f"ground node {config.ground} is not a mesh node")
 
     injections = config.injections()
@@ -320,20 +309,22 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         grounds = cols % n
     else:
         grounds = np.full(cols.size, mesh.node_index[config.ground])
-    Phi = np.zeros((n, cols.size))
-    F = np.zeros((n, cols.size))
 
     def where(col):
         freq, p_idx = injections[col]
         return f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})"
 
+    table = np.empty((n, len(config.patterns)))
+    for p, pattern in enumerate(config.patterns):
+        try:
+            table[:, p] = _nodal_load(mesh, pattern)
+        except EitError as exc:
+            raise _annotated(exc, where(p)) from exc
+    F = table[:, [p_idx for _, p_idx in injections]]
+    Phi = np.zeros((n, cols.size))
+
     for freq in config.frequencies:
         block = [col for col, (f, _) in enumerate(injections) if f == freq]
-        for col in block:
-            try:
-                F[:, col] = _resolve_nodal_pattern(mesh, config.patterns[injections[col][1]])
-            except EitError as exc:
-                raise _annotated(exc, where(col)) from exc
         first = grounds[block[0]]
         try:
             Sg, loads = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, F[:, block], first)
@@ -491,7 +482,7 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
     F = float_rows(data_lines(read_lines(f_path)))
     if Phi.size == 0 or Phi.shape != F.shape:
         raise FormatError(f"potential {Phi.shape} and load {F.shape} matrices are empty or disagree")
-    sigma_spread = 0.0
+    spread: dict[str, float] = {}
     labels = []
     for line_no, text in lines:
         if not text.startswith("#"):
@@ -499,7 +490,7 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
         comment = text[1:].strip()
         try:
             if comment.startswith("sigma_spread,"):
-                sigma_spread = float(comment[len("sigma_spread,"):])
+                put_once(spread, "sigma_spread", float(comment[len("sigma_spread,"):]), line_no)
             elif comment.startswith("label,"):
                 _, freq, p_idx, ground = comment.split(",")
                 labels.append((float(freq), int(p_idx), int(ground)))
@@ -507,7 +498,7 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
             raise FormatError(f"bad comment {comment!r}", line_no=line_no) from None
     if labels and len(labels) != Phi.shape[1]:
         raise FormatError(f"{len(labels)} labels for {Phi.shape[1]} injections")
-    return StackedSystem(Phi=Phi, F=F, labels=tuple(labels), sigma_spread=sigma_spread)
+    return StackedSystem(Phi=Phi, F=F, labels=tuple(labels), sigma_spread=spread.get("sigma_spread", 0.0))
 
 
 def save_sweep_config(
@@ -565,7 +556,8 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
 
     ``element <id>`` overrides and ``node <id>`` entries name mesh element
     and node ids; an id that is not on the mesh is a line-numbered
-    :class:`FormatError`.
+    :class:`FormatError`. So is, chained to the resolver's error, a pattern
+    line that :func:`simulate_sweep` would reject.
     """
     groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
     frequencies = [
@@ -639,30 +631,24 @@ def _pattern_entry(chunk: str, line_no: int) -> tuple[bool, int, float]:
 
 
 def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
-    """One pattern per line: comma-separated ``<id>: <amps>`` entries.
-
-    A line mixing electrode and node entries resolves everything to nodes.
-    """
+    """One pattern per line: comma-separated ``<id>: <amps>`` entries. A
+    line with a node entry is a nodal vector: node entries in line order,
+    then each electrode's total at its node."""
+    entries = [_pattern_entry(chunk, line_no) for chunk in line.split(",") if chunk.strip()]
     electrode_entries: dict[int, float] = {}
     nodal = np.zeros(mesh.n_nodes)
-    has_nodal = False
-    for chunk in line.split(","):
-        if not chunk.strip():
-            continue
-        is_node, target, amp = _pattern_entry(chunk, line_no)
-        if is_node:
-            has_nodal = True
-            if target not in mesh.node_index:
-                raise FormatError(f"unknown node {target}", line_no=line_no)
+    for is_node, target, amp in entries:
+        if not is_node:
+            electrode_entries[target] = electrode_entries.get(target, 0.0) + amp
+        elif target in mesh.node_index:
             nodal[mesh.node_index[target]] += amp
         else:
-            electrode_entries[target] = electrode_entries.get(target, 0.0) + amp
-    if has_nodal:
-        for eid, amp in electrode_entries.items():
-            if eid not in mesh.electrode_map:
-                raise FormatError(f"unknown electrode {eid}", line_no=line_no)
-            nodal[mesh.node_index[mesh.electrode_map[eid]]] += amp
-        return nodal
-    if not electrode_entries:
-        raise FormatError("empty pattern line", line_no=line_no)
-    return CurrentPattern(electrode_entries)
+            raise FormatError(f"unknown node {target}", line_no=line_no)
+    try:
+        if any(is_node for is_node, _, _ in entries):
+            return _nodal_load(mesh, nodal, electrode_entries)
+        pattern = CurrentPattern(electrode_entries)
+        _nodal_load(mesh, pattern)
+        return pattern
+    except EitError as exc:
+        raise FormatError(str(exc), line_no=line_no) from exc

@@ -21,7 +21,7 @@ from .errors import (
     FormatError,
     SampleSizeError,
 )
-from .mesh import Mesh
+from .mesh import Mesh, _is_int
 from .statistics import MeasurementEnsemble
 from .textio import convert, key_value, put_once, read_lines, sections, write_lines
 
@@ -48,7 +48,7 @@ class SourceSpec:
     third_moment: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
+        if not (_is_int(self.d) and self.d >= 1):
             raise DomainError(f"source count d must be a positive integer, got {self.d!r}")
         if self.distribution not in ("symmetric-binary", "skewed"):
             raise DomainError(f"unknown source distribution {self.distribution!r}")
@@ -232,7 +232,7 @@ def make_demo_fixture():
     samples = (A @ design).T
 
     def generator(repeats: int = 1) -> MeasurementEnsemble:
-        if not (isinstance(repeats, int) and repeats >= 1):
+        if not (_is_int(repeats) and repeats >= 1):
             raise DomainError(f"repeats must be a positive integer, got {repeats!r}")
         return MeasurementEnsemble(np.tile(samples, (repeats, 1)))
 

@@ -30,8 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, NumericalError
+from .mesh import _is_int
 from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
-from .textio import convert, float_rows, format_row, read_lines, write_lines
+from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
 
 ORTHONORMALITY_TOL = 1e-8
 GAP_FACTOR = 1e-10
@@ -134,7 +135,7 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
     """
     Y = _as_symmetric_matrix(Y)
     m = Y.shape[0]
-    if not (isinstance(d, int) and 1 <= d):
+    if not (_is_int(d) and 1 <= d):
         raise DimensionError(f"rank d must be a positive integer, got {d!r}")
     if d >= m:
         raise DimensionError(f"rank d must satisfy d < M, got d={d}, M={m}")
@@ -267,25 +268,24 @@ def save_candidates(cset: CandidateSet, path, header_lines: tuple[str, ...] = ()
 
 def load_candidates(path) -> CandidateSet:
     """Read a candidate-set file written by :func:`save_candidates`."""
-    m = d = eigen_line = None
-    eigenvalues: np.ndarray | None = None
+    header: dict[str, object] = {}
     blocks: list[list[tuple[int, str]]] = [[]]
     for line_no, text in read_lines(path):
         if text.startswith("#"):
             key, _, value = text[1:].strip().partition(",")
-            if key == "M":
-                m = convert(value, int, line_no, "M")
-            elif key == "d":
-                d = convert(value, int, line_no, "d")
+            if key in ("M", "d"):
+                put_once(header, key, convert(value, int, line_no, key), line_no, "header key")
             elif key == "eigenvalues":
-                eigenvalues, eigen_line = float_rows([(line_no, value)])[0], line_no
+                put_once(header, key, float_rows([(line_no, value)])[0], line_no, "header key")
+                eigen_line = line_no
         elif text:
             blocks[-1].append((line_no, text))
         elif blocks[-1]:
             blocks.append([])
     matrices = [float_rows(block) for block in blocks if block]
-    if m is None or d is None or eigenvalues is None:
+    if len(header) < 3:
         raise FormatError("candidate file is missing its M/d/eigenvalues header")
+    m, d, eigenvalues = header["M"], header["d"], header["eigenvalues"]
     if eigenvalues.size != d * d:
         raise FormatError(f"expected {d * d} eigenvalues, found {eigenvalues.size}", line_no=eigen_line)
     if len(matrices) != d * d:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitkit import Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
+from eitkit import DimensionError, Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
 from eitkit.cli import _COMMANDS, REQUIRED, _as_bool, _write_pgm, main, render_element_field
 from eitkit.textio import write_lines
 
@@ -130,6 +130,15 @@ def test_forward_rejects_unbalanced_pattern(capsys, tmp_path, mesh_file):
     assert "sum to zero" in err
 
 
+def test_forward_unknown_electrode_exits_2_with_its_line(capsys, tmp_path, mesh_file):
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("# drive\n0: 1.0\n99: -1.0\n")
+    code, _, err = run(capsys, "forward", "--mesh", str(mesh_file), "--uniform", "1.0",
+                       "--pattern", str(pattern), "--out", str(tmp_path / "v.csv"))
+    assert code == 2
+    assert "got '99: -1.0' (line 3)" in err
+
+
 def test_forward_sigma_file_round(capsys, tmp_path, mesh_file):
     mesh = load_mesh(mesh_file)
     sigma = tmp_path / "sigma.csv"
@@ -151,6 +160,8 @@ def test_forward_sigma_file_round(capsys, tmp_path, mesh_file):
     [
         ("3,2.0", "element 3 repeated", 6),  # the original row 3 follows it
         ("999,2.0", "element 999 is not on the mesh", 5),
+        ("elementish,3", "expected int, got 'elementish'", 5),
+        ("element,sigma", "expected int, got 'element'", 5),  # a header only on the first line
     ],
 )
 def test_forward_bad_sigma_row_exits_2_with_its_line(capsys, tmp_path, mesh_file, row, message,
@@ -348,6 +359,19 @@ def test_reconstruct_multifreq_recovers_phantom_at_refine_3(capsys, tmp_path):
         assert v == pytest.approx(5.0 if eid == 2 else 1.0, rel=1e-9)
 
 
+def test_reconstruct_multifreq_bad_pattern_line_exits_2_with_its_line(capsys, tmp_path):
+    mesh_path = tmp_path / "m.mesh"
+    main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
+    sweep = tmp_path / "sweep.cfg"
+    write_sweep_config(sweep, load_mesh(mesh_path), n_patterns=2)
+    sweep.write_text(sweep.read_text().replace("[model]", "0: 1.0, 99: -1.0\n[model]"))
+    code, _, err = run(capsys, "reconstruct", "multifreq", "--mesh", str(mesh_path),
+                       "--sweep", str(sweep), "--out-sigma", str(tmp_path / "s.csv"),
+                       "--out-image", str(tmp_path / "s.pgm"))
+    assert code == 2
+    assert "electrode 99 is not on the mesh (line 6)" in err
+
+
 def test_reconstruct_multifreq_single_pattern_exits_4(capsys, tmp_path):
     mesh_path = tmp_path / "m.mesh"
     main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
@@ -440,6 +464,13 @@ def test_render_element_field_constant_is_midgray():
     inside = grid[12, 12]
     assert inside == 128
     assert grid[0, 0] == 0  # corner is outside the disk
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_render_element_field_needs_one_value_per_element(extra):
+    mesh = build_disk_mesh(1.0, 0)
+    with pytest.raises(DimensionError, match="one value per element"):
+        render_element_field(mesh, np.ones(mesh.n_elements + extra), 24)
 
 
 def render_per_element_loop(mesh, values, pixels):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import eitkit.multifreq
@@ -537,7 +539,8 @@ def test_stacked_system_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "comment", ["label,1000", "label,1000,0,x", "sigma_spread,abc", "sigma_spread,1,2"]
+    "comment",
+    ["label,1000", "label,1000,0,x", "sigma_spread,abc", "sigma_spread,1,2", "sigma_spread,0.5"],
 )
 def test_load_stacked_system_malformed_comment_is_format_error(tmp_path, comment):
     phi_path, f_path = tmp_path / "phi.csv", tmp_path / "f.csv"
@@ -640,3 +643,181 @@ def test_sweep_section_typos_are_format_errors(tmp_path, sweep, model, line_no):
     with pytest.raises(FormatError) as err:
         load_sweep_config(path, mesh)
     assert err.value.line_no == line_no
+
+
+# ------------------------------------------------ pattern resolution ----
+
+
+def oracle_parse_pattern_line(line, mesh, line_no):
+    """The pattern-line parser before patterns were checked at read time:
+    node entries in line order, then each electrode's total; unknown
+    electrodes of electrode-only lines and the currents of nodal lines
+    were left to :func:`oracle_resolve`."""
+    from eitkit.multifreq import _pattern_entry
+
+    electrode_entries = {}
+    nodal = np.zeros(mesh.n_nodes)
+    has_nodal = False
+    for chunk in line.split(","):
+        if not chunk.strip():
+            continue
+        is_node, target, amp = _pattern_entry(chunk, line_no)
+        if is_node:
+            has_nodal = True
+            if target not in mesh.node_index:
+                raise FormatError(f"unknown node {target}", line_no=line_no)
+            nodal[mesh.node_index[target]] += amp
+        else:
+            electrode_entries[target] = electrode_entries.get(target, 0.0) + amp
+    if has_nodal:
+        for eid, amp in electrode_entries.items():
+            if eid not in mesh.electrode_map:
+                raise FormatError(f"unknown electrode {eid}", line_no=line_no)
+            nodal[mesh.node_index[mesh.electrode_map[eid]]] += amp
+        return nodal
+    if not electrode_entries:
+        raise FormatError("empty pattern line", line_no=line_no)
+    return CurrentPattern(electrode_entries)
+
+
+def oracle_resolve(mesh, pattern):
+    """The per-injection resolver ``simulate_sweep`` called before it
+    resolved each pattern once."""
+    from eitkit import UnknownElectrodeError
+    from eitkit.forward import _check_currents
+
+    if isinstance(pattern, CurrentPattern):
+        F = np.zeros(mesh.n_nodes)
+        for eid, current in pattern.currents.items():
+            if eid not in mesh.electrode_map:
+                raise UnknownElectrodeError(f"electrode {eid} is not on the mesh")
+            F[mesh.node_index[mesh.electrode_map[eid]]] += current
+        return F
+    f = np.asarray(pattern, dtype=float)
+    if f.shape != (mesh.n_nodes,):
+        raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}")
+    _check_currents(f)
+    return f
+
+
+AMPS = st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, -2.5, 0.1, 0.2, -0.3, 1e-13] * 3
+                       + [0.0, float("nan"), float("inf")])
+
+
+@st.composite
+def pattern_lines(draw):
+    """A refine 0-1 disk and a pattern line of electrode entries, node
+    entries or both, with repeated targets, ids off the mesh, zero and
+    non-finite currents, and often a last entry that makes them cancel."""
+    mesh = build_disk_mesh(1.0, draw(st.integers(0, 1)))
+    # electrodes 0-3 sit on nodes of the node pool, so node and electrode entries share targets
+    electrodes = st.sampled_from(sorted(mesh.electrode_map)[:4] * 6 + [99])
+    shared = [mesh.electrode_map[e] for e in sorted(mesh.electrode_map)[:4]]
+    nodes = st.sampled_from((shared + [mesh.nodes[0].id]) * 6 + [-7])
+    kinds = draw(st.sampled_from([(False,), (True,), (False, True)]))
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        is_node = draw(st.sampled_from(kinds))
+        entries.append((is_node, draw(nodes if is_node else electrodes), draw(AMPS)))
+    if entries and draw(st.booleans()):
+        is_node, target, _ = draw(st.sampled_from(entries))
+        entries.append((is_node, target, -sum(amp for _, _, amp in entries)))
+    line = ", ".join(f"{'node ' if is_node else ''}{target}: {amp!r}" for is_node, target, amp in entries)
+    return mesh, line or ","
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+@settings(max_examples=400, deadline=None)
+@given(case=pattern_lines())
+def test_pattern_line_matches_the_oracle_or_is_a_line_numbered_error(case):
+    from eitkit.multifreq import _parse_pattern_line
+
+    mesh, line = case
+    try:
+        want = oracle_parse_pattern_line(line, mesh, 7)
+        oracle_resolve(mesh, want)
+    except eitkit.EitError:
+        with pytest.raises(FormatError) as err:
+            _parse_pattern_line(line, mesh, 7)
+        assert err.value.line_no == 7
+        return
+    got = _parse_pattern_line(line, mesh, 7)
+    if isinstance(want, CurrentPattern):
+        assert isinstance(got, CurrentPattern)
+        assert list(got.currents.items()) == list(want.currents.items())
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "line, cause",
+    [
+        ("0: 1.0, 99: -1.0", "UnknownElectrodeError"),
+        ("node 0: 1.0, 99: -1.0", "UnknownElectrodeError"),
+        ("node 0: 1.0, node 99: -1.0", None),
+        ("0: 1.0, 4: 0.0", "DomainError"),
+        ("node 3: 0.0, node 4: 0.0", "DomainError"),
+        ("0: nan, 4: 1.0", "DomainError"),
+        ("node 0: inf, 4: -1.0", "DomainError"),
+        ("0: 1.0, 4: -0.5", "CompatibilityError"),
+        ("node 0: 1.0, node 4: -0.5", "CompatibilityError"),
+        (" , ,", "DomainError"),
+    ],
+    ids=["unknown-electrode", "mixed-unknown-electrode", "unknown-node", "one-nonzero",
+         "nodal-all-zero", "nan", "mixed-inf", "not-cancelling", "nodal-not-cancelling", "empty"],
+)
+def test_malformed_pattern_line_is_a_format_error_with_its_line(tmp_path, line, cause):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(f"[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n{line}\n[model]\n{MODEL}")
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, build_disk_mesh(1.0, 0))
+    assert err.value.line_no == 5
+    if cause is not None:
+        assert type(err.value.__cause__).__name__ == cause
+        assert str(err.value) == f"{err.value.__cause__} (line 5)"
+
+
+def test_simulate_sweep_resolves_each_pattern_once(monkeypatch):
+    mesh = build_disk_mesh(1.0, 0)
+    tissue = TissueModel.uniform(mesh.n_elements, 2.0, 1.0, 1e-4)
+    patterns = [CurrentPattern({k: 1.0, (k + 4) % 8: -1.0}) for k in range(4)]
+    real = eitkit.multifreq._nodal_load
+    resolved = []
+
+    def counting(mesh, pattern, *rest):
+        resolved.append(pattern)
+        return real(mesh, pattern, *rest)
+
+    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", counting)
+    stacked = simulate_sweep(mesh, tissue, SweepConfig((1e2, 1e3, 1e4), patterns, ground="rotate"))
+    assert stacked.n_injections == 12
+    assert resolved == patterns
+
+
+def test_simulate_sweep_pattern_error_comes_before_any_assembly_error(monkeypatch):
+    mesh = build_disk_mesh(1.0, 0)
+    tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
+    good = nodal_patterns(mesh.n_nodes, 2)
+    bad = good[0] * 2.0
+    bad[0] = 5.0  # no longer cancels
+
+    def failing_assembly(mesh, sigma):
+        raise DomainError("assembly failed")
+
+    monkeypatch.setattr(eitkit.multifreq, "assemble", failing_assembly)
+    config = SweepConfig((250.0, 500.0, 750.0), (*good, bad), pairing="zip", ground=0)
+    with pytest.raises(CompatibilityError, match=r"^injection 2 \(frequency 750 Hz, pattern 2\)"):
+        simulate_sweep(mesh, tissue, config)
+
+
+def test_sweep_ground_follows_the_integer_rule():
+    mesh = build_disk_mesh(1.0, 0)
+    tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
+    pattern = CurrentPattern({0: 1.0, 4: -1.0})
+    for ground in (True, np.array([1, 2]), 1.0):
+        with pytest.raises(DomainError, match="ground must be"):
+            SweepConfig((1.0,), (pattern,), ground=ground)
+    stacked = simulate_sweep(mesh, tissue, SweepConfig((1.0,), (pattern,), ground=np.int64(2)))
+    assert stacked.labels == ((1.0, 0, 2),)
+    with pytest.raises(DomainError, match="ground node 99 is not a mesh node"):
+        simulate_sweep(mesh, tissue, SweepConfig((1.0,), (pattern,), ground=np.int64(99)))

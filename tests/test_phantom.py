@@ -25,6 +25,16 @@ from eitkit.phantom import NOISE_STREAM, _draw_noise, _stream
 WHITE = NoiseSpec("white", 0.0)
 
 
+def test_source_count_and_repeats_follow_the_integer_rule():
+    with pytest.raises(DomainError, match="source count"):
+        SourceSpec(True, "skewed")
+    assert SourceSpec(np.int64(2), "skewed") == SourceSpec(2, "skewed")
+    _, generator = make_demo_fixture()
+    with pytest.raises(DomainError, match="repeats"):
+        generator(True)
+    assert_array_equal(generator(np.int64(2)).samples, generator(2).samples)
+
+
 def test_demo_fixture_dimensions_and_exact_statistic():
     A, generator = make_demo_fixture()
     assert A.shape == (4, 3)

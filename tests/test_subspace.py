@@ -93,6 +93,14 @@ def test_truncated_svd_dimension_errors():
         truncated_svd(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)  # not symmetric
 
 
+def test_truncated_svd_rank_follows_the_integer_rule():
+    Y = np.diag([3.0, 2.0, 1.0, 0.0])
+    with pytest.raises(DimensionError, match="positive integer"):
+        truncated_svd(Y, True)
+    dec = truncated_svd(Y, np.int64(2))
+    assert_array_equal(dec.R, truncated_svd(Y, 2).R)
+
+
 def test_truncated_svd_flags_ambiguous_truncation():
     assert truncated_svd(np.diag([2.0, 1.0, 1.0, 0.0]), 2).ill_conditioned
     assert not truncated_svd(np.diag([2.0, 1.0, 1.0, 0.0]), 3).ill_conditioned
@@ -342,8 +350,12 @@ def test_candidate_csv_round_trip(tmp_path):
         ("# M,2\n# d,0\n# eigenvalues,\n", 3),
         ("# M,2\n# d,1\n# eigenvalues,zz\n", 3),
         ("# M,2\n# d,1\n# eigenvalues,0,0\n", 3),
+        ("# M,9\n# M,2\n# d,1\n# eigenvalues,0\n", 2),
+        ("# M,2\n# d,1\n# eigenvalues,0\n# d,1\n", 4),
+        ("# M,2\n# eigenvalues,1\n# d,1\n# eigenvalues,0\n", 4),
     ],
-    ids=["bad-M", "empty-eigenvalues", "bad-eigenvalue", "eigenvalue-count"],
+    ids=["bad-M", "empty-eigenvalues", "bad-eigenvalue", "eigenvalue-count", "repeated-M",
+         "repeated-d", "repeated-eigenvalues"],
 )
 def test_load_candidates_rejects_bad_header(tmp_path, header, line_no):
     path = tmp_path / "cands.csv"

@@ -61,7 +61,7 @@ READERS = {
     "candidates": load_candidates,
     "cli-config": _load_config,
     "cli-sigma": lambda p: _load_sigma_csv(p, MESH),
-    "cli-pattern": _load_pattern_file,
+    "cli-pattern": lambda p: _load_pattern_file(p, MESH),
 }
 
 
