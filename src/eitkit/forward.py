@@ -5,8 +5,8 @@ The discretization is the classical linear triangle: each element
 contributes ``sigma_e * area * B^T B`` with ``B`` the constant gradient
 matrix of the three barycentric shape functions. One vectorized kernel
 computes all ``(n_e, 3, 3)`` local matrices at once, and ``assemble``
-scatters them into a CSC sparse matrix ``S`` (about 7 nonzeros per row;
-29 057 at n = 4225). ``S`` is exactly symmetric, has zero row sums, and is
+scatters them, along the mesh's cached assembly plan, into a CSC sparse
+matrix ``S`` (about 7 nonzeros per row; 29 057 at n = 4225). ``S`` is exactly symmetric, has zero row sums, and is
 positive semidefinite with a one-dimensional null space (the constant
 potential) on a connected mesh; fixing one reference node to zero
 potential makes it positive definite. The gauge zeroes that node's row and
@@ -205,26 +205,6 @@ def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None)
     return _local_stiffness(pts[None], float(sigma_e), scale)[0]
 
 
-def _placement(mesh: Mesh):
-    """Where local entry (e, a, b), at row ``tri[e, a]`` and column
-    ``tri[e, b]``, lands in the CSC ``S``: ``(order, first, rows, cols, slot)``.
-
-    ``order`` stably sorts the flattened local entries by (column, row), so
-    each nonzero sums its contributions in element order, from ``first``;
-    ``rows`` and ``cols`` locate the nonzeros; ``slot`` (n_e, 3, 3) is the
-    nonzero that each local entry lands on.
-    """
-    n = mesh.n_nodes
-    tri = mesh.triangles
-    key = (tri[:, None, :] * n + tri[:, :, None]).ravel()
-    order = np.argsort(key, kind="stable")
-    starts = np.diff(key[order], prepend=-1) != 0
-    entries = key[order][starts]
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(starts) - 1
-    return order, np.flatnonzero(starts), entries % n, entries // n, slot.reshape(tri.shape[0], 3, 3)
-
-
 def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     """Assemble the global stiffness matrix for a conductivity field.
 
@@ -249,13 +229,21 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
 
     n = mesh.n_nodes
     local = _local_stiffness(mesh.coords[mesh.triangles], sigma, mesh.bounding_box_diagonal)
-    order, first, rows, cols, _ = _placement(mesh)
+    order, first, rows, indptr, _ = mesh._placement
     data = np.add.reduceat(local.ravel()[order], first)
-    # int32 indices, as scipy itself builds them for a matrix of this size
-    indices = rows.astype(np.int32)
-    indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
-    S = _StiffnessMatrix((data, indices, indptr), shape=(n, n))
+    S = _StiffnessMatrix((data, rows, indptr), shape=(n, n))
     return StiffnessSystem(S=S, F=np.zeros(n), ground_node=None)
+
+
+def _element_design(mesh: Mesh) -> csc_array:
+    """The assembly map as a (nnz(S), n_e) CSC design over the nonzeros of
+    ``S`` in CSC order: column e holds element e's unit-conductivity local
+    stiffness at its nine placement slots, so ``design @ sigma`` is the data
+    of ``assemble(mesh, sigma).S`` up to rounding."""
+    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
+    _, _, rows, _, slot = mesh._placement
+    indptr = np.arange(0, slot.size + 1, 9, dtype=np.int32)
+    return csc_array((local.ravel(), slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
 
 
 def _nodal_load(mesh: Mesh, pattern, currents=None) -> np.ndarray:
@@ -278,15 +266,24 @@ def _nodal_load(mesh: Mesh, pattern, currents=None) -> np.ndarray:
 def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndarray]:
     """Pin one node to zero potential by symmetric row/column elimination.
 
-    Works on a copy of the CSC arrays in O(nnz): the row and column of the
-    ground node are zeroed in place and its diagonal set to 1. Keeps the
-    matrix symmetric and, on a connected mesh, positive definite.
+    Builds a new ``data`` array in O(nnz) and shares ``S``'s index arrays,
+    which it does not change: the row and column of the ground node are
+    zeroed by one mask and its stored diagonal set to 1 (scipy inserts the
+    diagonal if ``S`` does not store it). ``S`` itself is left as it was.
+    Keeps the matrix symmetric and, on a connected mesh, positive definite.
     """
-    Sg = _StiffnessMatrix(S, copy=True)
+    S = csc_array(S)  # a CSC input keeps its arrays
+    start, stop = S.indptr[ground_pos], S.indptr[ground_pos + 1]
+    keep = S.indices != ground_pos
+    keep[start:stop] = False
+    Sg = _StiffnessMatrix((np.where(keep, S.data, 0.0), S.indices, S.indptr), shape=S.shape)
+    diagonal = start + np.flatnonzero(S.indices[start:stop] == ground_pos)
+    if diagonal.size == 1:
+        Sg.data[diagonal] = 1.0
+    else:
+        Sg = _StiffnessMatrix(Sg, copy=True)
+        Sg[ground_pos, ground_pos] = 1.0
     Fg = F.copy()
-    Sg.data[Sg.indices == ground_pos] = 0.0
-    Sg.data[Sg.indptr[ground_pos]:Sg.indptr[ground_pos + 1]] = 0.0
-    Sg[ground_pos, ground_pos] = 1.0
     Fg[ground_pos] = 0.0
     return Sg, Fg
 

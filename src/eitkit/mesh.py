@@ -142,6 +142,33 @@ class Mesh:
         return pos, corners.reshape(-1, 3), uniq, first, nodes, loop, electrodes
 
     @cached_property
+    def _placement(self) -> tuple[np.ndarray, ...]:
+        """The assembly plan: where local stiffness entry (e, a, b), at row
+        ``triangles[e, a]`` and column ``triangles[e, b]``, lands in the CSC
+        stiffness matrix, as read-only arrays ``(order, first, rows, indptr, slot)``.
+
+        ``order`` stably sorts the flattened local entries by (column, row),
+        so each nonzero sums its contributions in element order, from
+        ``first``; ``rows`` (int32) and ``indptr`` (int32) are the CSC index
+        arrays of the nonzeros; ``slot`` (n_e, 3, 3) is the nonzero that
+        each local entry lands on."""
+        n = self.n_nodes
+        tri = self.triangles
+        key = (tri[:, None, :] * n + tri[:, :, None]).ravel()
+        order = np.argsort(key, kind="stable")
+        starts = np.diff(key[order], prepend=-1) != 0
+        entries = key[order][starts]
+        slot = np.empty_like(order)
+        slot[order] = np.cumsum(starts) - 1
+        # int32 indices, as scipy itself builds them for a matrix of this size
+        rows = (entries % n).astype(np.int32)
+        indptr = np.searchsorted(entries // n, np.arange(n + 1)).astype(np.int32)
+        plan = (order, np.flatnonzero(starts), rows, indptr, slot.reshape(tri.shape[0], 3, 3))
+        for array in plan:
+            array.setflags(write=False)
+        return plan
+
+    @cached_property
     def electrode_map(self) -> dict[int, int]:
         """Electrode id -> node id."""
         return {e.id: e.node for e in self.electrodes}

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import (
     CompatibilityError,
@@ -64,9 +65,8 @@ from .forward import (
     CurrentPattern,
     ForwardFactorization,
     StiffnessSystem,
-    _local_stiffness,
+    _element_design,
     _nodal_load,
-    _placement,
     assemble,
     ground_system,
 )
@@ -84,6 +84,9 @@ from .textio import (
 )
 
 RANK_TOL = 1e-10
+# recover_conductivity rejects a design whose Gram matrix has
+# lambda_min <= GRAM_TOL * lambda_max, that is cond(design) >= 1e6
+GRAM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,17 +413,38 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
     return StackSolveResult(S_hat=S_hat, residual=residual, phi_singular_values=s)
 
 
+def _largest_eigenvalue(operator, v0: np.ndarray) -> float:
+    """Largest-magnitude eigenvalue of a symmetric operator, by ARPACK from
+    the start vector ``v0``; a 1 x 1 operator, which ARPACK cannot take, is
+    its own eigenvalue."""
+    if v0.size == 1:
+        return float((operator @ v0)[0] / v0[0])
+    return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
+
+
 def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | None = None) -> RecoveredField:
     """Invert the assembly map: ``argmin_sigma |assemble(mesh, sigma) - sym(S_hat)|_F``.
 
     The map is linear in sigma and writes only the nonzeros of S (the
     diagonal and both directions of each mesh edge). An entry of
     ``sym(S_hat)`` off that pattern adds a constant to the objective, so it
-    does not move sigma. One thin SVD of the design over the nonzeros gives
-    the rank check, the solve, ``sensitivity = 1/s_min`` and
-    ``operator_condition = s_max/s_min``; ``fit_residual`` counts every
-    entry. More elements than the n(n+1)/2 independent entries, or a
-    rank-deficient design, raise :class:`IdentifiabilityError` with the gap.
+    does not move sigma. The fit runs on the sparse design ``A`` of
+    :func:`~eitkit.forward._element_design` (nine nonzeros per column) by
+    the corrected semi-normal equations (Björck, *Numerical Methods for
+    Least Squares Problems*, 1996, section 6.6): the Gram matrix ``A^T A``
+    is factored once by ``splu``, the normal equations are solved, and two
+    correction steps ``sigma += solve(A^T (b - A sigma))`` remove the
+    cond(A)^2 loss of plain normal equations. ARPACK (``eigsh``, from a
+    fixed start vector, so the figures repeat exactly) gives ``lambda_max``
+    of ``A^T A`` and, through the factor, ``1 / lambda_min``; then
+    ``sensitivity = 1/sqrt(lambda_min)`` and ``operator_condition =
+    sqrt(lambda_max / lambda_min)``. ``fit_residual`` counts every entry.
+
+    More elements than the n(n+1)/2 independent entries raise
+    :class:`IdentifiabilityError` with the excess as the gap. So do an
+    exactly singular factor and ``lambda_min <= GRAM_TOL * lambda_max``
+    (``cond(A) >= 1e6``); their gap is the number of singular values of
+    the dense design at or below ``1e-6`` times the largest, at least 1.
     """
     S_hat = np.asarray(S_hat, dtype=float)
     n = mesh.n_nodes
@@ -437,28 +461,39 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
             rank_gap=mesh.n_elements - independent_entries,
         )
 
-    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
-    _, _, rows, cols, slot = _placement(mesh)
-    design = np.zeros((rows.size, mesh.n_elements))
-    # the nine local entries of a (non-degenerate) element land on nine distinct nonzeros
-    design[slot, np.arange(mesh.n_elements)[:, None, None]] = local
-    U, s, Vt, rank = _stack_svd(design)
-    if rank < mesh.n_elements:
+    design = _element_design(mesh)
+    gram = (design.T @ design).tocsc()
+    try:
+        lu = splu(gram)
+    except RuntimeError:  # the factor is exactly singular
+        lu = None
+    if lu is not None:
+        v0 = np.random.default_rng(0).standard_normal(mesh.n_elements)
+        lam_max = _largest_eigenvalue(gram, v0)
+        lam_min = 1.0 / _largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)
+    if lu is None or not lam_min > GRAM_TOL * lam_max:
+        s = np.linalg.svd(design.toarray(), compute_uv=False)
+        rank = int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
         raise IdentifiabilityError(
             "assembly operator is rank deficient; conductivity is not identifiable",
-            rank_gap=mesh.n_elements - rank,
+            rank_gap=max(mesh.n_elements - rank, 1),
         )
 
+    _, _, rows, indptr, _ = mesh._placement
+    cols = np.repeat(np.arange(n), np.diff(indptr))
     residual = 0.5 * (S_hat + S_hat.T)  # sym(S_hat) until the fit is subtracted
-    sigma = Vt.T @ ((U.T @ residual[rows, cols]) / s)
+    target = residual[rows, cols]
+    sigma = lu.solve(design.T @ target)
+    for _ in range(2):
+        sigma += lu.solve(design.T @ (target - design @ sigma))
     residual[rows, cols] -= design @ sigma
     negative = tuple(int(e) for e in np.flatnonzero(~(sigma > 0.0)))
     return RecoveredField(
         sigma=sigma,
         negative_elements=negative,
         fit_residual=float(np.linalg.norm(residual)),
-        sensitivity=float(1.0 / s[-1]),
-        operator_condition=float(s[0] / s[-1]),
+        sensitivity=float(1.0 / np.sqrt(lam_min)),
+        operator_condition=float(np.sqrt(lam_max / lam_min)),
         solve_residual=solve_residual,
     )
 

@@ -145,6 +145,59 @@ def test_apply_pattern_load_and_grounding(disk_r1):
     assert w.min() > 0
 
 
+def copy_and_setitem_ground(S, F, ground_pos):
+    """Reference gauge: copy the CSC arrays, zero the ground row and column
+    in the copy and set the diagonal with scipy's ``__setitem__``."""
+    Sg = csc_array(S, copy=True)
+    Fg = F.copy()
+    Sg.data[Sg.indices == ground_pos] = 0.0
+    Sg.data[Sg.indptr[ground_pos]:Sg.indptr[ground_pos + 1]] = 0.0
+    Sg[ground_pos, ground_pos] = 1.0
+    Fg[ground_pos] = 0.0
+    return Sg, Fg
+
+
+def test_ground_system_matches_copy_and_setitem_at_every_node(disk_r1):
+    from eitkit.forward import ground_system
+
+    rng = np.random.default_rng(8)
+    S = assemble(disk_r1, rng.uniform(0.5, 3.0, size=disk_r1.n_elements)).S
+    F = rng.standard_normal(disk_r1.n_nodes)
+    before = [a.copy() for a in (S.data, S.indices, S.indptr, F)]
+    for g in range(disk_r1.n_nodes):
+        Sg, Fg = ground_system(S, F, g)
+        want, want_F = copy_and_setitem_ground(S, F, g)
+        for got, expected in ((Sg.data, want.data), (Sg.indices, want.indices), (Sg.indptr, want.indptr), (Fg, want_F)):
+            assert_array_equal(got, expected)
+        assert not np.shares_memory(Sg.data, S.data)
+        assert Sg.nbytes == S.nbytes
+    for array, saved in zip((S.data, S.indices, S.indptr, F), before):
+        assert_array_equal(array, saved)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+def test_ground_system_inserts_a_diagonal_the_matrix_does_not_store():
+    from eitkit.forward import ground_system
+
+    S = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    Sg, _ = ground_system(S, np.zeros(3), 2)
+    assert_array_equal(Sg.toarray(), [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_assembly_plan_is_built_once_per_mesh_and_read_only():
+    mesh = build_disk_mesh(1.0, 1)
+    first = assemble(mesh, uniform_field(mesh, 1.0)).S
+    plan = mesh._placement
+    second = assemble(mesh, uniform_field(mesh, 2.0)).S
+    assert mesh._placement is plan
+    for array in plan:
+        assert not array.flags.writeable
+    # every assembly of the mesh shares the plan's index arrays
+    assert np.shares_memory(first.indices, second.indices)
+    assert np.shares_memory(first.indptr, second.indptr)
+    assert_array_equal(second.data, 2.0 * first.data)
+
+
 def test_apply_pattern_rejects_unbalanced_raw_mapping(disk_r1):
     system = assemble(disk_r1, uniform_field(disk_r1, 1.0))
     with pytest.raises(CompatibilityError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse import coo_array
 
 import eitkit.multifreq
 from eitkit import (
@@ -484,6 +485,143 @@ def test_recover_conductivity_duplicate_elements_not_identifiable():
     with pytest.raises(IdentifiabilityError) as err:
         recover_conductivity(S_true, mesh)
     assert err.value.rank_gap == 1
+
+
+def dense_svd_recover(S_hat, mesh):
+    """Reference inverse: the dense-SVD ``recover_conductivity`` that the
+    sparse corrected semi-normal equations replaced. Returns ``(sigma,
+    fit_residual, sensitivity, operator_condition)``; a design whose
+    ``s_min < 1e-10 s_max`` raises :class:`IdentifiabilityError`."""
+    from eitkit.forward import _local_stiffness
+    from eitkit.multifreq import _stack_svd
+
+    S_hat = np.asarray(S_hat, dtype=float)
+    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
+    _, _, rows, indptr, slot = mesh._placement
+    cols = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
+    design = np.zeros((rows.size, mesh.n_elements))
+    design[slot, np.arange(mesh.n_elements)[:, None, None]] = local
+    U, s, Vt, rank = _stack_svd(design)
+    if rank < mesh.n_elements:
+        raise IdentifiabilityError("rank deficient", rank_gap=mesh.n_elements - rank)
+    residual = 0.5 * (S_hat + S_hat.T)
+    sigma = Vt.T @ ((U.T @ residual[rows, cols]) / s)
+    residual[rows, cols] -= design @ sigma
+    return sigma, float(np.linalg.norm(residual)), float(1.0 / s[-1]), float(s[0] / s[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    refine=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-6, 1e-3]),
+)
+def test_recover_conductivity_matches_the_dense_svd_oracle(refine, seed, noise):
+    mesh = build_disk_mesh(1.0, refine)
+    rng = np.random.default_rng(seed)
+    S = assemble(mesh, rng.uniform(0.5, 3.0, size=mesh.n_elements)).S.toarray()
+    E = rng.standard_normal(S.shape)
+    S_hat = S + noise * np.abs(S).max() * 0.5 * (E + E.T)
+    sigma, residual, sensitivity, condition = dense_svd_recover(S_hat, mesh)
+    recovered = recover_conductivity(S_hat, mesh)
+    assert np.max(np.abs(recovered.sigma - sigma)) <= 1e-12 * np.max(np.abs(sigma))
+    assert abs(recovered.fit_residual - residual) <= 1e-10 * residual + 1e-12 * np.linalg.norm(S)
+    assert recovered.sensitivity == pytest.approx(sensitivity, rel=1e-10)
+    assert recovered.operator_condition == pytest.approx(condition, rel=1e-10)
+
+
+def test_recover_conductivity_single_element(triangle_mesh):
+    S = assemble(triangle_mesh, np.array([2.5])).S.toarray()
+    sigma, _, sensitivity, condition = dense_svd_recover(S, triangle_mesh)
+    recovered = recover_conductivity(S, triangle_mesh)
+    assert recovered.sigma[0] == pytest.approx(2.5, rel=1e-14)
+    assert recovered.sensitivity == pytest.approx(sensitivity, rel=1e-14)
+    assert recovered.operator_condition == pytest.approx(condition, rel=1e-14)
+
+
+def test_recover_conductivity_at_refine_4():
+    mesh = build_disk_mesh(1.0, 4)
+    sigma = np.random.default_rng(44).uniform(0.5, 3.0, size=mesh.n_elements)
+    recovered = recover_conductivity(assemble(mesh, sigma).S.toarray(), mesh)
+    assert np.max(np.abs(recovered.sigma - sigma) / sigma) <= 1e-12
+    # the Gram matrix from each element's full n x n stiffness, keyed by node pair
+    n, n_e = mesh.n_nodes, mesh.n_elements
+    keys, values = [], []
+    for tri in mesh.triangles:
+        values.append(element_stiffness(mesh.coords[tri], 1.0, mesh.bounding_box_diagonal).ravel())
+        keys.append((tri[:, None] * n + tri[None, :]).ravel())
+    design = coo_array(
+        (np.concatenate(values), (np.concatenate(keys), np.repeat(np.arange(n_e), 9))), shape=(n * n, n_e)
+    )
+    eigenvalues = np.linalg.eigvalsh((design.T @ design).toarray())
+    assert recovered.operator_condition == pytest.approx(np.sqrt(eigenvalues[-1] / eigenvalues[0]), rel=1e-10)
+    assert recovered.sensitivity == pytest.approx(1.0 / np.sqrt(eigenvalues[0]), rel=1e-10)
+
+
+def test_recover_conductivity_rejects_an_ill_conditioned_design():
+    # a sliver of height h beside two plain triangles: cond(design) is about 1/h
+    h = 1e-8
+    mesh = Mesh(
+        nodes=(Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.5, h), Node(3, 0.5, 1.0)),
+        elements=(Element(0, (0, 1, 2)), Element(1, (0, 2, 3)), Element(2, (2, 1, 3))),
+        boundary_nodes=(0, 1, 3),
+        electrodes=(Electrode(0, 0), Electrode(1, 1)),
+    )
+    S = assemble(mesh, np.ones(3)).S.toarray()
+    # the dense-SVD rule (s_min < 1e-10 s_max) accepted this design
+    _, _, _, condition = dense_svd_recover(S, mesh)
+    assert 1e6 < condition < 1e10
+    with pytest.raises(IdentifiabilityError) as err:
+        recover_conductivity(S, mesh)
+    # the sliver's column is about 1/h longer than both others: two singular
+    # values sit below 1e-6 of the largest
+    assert err.value.rank_gap == 2
+
+
+def strip_mesh(k: int, h: float) -> Mesh:
+    """A 1 x h strip of k squares, each cut into two triangles."""
+    nodes = [Node(i, float(i), 0.0) for i in range(k + 1)]
+    nodes += [Node(k + 1 + i, float(i), h) for i in range(k + 1)]
+    elements = []
+    for i in range(k):
+        elements += [Element(2 * i, (i, i + 1, k + 2 + i)), Element(2 * i + 1, (i, k + 2 + i, k + 1 + i))]
+    loop = tuple(range(k + 1)) + tuple(range(2 * k + 1, k, -1))
+    return Mesh(tuple(nodes), tuple(elements), loop, (Electrode(0, 0), Electrode(1, k)))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_recover_conductivity_corrections_hold_accuracy_on_flat_triangles(noise):
+    # flat triangles make cond(design) about 1.7e4 in a way no column scaling
+    # removes: plain normal equations lose about cond^2 * eps = 1e-8
+    mesh = strip_mesh(3, 1e-2)
+    rng = np.random.default_rng(3)
+    sigma = rng.uniform(0.5, 3.0, size=mesh.n_elements)
+    S = assemble(mesh, sigma).S.toarray()
+    E = rng.standard_normal(S.shape)
+    S_hat = S + noise * np.abs(S).max() * 0.5 * (E + E.T)
+    oracle, _, _, condition = dense_svd_recover(S_hat, mesh)
+    assert 1e4 < condition < 1e5
+    recovered = recover_conductivity(S_hat, mesh)
+    assert np.max(np.abs(recovered.sigma - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+    if noise == 0.0:
+        assert np.max(np.abs(recovered.sigma - sigma)) <= 1e-11 * np.max(sigma)
+
+
+def test_element_design_columns_are_the_unit_local_stiffness(disk_r1):
+    from eitkit.forward import _element_design
+
+    design = _element_design(disk_r1)
+    _, _, rows, indptr, _ = disk_r1._placement
+    cols = np.repeat(np.arange(disk_r1.n_nodes), np.diff(indptr))
+    assert design.shape == (rows.size, disk_r1.n_elements)
+    assert_array_equal(np.diff(design.indptr), 9)
+    for e, tri in enumerate(disk_r1.triangles):
+        column = design[:, [e]].toarray().ravel()
+        local = np.zeros((disk_r1.n_nodes, disk_r1.n_nodes))
+        local[np.ix_(tri, tri)] = element_stiffness(disk_r1.coords[tri], 1.0, disk_r1.bounding_box_diagonal)
+        assert_allclose(column, local[rows, cols], rtol=1e-15, atol=0)
+    sigma = np.random.default_rng(5).uniform(0.5, 3.0, size=disk_r1.n_elements)
+    assert_allclose(design @ sigma, assemble(disk_r1, sigma).S.data, rtol=1e-13, atol=1e-13)
 
 
 def test_recover_conductivity_too_many_elements_guard(square_mesh):
