@@ -6,11 +6,12 @@ contributes ``sigma_e * area * B^T B`` with ``B`` the constant gradient
 matrix of the three barycentric shape functions. One vectorized kernel
 computes all ``(n_e, 3, 3)`` local matrices at once, and ``assemble``
 scatters them, along the mesh's cached assembly plan, into a CSC sparse
-matrix ``S`` (about 7 nonzeros per row; 29 057 at n = 4225). ``S`` is exactly symmetric, has zero row sums, and is
-positive semidefinite with a one-dimensional null space (the constant
-potential) on a connected mesh; fixing one reference node to zero
-potential makes it positive definite. The gauge zeroes that node's row and
-column in the CSC arrays directly, in O(nnz).
+matrix ``S`` (about 7 nonzeros per row; 29 057 at n = 4225). ``S`` is
+exactly symmetric, has zero row sums, and is positive semidefinite with a
+one-dimensional null space (the constant potential) on a connected mesh;
+fixing one reference node to zero potential makes it positive definite.
+The gauge zeroes that node's row and column in the CSC arrays directly,
+in O(nnz).
 
 :class:`ForwardFactorization` orders the grounded matrix by reverse
 Cuthill-McKee, which keeps its nonzeros in a band of half-width b around
