@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, EitError, FormatError, RankDeficiencyError
+from .errors import DimensionError, DomainError, EitError, FormatError, RankDeficiencyError
 from .forward import CurrentPattern, apply_pattern, assemble, measure, solve_forward, uniform_field
 from .mesh import Mesh, build_disk_mesh, load_mesh, parse_mesh_file, save_mesh, validate
 from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, simulate_sweep, stack_solve
@@ -42,6 +42,8 @@ DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
 STATISTICS = ("correlation", "cumulant", "pooled")
 RENDER_PAIR_BUDGET = 8192  # element-pixel pairs tested at once by render_element_field
+# each gray level 0..255 as a PGM token: its digits, zero padding, a space
+_PGM_TOKENS = np.array([list(str(v).encode().ljust(3, b"\0") + b" ") for v in range(256)], dtype=np.uint8)
 REQUIRED = object()  # the table default of a flag its command cannot run without
 
 
@@ -415,18 +417,39 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
 
 
 def _write_pgm(path, grid: np.ndarray, header_lines: tuple[str, ...]) -> None:
-    """Plain (P2) PGM; each image row's gray levels are wrapped greedily
-    into lines of at most 70 characters."""
+    """Plain (P2) PGM; each image row's gray levels, 0..255, are wrapped
+    greedily into lines of at most 70 characters.
+
+    The body is built in one pass over all pixels from the 256-entry table
+    ``_PGM_TOKENS``: each gray level's digits and a trailing space, four
+    bytes a pixel with zeros as padding. A line that starts at offset ``b``
+    of its row takes every token whose end, trailing space included, is at
+    most ``b + 71``; one search over all rows' cumulative token ends finds
+    that break for every row at once, so the loop runs once per output line
+    of the longest row, not once per pixel. The space after the last token
+    of a line becomes a newline, the padding is dropped, and the body is
+    written as one ASCII buffer.
+    """
     h, w = grid.shape
-    lines = ["P2", *(f"# {line}" for line in header_lines), f"{w} {h}", "255"]
-    for row in grid.tolist():
-        text = " ".join(map(str, row))
-        while len(text) > 70:
-            cut = text.rfind(" ", 0, 71)
-            lines.append(text[:cut])
-            text = text[cut + 1:]
-        lines.append(text)
-    write_lines(path, lines)
+    head = ["P2", *(f"# {line}" for line in header_lines), f"{w} {h}", "255"]
+    gray = np.asarray(grid).ravel()
+    if gray.size and not (0 <= gray.min() and gray.max() <= 255):
+        raise DomainError(f"PGM gray levels must lie in 0..255, got {gray.min()}..{gray.max()}")
+    chars = _PGM_TOKENS.view(np.uint32)[gray].view(np.uint8)  # (h w, 4)
+    # each token's end past its row's start, with its space; rows are set
+    # apart far enough that no line's search runs into the next row
+    stride = 4 * w + 71
+    lengths = np.count_nonzero(_PGM_TOKENS, axis=1)[gray].reshape(h, w)
+    ends = (np.cumsum(lengths, axis=1) + stride * np.arange(h)[:, None]).ravel()
+    last = np.arange(1, h + 1) * w - 1  # each row's last token
+    start, rows = stride * np.arange(h), np.arange(h if w else 0)
+    while rows.size:
+        stop = np.searchsorted(ends, start + 71, side="right") - 1
+        chars[stop, 3] = ord("\n")
+        more = stop < last[rows]
+        start, rows = ends[stop[more]], rows[more]
+    body = chars[chars != 0].tobytes().decode("ascii")
+    write_lines(path, head + ([body[:-1]] if body else [""] * h))
 
 
 def cmd_reconstruct_multifreq(args) -> int:

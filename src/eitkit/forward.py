@@ -97,18 +97,35 @@ class CurrentPattern:
         _check_currents(np.array(list(fixed.values()), dtype=float))
 
 
-def _check_currents(vals: np.ndarray) -> None:
-    """A drive pattern's currents are finite, at least two are nonzero,
-    and they sum to zero within ``ZERO_SUM_TOL``."""
-    if not np.isfinite(vals).all():
-        raise DomainError("pattern currents must be finite")
-    if np.count_nonzero(vals) < 2:
-        raise DomainError("a drive pattern needs at least two nonzero currents")
-    total = float(vals.sum())
-    if abs(total) > ZERO_SUM_TOL:
-        raise CompatibilityError(
-            f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {total:g}"
+def _check_currents(vals: np.ndarray, blame=None) -> None:
+    """Check the currents of one drive pattern, shape (k,), or of one
+    pattern per column, shape (k, P), in one vectorized pass: each pattern's
+    currents are finite, at least two are nonzero, and they sum to zero
+    within ``ZERO_SUM_TOL``. The first failing column p raises the error of
+    its first failed check; with a ``blame`` function, ``blame(p, error)``
+    is raised instead, chained to the error."""
+    # Fortran order: each column is summed along contiguous memory, in the
+    # order vals.sum() sums one pattern, so the totals match it bitwise
+    table = np.asfortranarray(vals[:, None] if vals.ndim == 1 else vals)
+    finite = np.isfinite(table).all(axis=0)
+    nonzero = np.count_nonzero(table, axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf: such a column fails as not finite
+        totals = table.sum(axis=0)
+    failed = ~finite | (nonzero < 2) | (np.abs(totals) > ZERO_SUM_TOL)
+    if not failed.any():
+        return
+    p = int(np.argmax(failed))
+    if not finite[p]:
+        error = DomainError("pattern currents must be finite")
+    elif nonzero[p] < 2:
+        error = DomainError("a drive pattern needs at least two nonzero currents")
+    else:
+        error = CompatibilityError(
+            f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {float(totals[p]):g}"
         )
+    if blame is None:
+        raise error
+    raise blame(p, error) from error
 
 
 class _StiffnessMatrix(csc_array):
@@ -247,21 +264,64 @@ def _element_design(mesh: Mesh) -> csc_array:
     return csc_array((local.ravel(), slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
 
 
-def _nodal_load(mesh: Mesh, pattern, currents=None) -> np.ndarray:
-    """The load (a new array) of a :class:`CurrentPattern`, or of a length-n
-    nodal vector plus electrode ``currents``, checked by :func:`_check_currents`;
-    each electrode's current is added at its node, in order."""
-    nodal = not isinstance(pattern, CurrentPattern)
-    F = np.array(pattern, dtype=float) if nodal else np.zeros(mesh.n_nodes)
-    if F.shape != (mesh.n_nodes,):
-        raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {F.shape}")
-    for eid, current in ((currents or {}) if nodal else pattern.currents).items():
-        if eid not in mesh.electrode_map:
-            raise UnknownElectrodeError(f"electrode {eid} is not on the mesh")
-        F[mesh.node_index[mesh.electrode_map[eid]]] += current
-    if nodal:
-        _check_currents(F)
-    return F
+def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
+    """The checked (n, P) load table of P drive patterns, a new
+    Fortran-order array with one column per pattern.
+
+    A pattern is a :class:`CurrentPattern` (its currents were checked when
+    it was made) or a length-n nodal vector; ``currents``, one mapping or
+    None per pattern, adds electrode currents to the nodal vectors. Column p
+    holds the nodal entries, then each electrode's current added at its
+    node in mapping order, as one pattern resolved alone would. The nodal
+    columns are checked together by :func:`_check_currents`.
+
+    The first failing column p raises the error that column raises alone:
+    a wrong length is :class:`DimensionError`, then an electrode not on the
+    mesh :class:`UnknownElectrodeError`, then the current checks. With a
+    ``blame`` function, ``blame(p, error)`` is raised instead, chained to
+    the error.
+    """
+    n, count = mesh.n_nodes, len(patterns)
+    sources = [None] * count if currents is None else list(currents)
+    table = np.zeros((n, count), order="F")
+    faults = []  # (column, error): the first wrong length, the first unknown electrode
+    nodal = []
+    for p, pattern in enumerate(patterns):
+        if isinstance(pattern, CurrentPattern):
+            sources[p] = pattern.currents
+        else:
+            nodal.append(p)
+            vector = np.asarray(pattern, dtype=float)
+            if vector.shape == (n,):
+                table[:, p] = vector
+            elif not faults:
+                faults.append((p, DimensionError(
+                    f"nodal pattern must have length {n}, got shape {vector.shape}")))
+
+    entries = [(p, eid, amp) for p, source in enumerate(sources) if source for eid, amp in source.items()]
+    if entries:
+        cols, eids, amps = zip(*entries)
+        emap, index = mesh.electrode_map, mesh.node_index
+        rows = np.array([index[emap[eid]] if eid in emap else -1 for eid in eids])
+        known = rows >= 0
+        if not known.all():
+            k = int(np.argmin(known))
+            faults.append((cols[k], UnknownElectrodeError(f"electrode {eids[k]} is not on the mesh")))
+        np.add.at(table, (rows[known], np.array(cols)[known]), np.array(amps)[known])
+
+    # a column's length and electrodes are checked before its currents
+    stop, error = min(faults, key=lambda fault: fault[0], default=(count, None))
+    checked = [p for p in nodal if p < stop]
+    if checked:
+        _check_currents(
+            table if len(checked) == count else table[:, checked],
+            None if blame is None else lambda k, exc: blame(checked[k], exc),
+        )
+    if error is None:
+        return table
+    if blame is None:
+        raise error
+    raise blame(stop, error) from error
 
 
 def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndarray]:
@@ -306,7 +366,7 @@ def apply_pattern(system: StiffnessSystem, mesh: Mesh, pattern, ground_node: int
             f"system size {system.S.shape} does not match mesh node count {mesh.n_nodes}"
         )
 
-    F = _nodal_load(mesh, pattern)
+    F = _nodal_load(mesh, [pattern])[:, 0]
     Sg, Fg = ground_system(system.S, F, mesh.node_index[ground_node])
     return StiffnessSystem(S=Sg, F=Fg, ground_node=ground_node)
 

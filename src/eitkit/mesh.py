@@ -28,7 +28,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainError, MeshFormatError, MeshValidationError
-from .textio import convert, read_lines, sections, write_lines
+from .textio import read_lines, records, sections, write_lines
 
 # field names of one line in each section, in file order
 _FIELDS = {
@@ -462,32 +462,28 @@ def load_mesh(path) -> Mesh:
 
 def parse_mesh_file(path) -> Mesh:
     """Parse a mesh file without checking invariants (use :func:`validate`
-    to inspect a suspect mesh; :func:`load_mesh` does both)."""
+    to inspect a suspect mesh; :func:`load_mesh` does both).
+
+    Each section is read in one columnar pass (:func:`eitkit.textio.records`):
+    every line is split, the field counts are checked together, each field
+    column is converted by one ``map`` and each id column is range-checked
+    on its min and max; the records are then built by ``map``. A line is
+    looked at on its own only when a pass fails, to name the first bad line
+    of the first bad section, in the order nodes, elements, boundary,
+    electrodes."""
     lines = read_lines(path, MeshFormatError)
     groups = sections(lines, _FIELDS, MeshFormatError)
 
-    def records(name):
+    def read(name):
         fields = _FIELDS[name]
         kinds = (int, float, float) if name == "nodes" else (int,) * len(fields)
-        for line_no, text in groups.get(name, ()):
-            parts = text.split()
-            if len(parts) != len(fields):
-                raise MeshFormatError(
-                    f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields",
-                    line_no=line_no,
-                )
-            row = [convert(p, k, line_no, f, MeshFormatError) for p, k, f in zip(parts, kinds, fields)]
-            for value, k, f in zip(row, kinds, fields):
-                if k is int and not -(2**63) <= value < 2**63:
-                    raise MeshFormatError(
-                        f"id {value} does not fit in a signed 64-bit integer", line_no=line_no, field=f
-                    )
-            yield row
+        return records(groups.get(name, ()), name, fields, kinds, MeshFormatError)
 
-    nodes = tuple(Node(*r) for r in records("nodes"))
-    elements = tuple(Element(r[0], tuple(r[1:])) for r in records("elements"))
-    boundary = tuple(r[0] for r in records("boundary"))
-    electrodes = tuple(Electrode(*r) for r in records("electrodes"))
+    nodes = tuple(map(Node, *read("nodes")))
+    ids, *corners = read("elements")
+    elements = tuple(map(Element, ids, zip(*corners)))
+    boundary = tuple(read("boundary")[0])
+    electrodes = tuple(map(Electrode, *read("electrodes")))
     missing = [f"[{name}]" for name in _FIELDS if name not in groups]
     if missing:
         raise MeshFormatError(

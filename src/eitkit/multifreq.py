@@ -72,6 +72,7 @@ from .forward import (
 )
 from .mesh import Mesh, _is_int
 from .textio import (
+    columns,
     convert,
     data_lines,
     float_rows,
@@ -84,6 +85,9 @@ from .textio import (
 )
 
 RANK_TOL = 1e-10
+# bytes of one (n, k) block of columns: simulate_sweep solves its loads and
+# recover_conductivity reads S_hat in blocks of at most this size
+BLOCK_BYTES = 1 << 20
 # recover_conductivity rejects a design whose Gram matrix has
 # lambda_min <= GRAM_TOL * lambda_max, that is cond(design) >= 1e6
 GRAM_TOL = 1e-12
@@ -279,24 +283,26 @@ def _annotated(exc: EitError, where: str) -> EitError:
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
     """Run every injection of the sweep and stack potentials and loads.
 
-    Each pattern is resolved once into a column of an (n, P) load table,
+    One call of the resolver turns the patterns into an (n, P) load table,
     which gives every injection its load. For each frequency the tissue law
     gives the per-element conductivity, and the system is assembled,
     grounded at the reference node of the frequency's first injection and
     factored once. The loads of every injection at that frequency are
-    solved as one (n, k) block with this one factorization, giving ``phi``,
-    and each column's potential against its own reference node ``g`` is
-    ``phi - phi[g]``. That shift is exact, not an approximation: ``S`` has
-    zero row sums, so ``S (phi - phi[g]) = S phi``, every load sums to
-    zero, so the grounded row's equation holds as well, and
-    ``phi - phi[g]`` is therefore the unique solution that vanishes at
-    ``g``. The grounded potential and the pre-gauge load are stacked in
-    config order. An :class:`EitError` is raised again as a new error of
-    the same class, its message prefixed with the (frequency, pattern)
-    index and chained to the original: injection p, the first of pattern
-    p, for an error in pattern p, which comes before any assembly error;
-    the frequency's first injection for an assembly, factorization or
-    solve error. Any other exception passes through untouched.
+    solved with this one factorization, in blocks of columns of at most
+    ``BLOCK_BYTES`` each, giving ``phi``; each column's potential against
+    its own reference node ``g`` is ``phi - phi[g]``. That shift is exact,
+    not an approximation: ``S`` has zero row sums, so
+    ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
+    row's equation holds as well, and ``phi - phi[g]`` is therefore the
+    unique solution that vanishes at ``g``. Every column is solved on its
+    own, so the block size does not change a bit of the result. The
+    grounded potential and the pre-gauge load are stacked in config order.
+    An :class:`EitError` is raised again as a new error of the same class,
+    its message prefixed with the (frequency, pattern) index and chained to
+    the original: injection p, the first of pattern p, for an error in
+    pattern p, which comes before any assembly error; the frequency's first
+    injection for an assembly, factorization or solve error. Any other
+    exception passes through untouched.
     """
     if tissue.n_elements != mesh.n_elements:
         raise DimensionError(
@@ -317,25 +323,26 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         freq, p_idx = injections[col]
         return f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})"
 
-    table = np.empty((n, len(config.patterns)))
-    for p, pattern in enumerate(config.patterns):
-        try:
-            table[:, p] = _nodal_load(mesh, pattern)
-        except EitError as exc:
-            raise _annotated(exc, where(p)) from exc
+    table = _nodal_load(mesh, config.patterns, blame=lambda p, exc: _annotated(exc, where(p)))
     F = table[:, [p_idx for _, p_idx in injections]]
+    del table  # F holds every load; the table would only raise the peak
     Phi = np.zeros((n, cols.size))
+    width = max(1, BLOCK_BYTES // (8 * n))
 
     for freq in config.frequencies:
         block = [col for col, (f, _) in enumerate(injections) if f == freq]
         first = grounds[block[0]]
         try:
-            Sg, loads = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, F[:, block], first)
-            system = StiffnessSystem(S=Sg, F=loads, ground_node=mesh.nodes[first].id)
-            phi = ForwardFactorization(system).solve(loads).phi
+            Sg, zero = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, np.zeros(n), first)
+            factor = ForwardFactorization(StiffnessSystem(S=Sg, F=zero, ground_node=mesh.nodes[first].id))
+            for start in range(0, len(block), width):
+                part = block[start:start + width]
+                loads = F[:, part]
+                loads[first] = 0.0  # the gauge row, as ground_system zeroes it
+                phi = factor.solve(loads).phi
+                Phi[:, part] = phi - phi[grounds[part], np.arange(len(part))]
         except EitError as exc:
             raise _annotated(exc, where(block[0])) from exc
-        Phi[:, block] = phi - phi[grounds[block], np.arange(len(block))]
 
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
@@ -422,6 +429,16 @@ def _largest_eigenvalue(operator, v0: np.ndarray) -> float:
     return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
 
 
+def _column_blocks(S_hat: np.ndarray):
+    """``(start, S_hat[:, start:stop], S_hat[start:stop, :].T)`` for blocks
+    of columns of at most ``BLOCK_BYTES`` each: a square matrix and its
+    transpose read side by side with no n x n temporary."""
+    n = S_hat.shape[0]
+    width = max(1, BLOCK_BYTES // (8 * n))
+    for start in range(0, n, width):
+        yield start, S_hat[:, start:start + width], S_hat[start:start + width, :].T
+
+
 def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | None = None) -> RecoveredField:
     """Invert the assembly map: ``argmin_sigma |assemble(mesh, sigma) - sym(S_hat)|_F``.
 
@@ -438,7 +455,13 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     fixed start vector, so the figures repeat exactly) gives ``lambda_max``
     of ``A^T A`` and, through the factor, ``1 / lambda_min``; then
     ``sensitivity = 1/sqrt(lambda_min)`` and ``operator_condition =
-    sqrt(lambda_max / lambda_min)``. ``fit_residual`` counts every entry.
+    sqrt(lambda_max / lambda_min)``.
+
+    ``sym(S_hat)`` is read at the pattern entries only, as
+    ``0.5 * (S_hat[r, c] + S_hat[c, r])``. ``fit_residual`` still counts
+    every entry: the misfit on the pattern plus ``sym(S_hat)`` off it. That
+    sum and the symmetry check read ``S_hat`` and its transpose in blocks of
+    columns of at most ``BLOCK_BYTES``, so no n x n temporary is made.
 
     More elements than the n(n+1)/2 independent entries raise
     :class:`IdentifiabilityError` with the excess as the gap. So do an
@@ -451,7 +474,8 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     if S_hat.shape != (n, n):
         raise DimensionError(f"S_hat has shape {S_hat.shape}, mesh implies ({n}, {n})")
     scale = float(np.linalg.norm(S_hat)) or 1.0
-    if float(np.linalg.norm(S_hat - S_hat.T)) > 1e-6 * scale:
+    asymmetry = sum(float(np.vdot(d, d)) for d in (a - b for _, a, b in _column_blocks(S_hat)))
+    if np.sqrt(asymmetry) > 1e-6 * scale:
         raise DomainError("S_hat must be symmetric within 1e-6 relative")
 
     independent_entries = n * (n + 1) // 2
@@ -481,17 +505,22 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
 
     _, _, rows, indptr, _ = mesh._placement
     cols = np.repeat(np.arange(n), np.diff(indptr))
-    residual = 0.5 * (S_hat + S_hat.T)  # sym(S_hat) until the fit is subtracted
-    target = residual[rows, cols]
+    target = 0.5 * (S_hat[rows, cols] + S_hat[cols, rows])  # sym(S_hat) on the pattern
     sigma = lu.solve(design.T @ target)
     for _ in range(2):
         sigma += lu.solve(design.T @ (target - design @ sigma))
-    residual[rows, cols] -= design @ sigma
+    misfit = target - design @ sigma
+    off_pattern = 0.0  # the squares of sym(S_hat) off the pattern
+    for start, a, b in _column_blocks(S_hat):
+        sym = 0.5 * (a + b)
+        on = slice(indptr[start], indptr[start + sym.shape[1]])  # the pattern entries of these columns
+        sym[rows[on], cols[on] - start] = 0.0
+        off_pattern += float(np.vdot(sym, sym))
     negative = tuple(int(e) for e in np.flatnonzero(~(sigma > 0.0)))
     return RecoveredField(
         sigma=sigma,
         negative_elements=negative,
-        fit_residual=float(np.linalg.norm(residual)),
+        fit_residual=float(np.sqrt(off_pattern + misfit @ misfit)),
         sensitivity=float(1.0 / np.sqrt(lam_min)),
         operator_condition=float(np.sqrt(lam_max / lam_min)),
         solve_residual=solve_residual,
@@ -592,32 +621,17 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     ``element <id>`` overrides and ``node <id>`` entries name mesh element
     and node ids; an id that is not on the mesh is a line-numbered
     :class:`FormatError`. So is, chained to the resolver's error, a pattern
-    line that :func:`simulate_sweep` would reject.
+    line that :func:`simulate_sweep` would reject. The pattern lines and
+    the overrides are each read in one columnar pass, and the pattern lines
+    resolved by one resolver call; a line is looked at on its own only when
+    that fails, to name the first bad line.
     """
     groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
     frequencies = [
         convert(text, float, line_no, "frequency") for line_no, text in groups.get("frequencies", ())
     ]
-    patterns = [
-        _parse_pattern_line(text, mesh, line_no) for line_no, text in groups.get("patterns", ())
-    ]
-
-    model_uniform: dict[str, float] = {}
-    model_overrides: dict[int, tuple[int, tuple[float, float, float]]] = {}
-    for line_no, text in groups.get("model", ()):
-        if text.lower().startswith("element"):
-            eid, _, triple = text[len("element"):].partition(":")
-            try:
-                s0, si, t = (float(v) for v in triple.split())
-                eid = int(eid)
-            except ValueError:
-                raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
-            put_once(model_overrides, eid, (line_no, (s0, si, t)), line_no, "element override")
-        else:
-            key, value = key_value(line_no, text)
-            if key not in ("sigma0", "sigma_inf", "tau"):
-                raise FormatError(f"unknown model key {key!r}", line_no=line_no)
-            put_once(model_uniform, key, convert(value, float, line_no, key), line_no, "model key")
+    patterns = _parse_patterns(groups.get("patterns", []), mesh)
+    model_uniform, model_overrides = _parse_model(groups.get("model", []))
 
     sweep: dict[str, str | int] = {}
     for line_no, text in groups.get("sweep", ()):
@@ -633,15 +647,15 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
             header = groups["model"].line_no if "model" in groups else None
             raise FormatError(f"[model] section is missing {key!r}", line_no=header)
     n_e = mesh.n_elements
-    sigma0 = np.full(n_e, model_uniform["sigma0"])
-    sigma_inf = np.full(n_e, model_uniform["sigma_inf"])
-    tau = np.full(n_e, model_uniform["tau"])
+    params = np.array([np.full(n_e, model_uniform[key]) for key in ("sigma0", "sigma_inf", "tau")])
     row = {e.id: k for k, e in enumerate(mesh.elements)}
-    for eid, (line_no, (s0, si, t)) in model_overrides.items():
-        if eid not in row:
-            raise FormatError(f"element override {eid} is not a mesh element", line_no=line_no)
-        sigma0[row[eid]], sigma_inf[row[eid]], tau[row[eid]] = s0, si, t
-    tissue = TissueModel(sigma0, sigma_inf, tau)
+    rows = [row.get(eid, -1) for eid in model_overrides]
+    if -1 in rows:
+        eid = list(model_overrides)[rows.index(-1)]
+        raise FormatError(f"element override {eid} is not a mesh element", line_no=model_overrides[eid][0])
+    if rows:
+        params[:, rows] = np.array([values for _, values in model_overrides.values()]).T
+    tissue = TissueModel(*params)
 
     config = SweepConfig(
         frequencies=tuple(frequencies),
@@ -650,6 +664,43 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
         ground=sweep.get("ground", 0),
     )
     return config, tissue
+
+
+def _parse_model(lines) -> tuple[dict, dict]:
+    """The ``[model]`` lines as ``({key: value}, {element id: (line_no,
+    (sigma0, sigma_inf, tau))})``, the overrides in line order. The
+    overrides are converted in one columnar pass; if that fails, or an id
+    repeats, the lines are walked one by one to raise the first bad line's
+    error."""
+    override = [text.lower().startswith("element") for _, text in lines]
+    tagged = [line for line, flag in zip(lines, override) if flag]
+    parts = [text[len("element"):].partition(":") for _, text in tagged]
+    table = columns([[eid, *triple.split()] for eid, _, triple in parts], (int, float, float, float))
+    if table is None or len(set(table[0])) < len(tagged):
+        return _walk_model(lines)
+    uniform, _ = _walk_model([line for line, flag in zip(lines, override) if not flag])
+    return uniform, dict(zip(table[0], zip((line_no for line_no, _ in tagged), zip(*table[1:]))))
+
+
+def _walk_model(lines) -> tuple[dict, dict]:
+    """:func:`_parse_model` one line at a time."""
+    uniform: dict[str, float] = {}
+    overrides: dict[int, tuple[int, tuple[float, float, float]]] = {}
+    for line_no, text in lines:
+        if text.lower().startswith("element"):
+            eid, _, triple = text[len("element"):].partition(":")
+            try:
+                s0, si, t = (float(v) for v in triple.split())
+                eid = int(eid)
+            except ValueError:
+                raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
+            put_once(overrides, eid, (line_no, (s0, si, t)), line_no, "element override")
+        else:
+            key, value = key_value(line_no, text)
+            if key not in ("sigma0", "sigma_inf", "tau"):
+                raise FormatError(f"unknown model key {key!r}", line_no=line_no)
+            put_once(uniform, key, convert(value, float, line_no, key), line_no, "model key")
+    return uniform, overrides
 
 
 def _pattern_entry(chunk: str, line_no: int) -> tuple[bool, int, float]:
@@ -663,6 +714,57 @@ def _pattern_entry(chunk: str, line_no: int) -> tuple[bool, int, float]:
     if nodal:
         target = target[4:]
     return nodal, convert(target, int, line_no, "id"), convert(amps, float, line_no, "amps")
+
+
+def _parse_patterns(lines, mesh: Mesh) -> list:
+    """Every ``[patterns]`` line, as :func:`_parse_pattern_line` reads one,
+    converted in one columnar pass and resolved by one :func:`_nodal_load`
+    call. If either fails, the lines are read one by one instead, and the
+    first bad line raises its own error."""
+    try:
+        return _resolve_pattern_lines(lines, mesh)
+    except (EitError, ValueError):
+        pass  # named below, outside this handler, so no error carries the batch's
+    return [_parse_pattern_line(text, mesh, line_no) for line_no, text in lines]
+
+
+def _resolve_pattern_lines(lines, mesh: Mesh) -> list:
+    """:func:`_parse_patterns` without the walk: raises ValueError or an
+    :class:`EitError` on any bad line, without naming it."""
+    count = len(lines)
+    entries = [
+        (k, chunk.partition(":")) for k, (_, text) in enumerate(lines)
+        for chunk in text.split(",") if chunk.strip()
+    ]
+    if not all(sep for _, (_, sep, _) in entries):
+        raise ValueError("a pattern entry has no ':'")
+    targets = [target.strip() for _, (target, _, _) in entries]
+    is_node = [target.lower().startswith("node") for target in targets]
+    rows = [[target[4:] if node else target, amps] for target, node, (_, (_, _, amps)) in
+            zip(targets, is_node, entries)]
+    table = columns(rows, (int, float))
+    if table is None:
+        raise ValueError("a pattern entry does not parse")
+    owner = [k for k, _ in entries]
+    currents = [{} for _ in range(count)]  # each electrode's total, in line order
+    node_rows, node_owner, node_amps = [], [], []
+    for k, node, target, amp in zip(owner, is_node, *table):
+        if not node:
+            currents[k][target] = currents[k].get(target, 0.0) + amp
+        elif target in mesh.node_index:
+            node_rows.append(mesh.node_index[target])
+            node_owner.append(k)
+            node_amps.append(amp)
+        else:
+            raise ValueError(f"unknown node {target}")
+    nodal = np.zeros((mesh.n_nodes, count), order="F")
+    at = (np.array(node_rows, dtype=np.intp), np.array(node_owner, dtype=np.intp))
+    np.add.at(nodal, at, node_amps)  # node entries in line order
+    has_node = np.zeros(count, dtype=bool)
+    has_node[node_owner] = True
+    patterns = [nodal[:, k] if has_node[k] else CurrentPattern(currents[k]) for k in range(count)]
+    loads = _nodal_load(mesh, patterns, currents)
+    return [loads[:, k] if has_node[k] else pattern for k, pattern in enumerate(patterns)]
 
 
 def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
@@ -681,9 +783,9 @@ def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
             raise FormatError(f"unknown node {target}", line_no=line_no)
     try:
         if any(is_node for is_node, _, _ in entries):
-            return _nodal_load(mesh, nodal, electrode_entries)
+            return _nodal_load(mesh, [nodal], [electrode_entries])[:, 0]
         pattern = CurrentPattern(electrode_entries)
-        _nodal_load(mesh, pattern)
+        _nodal_load(mesh, [pattern])
         return pattern
     except EitError as exc:
         raise FormatError(str(exc), line_no=line_no) from exc

@@ -9,6 +9,8 @@ lives in the module that reads it.
   so is a key given twice in one section.
 * Floats are written with 17 significant digits, so they read back exactly.
 * Parse errors carry the 1-based line number, and the field where there is one.
+* Record sections are converted a column at a time (:func:`records`); a line
+  is looked at on its own only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -45,22 +47,26 @@ class Section(list):
 def sections(lines, names, error=FormatError, preamble=None) -> dict[str, Section]:
     """The data lines grouped by section, for the lower-case section
     ``names``; lines before the first header form section ``preamble``
-    when one is given."""
+    when one is given. Each section is one slice of the data lines, cut at
+    the header lines."""
+    data = data_lines(lines)
+    heads = [k for k, (_, text) in enumerate(data) if text.startswith("[")]
     groups: dict[str, Section] = {}
-    current = preamble
-    for line_no, text in data_lines(lines):
-        if text.startswith("["):
-            name = text[1:-1].strip().lower() if text.endswith("]") else None
-            if name not in names:
-                raise error(f"unknown section {text!r}", line_no=line_no)
-            if name in groups:
-                raise error(f"section [{name}] repeated", line_no=line_no)
-            groups[name] = Section(line_no)
-            current = name
-        elif current is None:
+    if data and heads[:1] != [0]:
+        if preamble is None:
+            line_no, text = data[0]
             raise error(f"data before any section header: {text!r}", line_no=line_no)
-        else:
-            groups.setdefault(current, Section()).append((line_no, text))
+        groups[preamble] = Section()
+        groups[preamble].extend(data[:heads[0] if heads else len(data)])
+    for head, end in zip(heads, heads[1:] + [len(data)]):
+        line_no, text = data[head]
+        name = text[1:-1].strip().lower() if text.endswith("]") else None
+        if name not in names:
+            raise error(f"unknown section {text!r}", line_no=line_no)
+        if name in groups:
+            raise error(f"section [{name}] repeated", line_no=line_no)
+        groups[name] = Section(line_no)
+        groups[name].extend(data[head + 1:end])
     return groups
 
 
@@ -85,6 +91,50 @@ def convert(token: str, kind, line_no: int, field: str | None = None, error=Form
         return kind(token)
     except ValueError:
         raise error(f"expected {kind.__name__}, got {token!r}", line_no=line_no, field=field) from None
+
+
+def _fits_int64(value: int) -> bool:
+    return -(2**63) <= value < 2**63
+
+
+def columns(rows, kinds) -> list[list] | None:
+    """The field columns of token ``rows``, each converted by its kind in
+    one ``map`` pass: one list per kind. None when a row has another field
+    count, a token does not convert, or an int column leaves the signed
+    64-bit range (checked on its min and max)."""
+    if set(map(len, rows)) - {len(kinds)}:
+        return None
+    try:
+        out = [list(map(kind, column)) for kind, column in zip(kinds, zip(*rows))]
+    except ValueError:
+        return None
+    for kind, column in zip(kinds, out):
+        if kind is int and not (_fits_int64(min(column)) and _fits_int64(max(column))):
+            return None
+    return out or [[] for _ in kinds]
+
+
+def records(lines, name: str, fields, kinds, error=FormatError) -> list[list]:
+    """The whitespace-separated record lines of section ``name`` as one list
+    per field, each field converted by its kind; int fields are ids and must
+    fit in a signed 64-bit integer.
+
+    The whole section goes through :func:`columns`. Only when that fails is
+    it walked line by line, to raise the error of the first bad line: its
+    field count, then its fields from left to right, then their range.
+    """
+    rows = [text.split() for _, text in lines]
+    out = columns(rows, kinds)
+    if out is not None:
+        return out
+    for (line_no, _), parts in zip(lines, rows):
+        if len(parts) != len(fields):
+            raise error(f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields", line_no=line_no)
+        row = [convert(p, k, line_no, f, error) for p, k, f in zip(parts, kinds, fields)]
+        for value, k, f in zip(row, kinds, fields):
+            if k is int and not _fits_int64(value):
+                raise error(f"id {value} does not fit in a signed 64-bit integer", line_no=line_no, field=f)
+    return out  # not reached: the walk raises wherever the column pass failed
 
 
 def float_rows(lines) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitkit import DimensionError, Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
+from eitkit import DimensionError, DomainError, Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
 from eitkit.cli import _COMMANDS, REQUIRED, _as_bool, _write_pgm, main, render_element_field
 from eitkit.textio import write_lines
 
@@ -561,6 +561,22 @@ def test_write_pgm_matches_token_loop(shape, top, seed):
         lines = got.read_text().splitlines()
     assert all(len(line) <= 70 for line in lines)
     assert [int(tok) for line in lines[5:] for tok in line.split()] == grid.ravel().tolist()
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 4)])
+def test_write_pgm_of_an_empty_grid_matches_token_loop(tmp_path, shape):
+    grid = np.zeros(shape, dtype=int)
+    _write_pgm(tmp_path / "got.pgm", grid, ("eitkit",))
+    write_pgm_token_loop(tmp_path / "want.pgm", grid, ("eitkit",))
+    assert (tmp_path / "got.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 256])
+def test_write_pgm_rejects_gray_levels_outside_0_255(tmp_path, bad):
+    grid = np.full((2, 3), 7)
+    grid[1, 2] = bad
+    with pytest.raises(DomainError, match="0..255"):
+        _write_pgm(tmp_path / "bad.pgm", grid, ())
 
 
 def test_header_present_in_outputs(capsys, tmp_path, mesh_file):

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,131 @@ def test_comments_are_ignored_on_load(tmp_path, disk_r1):
     path = tmp_path / "disk.mesh"
     save_mesh(disk_r1, path, header_lines=("made for a test", "second line"))
     assert load_mesh(path) == disk_r1
+
+
+# ------------------------------------------------------ reference reader ----
+# The per-line reader that the columnar one replaced, kept as the oracle:
+# the same meshes, and on a bad file the same error class, message, line
+# and field.
+
+
+def reference_parse_mesh_file(path) -> Mesh:
+    from eitkit.mesh import _FIELDS
+    from eitkit.textio import convert, read_lines, sections
+
+    lines = read_lines(path, MeshFormatError)
+    groups = sections(lines, _FIELDS, MeshFormatError)
+
+    def records(name):
+        fields = _FIELDS[name]
+        kinds = (int, float, float) if name == "nodes" else (int,) * len(fields)
+        for line_no, text in groups.get(name, ()):
+            parts = text.split()
+            if len(parts) != len(fields):
+                raise MeshFormatError(
+                    f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields",
+                    line_no=line_no,
+                )
+            row = [convert(p, k, line_no, f, MeshFormatError) for p, k, f in zip(parts, kinds, fields)]
+            for value, k, f in zip(row, kinds, fields):
+                if k is int and not -(2**63) <= value < 2**63:
+                    raise MeshFormatError(
+                        f"id {value} does not fit in a signed 64-bit integer", line_no=line_no, field=f
+                    )
+            yield row
+
+    nodes = tuple(Node(*r) for r in records("nodes"))
+    elements = tuple(Element(r[0], tuple(r[1:])) for r in records("elements"))
+    boundary = tuple(r[0] for r in records("boundary"))
+    electrodes = tuple(Electrode(*r) for r in records("electrodes"))
+    missing = [f"[{name}]" for name in _FIELDS if name not in groups]
+    if missing:
+        raise MeshFormatError(
+            f"file is truncated or incomplete: missing section(s) {', '.join(missing)}",
+            line_no=len(lines),
+        )
+    return Mesh(nodes, elements, boundary, electrodes)
+
+
+# tokens that break an int or float field, or sit on the edge of one
+BAD_TOKENS = [
+    "x1", "1.5", "1e3", "1e", "0x1f", "nan", "-inf", "", "1_0", "_1", "1__0", "1_0.5",
+    "\u0663", str(2**63), str(-(2**63)), str(-(2**63) - 1), str(2**63 - 1), "9" * 30,
+]
+
+
+def outcome(read, path):
+    """``("mesh", repr)`` of what ``read`` returns, or ``("error", class,
+    message, line, field)`` of the MeshFormatError it raises."""
+    try:
+        return ("mesh", repr(read(path)))
+    except MeshFormatError as exc:
+        return ("error", type(exc), str(exc), exc.line_no, exc.field)
+
+
+mesh_ids = st.integers(-(2**63), 2**63 - 1)
+coordinates = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nodes=st.lists(st.tuples(mesh_ids, coordinates, coordinates), max_size=6),
+    elements=st.lists(st.tuples(mesh_ids, mesh_ids, mesh_ids, mesh_ids), max_size=6),
+    boundary=st.lists(mesh_ids, max_size=6),
+    electrodes=st.lists(st.tuples(mesh_ids, mesh_ids), max_size=6),
+    data=st.data(),
+)
+def test_parse_mesh_file_matches_the_per_line_reader(nodes, elements, boundary, electrodes, data):
+    mesh = Mesh(
+        tuple(Node(*n) for n in nodes),
+        tuple(Element(e[0], e[1:]) for e in elements),
+        tuple(boundary),
+        tuple(Electrode(*e) for e in electrodes),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mesh"
+        save_mesh(mesh, path, header_lines=("header",))
+        lines = path.read_text().splitlines()
+        records = [k for k, line in enumerate(lines) if line and line[0] not in "#["]
+        # none, one or two corrupted lines: a token replaced, or one dropped or added
+        corrupted = data.draw(st.lists(st.sampled_from(records), max_size=2)) if records else []
+        for k in corrupted:
+            tokens = lines[k].split()
+            change = data.draw(st.sampled_from(["replace", "drop", "add"] if tokens else ["add"]))
+            if change == "replace":
+                tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(BAD_TOKENS))
+            elif change == "drop":
+                tokens.pop(data.draw(st.integers(0, len(tokens) - 1)))
+            else:
+                tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(BAD_TOKENS[:3])))
+            lines[k] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        want = outcome(reference_parse_mesh_file, path)
+        got = outcome(parse_mesh_file, path)
+    assert got == want
+    if not corrupted:
+        assert want == ("mesh", repr(mesh))
+
+
+@pytest.mark.parametrize(
+    "text, line_no, field",
+    [
+        ("[nodes]\n0 0 0\n1 x 0\n2 0 y\n", 3, "x"),
+        ("[nodes]\n0 0 0\n1 0\n2 0 y\n", 3, None),
+        ("[nodes]\n0 0 0\n1 0 1_0\n" + str(2**63) + " 0 0\n", 4, "id"),
+        ("[elements]\n0 1 2 x\n[nodes]\n0 0 0 0\n", 4, None),
+        ("[nodes]\n0 0 0\n[electrodes]\n1 " + str(-(2**63) - 1) + "\n[boundary]\n1.5\n", 6, "node"),
+    ],
+    ids=["first-bad-float", "count-before-later-float", "range-after-underscore-literal",
+         "nodes-section-first", "boundary-before-electrodes"],
+)
+def test_parse_mesh_file_names_the_first_bad_line(tmp_path, text, line_no, field):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError) as err:
+        parse_mesh_file(path)
+    assert (err.value.line_no, err.value.field) == (line_no, field)
+    assert outcome(parse_mesh_file, path) == outcome(reference_parse_mesh_file, path)
 
 
 # --------------------------------------------------- reference builder ----

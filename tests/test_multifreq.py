@@ -321,6 +321,57 @@ def test_block_sweep_equals_per_injection_loop(pairing, ground):
     assert stacked.labels == labels
 
 
+@pytest.mark.parametrize("pairing, ground", [("cross", "rotate"), ("zip", 5)])
+def test_sweep_in_small_column_blocks_equals_per_injection_loop(monkeypatch, pairing, ground):
+    mesh = build_disk_mesh(1.0, 2)
+    n, n_e = mesh.n_nodes, mesh.n_elements
+    rng = np.random.default_rng(13)
+    tissue = TissueModel(rng.uniform(1.0, 3.0, n_e), rng.uniform(0.2, 0.9, n_e), np.full(n_e, 1e-4))
+    frequencies = (1e3, 1e4) if pairing == "cross" else (1e3, 2e3, 3e3)
+    patterns = nodal_patterns(n, n if pairing == "cross" else 3)
+    config = SweepConfig(frequencies, patterns, pairing=pairing, ground=ground)
+    want = simulate_sweep_per_injection(mesh, tissue, config)
+    monkeypatch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * 7)  # seven columns a block
+    stacked = simulate_sweep(mesh, tissue, config)
+    assert_array_equal(stacked.Phi, want[0])
+    assert_array_equal(stacked.F, want[1])
+    assert stacked.labels == want[2]
+
+
+def test_sweep_of_81_loads_is_one_block(monkeypatch):
+    solved = []
+    real = eitkit.multifreq.ForwardFactorization.solve
+
+    def counting(self, F):
+        solved.append(F.shape)
+        return real(self, F)
+
+    monkeypatch.setattr(eitkit.multifreq.ForwardFactorization, "solve", counting)
+    mesh = build_disk_mesh(1.0, 2)
+    simulate_sweep(mesh, TissueModel.dispersionless(np.ones(mesh.n_elements)), full_rank_sweep(mesh))
+    assert solved == [(81, 81)]
+
+
+def test_sweep_peak_memory_at_refine_4():
+    import tracemalloc
+
+    mesh = build_disk_mesh(1.0, 4)
+    n = mesh.n_nodes
+    tissue = TissueModel.dispersionless(np.random.default_rng(4).uniform(0.5, 3.0, mesh.n_elements))
+    config = full_rank_sweep(mesh)
+    tracemalloc.start()
+    try:
+        stacked = simulate_sweep(mesh, tissue, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * n * n  # one (n, n) array: 9.5 MB
+    assert stacked.Phi.nbytes == stacked.F.nbytes == block
+    # the result holds two blocks; the one-block solve peaked at 76.7 MB,
+    # about eight, and the column blocks keep it under three
+    assert peak <= 3 * block, peak / block
+
+
 def test_stack_solve_single_injection_is_rank_deficient():
     mesh = build_disk_mesh(1.0, 0)
     tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
@@ -471,6 +522,33 @@ def test_recover_conductivity_requires_symmetry(disk_r1):
     S[0, 1] += 1.0
     with pytest.raises(DomainError):
         recover_conductivity(S, disk_r1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(refine=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), width=st.sampled_from([1, 5, None]))
+def test_fit_residual_counts_every_entry_in_column_blocks(refine, seed, width):
+    from eitkit.forward import _element_design
+
+    mesh = build_disk_mesh(1.0, refine)
+    n = mesh.n_nodes
+    rng = np.random.default_rng(seed)
+    E = rng.standard_normal((n, n))
+    S_hat = 0.5 * (E + E.T) + 1e-9 * rng.standard_normal((n, n))  # random, symmetric within 1e-6
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:  # blocks of `width` columns; None keeps one block
+            patch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * width)
+        recovered = recover_conductivity(S_hat, mesh)
+        asymmetric = S_hat.copy()
+        asymmetric[n - 1, 0] += 1e-5 * np.linalg.norm(S_hat)  # in the last block
+        with pytest.raises(DomainError, match="symmetric"):
+            recover_conductivity(asymmetric, mesh)
+    # the residual as the whole sym(S_hat) minus the fit on the pattern
+    _, _, rows, indptr, _ = mesh._placement
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    residual = 0.5 * (S_hat + S_hat.T)
+    residual[rows, cols] -= _element_design(mesh) @ recovered.sigma
+    want = np.linalg.norm(residual)
+    assert abs(recovered.fit_residual - want) <= 1e-12 * want
 
 
 def test_recover_conductivity_duplicate_elements_not_identifiable():
@@ -762,6 +840,38 @@ MODEL = "sigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("element 3: 1 x 0", "bad element override"),
+        ("element 3 1 1 0", "bad element override"),
+        ("element 3: 1 1", "bad element override"),
+        ("element 3: 1 1 0 0", "bad element override"),
+        ("element 0: 1 1 0", "element override 0 repeated"),
+        ("sigma0 = 2", "model key 'sigma0' repeated"),
+    ],
+    ids=["bad-float", "no-colon", "three-fields", "five-fields", "repeated-id", "repeated-key"],
+)
+def test_bad_model_line_among_overrides_is_named_by_its_line(tmp_path, monkeypatch, bad, message):
+    mesh = build_disk_mesh(1.0, 1)
+    overrides = [f"element {e}: 2 1 1e-4" for e in range(mesh.n_elements)]
+    path = tmp_path / "sweep.cfg"
+    head = "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[model]\n" + MODEL
+    path.write_text(head + "\n".join(overrides) + "\n")
+    walked = []
+    real = eitkit.multifreq._walk_model
+    monkeypatch.setattr(eitkit.multifreq, "_walk_model", lambda lines: walked.extend(lines) or real(lines))
+    _, tissue = load_sweep_config(path, mesh)
+    assert_array_equal(tissue.sigma0, 2.0)
+    assert not [text for _, text in walked if text.startswith("element")]  # one columnar pass
+    overrides[10] = bad
+    overrides[20] = "element 5: 1 1"  # a later bad line must not win
+    path.write_text(head + "\n".join(overrides) + "\nunknown = 1\n")
+    with pytest.raises(FormatError, match=message) as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == 9 + 10
+
+
+@pytest.mark.parametrize(
     "sweep, model, line_no",
     [
         ("pairng = zip\n", MODEL, 6),
@@ -922,14 +1032,194 @@ def test_simulate_sweep_resolves_each_pattern_once(monkeypatch):
     real = eitkit.multifreq._nodal_load
     resolved = []
 
-    def counting(mesh, pattern, *rest):
-        resolved.append(pattern)
-        return real(mesh, pattern, *rest)
+    def counting(mesh, patterns, *rest, **options):
+        resolved.append(list(patterns))
+        return real(mesh, patterns, *rest, **options)
 
     monkeypatch.setattr(eitkit.multifreq, "_nodal_load", counting)
     stacked = simulate_sweep(mesh, tissue, SweepConfig((1e2, 1e3, 1e4), patterns, ground="rotate"))
     assert stacked.n_injections == 12
-    assert resolved == patterns
+    assert resolved == [patterns]
+
+
+# ------------------------------------------------------- load table ----
+
+
+def per_pattern_nodal_load(mesh, pattern, currents=None):
+    """The one-pattern resolver the batched table replaced: the nodal
+    entries, then each electrode's current at its node in mapping order,
+    then the current checks of a nodal vector."""
+    from eitkit import UnknownElectrodeError
+
+    nodal = not isinstance(pattern, CurrentPattern)
+    F = np.array(pattern, dtype=float) if nodal else np.zeros(mesh.n_nodes)
+    if F.shape != (mesh.n_nodes,):
+        raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {F.shape}")
+    for eid, current in ((currents or {}) if nodal else pattern.currents).items():
+        if eid not in mesh.electrode_map:
+            raise UnknownElectrodeError(f"electrode {eid} is not on the mesh")
+        F[mesh.node_index[mesh.electrode_map[eid]]] += current
+    if nodal:
+        if not np.isfinite(F).all():
+            raise DomainError("pattern currents must be finite")
+        if np.count_nonzero(F) < 2:
+            raise DomainError("a drive pattern needs at least two nonzero currents")
+        total = float(F.sum())
+        if abs(total) > 1e-12:
+            raise CompatibilityError(f"injected currents must sum to zero within 1e-12; got {total:g}")
+    return F
+
+
+class Blamed(Exception):
+    def __init__(self, column, error):
+        super().__init__(column, error)
+        self.column, self.error = column, error
+
+
+def load_outcome(resolve):
+    """The load table ``resolve()`` returns, or ``(column, class, message)``
+    of the first failing pattern."""
+    try:
+        return resolve()
+    except Blamed as exc:
+        assert exc.__cause__ is exc.error
+        return exc.column, type(exc.error), str(exc.error)
+
+
+@st.composite
+def pattern_batches(draw):
+    """A refine-1 disk and 1-12 patterns: electrode patterns, nodal vectors
+    with and without electrode currents, some with an electrode off the
+    mesh, a wrong length, a lone or non-finite current, or no cancelling."""
+    mesh = build_disk_mesh(1.0, 1)
+    n = mesh.n_nodes
+    electrodes = st.sampled_from(sorted(mesh.electrode_map) * 4 + [99])
+    amps = st.sampled_from([1.0, 0.5, 0.25, 2.0, 1e-13, 0.0, float("nan")])
+    patterns, currents = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b = draw(electrodes), draw(electrodes)
+        amp = draw(amps)
+        mapping = {a: amp, b: -draw(st.sampled_from([amp, 1.0]))} if a != b else {a: amp}
+        kind = draw(st.sampled_from(["electrodes", "nodal", "nodal+electrodes", "short"]))
+        if kind == "electrodes":
+            try:
+                patterns.append(CurrentPattern(mapping))
+            except eitkit.EitError:
+                patterns.append(CurrentPattern({0: 1.0, 1: -1.0}))
+            currents.append(None)
+            continue
+        f = np.zeros(n if kind != "short" else n - 1)
+        i, j = draw(st.integers(0, f.size - 1)), draw(st.integers(0, f.size - 1))
+        f[i] += draw(amps)
+        f[j] -= draw(st.sampled_from([f[i], 1.0]))
+        patterns.append(f)
+        currents.append(mapping if kind == "nodal+electrodes" else None)
+    return mesh, patterns, currents
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=pattern_batches())
+def test_load_table_equals_the_per_pattern_resolver(case):
+    from eitkit.forward import _nodal_load
+
+    mesh, patterns, currents = case
+
+    def one_at_a_time():
+        columns = []
+        for p, (pattern, extra) in enumerate(zip(patterns, currents)):
+            try:
+                columns.append(per_pattern_nodal_load(mesh, pattern, extra))
+            except eitkit.EitError as exc:
+                raise Blamed(p, exc) from exc
+        return np.stack(columns, axis=1)
+
+    want = load_outcome(one_at_a_time)
+    got = load_outcome(lambda: _nodal_load(mesh, patterns, currents, blame=Blamed))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.flags.f_contiguous
+        assert_array_equal(got, want)
+
+
+GOOD_LINES = [f"node {k}: 1, node {(k + 7) % 81}: -1" for k in range(81)]
+
+
+@pytest.mark.parametrize(
+    "bad, cause",
+    [
+        ("node 3: 1, node 9: -0.5", "CompatibilityError"),
+        ("node 3: 1", "DomainError"),
+        ("node 3: 1, node 999: -1", None),
+        ("node 3: 1, 99: -1", "UnknownElectrodeError"),
+        ("99: 1, 0: -1", "UnknownElectrodeError"),
+        ("node 3: nan, node 9: -1", "DomainError"),
+        ("node 3: 1, node 9: x", None),
+    ],
+    ids=["not-cancelling", "one-entry", "unknown-node", "unknown-electrode",
+         "electrode-line-unknown-electrode", "nan", "bad-amps"],
+)
+def test_one_bad_pattern_line_among_81_is_named_by_its_line(tmp_path, bad, cause):
+    mesh = build_disk_mesh(1.0, 2)
+    lines = list(GOOD_LINES)
+    lines[40] = bad
+    lines[60] = "node 5: 2"  # a later bad line must not win
+    path = tmp_path / "sweep.cfg"
+    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == 4 + 40
+    if cause is None:
+        assert err.value.__cause__ is None
+    else:
+        assert type(err.value.__cause__).__name__ == cause
+        assert str(err.value) == f"{err.value.__cause__} (line 44)"
+
+
+def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
+    mesh = build_disk_mesh(1.0, 2)
+    path = tmp_path / "sweep.cfg"
+    lines = [
+        "0: 1, 4: -0.5, 4: -0.5",
+        "node 0: 1, node 0: 0.25, 2: -1.25",
+        "node 0: 0.5, node 0: 1, node 5: -0.5, node 5: -1",
+    ] + GOOD_LINES[:3]
+    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
+    real, calls = eitkit.multifreq._nodal_load, []
+    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", lambda *a, **k: calls.append(1) or real(*a, **k))
+    config, _ = load_sweep_config(path, mesh)
+    assert calls == [1]  # read in one pass, not line by line
+    assert config.patterns[0] == CurrentPattern({0: 1.0, 4: -1.0})
+    want = np.zeros(mesh.n_nodes)
+    want[mesh.node_index[0]] += 1.0
+    want[mesh.node_index[0]] += 0.25
+    want[mesh.node_index[mesh.electrode_map[2]]] += -1.25
+    assert config.patterns[1].tobytes() == want.tobytes()
+    for line, pattern in zip(lines[2:], config.patterns[2:]):
+        assert pattern.tobytes() == eitkit.multifreq._parse_pattern_line(line, mesh, 1).tobytes()
+
+
+def test_reconstruct_multifreq_resolves_in_one_call_per_stage(tmp_path, monkeypatch, capsys):
+    from eitkit.cli import main
+
+    mesh = build_disk_mesh(1.0, 2)
+    mesh_path, sweep_path = tmp_path / "disk.mesh", tmp_path / "sweep.cfg"
+    eitkit.save_mesh(mesh, mesh_path)
+    tissue = TissueModel.dispersionless(np.random.default_rng(1).uniform(0.5, 3.0, mesh.n_elements))
+    save_sweep_config(full_rank_sweep(mesh), tissue, sweep_path)
+    real = eitkit.multifreq._nodal_load
+    calls = []
+
+    def counting(mesh, patterns, *rest, **options):
+        calls.append(len(patterns))
+        return real(mesh, patterns, *rest, **options)
+
+    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", counting)
+    code = main(["reconstruct", "multifreq", "--mesh", str(mesh_path), "--sweep", str(sweep_path),
+                 "--out-sigma", str(tmp_path / "s.csv"), "--out-image", str(tmp_path / "s.pgm")])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [81, 81]  # the loader, then simulate_sweep
 
 
 def test_simulate_sweep_pattern_error_comes_before_any_assembly_error(monkeypatch):
