@@ -72,7 +72,6 @@ from .forward import (
 )
 from .mesh import Mesh, _is_int
 from .textio import (
-    columns,
     convert,
     data_lines,
     float_rows,
@@ -158,6 +157,22 @@ class TissueModel:
         return cls(sigma.copy(), sigma.copy(), np.zeros_like(sigma))
 
 
+def _check_frequency(frequency: float, earlier) -> float:
+    """``frequency``, if it is positive, finite and not among ``earlier``."""
+    if not (np.isfinite(frequency) and frequency > 0):
+        raise DomainError("frequencies must be positive and finite")
+    if frequency in earlier:
+        raise DomainError("frequencies must be distinct")
+    return frequency
+
+
+def _check_pairing(pairing: str) -> str:
+    """``pairing``, if it is ``cross`` or ``zip``."""
+    if pairing not in ("cross", "zip"):
+        raise DomainError(f"pairing must be 'cross' or 'zip', got {pairing!r}")
+    return pairing
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Injection plan: which frequencies, which drive patterns, how they
@@ -189,12 +204,10 @@ class SweepConfig:
             raise DomainError("sweep needs at least one frequency")
         if not self.patterns:
             raise DomainError("sweep needs at least one drive pattern")
-        if not all(np.isfinite(f) and f > 0 for f in freqs):
-            raise DomainError("frequencies must be positive and finite")
-        if len(set(freqs)) != len(freqs):
-            raise DomainError("frequencies must be distinct")
-        if self.pairing not in ("cross", "zip"):
-            raise DomainError(f"pairing must be 'cross' or 'zip', got {self.pairing!r}")
+        seen: set[float] = set()
+        for f in freqs:
+            seen.add(_check_frequency(f, seen))
+        _check_pairing(self.pairing)
         if self.pairing == "zip" and len(freqs) != len(self.patterns):
             raise DomainError(
                 f"zip pairing needs equal counts, got {len(freqs)} frequencies "
@@ -278,6 +291,15 @@ def _annotated(exc: EitError, where: str) -> EitError:
     new = type(exc).__new__(type(exc), f"{where}: {exc}")
     new.__dict__.update(vars(exc))
     return new
+
+
+def _at_line(line_no: int, check, *args):
+    """``check(*args)``; an :class:`EitError` it raises is raised again as a
+    :class:`FormatError` at ``line_no``, chained to it."""
+    try:
+        return check(*args)
+    except EitError as exc:
+        raise FormatError(str(exc), line_no=line_no) from exc
 
 
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
@@ -618,28 +640,33 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     """Parse a sweep config file against a mesh (the mesh fixes the element
     count for the model and the node count for nodal patterns).
 
-    ``element <id>`` overrides and ``node <id>`` entries name mesh element
-    and node ids; an id that is not on the mesh is a line-numbered
-    :class:`FormatError`. So is, chained to the resolver's error, a pattern
-    line that :func:`simulate_sweep` would reject. The pattern lines and
-    the overrides are each read in one columnar pass, and the pattern lines
-    resolved by one resolver call; a line is looked at on its own only when
-    that fails, to name the first bad line.
+    ``element <id>`` overrides, ``node <id>`` entries and ``ground`` name
+    mesh element and node ids; an id that is not on the mesh is a
+    line-numbered :class:`FormatError`. So is, chained to the error it
+    raises, a frequency or ``pairing`` that :class:`SweepConfig` would
+    reject and a pattern line that :func:`simulate_sweep` would reject.
+    Each section is read line by line in one pass; the pattern lines are
+    resolved by one resolver call (:func:`_parse_patterns`).
     """
     groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
-    frequencies = [
-        convert(text, float, line_no, "frequency") for line_no, text in groups.get("frequencies", ())
-    ]
+    frequencies: dict[float, None] = {}  # in line order
+    for line_no, text in groups.get("frequencies", ()):
+        f = convert(text, float, line_no, "frequency")
+        frequencies[_at_line(line_no, _check_frequency, f, frequencies)] = None
     patterns = _parse_patterns(groups.get("patterns", []), mesh)
     model_uniform, model_overrides = _parse_model(groups.get("model", []))
 
     sweep: dict[str, str | int] = {}
     for line_no, text in groups.get("sweep", ()):
         key, value = key_value(line_no, text)
-        if key not in ("pairing", "ground"):
+        if key == "pairing":
+            value = _at_line(line_no, _check_pairing, value)
+        elif key != "ground":
             raise FormatError(f"unknown sweep key {key!r}", line_no=line_no)
-        if key == "ground" and value != "rotate":
+        elif value != "rotate":
             value = convert(value, int, line_no, "ground")
+            if value not in mesh.node_index:
+                raise FormatError(f"ground node {value} is not a mesh node", line_no=line_no)
         put_once(sweep, key, value, line_no, "sweep key")
 
     for key in ("sigma0", "sigma_inf", "tau"):
@@ -668,29 +695,15 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
 
 def _parse_model(lines) -> tuple[dict, dict]:
     """The ``[model]`` lines as ``({key: value}, {element id: (line_no,
-    (sigma0, sigma_inf, tau))})``, the overrides in line order. The
-    overrides are converted in one columnar pass; if that fails, or an id
-    repeats, the lines are walked one by one to raise the first bad line's
-    error."""
-    override = [text.lower().startswith("element") for _, text in lines]
-    tagged = [line for line, flag in zip(lines, override) if flag]
-    parts = [text[len("element"):].partition(":") for _, text in tagged]
-    table = columns([[eid, *triple.split()] for eid, _, triple in parts], (int, float, float, float))
-    if table is None or len(set(table[0])) < len(tagged):
-        return _walk_model(lines)
-    uniform, _ = _walk_model([line for line, flag in zip(lines, override) if not flag])
-    return uniform, dict(zip(table[0], zip((line_no for line_no, _ in tagged), zip(*table[1:]))))
-
-
-def _walk_model(lines) -> tuple[dict, dict]:
-    """:func:`_parse_model` one line at a time."""
+    (sigma0, sigma_inf, tau))})``, the overrides in line order, read one
+    line at a time; the first bad line raises its error."""
     uniform: dict[str, float] = {}
     overrides: dict[int, tuple[int, tuple[float, float, float]]] = {}
     for line_no, text in lines:
         if text.lower().startswith("element"):
             eid, _, triple = text[len("element"):].partition(":")
             try:
-                s0, si, t = (float(v) for v in triple.split())
+                s0, si, t = map(float, triple.split())
                 eid = int(eid)
             except ValueError:
                 raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
@@ -717,75 +730,46 @@ def _pattern_entry(chunk: str, line_no: int) -> tuple[bool, int, float]:
 
 
 def _parse_patterns(lines, mesh: Mesh) -> list:
-    """Every ``[patterns]`` line, as :func:`_parse_pattern_line` reads one,
-    converted in one columnar pass and resolved by one :func:`_nodal_load`
-    call. If either fails, the lines are read one by one instead, and the
-    first bad line raises its own error."""
-    try:
-        return _resolve_pattern_lines(lines, mesh)
-    except (EitError, ValueError):
-        pass  # named below, outside this handler, so no error carries the batch's
-    return [_parse_pattern_line(text, mesh, line_no) for line_no, text in lines]
+    """One pattern per ``[patterns]`` line: comma-separated ``<id>: <amps>``
+    entries. A line with a node entry is a nodal vector: node entries in
+    line order, then each electrode's total at its node. Any other line is
+    a :class:`CurrentPattern` of the electrode totals.
 
-
-def _resolve_pattern_lines(lines, mesh: Mesh) -> list:
-    """:func:`_parse_patterns` without the walk: raises ValueError or an
-    :class:`EitError` on any bad line, without naming it."""
-    count = len(lines)
-    entries = [
-        (k, chunk.partition(":")) for k, (_, text) in enumerate(lines)
-        for chunk in text.split(",") if chunk.strip()
-    ]
-    if not all(sep for _, (_, sep, _) in entries):
-        raise ValueError("a pattern entry has no ':'")
-    targets = [target.strip() for _, (target, _, _) in entries]
-    is_node = [target.lower().startswith("node") for target in targets]
-    rows = [[target[4:] if node else target, amps] for target, node, (_, (_, _, amps)) in
-            zip(targets, is_node, entries)]
-    table = columns(rows, (int, float))
-    if table is None:
-        raise ValueError("a pattern entry does not parse")
-    owner = [k for k, _ in entries]
-    currents = [{} for _ in range(count)]  # each electrode's total, in line order
-    node_rows, node_owner, node_amps = [], [], []
-    for k, node, target, amp in zip(owner, is_node, *table):
-        if not node:
-            currents[k][target] = currents[k].get(target, 0.0) + amp
-        elif target in mesh.node_index:
-            node_rows.append(mesh.node_index[target])
-            node_owner.append(k)
-            node_amps.append(amp)
-        else:
-            raise ValueError(f"unknown node {target}")
-    nodal = np.zeros((mesh.n_nodes, count), order="F")
-    at = (np.array(node_rows, dtype=np.intp), np.array(node_owner, dtype=np.intp))
-    np.add.at(nodal, at, node_amps)  # node entries in line order
-    has_node = np.zeros(count, dtype=bool)
-    has_node[node_owner] = True
-    patterns = [nodal[:, k] if has_node[k] else CurrentPattern(currents[k]) for k in range(count)]
-    loads = _nodal_load(mesh, patterns, currents)
-    return [loads[:, k] if has_node[k] else pattern for k, pattern in enumerate(patterns)]
-
-
-def _parse_pattern_line(line: str, mesh: Mesh, line_no: int):
-    """One pattern per line: comma-separated ``<id>: <amps>`` entries. A
-    line with a node entry is a nodal vector: node entries in line order,
-    then each electrode's total at its node."""
-    entries = [_pattern_entry(chunk, line_no) for chunk in line.split(",") if chunk.strip()]
-    electrode_entries: dict[int, float] = {}
-    nodal = np.zeros(mesh.n_nodes)
-    for is_node, target, amp in entries:
-        if not is_node:
-            electrode_entries[target] = electrode_entries.get(target, 0.0) + amp
-        elif target in mesh.node_index:
-            nodal[mesh.node_index[target]] += amp
-        else:
-            raise FormatError(f"unknown node {target}", line_no=line_no)
-    try:
-        if any(is_node for is_node, _, _ in entries):
-            return _nodal_load(mesh, [nodal], [electrode_entries])[:, 0]
-        pattern = CurrentPattern(electrode_entries)
-        _nodal_load(mesh, [pattern])
-        return pattern
-    except EitError as exc:
-        raise FormatError(str(exc), line_no=line_no) from exc
+    The lines are read in order up to the first one that does not read: an
+    entry that does not parse, a node not on the mesh, or electrode totals
+    that make no :class:`CurrentPattern`. The node entries of the lines
+    before it go into one (n, P) table by one ``np.add.at``, and those lines
+    are resolved by one :func:`_nodal_load` call, which raises the first
+    failing line's error; only then does the stopping line raise its own.
+    Every error is a :class:`FormatError` at its line, chained to the
+    resolver's error where there is one.
+    """
+    index = mesh.node_index
+    read, at, failure = [], [], None  # each line read: (electrode totals, CurrentPattern or None); node entries
+    for k, (line_no, text) in enumerate(lines):
+        try:
+            entries = [_pattern_entry(chunk, line_no) for chunk in text.split(",") if chunk.strip()]
+            nodes, electrodes = [], {}
+            for is_node, target, amp in entries:
+                if not is_node:
+                    electrodes[target] = electrodes.get(target, 0.0) + amp
+                elif target in index:
+                    nodes.append((index[target], k, amp))
+                else:
+                    raise FormatError(f"unknown node {target}", line_no=line_no)
+            read.append((electrodes, None if nodes else _at_line(line_no, CurrentPattern, electrodes)))
+        except FormatError as exc:
+            failure = exc
+            break
+        at += nodes
+    nodal = np.zeros((mesh.n_nodes, len(read)), order="F")
+    rows, cols, amps = zip(*at) if at else ((), (), ())
+    np.add.at(nodal, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), amps)  # in line order
+    patterns = [nodal[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
+    loads = _nodal_load(
+        mesh, patterns, [electrodes for electrodes, _ in read],
+        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]),
+    )
+    if failure is not None:
+        raise failure
+    return [loads[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]

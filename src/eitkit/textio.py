@@ -9,8 +9,9 @@ lives in the module that reads it.
   so is a key given twice in one section.
 * Floats are written with 17 significant digits, so they read back exactly.
 * Parse errors carry the 1-based line number, and the field where there is one.
-* Record sections are converted a column at a time (:func:`records`); a line
-  is looked at on its own only to name the first bad one.
+* Record sections (the mesh format's) are converted a column at a time
+  (:func:`records`); a line is looked at on its own only to name the first
+  bad one. Other sections are read one line at a time, in one pass.
 """
 
 from __future__ import annotations
@@ -97,36 +98,27 @@ def _fits_int64(value: int) -> bool:
     return -(2**63) <= value < 2**63
 
 
-def columns(rows, kinds) -> list[list] | None:
-    """The field columns of token ``rows``, each converted by its kind in
-    one ``map`` pass: one list per kind. None when a row has another field
-    count, a token does not convert, or an int column leaves the signed
-    64-bit range (checked on its min and max)."""
-    if set(map(len, rows)) - {len(kinds)}:
-        return None
-    try:
-        out = [list(map(kind, column)) for kind, column in zip(kinds, zip(*rows))]
-    except ValueError:
-        return None
-    for kind, column in zip(kinds, out):
-        if kind is int and not (_fits_int64(min(column)) and _fits_int64(max(column))):
-            return None
-    return out or [[] for _ in kinds]
-
-
 def records(lines, name: str, fields, kinds, error=FormatError) -> list[list]:
     """The whitespace-separated record lines of section ``name`` as one list
     per field, each field converted by its kind; int fields are ids and must
     fit in a signed 64-bit integer.
 
-    The whole section goes through :func:`columns`. Only when that fails is
-    it walked line by line, to raise the error of the first bad line: its
-    field count, then its fields from left to right, then their range.
+    The whole section is read in columns: every line is split, the field
+    counts are checked together, each field column is converted by one
+    ``map`` and each int column is range-checked on its min and max. Only
+    when that fails is it walked line by line, to raise the error of the
+    first bad line: its field count, then its fields from left to right,
+    then their range.
     """
     rows = [text.split() for _, text in lines]
-    out = columns(rows, kinds)
-    if out is not None:
-        return out
+    try:
+        if set(map(len, rows)) <= {len(fields)}:
+            out = [list(map(kind, column)) for kind, column in zip(kinds, zip(*rows))]
+            if all(kind is not int or _fits_int64(min(column)) and _fits_int64(max(column))
+                   for kind, column in zip(kinds, out)):
+                return out or [[] for _ in kinds]
+    except ValueError:
+        pass  # a token does not convert: the walk names it
     for (line_no, _), parts in zip(lines, rows):
         if len(parts) != len(fields):
             raise error(f"{name} line needs '{' '.join(fields)}', got {len(parts)} fields", line_no=line_no)
@@ -134,7 +126,7 @@ def records(lines, name: str, fields, kinds, error=FormatError) -> list[list]:
         for value, k, f in zip(row, kinds, fields):
             if k is int and not _fits_int64(value):
                 raise error(f"id {value} does not fit in a signed 64-bit integer", line_no=line_no, field=f)
-    return out  # not reached: the walk raises wherever the column pass failed
+    raise AssertionError("not reached: the walk raises wherever the column pass failed")
 
 
 def float_rows(lines) -> np.ndarray:

@@ -851,18 +851,14 @@ MODEL = "sigma0 = 1.0\nsigma_inf = 1.0\ntau = 0\n"
     ],
     ids=["bad-float", "no-colon", "three-fields", "five-fields", "repeated-id", "repeated-key"],
 )
-def test_bad_model_line_among_overrides_is_named_by_its_line(tmp_path, monkeypatch, bad, message):
+def test_bad_model_line_among_overrides_is_named_by_its_line(tmp_path, bad, message):
     mesh = build_disk_mesh(1.0, 1)
     overrides = [f"element {e}: 2 1 1e-4" for e in range(mesh.n_elements)]
     path = tmp_path / "sweep.cfg"
     head = "[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[model]\n" + MODEL
     path.write_text(head + "\n".join(overrides) + "\n")
-    walked = []
-    real = eitkit.multifreq._walk_model
-    monkeypatch.setattr(eitkit.multifreq, "_walk_model", lambda lines: walked.extend(lines) or real(lines))
     _, tissue = load_sweep_config(path, mesh)
     assert_array_equal(tissue.sigma0, 2.0)
-    assert not [text for _, text in walked if text.startswith("element")]  # one columnar pass
     overrides[10] = bad
     overrides[20] = "element 5: 1 1"  # a later bad line must not win
     path.write_text(head + "\n".join(overrides) + "\nunknown = 1\n")
@@ -877,10 +873,12 @@ def test_bad_model_line_among_overrides_is_named_by_its_line(tmp_path, monkeypat
         ("pairng = zip\n", MODEL, 6),
         ("pairing zip\n", MODEL, 6),
         ("pairing = cross\nground = 1.5\n", MODEL, 7),
+        ("pairing = cross\nground = 99\n", MODEL, 7),
         ("", MODEL + "element 999: 1 1 0\n", 10),
         ("pairing = cross\n", "sigma0 = 1.0\ntau = 0\n", 7),
     ],
-    ids=["unknown-key", "no-equals", "bad-ground", "element-out-of-range", "missing-model-key"],
+    ids=["unknown-key", "no-equals", "bad-ground", "unknown-ground", "element-out-of-range",
+         "missing-model-key"],
 )
 def test_sweep_section_typos_are_format_errors(tmp_path, sweep, model, line_no):
     mesh = build_disk_mesh(1.0, 0)
@@ -891,6 +889,32 @@ def test_sweep_section_typos_are_format_errors(tmp_path, sweep, model, line_no):
     with pytest.raises(FormatError) as err:
         load_sweep_config(path, mesh)
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "frequencies, sweep, line_no, message",
+    [
+        ("1000\n2000\n1000\n", "", 4, "frequencies must be distinct"),
+        ("1000\n-5\n", "", 3, "frequencies must be positive and finite"),
+        ("0\n", "", 2, "frequencies must be positive and finite"),
+        ("nan\n", "", 2, "frequencies must be positive and finite"),
+        ("1000\ninf\n", "", 3, "frequencies must be positive and finite"),
+        ("1000\n", "ground = 2\npairing = foo\n", 7, "pairing must be 'cross' or 'zip', got 'foo'"),
+    ],
+    ids=["repeated-frequency", "negative-frequency", "zero-frequency", "nan-frequency",
+         "inf-frequency", "bad-pairing"],
+)
+def test_sweep_value_errors_are_format_errors_at_their_line(tmp_path, frequencies, sweep, line_no, message):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        "[frequencies]\n" + frequencies + "[patterns]\n0: 1.0, 4: -1.0\n[sweep]\n" + sweep + "[model]\n" + MODEL
+    )
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, build_disk_mesh(1.0, 0))
+    assert err.value.line_no == line_no
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value.__cause__) == message
+    assert str(err.value) == f"{message} (line {line_no})"
 
 
 # ------------------------------------------------ pattern resolution ----
@@ -953,11 +977,10 @@ AMPS = st.sampled_from([1.0, -1.0, 0.5, -0.5, 2.0, -2.5, 0.1, 0.2, -0.3, 1e-13] 
 
 
 @st.composite
-def pattern_lines(draw):
-    """A refine 0-1 disk and a pattern line of electrode entries, node
-    entries or both, with repeated targets, ids off the mesh, zero and
-    non-finite currents, and often a last entry that makes them cancel."""
-    mesh = build_disk_mesh(1.0, draw(st.integers(0, 1)))
+def pattern_line(draw, mesh):
+    """A pattern line on ``mesh`` of electrode entries, node entries or
+    both, with repeated targets, ids off the mesh, zero and non-finite
+    currents, and often a last entry that makes them cancel."""
     # electrodes 0-3 sit on nodes of the node pool, so node and electrode entries share targets
     electrodes = st.sampled_from(sorted(mesh.electrode_map)[:4] * 6 + [99])
     shared = [mesh.electrode_map[e] for e in sorted(mesh.electrode_map)[:4]]
@@ -971,14 +994,21 @@ def pattern_lines(draw):
         is_node, target, _ = draw(st.sampled_from(entries))
         entries.append((is_node, target, -sum(amp for _, _, amp in entries)))
     line = ", ".join(f"{'node ' if is_node else ''}{target}: {amp!r}" for is_node, target, amp in entries)
-    return mesh, line or ","
+    return line or ","
+
+
+@st.composite
+def pattern_lines(draw):
+    """A refine 0-1 disk and one :func:`pattern_line` on it."""
+    mesh = build_disk_mesh(1.0, draw(st.integers(0, 1)))
+    return mesh, draw(pattern_line(mesh))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
 @settings(max_examples=400, deadline=None)
 @given(case=pattern_lines())
 def test_pattern_line_matches_the_oracle_or_is_a_line_numbered_error(case):
-    from eitkit.multifreq import _parse_pattern_line
+    from eitkit.multifreq import _parse_patterns
 
     mesh, line = case
     try:
@@ -986,15 +1016,49 @@ def test_pattern_line_matches_the_oracle_or_is_a_line_numbered_error(case):
         oracle_resolve(mesh, want)
     except eitkit.EitError:
         with pytest.raises(FormatError) as err:
-            _parse_pattern_line(line, mesh, 7)
+            _parse_patterns([(7, line)], mesh)
         assert err.value.line_no == 7
         return
-    got = _parse_pattern_line(line, mesh, 7)
+    [got] = _parse_patterns([(7, line)], mesh)
+    assert_same_pattern(got, want)
+
+
+def assert_same_pattern(got, want):
     if isinstance(want, CurrentPattern):
         assert isinstance(got, CurrentPattern)
         assert list(got.currents.items()) == list(want.currents.items())
     else:
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def pattern_files(draw):
+    """A refine 0-1 disk and 1-6 :func:`pattern_line` lines on it."""
+    mesh = build_disk_mesh(1.0, draw(st.integers(0, 1)))
+    return mesh, draw(st.lists(pattern_line(mesh), min_size=1, max_size=6))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf + -inf
+@settings(max_examples=200, deadline=None)
+@given(case=pattern_files())
+def test_loader_names_the_first_line_the_oracle_rejects(tmp_path_factory, case):
+    mesh, lines = case
+    path = tmp_path_factory.mktemp("sweep") / "sweep.cfg"
+    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
+    want = []
+    for line_no, line in enumerate(lines, start=4):
+        try:
+            want.append(oracle_parse_pattern_line(line, mesh, line_no))
+            oracle_resolve(mesh, want[-1])
+        except eitkit.EitError:
+            with pytest.raises(FormatError) as err:
+                load_sweep_config(path, mesh)
+            assert err.value.line_no == line_no
+            return
+    config, _ = load_sweep_config(path, mesh)
+    assert len(config.patterns) == len(want)
+    for got, pattern in zip(config.patterns, want):
+        assert_same_pattern(got, pattern)
 
 
 @pytest.mark.parametrize(
@@ -1164,17 +1228,18 @@ def test_one_bad_pattern_line_among_81_is_named_by_its_line(tmp_path, bad, cause
     mesh = build_disk_mesh(1.0, 2)
     lines = list(GOOD_LINES)
     lines[40] = bad
-    lines[60] = "node 5: 2"  # a later bad line must not win
     path = tmp_path / "sweep.cfg"
-    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
-    with pytest.raises(FormatError) as err:
-        load_sweep_config(path, mesh)
-    assert err.value.line_no == 4 + 40
-    if cause is None:
-        assert err.value.__cause__ is None
-    else:
-        assert type(err.value.__cause__).__name__ == cause
-        assert str(err.value) == f"{err.value.__cause__} (line 44)"
+    for later in ("node 5: 2", "node 5: x", "node 5 1"):  # a later bad line must not win
+        lines[60] = later
+        path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
+        with pytest.raises(FormatError) as err:
+            load_sweep_config(path, mesh)
+        assert err.value.line_no == 4 + 40
+        if cause is None:
+            assert err.value.__cause__ is None
+        else:
+            assert type(err.value.__cause__).__name__ == cause
+            assert str(err.value) == f"{err.value.__cause__} (line 44)"
 
 
 def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
@@ -1197,7 +1262,8 @@ def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
     want[mesh.node_index[mesh.electrode_map[2]]] += -1.25
     assert config.patterns[1].tobytes() == want.tobytes()
     for line, pattern in zip(lines[2:], config.patterns[2:]):
-        assert pattern.tobytes() == eitkit.multifreq._parse_pattern_line(line, mesh, 1).tobytes()
+        [alone] = eitkit.multifreq._parse_patterns([(1, line)], mesh)
+        assert pattern.tobytes() == alone.tobytes()
 
 
 def test_reconstruct_multifreq_resolves_in_one_call_per_stage(tmp_path, monkeypatch, capsys):
