@@ -3,15 +3,14 @@ for nodal potentials under injected boundary currents.
 
 The discretization is the classical linear triangle: each element
 contributes ``sigma_e * area * B^T B`` with ``B`` the constant gradient
-matrix of the three barycentric shape functions. One vectorized kernel
-computes all ``(n_e, 3, 3)`` local matrices at once, and ``assemble``
-scatters them, along the mesh's cached assembly plan, into a CSC sparse
-matrix ``S`` (about 7 nonzeros per row; 29 057 at n = 4225). ``S`` is
-exactly symmetric, has zero row sums, and is positive semidefinite with a
-one-dimensional null space (the constant potential) on a connected mesh;
-fixing one reference node to zero potential makes it positive definite.
-The gauge zeroes that node's row and column in the CSC arrays directly,
-in O(nnz).
+matrix of the three barycentric shape functions, that is
+``sigma_e / (4 area) (b b^T + c c^T)``. ``assemble`` sums these, in
+element order, into a CSC sparse matrix ``S`` (about 7 nonzeros per row;
+29 057 at n = 4225). ``S`` is exactly symmetric, has zero row sums, and is
+positive semidefinite with a one-dimensional null space (the constant
+potential) on a connected mesh; fixing one reference node to zero
+potential makes it positive definite. The gauge zeroes that node's row and
+column in a copy of the CSC data, in O(nnz).
 
 :class:`ForwardFactorization` orders the grounded matrix by reverse
 Cuthill-McKee, which keeps its nonzeros in a band of half-width b around
@@ -20,6 +19,19 @@ the diagonal (b = 129 at n = 4225), and runs banded Cholesky (LAPACK
 not positive definite raises :class:`NumericalError` whose ``pivot_index``
 is the 1-based row, in the caller's node order, at which elimination broke
 down.
+
+Only the conductivity changes from one solve to the next, so what depends
+on the mesh alone is planned once per mesh, on first use, and cached on
+the :class:`~eitkit.mesh.Mesh`: where each local entry lands in ``S``
+(``_placement``), each element's ``4 area`` and ``b b^T + c c^T`` in that
+order (``_geometry``, 1.2 MB at refine 5), and the reverse Cuthill-McKee
+order and band position of each lower-triangle entry (``_band``, 0.3 MB).
+``assemble`` is then one product and one ``np.add.reduceat``, and a
+factorization fills the band and calls ``dpbtrf``. A matrix uses these
+plans only while it holds its mesh's own read-only index arrays; any other
+(dense, built by hand, or one whose gauge inserted a diagonal) is planned
+from its own pattern by the same function. The results are the same to
+the bit either way.
 
 ``assemble`` and ``solve_forward`` are pure functions; independent drive
 patterns on the same (mesh, field) may be solved concurrently. Use
@@ -34,21 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 from scipy.sparse import csc_array
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import (
     CompatibilityError,
     DimensionError,
     DomainError,
-    GeometryError,
     MeshValidationError,
     NumericalError,
     UnknownElectrodeError,
 )
-from .mesh import Mesh, validate
+from .mesh import DEGENERACY_FACTOR, Mesh, _band_plan, _triangle_geometry, validate
 
 ZERO_SUM_TOL = 1e-12
-DEGENERACY_FACTOR = 1e-14
 RESIDUAL_TOL = 1e-9
 
 
@@ -130,11 +139,34 @@ def _check_currents(vals: np.ndarray, blame=None) -> None:
 
 class _StiffnessMatrix(csc_array):
     """CSC array whose ``nbytes`` is its true storage size (the data,
-    row-index and column-pointer arrays)."""
+    row-index and column-pointer arrays). ``mesh`` is the mesh it was
+    assembled on, or None."""
+
+    mesh = None
 
     @property
     def nbytes(self) -> int:
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
+def _mesh_matrix(mesh: Mesh, data: np.ndarray) -> _StiffnessMatrix:
+    """A stiffness matrix with ``data`` on the mesh's pattern that holds
+    the mesh's own read-only index arrays (scipy's constructor would hold
+    views of them)."""
+    _, _, rows, indptr, _ = mesh._placement
+    S = _StiffnessMatrix((data, rows, indptr), shape=(mesh.n_nodes, mesh.n_nodes))
+    S.indices, S.mesh = rows, mesh
+    return S
+
+
+def _planned_mesh(S) -> Mesh | None:
+    """The mesh whose plans fit ``S``: the one it was assembled on, if
+    ``S`` still holds that mesh's own index arrays; otherwise None."""
+    mesh = getattr(S, "mesh", None)
+    if mesh is None:
+        return None
+    _, _, rows, indptr, _ = mesh._placement
+    return mesh if S.indices is rows and S.indptr is indptr else None
 
 
 @dataclass(eq=False)
@@ -175,22 +207,8 @@ def _local_stiffness(pts: np.ndarray, sigma, scale: float) -> np.ndarray:
     lowest-index element with ``area <= 1e-14 * scale**2``, carrying its
     vertices. Returns shape (n_e, 3, 3).
     """
-    x, y = pts[..., 0], pts[..., 1]
-    area = 0.5 * np.abs(
-        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
-    )
-    threshold = DEGENERACY_FACTOR * scale * scale
-    bad = ~(area > threshold)
-    if bad.any():
-        e = int(np.argmax(bad))
-        raise GeometryError(
-            f"degenerate triangle (area {area[e]:g}, threshold {threshold:g})",
-            vertices=[tuple(p) for p in pts[e]],
-        )
-    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
-    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
-    outer = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    return (sigma / (4.0 * area))[:, None, None] * outer
+    four_area, outer = _triangle_geometry(pts, scale)
+    return (sigma / four_area)[:, None, None] * outer
 
 
 def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None) -> np.ndarray:
@@ -245,12 +263,10 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     if not report.ok:
         raise MeshValidationError(report)
 
-    n = mesh.n_nodes
-    local = _local_stiffness(mesh.coords[mesh.triangles], sigma, mesh.bounding_box_diagonal)
-    order, first, rows, indptr, _ = mesh._placement
-    data = np.add.reduceat(local.ravel()[order], first)
-    S = _StiffnessMatrix((data, rows, indptr), shape=(n, n))
-    return StiffnessSystem(S=S, F=np.zeros(n), ground_node=None)
+    four_area, outer, element = mesh._geometry
+    first = mesh._placement[1]
+    data = np.add.reduceat((sigma / four_area)[element] * outer, first)
+    return StiffnessSystem(S=_mesh_matrix(mesh, data), F=np.zeros(mesh.n_nodes), ground_node=None)
 
 
 def _element_design(mesh: Mesh) -> csc_array:
@@ -258,13 +274,15 @@ def _element_design(mesh: Mesh) -> csc_array:
     ``S`` in CSC order: column e holds element e's unit-conductivity local
     stiffness at its nine placement slots, so ``design @ sigma`` is the data
     of ``assemble(mesh, sigma).S`` up to rounding."""
-    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
-    _, _, rows, _, slot = mesh._placement
+    four_area, outer, element = mesh._geometry
+    order, _, rows, _, slot = mesh._placement
+    local = np.empty_like(outer)
+    local[order] = (1.0 / four_area)[element] * outer  # back in element order
     indptr = np.arange(0, slot.size + 1, 9, dtype=np.int32)
-    return csc_array((local.ravel(), slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
+    return csc_array((local, slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
 
 
-def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
+def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None, table=None) -> np.ndarray:
     """The checked (n, P) load table of P drive patterns, a new
     Fortran-order array with one column per pattern.
 
@@ -273,7 +291,11 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
     None per pattern, adds electrode currents to the nodal vectors. Column p
     holds the nodal entries, then each electrode's current added at its
     node in mapping order, as one pattern resolved alone would. The nodal
-    columns are checked together by :func:`_check_currents`.
+    columns are checked together by :func:`_check_currents`. A ``table``
+    that already holds the nodal entries, an (n, P) Fortran-order array
+    that is zero in the columns of the :class:`CurrentPattern` s, is filled
+    in place and returned; the nodal entries of ``patterns`` are then not
+    read (any value other than a :class:`CurrentPattern` marks one).
 
     The first failing column p raises the error that column raises alone:
     a wrong length is :class:`DimensionError`, then an electrode not on the
@@ -283,20 +305,24 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
     """
     n, count = mesh.n_nodes, len(patterns)
     sources = [None] * count if currents is None else list(currents)
-    table = np.zeros((n, count), order="F")
+    filled = table is not None
+    if not filled:
+        table = np.zeros((n, count), order="F")
     faults = []  # (column, error): the first wrong length, the first unknown electrode
     nodal = []
     for p, pattern in enumerate(patterns):
         if isinstance(pattern, CurrentPattern):
             sources[p] = pattern.currents
-        else:
-            nodal.append(p)
-            vector = np.asarray(pattern, dtype=float)
-            if vector.shape == (n,):
-                table[:, p] = vector
-            elif not faults:
-                faults.append((p, DimensionError(
-                    f"nodal pattern must have length {n}, got shape {vector.shape}")))
+            continue
+        nodal.append(p)
+        if filled:
+            continue
+        vector = np.asarray(pattern, dtype=float)
+        if vector.shape == (n,):
+            table[:, p] = vector
+        elif not faults:
+            faults.append((p, DimensionError(
+                f"nodal pattern must have length {n}, got shape {vector.shape}")))
 
     entries = [(p, eid, amp) for p, source in enumerate(sources) if source for eid, amp in source.items()]
     if entries:
@@ -327,22 +353,30 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
 def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndarray]:
     """Pin one node to zero potential by symmetric row/column elimination.
 
-    Builds a new ``data`` array in O(nnz) and shares ``S``'s index arrays,
-    which it does not change: the row and column of the ground node are
-    zeroed by one mask and its stored diagonal set to 1 (scipy inserts the
-    diagonal if ``S`` does not store it). ``S`` itself is left as it was.
+    Copies ``S``'s data in O(nnz), zeroes the ground node's column slice
+    and the entries in its row, and sets its stored diagonal to 1 (scipy
+    inserts the diagonal if ``S`` does not store it). The result shares
+    ``S``'s index arrays, which it does not change, so a matrix assembled
+    on a mesh keeps that mesh's plans; ``S`` itself is left as it was.
     Keeps the matrix symmetric and, on a connected mesh, positive definite.
     """
-    S = csc_array(S)  # a CSC input keeps its arrays
-    start, stop = S.indptr[ground_pos], S.indptr[ground_pos + 1]
-    keep = S.indices != ground_pos
-    keep[start:stop] = False
-    Sg = _StiffnessMatrix((np.where(keep, S.data, 0.0), S.indices, S.indptr), shape=S.shape)
-    diagonal = start + np.flatnonzero(S.indices[start:stop] == ground_pos)
+    mesh = _planned_mesh(S)
+    if mesh is None:
+        S = csc_array(S)  # a CSC input keeps its arrays
+    indices, indptr = S.indices, S.indptr
+    start, stop = indptr[ground_pos], indptr[ground_pos + 1]
+    data = S.data.astype(np.result_type(S.data, 0.0))
+    data[start:stop] = 0.0
+    data[indices == ground_pos] = 0.0
+    diagonal = start + np.flatnonzero(indices[start:stop] == ground_pos)
     if diagonal.size == 1:
-        Sg.data[diagonal] = 1.0
+        data[diagonal] = 1.0
+        if mesh is not None:
+            Sg = _mesh_matrix(mesh, data)
+        else:
+            Sg = _StiffnessMatrix((data, indices, indptr), shape=S.shape)
     else:
-        Sg = _StiffnessMatrix(Sg, copy=True)
+        Sg = _StiffnessMatrix((data, indices, indptr), shape=S.shape, copy=True)
         Sg[ground_pos, ground_pos] = 1.0
     Fg = F.copy()
     Fg[ground_pos] = 0.0
@@ -375,7 +409,11 @@ class ForwardFactorization:
     """Banded Cholesky factorization of a grounded system, reusable across loads.
 
     The rows and columns are permuted by reverse Cuthill-McKee, and the
-    permuted lower band is factored with LAPACK ``dpbtrf``. The factor is a
+    permuted lower band is factored with LAPACK ``dpbtrf``. The order and
+    the band layout come from the mesh's band plan when ``S`` was assembled
+    on a mesh (0.3 MB at refine 5, computed once per mesh), so a
+    factorization only fills the band (4.4 MB at refine 5) and factors it;
+    any other ``S`` is planned from its own pattern. The factor is a
     read-only array computed once, so it is safe to share across
     concurrent solves. A dense ``S`` is accepted and converted to CSC.
     """
@@ -384,18 +422,20 @@ class ForwardFactorization:
         if not system.grounded:
             raise DomainError("system must be grounded (positive definite) before factorization")
         self.ground_node = system.ground_node
-        S = csc_array(system.S, dtype=float, copy=True)  # residual checks must not see later mutation
-        S.sum_duplicates()  # the band is filled by assignment, one entry per position
-        perm = reverse_cuthill_mckee(S, symmetric_mode=True)
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(perm.size)
-        coo = S.tocoo()
-        rows, cols = inverse[coo.row], inverse[coo.col]
-        lower = rows >= cols
-        offsets = rows[lower] - cols[lower]
-        band = np.zeros((int(offsets.max(initial=0)) + 1, S.shape[0]), order="F")
-        band[offsets, cols[lower]] = coo.data[lower]
-        factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+        # residual checks must not see later mutation: a copy of the data,
+        # and of read-write index arrays
+        mesh = _planned_mesh(system.S)
+        if mesh is not None:
+            S = csc_array((np.array(system.S.data, dtype=float), system.S.indices, system.S.indptr),
+                          shape=system.S.shape)
+            perm, slots, positions, depth = mesh._band
+        else:
+            S = csc_array(system.S, dtype=float, copy=True)
+            S.sum_duplicates()  # the band is filled by assignment, one entry per position
+            perm, slots, positions, depth = _band_plan(S.indices, S.indptr)
+        band = np.zeros(depth * S.shape[0])
+        band[positions] = S.data[slots]
+        factor, info = lapack.dpbtrf(band.reshape((depth, -1), order="F"), lower=1, overwrite_ab=1)
         if info != 0:
             raise NumericalError(
                 "Cholesky factorization failed: matrix is not positive definite",

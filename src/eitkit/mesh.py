@@ -1,9 +1,11 @@
 """Triangulated 2D domains with boundary and electrode annotations.
 
 A :class:`Mesh` is immutable after construction and safe to share across
-concurrent tasks. Construction never validates invariants beyond basic
-types; :func:`validate` reports every violation, and :func:`load_mesh`
-refuses meshes whose report is non-empty.
+concurrent tasks. Arrays derived from it, among them the assembly,
+geometry and band plans that :mod:`eitkit.forward` reads, are computed on
+first use and cached on it. Construction never validates invariants
+beyond basic types; :func:`validate` reports every violation, and
+:func:`load_mesh` refuses meshes whose report is non-empty.
 
 Mesh file format (the shared text rules are in :mod:`eitkit.textio`)::
 
@@ -24,11 +26,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csc_array, csr_array
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .errors import DomainError, MeshFormatError, MeshValidationError
+from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError
 from .textio import read_lines, records, sections, write_lines
+
+DEGENERACY_FACTOR = 1e-14
 
 # field names of one line in each section, in file order
 _FIELDS = {
@@ -169,6 +173,29 @@ class Mesh:
         return plan
 
     @cached_property
+    def _geometry(self) -> tuple[np.ndarray, ...]:
+        """The element geometry in assembly order, as read-only arrays
+        ``(four_area, outer, element)``: ``4 area`` of each element, and
+        every entry of each element's ``b b^T + c c^T`` (see
+        :func:`_triangle_geometry`) in the order ``_placement`` sums them,
+        with the element it belongs to. A sliver raises
+        :class:`GeometryError`; a failed property is not cached, so every
+        read raises again."""
+        four_area, outer = _triangle_geometry(self.coords[self.triangles], self.bounding_box_diagonal)
+        order = self._placement[0]
+        plan = (four_area, outer.ravel()[order], order // 9)
+        for array in plan:
+            array.setflags(write=False)
+        return plan
+
+    @cached_property
+    def _band(self) -> tuple:
+        """The band layout of the stiffness pattern of ``_placement``,
+        :func:`_band_plan` of its index arrays."""
+        _, _, rows, indptr, _ = self._placement
+        return _band_plan(rows, indptr)
+
+    @cached_property
     def electrode_map(self) -> dict[int, int]:
         """Electrode id -> node id."""
         return {e.id: e.node for e in self.electrodes}
@@ -192,6 +219,53 @@ def _signed_areas(pts: np.ndarray) -> np.ndarray:
         (pts[:, 1, 0] - pts[:, 0, 0]) * (pts[:, 2, 1] - pts[:, 0, 1])
         - (pts[:, 2, 0] - pts[:, 0, 0]) * (pts[:, 1, 1] - pts[:, 0, 1])
     )
+
+
+def _triangle_geometry(pts: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(4 area, b b^T + c c^T)`` of every triangle, shapes (n_e,) and
+    (n_e, 3, 3), where ``b`` and ``c`` are the y and x differences of the
+    opposite edges: the local stiffness is ``sigma / (4 area)`` times the
+    second. ``pts`` holds the vertices, shape (n_e, 3, 2). Raises
+    :class:`GeometryError` for the lowest-index element with
+    ``area <= 1e-14 * scale**2``, carrying its vertices.
+    """
+    x, y = pts[..., 0], pts[..., 1]
+    area = np.abs(_signed_areas(pts))
+    threshold = DEGENERACY_FACTOR * scale * scale
+    bad = ~(area > threshold)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise GeometryError(
+            f"degenerate triangle (area {area[e]:g}, threshold {threshold:g})",
+            vertices=[tuple(p) for p in pts[e]],
+        )
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    return 4.0 * area, b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+
+
+def _band_plan(indices: np.ndarray, indptr: np.ndarray) -> tuple:
+    """The banded-Cholesky layout of a symmetric CSC pattern, as
+    ``(perm, slots, positions, depth)``.
+
+    ``perm`` is the reverse Cuthill-McKee order of the pattern (explicit
+    zeros count as entries). Permuted by it, the lower triangle fits in a
+    Fortran-order ``(depth, n)`` LAPACK band: the CSC data at ``slots``
+    lands at the flat ``positions`` of that band."""
+    n = indptr.size - 1
+    pattern = csc_array((np.ones(indices.size), indices, indptr), shape=(n, n))
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(n)
+    rows = inverse[indices]
+    cols = inverse[np.repeat(np.arange(n), np.diff(indptr))]
+    slots = np.flatnonzero(rows >= cols)
+    offsets = rows[slots] - cols[slots]
+    depth = int(offsets.max(initial=0)) + 1
+    positions = offsets + cols[slots].astype(np.intp) * depth
+    for array in (perm, slots, positions):
+        array.setflags(write=False)
+    return perm, slots, positions, depth
 
 
 def element_areas(mesh: Mesh) -> np.ndarray:

@@ -644,7 +644,11 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     mesh element and node ids; an id that is not on the mesh is a
     line-numbered :class:`FormatError`. So is, chained to the error it
     raises, a frequency or ``pairing`` that :class:`SweepConfig` would
-    reject and a pattern line that :func:`simulate_sweep` would reject.
+    reject (``zip`` with unequal frequency and pattern counts is blamed on
+    the ``pairing`` line) and a pattern line that :func:`simulate_sweep`
+    would reject. A missing ``[model]`` key and a missing or empty
+    ``[frequencies]`` or ``[patterns]`` section are a :class:`FormatError`
+    at the section's header, without a line when the section is missing.
     Each section is read line by line in one pass; the pattern lines are
     resolved by one resolver call (:func:`_parse_patterns`).
     """
@@ -657,10 +661,11 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     model_uniform, model_overrides = _parse_model(groups.get("model", []))
 
     sweep: dict[str, str | int] = {}
+    pairing_line = None
     for line_no, text in groups.get("sweep", ()):
         key, value = key_value(line_no, text)
         if key == "pairing":
-            value = _at_line(line_no, _check_pairing, value)
+            value, pairing_line = _at_line(line_no, _check_pairing, value), line_no
         elif key != "ground":
             raise FormatError(f"unknown sweep key {key!r}", line_no=line_no)
         elif value != "rotate":
@@ -673,6 +678,10 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
         if key not in model_uniform:
             header = groups["model"].line_no if "model" in groups else None
             raise FormatError(f"[model] section is missing {key!r}", line_no=header)
+    for name in ("frequencies", "patterns"):
+        if not groups.get(name):
+            header = groups[name].line_no if name in groups else None
+            raise FormatError(f"[{name}] section is missing or empty", line_no=header)
     n_e = mesh.n_elements
     params = np.array([np.full(n_e, model_uniform[key]) for key in ("sigma0", "sigma_inf", "tau")])
     row = {e.id: k for k, e in enumerate(mesh.elements)}
@@ -684,11 +693,11 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
         params[:, rows] = np.array([values for _, values in model_overrides.values()]).T
     tissue = TissueModel(*params)
 
-    config = SweepConfig(
-        frequencies=tuple(frequencies),
-        patterns=tuple(patterns),
-        pairing=sweep.get("pairing", "cross"),
-        ground=sweep.get("ground", 0),
+    # every value was checked at its line: all SweepConfig can still reject
+    # is a zip pairing of unequal counts
+    config = _at_line(
+        pairing_line, SweepConfig, tuple(frequencies), tuple(patterns),
+        sweep.get("pairing", "cross"), sweep.get("ground", 0),
     )
     return config, tissue
 
@@ -739,8 +748,9 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
     entry that does not parse, a node not on the mesh, or electrode totals
     that make no :class:`CurrentPattern`. The node entries of the lines
     before it go into one (n, P) table by one ``np.add.at``, and those lines
-    are resolved by one :func:`_nodal_load` call, which raises the first
-    failing line's error; only then does the stopping line raise its own.
+    are resolved by one :func:`_nodal_load` call that fills that table in
+    place and raises the first failing line's error; only then does the
+    stopping line raise its own.
     Every error is a :class:`FormatError` at its line, chained to the
     resolver's error where there is one.
     """
@@ -765,11 +775,11 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
     nodal = np.zeros((mesh.n_nodes, len(read)), order="F")
     rows, cols, amps = zip(*at) if at else ((), (), ())
     np.add.at(nodal, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), amps)  # in line order
-    patterns = [nodal[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
+    patterns = [pattern for _, pattern in read]  # None: a nodal line, whose entries are in the table
     loads = _nodal_load(
         mesh, patterns, [electrodes for electrodes, _ in read],
-        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]),
+        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]), table=nodal,
     )
     if failure is not None:
         raise failure
-    return [loads[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
+    return [loads[:, k] if pattern is None else pattern for k, pattern in enumerate(patterns)]

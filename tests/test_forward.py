@@ -459,9 +459,10 @@ def test_assemble_rejects_sliver_that_passes_validation():
     assert validate(mesh).ok
     with pytest.raises(GeometryError) as oracle:
         loop_assemble(mesh, np.ones(3))
-    with pytest.raises(GeometryError) as err:
-        assemble(mesh, np.ones(3))
-    assert err.value.vertices == oracle.value.vertices == [(1.0, 0.0), (0.5, 0.5 + delta), (0.0, 1.0)]
+    for _ in range(2):  # a failed geometry plan is not cached: every call raises
+        with pytest.raises(GeometryError) as err:
+            assemble(mesh, np.ones(3))
+        assert err.value.vertices == oracle.value.vertices == [(1.0, 0.0), (0.5, 0.5 + delta), (0.0, 1.0)]
 
 
 def test_non_positive_definite_pivot_names_original_row():
@@ -530,3 +531,247 @@ def test_assemble_validates_each_mesh_once(monkeypatch):
         with pytest.raises(MeshValidationError):
             assemble(broken, uniform_field(broken, 1.0))
     assert len(calls) == 2
+
+
+# ------------------------------------------------------ per-mesh plans ----
+
+
+def oracle_local_stiffness(pts, sigma, scale):
+    """The element kernel before the geometry was cached on the mesh."""
+    x, y = pts[..., 0], pts[..., 1]
+    area = 0.5 * np.abs(
+        (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
+    )
+    threshold = 1e-14 * scale * scale
+    bad = ~(area > threshold)
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise GeometryError("degenerate triangle", vertices=[tuple(p) for p in pts[e]])
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    outer = b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
+    return (sigma / (4.0 * area))[:, None, None] * outer
+
+
+def oracle_assemble(mesh, sigma):
+    """``assemble`` before it read the cached geometry: every local matrix
+    computed, then summed along the placement order."""
+    n = mesh.n_nodes
+    local = oracle_local_stiffness(mesh.coords[mesh.triangles], sigma, mesh.bounding_box_diagonal)
+    order, first, rows, indptr, _ = mesh._placement
+    data = np.add.reduceat(local.ravel()[order], first)
+    return csc_array((data, rows, indptr), shape=(n, n))
+
+
+def oracle_ground_system(S, F, ground_pos):
+    """``ground_system`` with a keep mask and ``np.where``."""
+    S = csc_array(S)
+    start, stop = S.indptr[ground_pos], S.indptr[ground_pos + 1]
+    keep = S.indices != ground_pos
+    keep[start:stop] = False
+    Sg = csc_array((np.where(keep, S.data, 0.0), S.indices, S.indptr), shape=S.shape)
+    diagonal = start + np.flatnonzero(S.indices[start:stop] == ground_pos)
+    if diagonal.size == 1:
+        Sg.data[diagonal] = 1.0
+    else:
+        Sg = csc_array(Sg, copy=True)
+        Sg[ground_pos, ground_pos] = 1.0
+    Fg = F.copy()
+    Fg[ground_pos] = 0.0
+    return Sg, Fg
+
+
+def oracle_factor(S):
+    """``ForwardFactorization.__init__`` with reverse Cuthill-McKee, the COO
+    conversion and the band scatter run on every call: ``(perm, factor)``."""
+    from scipy.linalg import lapack
+
+    S = csc_array(S, dtype=float, copy=True)
+    S.sum_duplicates()
+    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size)
+    coo = S.tocoo()
+    rows, cols = inverse[coo.row], inverse[coo.col]
+    lower = rows >= cols
+    offsets = rows[lower] - cols[lower]
+    band = np.zeros((int(offsets.max(initial=0)) + 1, S.shape[0]), order="F")
+    band[offsets, cols[lower]] = coo.data[lower]
+    factor, info = lapack.dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        pivot = int(perm[info - 1]) + 1 if info > 0 else int(info)
+        raise NumericalError("not positive definite", pivot_index=pivot)
+    return perm, factor
+
+
+def oracle_solve(perm, factor, F):
+    from scipy.linalg import lapack
+
+    x, info = lapack.dpbtrs(factor, F[perm], lower=1)
+    assert info == 0
+    phi = np.empty_like(x)
+    phi[perm] = x
+    return phi
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(refine=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_planned_forward_layer_matches_the_unplanned_oracle_bitwise(refine, seed):
+    from eitkit.forward import ground_system
+
+    rng = np.random.default_rng(seed)
+    mesh = build_disk_mesh(1.0, refine)
+    sigma = rng.uniform(0.1, 10.0, mesh.n_elements)
+    S = assemble(mesh, sigma).S
+    want = oracle_assemble(mesh, sigma)
+    assert_same_bits(S.data, want.data)
+    for _ in range(2):  # a second ground reuses the plans of the first
+        g = int(rng.integers(mesh.n_nodes))
+        F = rng.standard_normal(mesh.n_nodes)
+        F -= F.mean()
+        Sg, Fg = ground_system(S, F, g)
+        want_g, want_F = oracle_ground_system(want, F, g)
+        assert_same_bits(Sg.data, want_g.data)
+        assert_same_bits(Fg, want_F)
+        factor = ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=mesh.nodes[g].id))
+        perm, want_factor = oracle_factor(want_g)
+        assert_same_bits(factor._perm, perm)
+        assert_same_bits(factor._factor, want_factor)
+        assert_same_bits(factor.solve(Fg).phi, oracle_solve(perm, want_factor, Fg))
+
+
+def test_planned_factorization_reports_the_oracle_pivot():
+    from eitkit.forward import ground_system
+
+    mesh = build_disk_mesh(1.0, 2)
+    S = assemble(mesh, np.random.default_rng(3).uniform(0.5, 2.0, mesh.n_elements)).S
+    Sg, Fg = ground_system(S, np.zeros(mesh.n_nodes), 0)
+    k = Sg.indptr[40] + int(np.flatnonzero(Sg.indices[Sg.indptr[40]:Sg.indptr[41]] == 40)[0])
+    Sg.data[k] = -1.0  # node 40's diagonal; the index arrays stay the mesh's
+    with pytest.raises(NumericalError) as want:
+        oracle_factor(Sg)
+    with pytest.raises(NumericalError) as err:
+        ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=0))
+    assert err.value.pivot_index == want.value.pivot_index
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    real, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_band_plan_is_computed_once_per_mesh(monkeypatch):
+    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
+    mesh = build_disk_mesh(1.0, 2)
+    for value in (1.0, 2.5):
+        system = assemble(mesh, uniform_field(mesh, value))
+        for ground in (0, 7, 40):
+            grounded = apply_pattern(system, mesh, CurrentPattern({0: 1.0, 4: -1.0}), ground)
+            assert grounded.S.indices is mesh._placement[2]
+            ForwardFactorization(grounded).solve(grounded.F)
+    assert len(calls) == 1
+    # a matrix that no longer holds the mesh's own index arrays is planned anew
+    grounded.S.indices = grounded.S.indices.copy()
+    phi = ForwardFactorization(grounded).solve(grounded.F).phi
+    assert len(calls) == 2
+    fresh = apply_pattern(system, mesh, CurrentPattern({0: 1.0, 4: -1.0}), 40)
+    assert_array_equal(phi, ForwardFactorization(fresh).solve(fresh.F).phi)
+    perm, slots, positions, depth = mesh._band
+    assert mesh._band[0] is perm
+    for array in (perm, slots, positions):
+        assert not array.flags.writeable
+
+
+def test_geometry_is_computed_once_per_mesh(monkeypatch):
+    from eitkit.forward import _element_design
+
+    calls = counting(monkeypatch, eitkit.mesh, "_triangle_geometry")
+    mesh = build_disk_mesh(1.0, 2)
+    first = assemble(mesh, uniform_field(mesh, 1.0)).S
+    second = assemble(mesh, uniform_field(mesh, 2.0)).S
+    design = _element_design(mesh)
+    assert len(calls) == 1
+    assert_array_equal(second.data, 2.0 * first.data)
+    assert_allclose(design @ np.ones(mesh.n_elements), first.data, rtol=1e-14, atol=1e-14)
+    for array in mesh._geometry:
+        assert not array.flags.writeable
+
+
+def test_meshes_are_built_and_loaded_without_plans(tmp_path):
+    mesh = build_disk_mesh(1.0, 2)
+    eitkit.mesh.save_mesh(mesh, tmp_path / "disk.mesh")
+    for built in (mesh, eitkit.mesh.load_mesh(tmp_path / "disk.mesh")):
+        assert not {"_placement", "_geometry", "_band"} & set(vars(built))
+
+
+def grounded_disk(refine=2, ground=5):
+    from eitkit.forward import ground_system
+
+    mesh = build_disk_mesh(1.0, refine)
+    rng = np.random.default_rng(refine)
+    S = assemble(mesh, rng.uniform(0.5, 3.0, mesh.n_elements)).S
+    F = rng.standard_normal(mesh.n_nodes)
+    F -= F.mean()
+    return ground_system(S, F, ground)
+
+
+def test_dense_system_takes_its_own_plan(monkeypatch):
+    Sg, Fg = grounded_disk()
+    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
+    dense = Sg.toarray()
+    phi = ForwardFactorization(StiffnessSystem(S=dense, F=Fg, ground_node=5)).solve(Fg).phi
+    want = np.linalg.solve(dense, Fg)
+    assert len(calls) == 1
+    assert np.abs(phi - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_hand_built_csc_takes_its_own_plan(monkeypatch):
+    Sg, Fg = grounded_disk()
+    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
+    # the same entries with each column's row indices reversed and split in two
+    # duplicates: a read-write, non-canonical CSC that no mesh planned
+    starts, ends = Sg.indptr[:-1], Sg.indptr[1:]
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in zip(starts, ends)])
+    indices = np.repeat(Sg.indices[order], 2)
+    data = np.repeat(Sg.data[order], 2) / 2.0
+    hand = csc_array((data, indices, 2 * Sg.indptr), shape=Sg.shape)
+    assert not hand.has_canonical_format
+    phi = ForwardFactorization(StiffnessSystem(S=hand, F=Fg, ground_node=5)).solve(Fg).phi
+    want = np.linalg.solve(Sg.toarray(), Fg)
+    assert len(calls) == 1
+    assert np.abs(phi - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
+def test_gauge_that_inserts_a_diagonal_takes_its_own_plan(monkeypatch):
+    from eitkit.forward import ground_system
+
+    mesh = build_disk_mesh(1.0, 2)
+    S = assemble(mesh, np.random.default_rng(9).uniform(0.5, 3.0, mesh.n_elements)).S
+    # node 5's diagonal left out of the stored pattern
+    keep = ~((S.indices == 5) & (np.repeat(np.arange(mesh.n_nodes), np.diff(S.indptr)) == 5))
+    cols = np.repeat(np.arange(mesh.n_nodes), np.diff(S.indptr))[keep]
+    holed = csc_array((S.data[keep], S.indices[keep], np.searchsorted(cols, np.arange(mesh.n_nodes + 1))),
+                      shape=S.shape)
+    F = np.random.default_rng(10).standard_normal(mesh.n_nodes)
+    F -= F.mean()
+    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
+    Sg, Fg = ground_system(holed, F, 5)
+    assert Sg.nnz == S.nnz
+    phi = ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=5)).solve(Fg).phi
+    want = np.linalg.solve(Sg.toarray(), Fg)
+    assert len(calls) == 1
+    assert np.abs(phi - want).max() <= 1e-12 * np.abs(want).max()

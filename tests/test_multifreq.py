@@ -917,6 +917,34 @@ def test_sweep_value_errors_are_format_errors_at_their_line(tmp_path, frequencie
     assert str(err.value) == f"{message} (line {line_no})"
 
 
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("[frequencies]\n1000\n2000\n[patterns]\n0: 1.0, 4: -1.0\n[sweep]\nground = 0\npairing = zip\n",
+         8, "zip pairing needs equal counts, got 2 frequencies and 1 patterns"),
+        ("[frequencies]\n1000\n[sweep]\npairing = cross\n", None, "[patterns] section is missing or empty"),
+        ("[patterns]\n0: 1.0, 4: -1.0\n", None, "[frequencies] section is missing or empty"),
+        ("[frequencies]\n1000\n[patterns]\n# none yet\n", 3, "[patterns] section is missing or empty"),
+        ("[frequencies]\n[patterns]\n0: 1.0, 4: -1.0\n", 1, "[frequencies] section is missing or empty"),
+    ],
+    ids=["zip-unequal-counts", "no-patterns-section", "no-frequencies-section", "empty-patterns",
+         "empty-frequencies"],
+)
+def test_sweep_plan_errors_are_format_errors(tmp_path, text, line_no, message):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text + "[model]\n" + MODEL)
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, build_disk_mesh(1.0, 0))
+    assert err.value.line_no == line_no
+    if line_no is None:
+        assert str(err.value) == message
+    else:
+        assert str(err.value) == f"{message} (line {line_no})"
+    if message.startswith("zip"):
+        assert type(err.value.__cause__) is DomainError
+        assert str(err.value.__cause__) == message
+
+
 # ------------------------------------------------ pattern resolution ----
 
 
@@ -1264,6 +1292,31 @@ def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
     for line, pattern in zip(lines[2:], config.patterns[2:]):
         [alone] = eitkit.multifreq._parse_patterns([(1, line)], mesh)
         assert pattern.tobytes() == alone.tobytes()
+
+
+def test_pattern_loader_resolves_its_own_table_in_place(tmp_path, monkeypatch):
+    mesh = build_disk_mesh(1.0, 2)
+    path = tmp_path / "sweep.cfg"
+    lines = ["0: 1, 4: -1"] + GOOD_LINES[:3] + ["node 0: 1, 2: -1"]
+    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
+    alone = [eitkit.multifreq._parse_patterns([(1, line)], mesh)[0] for line in lines]
+    real, tables = eitkit.multifreq._nodal_load, []
+
+    def recording(*args, **options):
+        loads = real(*args, **options)
+        tables.append((options["table"], loads))
+        return loads
+
+    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", recording)
+    config, _ = load_sweep_config(path, mesh)
+    [(table, loads)] = tables
+    assert loads is table  # no second (n, P) table
+    assert loads.shape == (mesh.n_nodes, len(lines))
+    assert config.patterns[0] == alone[0]
+    assert table[:, 0].tobytes() == per_pattern_nodal_load(mesh, alone[0]).tobytes()
+    for pattern, expected in zip(config.patterns[1:], alone[1:]):
+        assert np.shares_memory(pattern, table)
+        assert pattern.tobytes() == expected.tobytes()
 
 
 def test_reconstruct_multifreq_resolves_in_one_call_per_stage(tmp_path, monkeypatch, capsys):
