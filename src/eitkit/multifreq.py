@@ -72,6 +72,7 @@ from .forward import (
 )
 from .mesh import Mesh, _is_int
 from .textio import (
+    _at_line,
     convert,
     data_lines,
     float_rows,
@@ -87,9 +88,19 @@ RANK_TOL = 1e-10
 # bytes of one (n, k) block of columns: simulate_sweep solves its loads and
 # recover_conductivity reads S_hat in blocks of at most this size
 BLOCK_BYTES = 1 << 20
-# recover_conductivity rejects a design whose Gram matrix has
+# _sparse_lstsq rejects a design whose Gram matrix has
 # lambda_min <= GRAM_TOL * lambda_max, that is cond(design) >= 1e6
 GRAM_TOL = 1e-12
+
+
+def _check_parameter(name: str, values):
+    """``values``, if every one suits the :class:`TissueModel` parameter
+    ``name``: positive and finite for ``sigma0`` and ``sigma_inf``,
+    non-negative and finite for ``tau``."""
+    tau = name == "tau"
+    if not np.all(np.isfinite(values)) or not np.all(values >= 0 if tau else values > 0):
+        raise DomainError(f"{name} must be {'non-negative' if tau else 'positive'} and finite everywhere")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +124,8 @@ class TissueModel:
         tau = np.asarray(self.tau, dtype=float)
         if not (s0.shape == si.shape == tau.shape) or s0.ndim != 1:
             raise DimensionError("sigma0, sigma_inf and tau must be equal-length 1-d arrays")
-        for name, arr in (("sigma0", s0), ("sigma_inf", si)):
-            if not np.all(np.isfinite(arr)) or not np.all(arr > 0):
-                raise DomainError(f"{name} must be positive and finite everywhere")
-        if not np.all(np.isfinite(tau)) or not np.all(tau >= 0):
-            raise DomainError("tau must be non-negative and finite everywhere")
         for name, arr in (("sigma0", s0), ("sigma_inf", si), ("tau", tau)):
-            arr = arr.copy()
+            arr = _check_parameter(name, arr).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -293,15 +299,6 @@ def _annotated(exc: EitError, where: str) -> EitError:
     return new
 
 
-def _at_line(line_no: int, check, *args):
-    """``check(*args)``; an :class:`EitError` it raises is raised again as a
-    :class:`FormatError` at ``line_no``, chained to it."""
-    try:
-        return check(*args)
-    except EitError as exc:
-        raise FormatError(str(exc), line_no=line_no) from exc
-
-
 def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> StackedSystem:
     """Run every injection of the sweep and stack potentials and loads.
 
@@ -451,14 +448,44 @@ def _largest_eigenvalue(operator, v0: np.ndarray) -> float:
     return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
 
 
-def _column_blocks(S_hat: np.ndarray):
-    """``(start, S_hat[:, start:stop], S_hat[start:stop, :].T)`` for blocks
-    of columns of at most ``BLOCK_BYTES`` each: a square matrix and its
-    transpose read side by side with no n x n temporary."""
-    n = S_hat.shape[0]
-    width = max(1, BLOCK_BYTES // (8 * n))
-    for start in range(0, n, width):
-        yield start, S_hat[:, start:start + width], S_hat[start:start + width, :].T
+def _sparse_lstsq(design, target: np.ndarray):
+    """``(x, lam_min, lam_max)``: ``argmin_x |design @ x - target|_2`` for a
+    sparse design of full column rank, and the extreme eigenvalues of its
+    Gram matrix ``A^T A``.
+
+    The fit is by the corrected semi-normal equations (Björck, *Numerical
+    Methods for Least Squares Problems*, 1996, section 6.6): ``A^T A`` is
+    factored once by ``splu``, the normal equations are solved, and two
+    correction steps ``x += solve(A^T (b - A x))`` remove the cond(A)^2
+    loss of plain normal equations. ARPACK (``eigsh``, from a fixed start
+    vector, so the figures repeat exactly) gives ``lam_max`` and, through
+    the factor, ``1 / lam_min``.
+
+    An exactly singular factor and ``lam_min <= GRAM_TOL * lam_max``
+    (``cond(A) >= 1e6``) raise :class:`IdentifiabilityError`. Its gap is
+    the number of singular values of the dense design at or below ``1e-6``
+    times the largest, at least 1.
+    """
+    gram = (design.T @ design).tocsc()
+    try:
+        lu = splu(gram)
+    except RuntimeError:  # the factor is exactly singular
+        lu = None
+    if lu is not None:
+        v0 = np.random.default_rng(0).standard_normal(design.shape[1])
+        lam_max = _largest_eigenvalue(gram, v0)
+        lam_min = 1.0 / _largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)
+    if lu is None or not lam_min > GRAM_TOL * lam_max:
+        s = np.linalg.svd(design.toarray(), compute_uv=False)
+        rank = int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
+        raise IdentifiabilityError(
+            "assembly operator is rank deficient; conductivity is not identifiable",
+            rank_gap=max(design.shape[1] - rank, 1),
+        )
+    x = lu.solve(design.T @ target)
+    for _ in range(2):
+        x += lu.solve(design.T @ (target - design @ x))
+    return x, lam_min, lam_max
 
 
 def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | None = None) -> RecoveredField:
@@ -467,36 +494,45 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     The map is linear in sigma and writes only the nonzeros of S (the
     diagonal and both directions of each mesh edge). An entry of
     ``sym(S_hat)`` off that pattern adds a constant to the objective, so it
-    does not move sigma. The fit runs on the sparse design ``A`` of
-    :func:`~eitkit.forward._element_design` (nine nonzeros per column) by
-    the corrected semi-normal equations (Björck, *Numerical Methods for
-    Least Squares Problems*, 1996, section 6.6): the Gram matrix ``A^T A``
-    is factored once by ``splu``, the normal equations are solved, and two
-    correction steps ``sigma += solve(A^T (b - A sigma))`` remove the
-    cond(A)^2 loss of plain normal equations. ARPACK (``eigsh``, from a
-    fixed start vector, so the figures repeat exactly) gives ``lambda_max``
-    of ``A^T A`` and, through the factor, ``1 / lambda_min``; then
+    does not move sigma. The fit is one call of the sparse least-squares
+    core :func:`_sparse_lstsq` on the design ``A`` of
+    :func:`~eitkit.forward._element_design` (nine nonzeros per column), with
     ``sensitivity = 1/sqrt(lambda_min)`` and ``operator_condition =
-    sqrt(lambda_max / lambda_min)``.
+    sqrt(lambda_max / lambda_min)`` from the core's Gram eigenvalues.
 
-    ``sym(S_hat)`` is read at the pattern entries only, as
-    ``0.5 * (S_hat[r, c] + S_hat[c, r])``. ``fit_residual`` still counts
-    every entry: the misfit on the pattern plus ``sym(S_hat)`` off it. That
-    sum and the symmetry check read ``S_hat`` and its transpose in blocks of
-    columns of at most ``BLOCK_BYTES``, so no n x n temporary is made.
+    ``S_hat`` and its transpose are read once, side by side, in blocks of
+    columns of at most ``BLOCK_BYTES``, so no n x n temporary is made. Each
+    block adds its share of the asymmetry, writes ``0.5 * (S_hat[r, c] +
+    S_hat[c, r])`` at its pattern entries into the target, then zeroes
+    those entries and adds the squares of ``sym(S_hat)`` off the pattern:
+    ``fit_residual`` counts every entry, the misfit on the pattern plus
+    ``sym(S_hat)`` off it.
 
-    More elements than the n(n+1)/2 independent entries raise
-    :class:`IdentifiabilityError` with the excess as the gap. So do an
-    exactly singular factor and ``lambda_min <= GRAM_TOL * lambda_max``
-    (``cond(A) >= 1e6``); their gap is the number of singular values of
-    the dense design at or below ``1e-6`` times the largest, at least 1.
+    After the pass, an ``S_hat`` asymmetric beyond 1e-6 relative raises
+    :class:`DomainError`, and more elements than the n(n+1)/2 independent
+    entries raise :class:`IdentifiabilityError` with the excess as the gap;
+    the core raises its own for a rank-deficient or ill-conditioned design.
     """
     S_hat = np.asarray(S_hat, dtype=float)
     n = mesh.n_nodes
     if S_hat.shape != (n, n):
         raise DimensionError(f"S_hat has shape {S_hat.shape}, mesh implies ({n}, {n})")
     scale = float(np.linalg.norm(S_hat)) or 1.0
-    asymmetry = sum(float(np.vdot(d, d)) for d in (a - b for _, a, b in _column_blocks(S_hat)))
+    _, _, rows, indptr, _ = mesh._placement
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    target = np.empty(rows.size)  # sym(S_hat) on the pattern
+    asymmetry = off_pattern = 0.0  # the squares of S_hat - S_hat^T, and of sym(S_hat) off the pattern
+    width = max(1, BLOCK_BYTES // (8 * n))
+    for start in range(0, n, width):
+        a, b = S_hat[:, start:start + width], S_hat[start:start + width, :].T
+        d = a - b
+        asymmetry += float(np.vdot(d, d))
+        sym = 0.5 * (a + b)
+        on = slice(indptr[start], indptr[start + sym.shape[1]])  # the pattern entries of these columns
+        local = rows[on], cols[on] - start
+        target[on] = sym[local]
+        sym[local] = 0.0
+        off_pattern += float(np.vdot(sym, sym))
     if np.sqrt(asymmetry) > 1e-6 * scale:
         raise DomainError("S_hat must be symmetric within 1e-6 relative")
 
@@ -508,36 +544,8 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
         )
 
     design = _element_design(mesh)
-    gram = (design.T @ design).tocsc()
-    try:
-        lu = splu(gram)
-    except RuntimeError:  # the factor is exactly singular
-        lu = None
-    if lu is not None:
-        v0 = np.random.default_rng(0).standard_normal(mesh.n_elements)
-        lam_max = _largest_eigenvalue(gram, v0)
-        lam_min = 1.0 / _largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)
-    if lu is None or not lam_min > GRAM_TOL * lam_max:
-        s = np.linalg.svd(design.toarray(), compute_uv=False)
-        rank = int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
-        raise IdentifiabilityError(
-            "assembly operator is rank deficient; conductivity is not identifiable",
-            rank_gap=max(mesh.n_elements - rank, 1),
-        )
-
-    _, _, rows, indptr, _ = mesh._placement
-    cols = np.repeat(np.arange(n), np.diff(indptr))
-    target = 0.5 * (S_hat[rows, cols] + S_hat[cols, rows])  # sym(S_hat) on the pattern
-    sigma = lu.solve(design.T @ target)
-    for _ in range(2):
-        sigma += lu.solve(design.T @ (target - design @ sigma))
+    sigma, lam_min, lam_max = _sparse_lstsq(design, target)
     misfit = target - design @ sigma
-    off_pattern = 0.0  # the squares of sym(S_hat) off the pattern
-    for start, a, b in _column_blocks(S_hat):
-        sym = 0.5 * (a + b)
-        on = slice(indptr[start], indptr[start + sym.shape[1]])  # the pattern entries of these columns
-        sym[rows[on], cols[on] - start] = 0.0
-        off_pattern += float(np.vdot(sym, sym))
     negative = tuple(int(e) for e in np.flatnonzero(~(sigma > 0.0)))
     return RecoveredField(
         sigma=sigma,
@@ -645,10 +653,12 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     line-numbered :class:`FormatError`. So is, chained to the error it
     raises, a frequency or ``pairing`` that :class:`SweepConfig` would
     reject (``zip`` with unequal frequency and pattern counts is blamed on
-    the ``pairing`` line) and a pattern line that :func:`simulate_sweep`
-    would reject. A missing ``[model]`` key and a missing or empty
-    ``[frequencies]`` or ``[patterns]`` section are a :class:`FormatError`
-    at the section's header, without a line when the section is missing.
+    the ``pairing`` line), a ``[model]`` value or override that
+    :class:`TissueModel` would reject and a pattern line that
+    :func:`simulate_sweep` would reject. A missing ``[model]`` key and a
+    missing or empty ``[frequencies]`` or ``[patterns]`` section are a
+    :class:`FormatError` at the section's header, without a line when the
+    section is missing.
     Each section is read line by line in one pass; the pattern lines are
     resolved by one resolver call (:func:`_parse_patterns`).
     """
@@ -705,9 +715,13 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
 def _parse_model(lines) -> tuple[dict, dict]:
     """The ``[model]`` lines as ``({key: value}, {element id: (line_no,
     (sigma0, sigma_inf, tau))})``, the overrides in line order, read one
-    line at a time; the first bad line raises its error."""
+    line at a time; the first bad line raises its error. The values are
+    then checked by :func:`_check_parameter`, one array per parameter, and
+    walked in line order only when that fails, to name the first line that
+    holds a bad one."""
     uniform: dict[str, float] = {}
     overrides: dict[int, tuple[int, tuple[float, float, float]]] = {}
+    read = []  # (line_no, key, value) of each value, in line order
     for line_no, text in lines:
         if text.lower().startswith("element"):
             eid, _, triple = text[len("element"):].partition(":")
@@ -717,11 +731,19 @@ def _parse_model(lines) -> tuple[dict, dict]:
             except ValueError:
                 raise FormatError(f"bad element override {text!r}", line_no=line_no) from None
             put_once(overrides, eid, (line_no, (s0, si, t)), line_no, "element override")
+            read += [(line_no, "sigma0", s0), (line_no, "sigma_inf", si), (line_no, "tau", t)]
         else:
             key, value = key_value(line_no, text)
             if key not in ("sigma0", "sigma_inf", "tau"):
                 raise FormatError(f"unknown model key {key!r}", line_no=line_no)
             put_once(uniform, key, convert(value, float, line_no, key), line_no, "model key")
+            read.append((line_no, key, uniform[key]))
+    try:
+        for key in ("sigma0", "sigma_inf", "tau"):
+            _check_parameter(key, np.array([value for _, k, value in read if k == key]))
+    except DomainError:
+        for line_no, key, value in read:
+            _at_line(line_no, _check_parameter, key, value)
     return uniform, overrides
 
 

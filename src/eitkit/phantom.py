@@ -23,7 +23,7 @@ from .errors import (
 )
 from .mesh import Mesh, _is_int
 from .statistics import MeasurementEnsemble
-from .textio import convert, key_value, put_once, read_lines, sections, write_lines
+from .textio import _at_line, convert, key_value, put_once, read_lines, sections, write_lines
 
 SOURCE_STREAM = 0
 NOISE_STREAM = 1
@@ -239,6 +239,13 @@ def make_demo_fixture():
     return A, generator
 
 
+def _check_background(background: float) -> float:
+    """``background``, if it is a positive, finite conductivity."""
+    if not (np.isfinite(background) and background > 0):
+        raise DomainError(f"background conductivity must be positive, got {background!r}")
+    return background
+
+
 def make_phantom(mesh: Mesh, background: float, inclusions=()) -> Phantom:
     """Uniform background conductivity with disk inclusions.
 
@@ -246,10 +253,8 @@ def make_phantom(mesh: Mesh, background: float, inclusions=()) -> Phantom:
     outside the mesh) contributes nothing to the field and is reported in
     ``Phantom.warnings`` rather than raised.
     """
-    if not (np.isfinite(background) and background > 0):
-        raise DomainError(f"background conductivity must be positive, got {background!r}")
     inclusions = tuple(inclusions)
-    sigma = np.full(mesh.n_elements, float(background))
+    sigma = np.full(mesh.n_elements, float(_check_background(background)))
     centroids = mesh.coords[mesh.triangles].mean(axis=1)
     warnings: list[str] = []
     for k, inc in enumerate(inclusions):
@@ -284,19 +289,22 @@ def save_phantom_spec(phantom: Phantom, path, header_lines: tuple[str, ...] = ()
 
 
 def load_phantom_spec(path, mesh: Mesh) -> Phantom:
-    """Read a phantom spec file and instantiate it on a mesh."""
+    """Read a phantom spec file and instantiate it on a mesh. A background
+    or inclusion that :func:`make_phantom` or :class:`Inclusion` would
+    reject is a :class:`FormatError` at its line, chained to that error."""
     spec: dict[str, float] = {}
     inclusions: list[Inclusion] = []
     for line_no, text in sections(read_lines(path), ("phantom",)).get("phantom", ()):
         key, value = key_value(line_no, text)
         if key == "background":
-            put_once(spec, key, convert(value, float, line_no, key), line_no)
+            background = convert(value, float, line_no, key)
+            put_once(spec, key, _at_line(line_no, _check_background, background), line_no)
         elif key == "inclusion":
             try:
                 x, y, radius, contrast = (float(v) for v in value.split())
             except ValueError:
                 raise FormatError(f"expected 'x y radius contrast', got {value!r}", line_no=line_no) from None
-            inclusions.append(Inclusion((x, y), radius, contrast))
+            inclusions.append(_at_line(line_no, Inclusion, (x, y), radius, contrast))
         else:
             raise FormatError(f"unknown key {key!r}", line_no=line_no)
     if "background" not in spec:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import EitError, FormatError
 
 
 def read_lines(path, error=FormatError) -> list[tuple[int, str]]:
@@ -92,6 +92,15 @@ def convert(token: str, kind, line_no: int, field: str | None = None, error=Form
         return kind(token)
     except ValueError:
         raise error(f"expected {kind.__name__}, got {token!r}", line_no=line_no, field=field) from None
+
+
+def _at_line(line_no: int, check, *args):
+    """``check(*args)``; an :class:`EitError` it raises is raised again as a
+    :class:`FormatError` at ``line_no``, chained to it."""
+    try:
+        return check(*args)
+    except EitError as exc:
+        raise FormatError(str(exc), line_no=line_no) from exc
 
 
 def _fits_int64(value: int) -> bool:

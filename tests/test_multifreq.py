@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import sparse
 from scipy.sparse import coo_array
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 import eitkit.multifreq
 from eitkit import (
@@ -11,6 +13,7 @@ from eitkit import (
     CurrentPattern,
     DimensionError,
     DomainError,
+    EitError,
     Electrode,
     Element,
     FormatError,
@@ -718,6 +721,201 @@ def test_recover_conductivity_too_many_elements_guard(square_mesh):
     assert err.value.rank_gap == 1
 
 
+# ------------------------------------------- the sparse least-squares core ----
+
+
+@st.composite
+def sparse_designs(draw, min_columns=1):
+    """``(design, rng)``: a random sparse design of full column rank, an
+    m x k ``scipy.sparse.random`` matrix (m <= 60, k <= m) stacked on a
+    scaled k x k identity, in CSC form."""
+    m = draw(st.integers(min_columns, 60))
+    k = draw(st.integers(min_columns, m))
+    density = draw(st.floats(0.05, 1.0))
+    scale = draw(st.floats(1e-2, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = sparse.random(m, k, density=density, rng=rng)
+    return sparse.vstack([top, scale * sparse.identity(k)]).tocsc(), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sparse_designs(), noise=st.sampled_from([0.0, 1e-6, 1e-2]))
+def test_sparse_lstsq_matches_dense_lstsq_on_random_designs(case, noise):
+    from eitkit.multifreq import _sparse_lstsq
+
+    design, rng = case
+    dense = design.toarray()
+    target = dense @ rng.uniform(-1.0, 1.0, dense.shape[1]) + noise * rng.standard_normal(dense.shape[0])
+    x, lam_min, lam_max = _sparse_lstsq(design, target)
+    want, _, _, s = np.linalg.lstsq(dense, target, rcond=None)
+    cond = s[0] / s[-1]
+    residual = np.linalg.norm(target - dense @ want)
+    # the least-squares perturbation bound eps cond (|x| + cond |r| / s_max), with a
+    # factor 100 of room: 3000 draws of this family reached at most 25
+    bound = np.finfo(float).eps * cond * (np.linalg.norm(want) + cond * residual / s[0])
+    assert np.linalg.norm(x - want) <= 100 * bound
+    assert lam_min == pytest.approx(s[-1] ** 2, rel=1e-10)
+    assert lam_max == pytest.approx(s[0] ** 2, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sparse_designs(min_columns=2), column=st.integers(0, 59))
+def test_sparse_lstsq_rejects_a_repeated_or_an_ill_scaled_column(case, column):
+    from eitkit.multifreq import _sparse_lstsq
+
+    design, rng = case
+    k = design.shape[1]
+    column %= k
+    target = rng.standard_normal(design.shape[0])
+    with pytest.raises(IdentifiabilityError) as err:
+        _sparse_lstsq(sparse.hstack([design, design[:, [column]]]).tocsc(), target)
+    assert err.value.rank_gap == 1
+    norms = np.linalg.norm(design.toarray(), axis=0)
+    factors = np.ones(k)
+    factors[column] = 1e7 * norms.max() / norms[column]
+    scaled = design @ sparse.diags_array(factors)
+    s = np.linalg.svd(scaled.toarray(), compute_uv=False)
+    assert s[0] / s[-1] > 1e6
+    with pytest.raises(IdentifiabilityError) as err:
+        _sparse_lstsq(scaled, target)
+    assert err.value.rank_gap >= 1
+
+
+def two_pass_recover(S_hat, mesh):
+    """Oracle: ``recover_conductivity`` as it was before the single pass and
+    the least-squares core, as ``(sigma, fit_residual, sensitivity,
+    operator_condition)``. The symmetry check and the off-pattern squares
+    each read ``S_hat`` in column blocks of ``eitkit.multifreq.BLOCK_BYTES``,
+    and the pattern entries are gathered by fancy indexing."""
+    from eitkit.forward import _element_design
+
+    def column_blocks(S_hat):
+        n = S_hat.shape[0]
+        width = max(1, eitkit.multifreq.BLOCK_BYTES // (8 * n))
+        for start in range(0, n, width):
+            yield start, S_hat[:, start:start + width], S_hat[start:start + width, :].T
+
+    def largest_eigenvalue(operator, v0):
+        if v0.size == 1:
+            return float((operator @ v0)[0] / v0[0])
+        return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
+
+    S_hat = np.asarray(S_hat, dtype=float)
+    n = mesh.n_nodes
+    if S_hat.shape != (n, n):
+        raise DimensionError(f"S_hat has shape {S_hat.shape}, mesh implies ({n}, {n})")
+    scale = float(np.linalg.norm(S_hat)) or 1.0
+    asymmetry = sum(float(np.vdot(d, d)) for d in (a - b for _, a, b in column_blocks(S_hat)))
+    if np.sqrt(asymmetry) > 1e-6 * scale:
+        raise DomainError("S_hat must be symmetric within 1e-6 relative")
+    independent_entries = n * (n + 1) // 2
+    if mesh.n_elements > independent_entries:
+        raise IdentifiabilityError(
+            f"{mesh.n_elements} elements exceed the {independent_entries} independent matrix entries",
+            rank_gap=mesh.n_elements - independent_entries,
+        )
+    design = _element_design(mesh)
+    gram = (design.T @ design).tocsc()
+    try:
+        lu = splu(gram)
+    except RuntimeError:
+        lu = None
+    if lu is not None:
+        v0 = np.random.default_rng(0).standard_normal(mesh.n_elements)
+        lam_max = largest_eigenvalue(gram, v0)
+        lam_min = 1.0 / largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)
+    if lu is None or not lam_min > 1e-12 * lam_max:
+        s = np.linalg.svd(design.toarray(), compute_uv=False)
+        rank = int(np.count_nonzero(s * s > 1e-12 * s[0] ** 2))
+        raise IdentifiabilityError(
+            "assembly operator is rank deficient; conductivity is not identifiable",
+            rank_gap=max(mesh.n_elements - rank, 1),
+        )
+    _, _, rows, indptr, _ = mesh._placement
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    target = 0.5 * (S_hat[rows, cols] + S_hat[cols, rows])
+    sigma = lu.solve(design.T @ target)
+    for _ in range(2):
+        sigma += lu.solve(design.T @ (target - design @ sigma))
+    misfit = target - design @ sigma
+    off_pattern = 0.0
+    for start, a, b in column_blocks(S_hat):
+        sym = 0.5 * (a + b)
+        on = slice(indptr[start], indptr[start + sym.shape[1]])
+        sym[rows[on], cols[on] - start] = 0.0
+        off_pattern += float(np.vdot(sym, sym))
+    return sigma, float(np.sqrt(off_pattern + misfit @ misfit)), float(1.0 / np.sqrt(lam_min)), float(
+        np.sqrt(lam_max / lam_min)
+    )
+
+
+def recovery_outcome(recover, S_hat, mesh):
+    """``recover(S_hat, mesh)``, or the class, message and rank gap of the
+    :class:`EitError` it raises."""
+    try:
+        return recover(S_hat, mesh)
+    except EitError as exc:
+        return type(exc), str(exc), getattr(exc, "rank_gap", None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    refine=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-8, 1e-4]),
+    skew=st.sampled_from([0.0, 1e-9]),
+    width=st.sampled_from([1, 7, None]),
+)
+def test_single_pass_recovery_equals_the_two_pass_oracle_bitwise(refine, seed, noise, skew, width):
+    mesh = build_disk_mesh(1.0, refine)
+    n = mesh.n_nodes
+    rng = np.random.default_rng(seed)
+    S = assemble(mesh, rng.uniform(0.5, 3.0, size=mesh.n_elements)).S.toarray()
+    E = rng.standard_normal(S.shape)
+    # symmetric noise, plus an asymmetric part well inside the 1e-6 symmetry rule
+    S_hat = S + np.abs(S).max() * (noise * 0.5 * (E + E.T) + skew * rng.standard_normal(S.shape))
+    asymmetric = S_hat.copy()
+    asymmetric[n - 1, 0] += 1e-5 * np.linalg.norm(S_hat)  # in the last block
+    with pytest.MonkeyPatch.context() as patch:
+        if width is not None:  # blocks of `width` columns; None keeps the default
+            patch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * width)
+        recovered = recover_conductivity(S_hat, mesh)
+        sigma, fit_residual, sensitivity, condition = two_pass_recover(S_hat, mesh)
+        assert_array_equal(recovered.sigma, sigma)
+        assert recovered.fit_residual == fit_residual
+        assert recovered.sensitivity == sensitivity
+        assert recovered.operator_condition == condition
+        want = recovery_outcome(two_pass_recover, asymmetric, mesh)
+        assert want[0] is DomainError
+        assert recovery_outcome(recover_conductivity, asymmetric, mesh) == want
+
+
+def test_recovery_errors_equal_the_two_pass_oracle(square_mesh):
+    triangle = (Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.0, 1.0))
+    boundary, electrodes = (0, 1, 2), (Electrode(0, 0), Electrode(1, 1))
+    crowded = Mesh(triangle, tuple(Element(e, (0, 1, 2)) for e in range(7)), boundary, electrodes)
+    duplicate = Mesh(triangle, (Element(0, (0, 1, 2)), Element(1, (0, 1, 2))), boundary, electrodes)
+    sliver = Mesh(
+        (Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 0.5, 1e-8), Node(3, 0.5, 1.0)),
+        (Element(0, (0, 1, 2)), Element(1, (0, 2, 3)), Element(2, (2, 1, 3))),
+        (0, 1, 3),
+        electrodes,
+    )
+    asymmetric = np.eye(3)
+    asymmetric[0, 1] = 1.0
+    cases = [
+        (np.eye(3), square_mesh, DimensionError),
+        (asymmetric, crowded, DomainError),  # the symmetry check comes before the entry count
+        (np.eye(3), crowded, IdentifiabilityError),
+        (assemble(duplicate, np.ones(2)).S.toarray(), duplicate, IdentifiabilityError),
+        (assemble(sliver, np.ones(3)).S.toarray(), sliver, IdentifiabilityError),
+    ]
+    for S_hat, mesh, error in cases:
+        want = recovery_outcome(two_pass_recover, S_hat, mesh)
+        assert want[0] is error
+        assert recovery_outcome(recover_conductivity, S_hat, mesh) == want
+
+
 def test_end_to_end_identity_with_dispersion_diversity():
     # frequency x pattern diversity with dispersion still recovers the field
     # that generated a *single* frequency when the model is dispersion-free;
@@ -915,6 +1113,60 @@ def test_sweep_value_errors_are_format_errors_at_their_line(tmp_path, frequencie
     assert type(err.value.__cause__) is DomainError
     assert str(err.value.__cause__) == message
     assert str(err.value) == f"{message} (line {line_no})"
+
+
+@pytest.mark.parametrize(
+    "key, value, override, message",
+    [
+        ("sigma0", "-1", False, "sigma0 must be positive and finite everywhere"),
+        ("sigma_inf", "inf", False, "sigma_inf must be positive and finite everywhere"),
+        ("tau", "nan", False, "tau must be non-negative and finite everywhere"),
+        ("tau", "-1e-4", False, "tau must be non-negative and finite everywhere"),
+        ("sigma_inf", "-1", True, "sigma_inf must be positive and finite everywhere"),
+    ],
+    ids=["negative-sigma0", "infinite-sigma_inf", "nan-tau", "negative-tau", "override"],
+)
+def test_model_value_errors_are_format_errors_at_their_line(tmp_path, key, value, override, message):
+    mesh = build_disk_mesh(1.0, 0)
+    values = {"sigma0": "1.0", "sigma_inf": "1.0", "tau": "0"}
+    model = [f"{k} = {v}" for k, v in values.items()]
+    values[key] = value
+    if override:
+        model.append("element 3: " + " ".join(values.values()))
+    else:
+        model[list(values).index(key)] = f"{key} = {value}"
+    line_no = 9 if override else 6 + list(values).index(key)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[model]\n" + "\n".join(model) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == line_no
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value.__cause__) == message
+    assert str(err.value) == f"{message} (line {line_no})"
+    # the loader and the model reject a value by one rule, with one message
+    with pytest.raises(DomainError) as err:
+        TissueModel.uniform(mesh.n_elements, **{k: float(v) for k, v in values.items()})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "model, line_no, message",
+    [
+        ("element 3: 1 1 -1\nelement 4: 1 -1 0\n", 9, "tau must be non-negative"),
+        ("element 3: 1 1 0\nelement 4: 1 -1 nan\n", 10, "sigma_inf must be positive"),
+        ("element 3: 1 -1 0\nelement 4: 1 x 0\n", 10, "bad element override"),
+        ("element 4: 1 1 0\nelement 4: 1 1 nan\n", 10, "element override 4 repeated"),
+    ],
+    ids=["first-bad-line", "first-bad-value-of-a-line", "text-before-values", "repeat-before-value"],
+)
+def test_model_lines_are_read_then_their_values_checked(tmp_path, model, line_no, message):
+    mesh = build_disk_mesh(1.0, 1)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("[frequencies]\n1000\n[patterns]\n0: 1.0, 4: -1.0\n[model]\n" + MODEL + model)
+    with pytest.raises(FormatError, match=message) as err:
+        load_sweep_config(path, mesh)
+    assert err.value.line_no == line_no
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from numpy.testing import assert_array_equal
 from eitkit import (
     AssumptionViolationError,
     DomainError,
+    FormatError,
     Inclusion,
     NoiseSpec,
     SampleSizeError,
@@ -248,3 +249,25 @@ def test_phantom_spec_round_trip(tmp_path, disk_r1):
     assert_array_equal(again.sigma, phantom.sigma)
     assert again.inclusions == phantom.inclusions
     assert again.background == phantom.background
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("background = -1", "background conductivity must be positive, got -1.0"),
+        ("background = nan", "background conductivity must be positive, got nan"),
+        ("inclusion = 0 0 -0.5 2", "inclusion radius must be positive, got -0.5"),
+        ("inclusion = 0 0 0.5 0", "inclusion contrast must be positive, got 0.0"),
+    ],
+    ids=["negative-background", "nan-background", "negative-radius", "zero-contrast"],
+)
+def test_phantom_spec_value_errors_are_format_errors_at_their_line(tmp_path, disk_r1, line, message):
+    path = tmp_path / "phantom.txt"
+    tail = "" if line.startswith("background") else "background = 1\n"
+    path.write_text("# case\n[phantom]\ninclusion = 0 0 0.2 2\n" + line + "\n" + tail)
+    with pytest.raises(FormatError) as err:
+        load_phantom_spec(path, disk_r1)
+    assert err.value.line_no == 4
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value.__cause__) == message
+    assert str(err.value) == f"{message} (line 4)"

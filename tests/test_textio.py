@@ -17,6 +17,7 @@ import eitkit
 from eitkit import (
     CandidateSet,
     CurrentPattern,
+    DomainError,
     EitError,
     Electrode,
     Element,
@@ -176,6 +177,24 @@ def test_repeated_phantom_background_is_format_error(tmp_path, text, line_no):
     with pytest.raises(FormatError, match="'background' repeated") as err:
         load_phantom_spec(path, MESH)
     assert err.value.line_no == line_no
+
+
+def test_at_line_reraises_a_check_error_as_a_format_error_at_the_line():
+    from eitkit.textio import _at_line
+
+    def positive(value):
+        if not value > 0:
+            raise DomainError(f"value must be positive, got {value!r}")
+        return value
+
+    assert _at_line(3, positive, 2.5) == 2.5
+    with pytest.raises(FormatError) as err:
+        _at_line(3, positive, -1.0)
+    assert err.value.line_no == 3
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value) == "value must be positive, got -1.0 (line 3)"
+    with pytest.raises(TypeError):  # only an EitError is given the line
+        _at_line(3, positive, "x")
 
 
 # ------------------------------------------------------------ fuzzing ----
