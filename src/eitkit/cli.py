@@ -36,7 +36,7 @@ from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, 
 from .phantom import make_demo_fixture
 from .statistics import correlation, load_ensemble, third_cumulants
 from .subspace import build_projector, extract_candidates, fitting_residual, save_candidates, truncated_svd
-from .textio import convert, data_lines, key_value, put_once, read_lines, sections, write_lines
+from .textio import _at_line, convert, data_lines, key_value, put_once, read_lines, sections, write_lines
 
 DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
@@ -193,9 +193,17 @@ def cmd_mesh_validate(args) -> int:
 # ------------------------------------------------------------- forward ----
 
 
+def _check_sigma(eid: int, sigma: float) -> float:
+    """``sigma``, if it is a positive, finite conductivity for element ``eid``."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise DomainError(f"conductivity of element {eid} must be positive and finite, got {sigma!r}")
+    return sigma
+
+
 def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
     """One ``element,sigma`` row per mesh element, after an optional header;
-    a repeated row or an element id not on the mesh is a line-numbered error."""
+    a repeated row, an element id not on the mesh, or a conductivity that is
+    not positive and finite is a line-numbered error."""
     ids = {e.id for e in mesh.elements}
     values: dict[int, float] = {}
     for k, (line_no, text) in enumerate(data_lines(read_lines(path))):
@@ -207,7 +215,8 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
         eid = convert(parts[0], int, line_no, "element")
         if eid not in ids:
             raise FormatError(f"element {eid} is not on the mesh", line_no=line_no)
-        put_once(values, eid, convert(parts[1], float, line_no, "sigma"), line_no, "element")
+        sigma = _at_line(line_no, _check_sigma, eid, convert(parts[1], float, line_no, "sigma"))
+        put_once(values, eid, sigma, line_no, "element")
     missing = [e.id for e in mesh.elements if e.id not in values]
     if missing:
         raise FormatError(f"sigma file is missing element(s) {missing[:8]}")
@@ -261,6 +270,8 @@ def _format_matrix(mat: np.ndarray) -> str:
 def cmd_demo(args) -> int:
     resolved = _resolve(args, "demo")
     tol = resolved["tolerance"]
+    if not (np.isfinite(tol) and tol >= 0):  # a NaN tolerance would pass every claim
+        raise UsageError(f"--tolerance must be finite and at least 0, got {tol}")
     d = resolved["d"]
 
     mixing, generator = make_demo_fixture()

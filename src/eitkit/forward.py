@@ -27,8 +27,9 @@ the :class:`~eitkit.mesh.Mesh`: where each local entry lands in ``S``
 order (``_geometry``, 1.2 MB at refine 5), and the reverse Cuthill-McKee
 order and band position of each lower-triangle entry (``_band``, 0.3 MB).
 ``assemble`` is then one product and one ``np.add.reduceat``, and a
-factorization fills the band and calls ``dpbtrf``. A matrix uses these
-plans only while it holds its mesh's own read-only index arrays; any other
+factorization fills the band and calls ``dpbtrf``. A band ordering
+depends only on the sparsity pattern, so a matrix uses its mesh's band
+plan while it has the mesh's pattern, whichever arrays hold it; any other
 (dense, built by hand, or one whose gauge inserted a diagonal) is planned
 from its own pattern by the same function. The results are the same to
 the bit either way.
@@ -55,7 +56,7 @@ from .errors import (
     NumericalError,
     UnknownElectrodeError,
 )
-from .mesh import DEGENERACY_FACTOR, Mesh, _band_plan, _triangle_geometry, validate
+from .mesh import Mesh, _band_plan, _triangle_geometry, validate
 
 ZERO_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -140,7 +141,7 @@ def _check_currents(vals: np.ndarray, blame=None) -> None:
 class _StiffnessMatrix(csc_array):
     """CSC array whose ``nbytes`` is its true storage size (the data,
     row-index and column-pointer arrays). ``mesh`` is the mesh it was
-    assembled on, or None."""
+    assembled on (kept through the gauge), or None."""
 
     mesh = None
 
@@ -149,24 +150,15 @@ class _StiffnessMatrix(csc_array):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
-def _mesh_matrix(mesh: Mesh, data: np.ndarray) -> _StiffnessMatrix:
-    """A stiffness matrix with ``data`` on the mesh's pattern that holds
-    the mesh's own read-only index arrays (scipy's constructor would hold
-    views of them)."""
-    _, _, rows, indptr, _ = mesh._placement
-    S = _StiffnessMatrix((data, rows, indptr), shape=(mesh.n_nodes, mesh.n_nodes))
-    S.indices, S.mesh = rows, mesh
-    return S
-
-
-def _planned_mesh(S) -> Mesh | None:
-    """The mesh whose plans fit ``S``: the one it was assembled on, if
-    ``S`` still holds that mesh's own index arrays; otherwise None."""
-    mesh = getattr(S, "mesh", None)
-    if mesh is None:
-        return None
-    _, _, rows, indptr, _ = mesh._placement
-    return mesh if S.indices is rows and S.indptr is indptr else None
+def _band_layout(S: csc_array, mesh: Mesh | None) -> tuple:
+    """The band plan of a canonical CSC ``S`` (see :func:`_band_plan`):
+    ``mesh._band`` while ``S`` has the pattern of the mesh's stiffness
+    matrices, otherwise one planned from ``S``'s own pattern."""
+    if mesh is not None:
+        _, _, rows, indptr, _ = mesh._placement
+        if np.array_equal(S.indptr, indptr) and np.array_equal(S.indices, rows):
+            return mesh._band
+    return _band_plan(S.indices, S.indptr)
 
 
 @dataclass(eq=False)
@@ -264,9 +256,11 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
         raise MeshValidationError(report)
 
     four_area, outer, element = mesh._geometry
-    first = mesh._placement[1]
+    _, first, rows, indptr, _ = mesh._placement
     data = np.add.reduceat((sigma / four_area)[element] * outer, first)
-    return StiffnessSystem(S=_mesh_matrix(mesh, data), F=np.zeros(mesh.n_nodes), ground_node=None)
+    S = _StiffnessMatrix((data, rows, indptr), shape=(mesh.n_nodes, mesh.n_nodes))
+    S.mesh = mesh
+    return StiffnessSystem(S=S, F=np.zeros(mesh.n_nodes), ground_node=None)
 
 
 def _element_design(mesh: Mesh) -> csc_array:
@@ -356,28 +350,23 @@ def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndar
     Copies ``S``'s data in O(nnz), zeroes the ground node's column slice
     and the entries in its row, and sets its stored diagonal to 1 (scipy
     inserts the diagonal if ``S`` does not store it). The result shares
-    ``S``'s index arrays, which it does not change, so a matrix assembled
-    on a mesh keeps that mesh's plans; ``S`` itself is left as it was.
+    ``S``'s index arrays, which it does not change, and its ``mesh``; ``S``
+    itself is left as it was.
     Keeps the matrix symmetric and, on a connected mesh, positive definite.
     """
-    mesh = _planned_mesh(S)
-    if mesh is None:
-        S = csc_array(S)  # a CSC input keeps its arrays
-    indices, indptr = S.indices, S.indptr
+    Sg = _StiffnessMatrix(S)  # a CSC input lends its index arrays
+    indices, indptr = Sg.indices, Sg.indptr
     start, stop = indptr[ground_pos], indptr[ground_pos + 1]
-    data = S.data.astype(np.result_type(S.data, 0.0))
+    Sg.data = data = Sg.data.astype(np.result_type(Sg.data, 0.0))
     data[start:stop] = 0.0
     data[indices == ground_pos] = 0.0
     diagonal = start + np.flatnonzero(indices[start:stop] == ground_pos)
     if diagonal.size == 1:
         data[diagonal] = 1.0
-        if mesh is not None:
-            Sg = _mesh_matrix(mesh, data)
-        else:
-            Sg = _StiffnessMatrix((data, indices, indptr), shape=S.shape)
     else:
-        Sg = _StiffnessMatrix((data, indices, indptr), shape=S.shape, copy=True)
+        Sg = _StiffnessMatrix(Sg, copy=True)  # the insertion must not reorder S's arrays
         Sg[ground_pos, ground_pos] = 1.0
+    Sg.mesh = getattr(S, "mesh", None)
     Fg = F.copy()
     Fg[ground_pos] = 0.0
     return Sg, Fg
@@ -409,11 +398,12 @@ class ForwardFactorization:
     """Banded Cholesky factorization of a grounded system, reusable across loads.
 
     The rows and columns are permuted by reverse Cuthill-McKee, and the
-    permuted lower band is factored with LAPACK ``dpbtrf``. The order and
-    the band layout come from the mesh's band plan when ``S`` was assembled
-    on a mesh (0.3 MB at refine 5, computed once per mesh), so a
-    factorization only fills the band (4.4 MB at refine 5) and factors it;
-    any other ``S`` is planned from its own pattern. The factor is a
+    permuted lower band is factored with LAPACK ``dpbtrf``. While ``S``
+    has the pattern of the mesh it was assembled on, the order and the band
+    layout come from the mesh's band plan (0.3 MB at refine 5, computed
+    once per mesh), so a factorization only fills the band (4.4 MB at
+    refine 5) and factors it; any other ``S`` is planned from its own
+    pattern. The factor is a
     read-only array computed once, so it is safe to share across
     concurrent solves. A dense ``S`` is accepted and converted to CSC.
     """
@@ -422,17 +412,10 @@ class ForwardFactorization:
         if not system.grounded:
             raise DomainError("system must be grounded (positive definite) before factorization")
         self.ground_node = system.ground_node
-        # residual checks must not see later mutation: a copy of the data,
-        # and of read-write index arrays
-        mesh = _planned_mesh(system.S)
-        if mesh is not None:
-            S = csc_array((np.array(system.S.data, dtype=float), system.S.indices, system.S.indptr),
-                          shape=system.S.shape)
-            perm, slots, positions, depth = mesh._band
-        else:
-            S = csc_array(system.S, dtype=float, copy=True)
-            S.sum_duplicates()  # the band is filled by assignment, one entry per position
-            perm, slots, positions, depth = _band_plan(S.indices, S.indptr)
+        # residual checks must not see later mutation of system.S
+        S = csc_array(system.S, dtype=float, copy=True)
+        S.sum_duplicates()  # the band is filled by assignment, one entry per position
+        perm, slots, positions, depth = _band_layout(S, getattr(system.S, "mesh", None))
         band = np.zeros(depth * S.shape[0])
         band[positions] = S.data[slots]
         factor, info = lapack.dpbtrf(band.reshape((depth, -1), order="F"), lower=1, overwrite_ab=1)

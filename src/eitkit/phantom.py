@@ -11,6 +11,7 @@ share randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -99,6 +100,13 @@ class Inclusion:
     contrast: float
 
     def __post_init__(self):
+        try:
+            x, y = self.center
+        except (TypeError, ValueError):
+            x = y = None
+        if not all(isinstance(c, Real) and np.isfinite(c) for c in (x, y)):
+            raise DomainError(f"inclusion center must be two finite numbers, got {self.center!r}")
+        object.__setattr__(self, "center", (float(x), float(y)))
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise DomainError(f"inclusion radius must be positive, got {self.radius!r}")
         if not (np.isfinite(self.contrast) and self.contrast > 0):
@@ -259,7 +267,8 @@ def make_phantom(mesh: Mesh, background: float, inclusions=()) -> Phantom:
     warnings: list[str] = []
     for k, inc in enumerate(inclusions):
         center = np.asarray(inc.center, dtype=float)
-        covered = np.hypot(*(centroids - center).T) <= inc.radius
+        with np.errstate(over="ignore"):  # a distance past the float range covers nothing
+            covered = np.hypot(*(centroids - center).T) <= inc.radius
         if not covered.any():
             if inc.contrast != 1.0:
                 warnings.append(

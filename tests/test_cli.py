@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitkit import DimensionError, DomainError, Mesh, build_disk_mesh, load_candidates, load_mesh, save_mesh
-from eitkit.cli import _COMMANDS, REQUIRED, _as_bool, _write_pgm, main, render_element_field
+from eitkit import (
+    DimensionError,
+    DomainError,
+    Element,
+    FormatError,
+    Mesh,
+    build_disk_mesh,
+    load_candidates,
+    load_mesh,
+    save_mesh,
+)
+from eitkit.cli import _COMMANDS, REQUIRED, _as_bool, _load_sigma_csv, _write_pgm, main, render_element_field
 from eitkit.textio import write_lines
 
 
@@ -181,6 +191,33 @@ def test_forward_bad_sigma_row_exits_2_with_its_line(capsys, tmp_path, mesh_file
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-1.0", "0", "nan", "inf"])
+def test_forward_bad_sigma_value_is_format_error_at_its_line(capsys, tmp_path, value):
+    disk = build_disk_mesh(1.0, 0)
+    # element ids 10..17, so an element's id is not its row
+    mesh = Mesh(disk.nodes, tuple(Element(e.id + 10, e.nodes) for e in disk.elements),
+                disk.boundary_nodes, disk.electrodes)
+    rows = [f"{e.id},1.0" for e in mesh.elements]
+    rows[3] = f"13,{value}"
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("element,sigma\n" + "\n".join(rows) + "\n")
+    message = f"conductivity of element 13 must be positive and finite, got {float(value)!r}"
+    with pytest.raises(FormatError) as err:
+        _load_sigma_csv(sigma, mesh)
+    assert err.value.line_no == 5
+    assert type(err.value.__cause__) is DomainError
+    assert str(err.value) == f"{message} (line 5)"
+
+    mesh_path, pattern, out = tmp_path / "m.mesh", tmp_path / "pattern.txt", tmp_path / "v.csv"
+    save_mesh(mesh, mesh_path)
+    write_pattern(pattern, [(0, 1.0), (4, -1.0)])
+    code, _, err = run(capsys, "forward", "--mesh", str(mesh_path), "--sigma", str(sigma),
+                       "--pattern", str(pattern), "--out", str(out))
+    assert code == 2
+    assert f"{message} (line 5)" in err
+    assert not out.exists()
+
+
 def test_demo_default_passes(capsys):
     code, out, _ = run(capsys, "demo")
     assert code == 0
@@ -193,6 +230,21 @@ def test_demo_tight_tolerance_still_passes(capsys):
     code, out, _ = run(capsys, "demo", "--tolerance", "1e-10")
     assert code == 0
     assert "all claims hold" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-8"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_demo_tolerance_must_be_finite_and_not_negative(capsys, tmp_path, value, source):
+    if source == "flag":
+        argv = ["demo", f"--tolerance={value}"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[demo]\ntolerance = {value}\n")
+        argv = ["demo", "--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert f"--tolerance must be finite and at least 0, got {float(value)}" in err
+    assert "claims hold" not in out
 
 
 def test_demo_rank_override_skips_claims(capsys):

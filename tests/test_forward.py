@@ -680,19 +680,44 @@ def test_band_plan_is_computed_once_per_mesh(monkeypatch):
         system = assemble(mesh, uniform_field(mesh, value))
         for ground in (0, 7, 40):
             grounded = apply_pattern(system, mesh, CurrentPattern({0: 1.0, 4: -1.0}), ground)
-            assert grounded.S.indices is mesh._placement[2]
+            assert np.shares_memory(grounded.S.indices, mesh._placement[2])
             ForwardFactorization(grounded).solve(grounded.F)
     assert len(calls) == 1
-    # a matrix that no longer holds the mesh's own index arrays is planned anew
+    # the plan follows the pattern, not the arrays that hold it
     grounded.S.indices = grounded.S.indices.copy()
     phi = ForwardFactorization(grounded).solve(grounded.F).phi
-    assert len(calls) == 2
+    assert len(calls) == 1
     fresh = apply_pattern(system, mesh, CurrentPattern({0: 1.0, 4: -1.0}), 40)
     assert_array_equal(phi, ForwardFactorization(fresh).solve(fresh.F).phi)
     perm, slots, positions, depth = mesh._band
     assert mesh._band[0] is perm
     for array in (perm, slots, positions):
         assert not array.flags.writeable
+
+
+@settings(max_examples=20, deadline=None)
+@given(refine=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_matrix_on_copies_of_the_mesh_pattern_uses_the_mesh_plan(refine, seed):
+    from eitkit.forward import _StiffnessMatrix, ground_system
+
+    rng = np.random.default_rng(seed)
+    mesh = build_disk_mesh(1.0, refine)
+    S = assemble(mesh, rng.uniform(0.1, 10.0, mesh.n_elements)).S
+    g = int(rng.integers(mesh.n_nodes))
+    F = rng.standard_normal(mesh.n_nodes)
+    F -= F.mean()
+    Sg, Fg = ground_system(S, F, g)
+    want = ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=mesh.nodes[g].id))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
+        copied = _StiffnessMatrix((Sg.data, Sg.indices.copy(), Sg.indptr.copy()), shape=Sg.shape)
+        copied.mesh = mesh
+        assert not np.shares_memory(copied.indices, mesh._placement[2])
+        got = ForwardFactorization(StiffnessSystem(S=copied, F=Fg, ground_node=mesh.nodes[g].id))
+        assert calls == []
+    assert_same_bits(got._perm, want._perm)
+    assert_same_bits(got._factor, want._factor)
+    assert_same_bits(got.solve(Fg).phi, want.solve(Fg).phi)
 
 
 def test_geometry_is_computed_once_per_mesh(monkeypatch):

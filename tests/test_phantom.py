@@ -239,6 +239,19 @@ def test_make_phantom_validation(disk_r1):
         Inclusion((0.0, 0.0), 0.1, 0.0)
 
 
+@pytest.mark.parametrize("center", [(np.nan, 0.0), (0.0, np.inf), (0, 0, 0), ("a", "b"), (1.0,), 1.0])
+def test_inclusion_center_must_be_two_finite_numbers(center):
+    with pytest.raises(DomainError, match="inclusion center must be two finite numbers"):
+        Inclusion(center, 0.5, 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_phantom_far_center_covers_nothing_without_overflow(disk_r1):
+    phantom = make_phantom(disk_r1, 1.0, [Inclusion((1.5e308, 1.5e308), 0.5, 2.0)])
+    assert_array_equal(phantom.sigma, np.ones(disk_r1.n_elements))
+    assert len(phantom.warnings) == 1 and "covers no elements" in phantom.warnings[0]
+
+
 def test_phantom_spec_round_trip(tmp_path, disk_r1):
     phantom = make_phantom(
         disk_r1, 1.5, [Inclusion((0.3, 0.1), 0.2, 4.0), Inclusion((-0.4, -0.2), 0.15, 0.5)]
@@ -258,8 +271,9 @@ def test_phantom_spec_round_trip(tmp_path, disk_r1):
         ("background = nan", "background conductivity must be positive, got nan"),
         ("inclusion = 0 0 -0.5 2", "inclusion radius must be positive, got -0.5"),
         ("inclusion = 0 0 0.5 0", "inclusion contrast must be positive, got 0.0"),
+        ("inclusion = nan 0 0.5 2", "inclusion center must be two finite numbers, got (nan, 0.0)"),
     ],
-    ids=["negative-background", "nan-background", "negative-radius", "zero-contrast"],
+    ids=["negative-background", "nan-background", "negative-radius", "zero-contrast", "nan-center"],
 )
 def test_phantom_spec_value_errors_are_format_errors_at_their_line(tmp_path, disk_r1, line, message):
     path = tmp_path / "phantom.txt"
