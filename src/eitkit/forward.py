@@ -88,7 +88,12 @@ class ConductivityField:
 
 
 def uniform_field(mesh: Mesh, value: float) -> ConductivityField:
-    return ConductivityField(np.full(mesh.n_elements, float(value)))
+    """Conductivity ``value`` S/m on every element of ``mesh``; a value that
+    is not positive and finite raises DomainError naming the value."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0.0):
+        raise DomainError(f"uniform conductivity must be positive and finite, got {value!r}")
+    return ConductivityField(np.full(mesh.n_elements, value))
 
 
 @dataclass(frozen=True)

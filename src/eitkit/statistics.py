@@ -11,6 +11,13 @@ is associative: :class:`MomentAccumulator` lets chunks be accumulated
 independently (possibly concurrently) and merged, with the merged result
 matching a single pass over the concatenated data.
 
+Both moments are GEMMs. Third moments take one GEMM per middle index j
+over row blocks of at most ``_BLOCK_BYTES``, which computes only the
+sorted entries ``i <= j <= k`` (``T M (M + 1) (M + 2) / 3`` flops, a sixth
+of the full tensor's ``2 T M^3``) with every operand and temporary small
+enough to stay in cache. Every entry is then read from its sorted index,
+so both statistics are exactly symmetric.
+
 Ensemble file format (the shared text rules are in :mod:`eitkit.textio`):
 CSV, one time sample per row, header ``y0..y{M-1}``.
 """
@@ -24,6 +31,11 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, SampleSizeError
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
+
+# bytes of one block of rows of z: _third_moment_sum sums its GEMMs over
+# blocks of at most this size, so each block and each product temporary
+# stays in a core's L2 cache
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,18 +151,24 @@ def _third_moment_sum(z: np.ndarray) -> np.ndarray:
     """Raw sums ``sum_t z_i z_j z_k`` as an exactly symmetric (M, M, M)
     tensor.
 
-    Only the sorted-index triangle ``i <= j <= k`` that
-    :func:`_fill_symmetric` reads is computed: one GEMM
-    ``(z[:, i:] * z_i)^T z[:, i:]`` fills the block ``[i, i:, i:]`` of
-    slice i, about ``2 T (M - i)^2`` flops, a third of the full tensor's
-    ``2 T M^3`` in all. A Fortran-ordered ``z`` keeps every ``z[:, i:]``
-    contiguous, so no GEMM operand is copied."""
+    Only the sorted entries ``i <= j <= k`` that :func:`_fill_symmetric`
+    reads are computed, by one GEMM per middle index j:
+    ``(z[:, :j+1] * z_j)^T z[:, j:]`` is the block ``[:j+1, j, j:]``. That
+    is ``2 T (j + 1) (M - j)`` flops, ``T M (M + 1) (M + 2) / 3`` in all,
+    a sixth of the full tensor's ``2 T M^3``. The sums run over blocks of
+    at most ``_BLOCK_BYTES`` of rows, each added into a zeroed ``out``:
+    a GEMM over all T rows would stream its product temporary (up to
+    ``8 T M`` bytes) from memory and run memory-bound. A Fortran-ordered
+    ``z`` makes every column slice of a block a view that BLAS reads as it
+    is, so no GEMM operand is copied."""
     z = np.asfortranarray(z)
-    m = z.shape[1]
-    out = np.empty((m, m, m))
-    for i in range(m):
-        tail = z[:, i:]
-        out[i, i:, i:] = (tail * z[:, i : i + 1]).T @ tail
+    t, m = z.shape
+    rows = max(1, _BLOCK_BYTES // (8 * m))
+    out = np.zeros((m, m, m))
+    for start in range(0, t, rows):
+        block = z[start : start + rows]
+        for j in range(m):
+            out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
     return _fill_symmetric(out)
 
 

@@ -130,6 +130,19 @@ def test_forward_antisymmetric_profile(capsys, tmp_path, mesh_file):
     assert abs(v[6]) <= 1e-9
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_forward_bad_uniform_value_exits_2_naming_the_value(capsys, tmp_path, mesh_file, value):
+    pattern = tmp_path / "pattern.txt"
+    write_pattern(pattern, [(0, 1.0), (4, -1.0)])
+    out = tmp_path / "v.csv"
+    code, _, err = run(capsys, "forward", "--mesh", str(mesh_file), "--uniform", value,
+                       "--pattern", str(pattern), "--out", str(out))
+    assert code == 2
+    assert f"uniform conductivity must be positive and finite, got {float(value)!r}" in err
+    assert "element" not in err
+    assert not out.exists()
+
+
 def test_forward_rejects_unbalanced_pattern(capsys, tmp_path, mesh_file):
     pattern = tmp_path / "pattern.txt"
     write_pattern(pattern, [(0, 1.0), (4, -0.999)])

@@ -89,6 +89,14 @@ def test_conductivity_field_validation():
     assert not field.values.flags.writeable
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_uniform_field_names_the_value_not_an_element(disk_r1, value):
+    with pytest.raises(DomainError) as err:
+        uniform_field(disk_r1, value)
+    assert str(err.value) == f"uniform conductivity must be positive and finite, got {value!r}"
+    assert "element" not in str(err.value)
+
+
 def test_current_pattern_validation():
     with pytest.raises(DomainError):
         CurrentPattern({0: 1.0})  # single nonzero entry

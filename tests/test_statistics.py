@@ -1,8 +1,9 @@
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -18,7 +19,7 @@ from eitkit import (
     save_ensemble,
     third_cumulants,
 )
-from eitkit.statistics import _fill_symmetric
+from eitkit.statistics import _BLOCK_BYTES, _fill_symmetric, _third_moment_sum
 
 
 def brute_third_cumulants(samples: np.ndarray) -> np.ndarray:
@@ -136,6 +137,91 @@ def test_third_moment_kernel_matches_einsum_for_any_layout(m):
             merged = acc.third_cumulants().tensor
             assert_allclose(merged, expect, rtol=0, atol=1e-12 * scale, err_msg=name)
             assert_exactly_symmetric(merged)
+
+
+def kernel_rows(m: int) -> int:
+    """Rows in one block of the third-moment kernel at ``m`` channels."""
+    return max(1, _BLOCK_BYTES // (8 * m))
+
+
+@pytest.mark.parametrize(
+    "m, t", [(32, 2 * kernel_rows(32) + 17), (1, 2 * kernel_rows(1) + 17), (32, 1), (1, 1)]
+)
+def test_third_moment_kernel_across_row_blocks(m, t):
+    rng = np.random.default_rng(300 + m + t)
+    x = rng.standard_normal((2 * t, m)) ** 3 + 0.7
+    rows = kernel_rows(m)
+    for name, samples in layouts(x).items():
+        raw = einsum_third_moments(samples)
+        raw_scale = np.abs(raw).max()
+        s3 = _third_moment_sum(samples)
+        assert_allclose(s3, raw, rtol=0, atol=1e-12 * raw_scale, err_msg=name)
+        assert_exactly_symmetric(s3)
+
+        # the middle chunk straddles the first block boundary, the last
+        # holds more than one block of its own
+        chunks = np.split(samples, [c for c in (rows - 5, rows + 9) if 0 < c < t])
+        merged = reduce(MomentAccumulator.merge, [MomentAccumulator(m).update(c) for c in chunks])
+        assert merged.n == t
+        assert_allclose(merged.s3, s3, rtol=0, atol=1e-12 * raw_scale, err_msg=name)
+        assert_exactly_symmetric(merged.s3)
+        if t < 3:
+            continue
+        z = samples - samples.mean(axis=0)
+        expect = einsum_third_moments(z) / t
+        scale = np.abs(expect).max()
+        tensor = third_cumulants(MeasurementEnsemble(samples)).tensor
+        assert_allclose(tensor, expect, rtol=0, atol=1e-12 * scale, err_msg=name)
+        assert_exactly_symmetric(tensor)
+        finalized = merged.third_cumulants().tensor
+        assert_allclose(finalized, tensor, rtol=0, atol=1e-12 * scale, err_msg=name)
+        assert_exactly_symmetric(finalized)
+
+
+def per_slice_third_moment_sum(z: np.ndarray) -> np.ndarray:
+    """The per-slice kernel that the middle-index, row-blocked
+    ``_third_moment_sum`` replaced, kept verbatim as its reference.
+
+    Only the sorted-index triangle ``i <= j <= k`` that
+    :func:`_fill_symmetric` reads is computed: one GEMM
+    ``(z[:, i:] * z_i)^T z[:, i:]`` fills the block ``[i, i:, i:]`` of
+    slice i, about ``2 T (M - i)^2`` flops, a third of the full tensor's
+    ``2 T M^3`` in all. A Fortran-ordered ``z`` keeps every ``z[:, i:]``
+    contiguous, so no GEMM operand is copied."""
+    z = np.asfortranarray(z)
+    m = z.shape[1]
+    out = np.empty((m, m, m))
+    for i in range(m):
+        tail = z[:, i:]
+        out[i, i:, i:] = (tail * z[:, i : i + 1]).T @ tail
+    return _fill_symmetric(out)
+
+
+@settings(max_examples=40, deadline=None)
+@example(t=9000, m=40, skewed=True, seed=1)  # two block boundaries at M = 40
+@example(t=9000, m=40, skewed=False, seed=2)
+@given(
+    t=st.integers(3, 9000),
+    m=st.integers(1, 40),
+    skewed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_blocked_kernel_matches_the_per_slice_kernel_on_noisy_data(t, m, skewed, seed):
+    rng = np.random.default_rng(seed)
+    draw = rng.exponential(size=(t, m)) - 1.0 if skewed else rng.standard_normal((t, m))
+    samples = draw + rng.uniform(-5.0, 5.0, size=m)
+    z = samples - samples.mean(axis=0)
+    # both kernels sum the same T products per entry, in different orders
+    # and blocks, so they differ by rounding only; the stated bound is
+    # 1e-12 of the largest entry
+    for data in (samples, z):
+        old = per_slice_third_moment_sum(data)
+        new = _third_moment_sum(data)
+        assert_allclose(new, old, rtol=0, atol=1e-12 * np.abs(old).max())
+        assert_exactly_symmetric(new)
+    old = per_slice_third_moment_sum(z) / t
+    new = third_cumulants(MeasurementEnsemble(samples)).tensor
+    assert_allclose(new, old, rtol=0, atol=1e-12 * np.abs(old).max())
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
