@@ -15,9 +15,10 @@ starts with a reproducibility header echoing the resolved configuration,
 the seed and the version, so reruns are byte-identical; timestamps go to
 standard error only.
 
-Each flag is declared once, in ``_COMMANDS``: the parser, the config
-sections and keys, the defaults and the required-flag checks all come
-from that table.
+Each command and flag is declared once, in ``_COMMANDS``: the parser, the
+config sections and keys, the defaults, the required-flag checks, the
+resolution and the output header all come from that table, so no handler
+names its own command.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _build_parser() -> _Parser:
             group_parser = sub.add_parser(group, help=_GROUPS[group])
             groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
         leaf = (groups[group] if group else sub).add_parser(name, help=help_text)
-        leaf.set_defaults(handler=handler)
+        leaf.set_defaults(handler=handler, command_path=path)
         leaf.add_argument("--config", help="key = value config file supplying flag defaults")
         leaf.add_argument("--seed", type=int, help="seed echoed into outputs")
         if path == "mesh validate":
@@ -159,31 +160,22 @@ def _one_of(*choices: str):
 
 
 def _header(command: str, resolved: dict) -> tuple[str, ...]:
-    lines = [f"eitkit {__version__}", f"command = {command}"]
-    for key in sorted(resolved):
-        lines.append(f"{key} = {resolved[key]}")
-    return tuple(lines)
-
-
-def _print_header(command: str, resolved: dict) -> None:
-    for line in _header(command, resolved):
-        print(f"# {line}")
+    return (f"eitkit {__version__}", f"command = {command}",
+            *(f"{key} = {resolved[key]}" for key in sorted(resolved)))
 
 
 # ---------------------------------------------------------------- mesh ----
 
 
-def cmd_mesh_gen(args) -> int:
-    resolved = _resolve(args, "mesh gen")
+def cmd_mesh_gen(args, resolved: dict, header: tuple[str, ...]) -> int:
     mesh = build_disk_mesh(resolved["radius"], resolved["refine"], resolved["electrodes"])
-    save_mesh(mesh, resolved["out"], header_lines=_header("mesh gen", resolved))
+    save_mesh(mesh, resolved["out"], header_lines=header)
     print(f"wrote {resolved['out']}: {mesh.n_nodes} nodes, {mesh.n_elements} elements, "
           f"{len(mesh.boundary_nodes)} boundary nodes, {len(mesh.electrodes)} electrodes")
     return 0
 
 
-def cmd_mesh_validate(args) -> int:
-    _resolve(args, "mesh validate")
+def cmd_mesh_validate(args, resolved: dict, header: tuple[str, ...]) -> int:
     mesh = parse_mesh_file(args.path)
     report = validate(mesh)
     print(str(report))
@@ -234,10 +226,9 @@ def _load_pattern_file(path, mesh: Mesh) -> CurrentPattern:
     return CurrentPattern(currents)
 
 
-def cmd_forward(args) -> int:
-    resolved = _resolve(args, "forward")
+def cmd_forward(args, resolved: dict, header: tuple[str, ...]) -> int:
     if (resolved["sigma"] is None) == (resolved["uniform"] is None):
-        raise UsageError("forward needs exactly one of --sigma or --uniform")
+        raise UsageError(f"{args.command_path} needs exactly one of --sigma or --uniform")
 
     mesh = load_mesh(resolved["mesh"])
     if resolved["uniform"] is not None:
@@ -254,7 +245,7 @@ def cmd_forward(args) -> int:
 
     electrode_ids = [eid for eid in sorted(mesh.electrode_map) if eid != reference]
     lines = ["electrode,voltage"] + [f"{eid},{v:.17g}" for eid, v in zip(electrode_ids, voltages)]
-    write_lines(resolved["out"], lines, _header("forward", resolved))
+    write_lines(resolved["out"], lines, header)
     print(f"wrote {resolved['out']}: {voltages.size} voltages, "
           f"solve residual {solution.residual_inf:.3g}")
     return 0
@@ -263,12 +254,7 @@ def cmd_forward(args) -> int:
 # ---------------------------------------------------------------- demo ----
 
 
-def _format_matrix(mat: np.ndarray) -> str:
-    return "\n".join("  " + "  ".join(f"{v: .6f}" for v in row) for row in mat)
-
-
-def cmd_demo(args) -> int:
-    resolved = _resolve(args, "demo")
+def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
     tol = resolved["tolerance"]
     if not (np.isfinite(tol) and tol >= 0):  # a NaN tolerance would pass every claim
         raise UsageError(f"--tolerance must be finite and at least 0, got {tol}")
@@ -283,11 +269,11 @@ def cmd_demo(args) -> int:
     candidates = extract_candidates(projector, m, d)
     basis_shape = (projector.channel_count * projector.rank, projector.rank ** 2)
 
-    _print_header("demo", resolved)
+    print("\n".join(f"# {line}" for line in header))
     print(f"channels M={m}, rank d={d}, basis factor shape {basis_shape}")
     for k, (mat, lam) in enumerate(zip(candidates.candidates, candidates.eigenvalues)):
         print(f"candidate {k} (eigenvalue {lam:.3e}):")
-        print(_format_matrix(mat))
+        print("\n".join("  " + "  ".join(f"{v: .6f}" for v in row) for row in mat))
     residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates]
     print(f"max fit residual over candidates: {max(residuals):.3e}")
     print(f"solution set is non-unique: all {len(candidates.candidates)} candidates "
@@ -326,8 +312,7 @@ def cmd_demo(args) -> int:
 # --------------------------------------------------------- reconstruct ----
 
 
-def cmd_reconstruct_svd(args) -> int:
-    resolved = _resolve(args, "reconstruct svd")
+def cmd_reconstruct_svd(args, resolved: dict, header: tuple[str, ...]) -> int:
     if resolved["demo_fixture"] and resolved["ensemble"]:
         raise UsageError("give either --ensemble or --demo-fixture, not both")
     if resolved["demo_fixture"]:
@@ -336,7 +321,7 @@ def cmd_reconstruct_svd(args) -> int:
     elif resolved["ensemble"]:
         ensemble = load_ensemble(resolved["ensemble"])
     else:
-        raise UsageError("reconstruct svd needs --ensemble or --demo-fixture")
+        raise UsageError(f"{args.command_path} needs --ensemble or --demo-fixture")
 
     d = resolved["d"]
     if resolved["statistic"] == "correlation":
@@ -349,7 +334,7 @@ def cmd_reconstruct_svd(args) -> int:
     decomposition = truncated_svd(matrix, d)
     projector = build_projector(decomposition.R, d)
     candidates = extract_candidates(projector, ensemble.channel_count, d)
-    save_candidates(candidates, resolved["out"], header_lines=_header("reconstruct svd", resolved))
+    save_candidates(candidates, resolved["out"], header_lines=header)
 
     residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates]
     print(f"wrote {resolved['out']}: {len(candidates.candidates)} candidate matrices")
@@ -463,8 +448,7 @@ def _write_pgm(path, grid: np.ndarray, header_lines: tuple[str, ...]) -> None:
     write_lines(path, head + ([body[:-1]] if body else [""] * h))
 
 
-def cmd_reconstruct_multifreq(args) -> int:
-    resolved = _resolve(args, "reconstruct multifreq")
+def cmd_reconstruct_multifreq(args, resolved: dict, header: tuple[str, ...]) -> int:
     if resolved["pixels"] < 1:
         raise UsageError(f"--pixels must be at least 1, got {resolved['pixels']}")
 
@@ -474,7 +458,6 @@ def cmd_reconstruct_multifreq(args) -> int:
     solve = stack_solve(stacked)
     recovered = recover_conductivity(solve.S_hat, mesh, solve_residual=solve.residual)
 
-    header = _header("reconstruct multifreq", resolved)
     diagnostics = [
         f"matrix_solve_residual = {solve.residual:.17g}",
         f"assembly_fit_residual = {recovered.fit_residual:.17g}",
@@ -508,8 +491,9 @@ _GROUPS = {
     "reconstruct": "subspace (svd) or multi-injection reconstruction",
 }
 
-# command path -> (handler, help, {flag dest: (default, converter, help)});
-# every command also takes --config and --seed
+# command path -> (handler, help, {flag dest: (default, converter, help)}),
+# the handler called as handler(args, resolved flags, header lines); every
+# command also takes --config and --seed
 _COMMANDS = {
     "mesh gen": (cmd_mesh_gen, "build a disk mesh", {
         "radius": (1.0, float, "disk radius in meters"),
@@ -558,7 +542,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        code = args.handler(args)
+        resolved = _resolve(args, args.command_path)
+        code = args.handler(args, resolved, _header(args.command_path, resolved))
     except RankDeficiencyError as exc:
         print(f"eitkit: rank deficiency: {exc}", file=sys.stderr)
         code = 4

@@ -7,6 +7,8 @@ context (pivot index, numerical rank, ...) expose it as attributes.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class EitError(Exception):
     """Base class for all toolkit errors."""
@@ -14,6 +16,14 @@ class EitError(Exception):
 
 class DomainError(EitError, ValueError):
     """A parameter value is outside its admissible domain."""
+
+
+def _check_finite(what: str, values) -> None:
+    """Raise :class:`DomainError` "<what> contains non-finite entries" if
+    ``values`` holds a NaN or an infinity. Checked before any SVD, which
+    LAPACK may never finish on an infinite entry."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} contains non-finite entries")
 
 
 class DimensionError(EitError, ValueError):

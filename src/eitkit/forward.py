@@ -64,7 +64,8 @@ RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ConductivityField:
-    """Per-element conductivity in S/m; every value finite and > 0."""
+    """Per-element conductivity in S/m; every value finite and > 0. It
+    knows no element ids, so an error names a value by its row position."""
 
     values: np.ndarray
 
@@ -78,7 +79,9 @@ class ConductivityField:
             raise DomainError("conductivity values must be finite")
         if not np.all(values > 0.0):
             bad = int(np.argmin(values))
-            raise DomainError(f"conductivity must be positive everywhere (element {bad}: {values[bad]})")
+            raise DomainError(
+                f"conductivity must be positive everywhere (smallest value {values[bad]} at row position {bad})"
+            )
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -196,18 +199,6 @@ class VoltageSolution:
     residual_inf: float
 
 
-def _local_stiffness(pts: np.ndarray, sigma, scale: float) -> np.ndarray:
-    """Local stiffness ``sigma / (4 area) (b b^T + c c^T)`` of every triangle.
-
-    ``pts`` holds the vertices, shape (n_e, 3, 2); ``sigma`` is a scalar or
-    one value per element. Raises :class:`GeometryError` for the
-    lowest-index element with ``area <= 1e-14 * scale**2``, carrying its
-    vertices. Returns shape (n_e, 3, 3).
-    """
-    four_area, outer = _triangle_geometry(pts, scale)
-    return (sigma / four_area)[:, None, None] * outer
-
-
 def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None) -> np.ndarray:
     """Local 3x3 stiffness of a linear triangle with conductivity ``sigma_e``.
 
@@ -219,13 +210,14 @@ def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None)
         Element conductivity, > 0.
     scale : float, optional
         Length used for the degeneracy test ``area > 1e-14 * scale**2``;
-        defaults to the triangle's own bounding-box diagonal. Assembly
-        passes the mesh bounding-box diagonal for scale-invariant detection.
+        defaults to the triangle's own bounding-box diagonal.
 
     Returns
     -------
     ndarray, shape (3, 3)
-        Symmetric positive-semidefinite matrix with zero row sums.
+        Symmetric positive-semidefinite matrix with zero row sums,
+        ``sigma_e / (4 area) (b b^T + c c^T)``. A triangle with
+        ``area <= 1e-14 * scale**2`` raises :class:`GeometryError`.
     """
     pts = np.asarray(vertex_coords, dtype=float)
     if pts.shape != (3, 2):
@@ -235,7 +227,8 @@ def element_stiffness(vertex_coords, sigma_e: float, scale: float | None = None)
     if scale is None:
         span = pts.max(axis=0) - pts.min(axis=0)
         scale = math.hypot(span[0], span[1])
-    return _local_stiffness(pts[None], float(sigma_e), scale)[0]
+    four_area, outer = _triangle_geometry(pts[None], scale)
+    return float(sigma_e) / four_area[0] * outer[0]
 
 
 def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
@@ -281,7 +274,7 @@ def _element_design(mesh: Mesh) -> csc_array:
     return csc_array((local, slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
 
 
-def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None, table=None) -> np.ndarray:
+def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
     """The checked (n, P) load table of P drive patterns, a new
     Fortran-order array with one column per pattern.
 
@@ -290,11 +283,7 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None, table=None) -> 
     None per pattern, adds electrode currents to the nodal vectors. Column p
     holds the nodal entries, then each electrode's current added at its
     node in mapping order, as one pattern resolved alone would. The nodal
-    columns are checked together by :func:`_check_currents`. A ``table``
-    that already holds the nodal entries, an (n, P) Fortran-order array
-    that is zero in the columns of the :class:`CurrentPattern` s, is filled
-    in place and returned; the nodal entries of ``patterns`` are then not
-    read (any value other than a :class:`CurrentPattern` marks one).
+    columns are checked together by :func:`_check_currents`.
 
     The first failing column p raises the error that column raises alone:
     a wrong length is :class:`DimensionError`, then an electrode not on the
@@ -304,9 +293,7 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None, table=None) -> 
     """
     n, count = mesh.n_nodes, len(patterns)
     sources = [None] * count if currents is None else list(currents)
-    filled = table is not None
-    if not filled:
-        table = np.zeros((n, count), order="F")
+    table = np.zeros((n, count), order="F")
     faults = []  # (column, error): the first wrong length, the first unknown electrode
     nodal = []
     for p, pattern in enumerate(patterns):
@@ -314,8 +301,6 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None, table=None) -> 
             sources[p] = pattern.currents
             continue
         nodal.append(p)
-        if filled:
-            continue
         vector = np.asarray(pattern, dtype=float)
         if vector.shape == (n,):
             table[:, p] = vector

@@ -59,6 +59,7 @@ from .errors import (
     FormatError,
     IdentifiabilityError,
     RankDeficiencyError,
+    _check_finite,
 )
 from .forward import (
     ZERO_SUM_TOL,
@@ -233,11 +234,11 @@ class SweepConfig:
 class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
 
-    ``Phi`` and ``F`` are n x N; each load column sums to zero. ``labels``
-    records (frequency, pattern index, ground node) per column in stacking
-    order. ``sigma_spread`` is the worst per-element relative spread of the
-    simulated conductivity across the sweep frequencies (0 when the
-    constant-matrix assumption held exactly).
+    ``Phi`` and ``F`` are finite n x N arrays; each load column sums to
+    zero. ``labels`` records (frequency, pattern index, ground node) per
+    column in stacking order. ``sigma_spread`` is the worst per-element
+    relative spread of the simulated conductivity across the sweep
+    frequencies (0 when the constant-matrix assumption held exactly).
     """
 
     Phi: np.ndarray
@@ -250,6 +251,8 @@ class StackedSystem:
             raise DimensionError(
                 f"Phi {self.Phi.shape} and F {self.F.shape} must have equal shapes"
             )
+        _check_finite("Phi", self.Phi)
+        _check_finite("F", self.F)  # a NaN column sum would pass the check below
         colsums = np.abs(self.F.sum(axis=0))
         if colsums.size and float(colsums.max()) > ZERO_SUM_TOL:
             raise CompatibilityError(
@@ -508,7 +511,8 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     ``fit_residual`` counts every entry, the misfit on the pattern plus
     ``sym(S_hat)`` off it.
 
-    After the pass, an ``S_hat`` asymmetric beyond 1e-6 relative raises
+    A non-finite ``S_hat`` raises :class:`DomainError` before the pass.
+    After it, an ``S_hat`` asymmetric beyond 1e-6 relative raises
     :class:`DomainError`, and more elements than the n(n+1)/2 independent
     entries raise :class:`IdentifiabilityError` with the excess as the gap;
     the core raises its own for a rank-deficient or ill-conditioned design.
@@ -517,6 +521,7 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     n = mesh.n_nodes
     if S_hat.shape != (n, n):
         raise DimensionError(f"S_hat has shape {S_hat.shape}, mesh implies ({n}, {n})")
+    _check_finite("S_hat", S_hat)
     scale = float(np.linalg.norm(S_hat)) or 1.0
     _, _, rows, indptr, _ = mesh._placement
     cols = np.repeat(np.arange(n), np.diff(indptr))
@@ -614,7 +619,6 @@ def save_sweep_config(
         raise DimensionError(
             f"tissue model covers {tissue.n_elements} elements, mesh has {mesh.n_elements}"
         )
-    node_ids = None if mesh is None else [node.id for node in mesh.nodes]
     element_ids = range(tissue.n_elements) if mesh is None else [e.id for e in mesh.elements]
     lines = ["[frequencies]"]
     lines += [f"{f:.17g}" for f in config.frequencies]
@@ -625,10 +629,11 @@ def save_sweep_config(
                 ", ".join(f"{eid}: {amp:.17g}" for eid, amp in sorted(pattern.currents.items()))
             )
         else:
-            entries = [(int(k), float(v)) for k, v in enumerate(np.asarray(pattern)) if v != 0.0]
-            lines.append(", ".join(
-                f"node {k if node_ids is None else node_ids[k]}: {v:.17g}" for k, v in entries
-            ))
+            vector = np.asarray(pattern)
+            rows = np.flatnonzero(vector)  # NaN is nonzero, -0.0 is not
+            ids = rows.tolist() if mesh is None else [mesh.nodes[k].id for k in rows]
+            values = vector[rows].astype(float).tolist()
+            lines.append(", ".join(f"node {k}: {v:.17g}" for k, v in zip(ids, values)))
     lines.append("[model]")
     params = {"sigma0": tissue.sigma0, "sigma_inf": tissue.sigma_inf, "tau": tissue.tau}
     uniform = all(np.all(v == v[0]) for v in params.values())
@@ -769,9 +774,9 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
     The lines are read in order up to the first one that does not read: an
     entry that does not parse, a node not on the mesh, or electrode totals
     that make no :class:`CurrentPattern`. The node entries of the lines
-    before it go into one (n, P) table by one ``np.add.at``, and those lines
-    are resolved by one :func:`_nodal_load` call that fills that table in
-    place and raises the first failing line's error; only then does the
+    before it go into one (n, P) table by one ``np.add.at``; one
+    :func:`_nodal_load` call resolves its columns with those lines' electrode
+    totals and raises the first failing line's error. Only then does the
     stopping line raise its own.
     Every error is a :class:`FormatError` at its line, chained to the
     resolver's error where there is one.
@@ -797,11 +802,11 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
     nodal = np.zeros((mesh.n_nodes, len(read)), order="F")
     rows, cols, amps = zip(*at) if at else ((), (), ())
     np.add.at(nodal, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), amps)  # in line order
-    patterns = [pattern for _, pattern in read]  # None: a nodal line, whose entries are in the table
+    patterns = [nodal[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
     loads = _nodal_load(
         mesh, patterns, [electrodes for electrodes, _ in read],
-        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]), table=nodal,
+        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]),
     )
     if failure is not None:
         raise failure
-    return [loads[:, k] if pattern is None else pattern for k, pattern in enumerate(patterns)]
+    return [loads[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     FormatError,
     SampleSizeError,
+    _check_finite,
 )
 from .mesh import Mesh, _is_int
 from .statistics import MeasurementEnsemble
@@ -176,8 +177,7 @@ def generate_ensemble(
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionError(f"mixing matrix must be 2-d, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("mixing matrix contains non-finite entries")
+    _check_finite("mixing matrix", A)
     m, d = A.shape
     if d != source.d:
         raise DimensionError(f"mixing matrix has {d} columns but source spec has d={source.d}")

@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, SampleSizeError
+from .errors import DimensionError, DomainError, FormatError, SampleSizeError, _check_finite
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
 # bytes of one block of rows of z: _third_moment_sum sums its GEMMs over
@@ -52,8 +52,7 @@ class MeasurementEnsemble:
             raise SampleSizeError(f"need at least 2 samples, got {samples.shape[0]}")
         if samples.shape[1] < 1:
             raise DimensionError("ensemble needs at least one channel")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("ensemble contains non-finite entries")
+        _check_finite("ensemble", samples)
         samples = samples.copy()
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, NumericalError
+from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite
 from .mesh import _is_int
 from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
 from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
@@ -117,6 +117,7 @@ def _as_symmetric_matrix(Y) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {Y.shape}")
+    _check_finite("input matrix", Y)
     scale = float(np.max(np.abs(Y))) or 1.0
     if float(np.max(np.abs(Y - Y.T))) > 1e-8 * scale:
         raise DomainError("input matrix is not symmetric")
@@ -129,7 +130,7 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
     Parameters
     ----------
     Y : (M, M) array or CorrelationMatrix
-        Symmetric input.
+        Symmetric, finite input.
     d : int
         Signal-subspace dimension, ``1 <= d < M``.
     """
@@ -156,8 +157,9 @@ def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     matrices, ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``, kept as
     a read-only copy of R (see :class:`ProjectorQ`).
 
-    ``R`` must have orthonormal columns (within 1e-8), so ``B^T B = I`` and
-    the spectrum of the exactly symmetric Q is {0 (x d**2), 1 (x Md - d**2)}.
+    ``R`` must be finite with orthonormal columns (within 1e-8), so
+    ``B^T B = I`` and the spectrum of the exactly symmetric Q is
+    {0 (x d**2), 1 (x Md - d**2)}.
     Nothing is solved, so no :class:`NumericalError` is raised.
     """
     R = np.array(R, dtype=float)
@@ -168,6 +170,7 @@ def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
         raise DimensionError(f"R has {cols} columns but d={d}")
     if d < 1 or d > m:
         raise DimensionError(f"need 1 <= d <= M, got d={d}, M={m}")
+    _check_finite("R", R)
     gram = R.T @ R
     if float(np.max(np.abs(gram - np.eye(d)))) > ORTHONORMALITY_TOL:
         raise DomainError("columns of R must be orthonormal within 1e-8")

@@ -754,6 +754,27 @@ def cli_inputs(tmp_path):
     return tmp_path
 
 
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("mesh gen", "m.mesh"),
+        ("forward", "v.csv"),
+        ("demo", None),  # standard output
+        ("reconstruct svd", "c.csv"),
+        ("reconstruct multifreq", "s.csv"),
+        ("reconstruct multifreq", "s.pgm"),
+    ],
+)
+def test_every_output_header_names_its_command(capsys, cli_inputs, command, output):
+    argv = command.split()
+    for dest, value in CLI_BASE[command].items():
+        argv += ["--" + dest.replace("_", "-"), value.format(tmp=cli_inputs)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    lines = (out if output is None else (cli_inputs / "out" / output).read_text()).splitlines()
+    assert lines[lines.index("# eitkit 0.1.0") + 1] == f"# command = {command}"
+
+
 def run_with_config(capsys, tmp, command, flags, config_lines):
     """Run ``command`` with ``flags`` and a config file; return the exit
     code, the standard error and the header lines of standard output and of

@@ -81,8 +81,10 @@ def test_element_stiffness_rejects_bad_sigma():
 
 
 def test_conductivity_field_validation():
-    with pytest.raises(DomainError):
-        ConductivityField(np.array([1.0, -1.0]))
+    # the field knows no element ids, so it names the smallest value's row
+    with pytest.raises(DomainError, match=r"^conductivity must be positive everywhere "
+                       r"\(smallest value -1\.0 at row position 1\)$"):
+        ConductivityField(np.array([1.0, -1.0, 0.5]))
     with pytest.raises(DomainError):
         ConductivityField(np.array([1.0, float("inf")]))
     field = ConductivityField(np.array([1.0, 2.0]))

@@ -573,11 +573,12 @@ def dense_svd_recover(S_hat, mesh):
     sparse corrected semi-normal equations replaced. Returns ``(sigma,
     fit_residual, sensitivity, operator_condition)``; a design whose
     ``s_min < 1e-10 s_max`` raises :class:`IdentifiabilityError`."""
-    from eitkit.forward import _local_stiffness
+    from eitkit.mesh import _triangle_geometry
     from eitkit.multifreq import _stack_svd
 
     S_hat = np.asarray(S_hat, dtype=float)
-    local = _local_stiffness(mesh.coords[mesh.triangles], 1.0, mesh.bounding_box_diagonal)
+    four_area, outer = _triangle_geometry(mesh.coords[mesh.triangles], mesh.bounding_box_diagonal)
+    local = (1.0 / four_area)[:, None, None] * outer
     _, _, rows, indptr, slot = mesh._placement
     cols = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
     design = np.zeros((rows.size, mesh.n_elements))
@@ -1531,44 +1532,29 @@ def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
         "node 0: 0.5, node 0: 1, node 5: -0.5, node 5: -1",
     ] + GOOD_LINES[:3]
     path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
-    real, calls = eitkit.multifreq._nodal_load, []
-    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real, tables = eitkit.multifreq._nodal_load, []
+
+    def recording(*args, **options):
+        tables.append(real(*args, **options))
+        return tables[-1]
+
+    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", recording)
     config, _ = load_sweep_config(path, mesh)
-    assert calls == [1]  # read in one pass, not line by line
+    [table] = tables  # read in one pass, not line by line
     assert config.patterns[0] == CurrentPattern({0: 1.0, 4: -1.0})
+    assert table[:, 0].tobytes() == per_pattern_nodal_load(mesh, config.patterns[0]).tobytes()
     want = np.zeros(mesh.n_nodes)
     want[mesh.node_index[0]] += 1.0
     want[mesh.node_index[0]] += 0.25
     want[mesh.node_index[mesh.electrode_map[2]]] += -1.25
     assert config.patterns[1].tobytes() == want.tobytes()
-    for line, pattern in zip(lines[2:], config.patterns[2:]):
+    for line, pattern in zip(lines, config.patterns):
         [alone] = eitkit.multifreq._parse_patterns([(1, line)], mesh)
-        assert pattern.tobytes() == alone.tobytes()
-
-
-def test_pattern_loader_resolves_its_own_table_in_place(tmp_path, monkeypatch):
-    mesh = build_disk_mesh(1.0, 2)
-    path = tmp_path / "sweep.cfg"
-    lines = ["0: 1, 4: -1"] + GOOD_LINES[:3] + ["node 0: 1, 2: -1"]
-    path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
-    alone = [eitkit.multifreq._parse_patterns([(1, line)], mesh)[0] for line in lines]
-    real, tables = eitkit.multifreq._nodal_load, []
-
-    def recording(*args, **options):
-        loads = real(*args, **options)
-        tables.append((options["table"], loads))
-        return loads
-
-    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", recording)
-    config, _ = load_sweep_config(path, mesh)
-    [(table, loads)] = tables
-    assert loads is table  # no second (n, P) table
-    assert loads.shape == (mesh.n_nodes, len(lines))
-    assert config.patterns[0] == alone[0]
-    assert table[:, 0].tobytes() == per_pattern_nodal_load(mesh, alone[0]).tobytes()
-    for pattern, expected in zip(config.patterns[1:], alone[1:]):
-        assert np.shares_memory(pattern, table)
-        assert pattern.tobytes() == expected.tobytes()
+        assert type(pattern) is type(alone)  # a CurrentPattern line stays a CurrentPattern
+        if isinstance(alone, CurrentPattern):
+            assert pattern == alone
+        else:
+            assert pattern.tobytes() == alone.tobytes()
 
 
 def test_reconstruct_multifreq_resolves_in_one_call_per_stage(tmp_path, monkeypatch, capsys):

@@ -332,6 +332,55 @@ def test_sweep_config_without_mesh_names_nodes_by_row(tmp_path):
     assert_array_equal(again.patterns[0], [1.0, -1.0, 0.0])
 
 
+def per_entry_pattern_line(pattern, node_ids):
+    """The nodal-pattern writer that ``save_sweep_config``'s one
+    ``np.flatnonzero`` pass replaced: a Python walk over every entry."""
+    entries = [(int(k), float(v)) for k, v in enumerate(np.asarray(pattern)) if v != 0.0]
+    return ", ".join(f"node {k if node_ids is None else node_ids[k]}: {v:.17g}" for k, v in entries)
+
+
+def written_pattern_line(tmp_path, vector, mesh=None):
+    path = tmp_path / "sweep.cfg"
+    config = SweepConfig((1000.0,), (vector,), "cross", 1)
+    save_sweep_config(config, TissueModel.dispersionless(np.ones(1)), path, mesh=mesh)
+    lines = path.read_text().splitlines()
+    return lines[lines.index("[patterns]") + 1]
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        np.array([1.0, -0.0, -1.0]),
+        np.array([np.nan, 0.0, -0.0]),
+        np.array([2, 0, -2]),
+        np.array([5e-324, -1e-300, 0.1]),
+        np.zeros(3),
+    ],
+    ids=["negative-zero", "nan", "integer", "tiny", "all-zero"],
+)
+def test_nodal_pattern_line_matches_the_per_entry_writer(tmp_path, vector):
+    mesh = Mesh(
+        (Node(7, 0.0, 0.0), Node(2, 1.0, 0.0), Node(3, 0.0, 1.0)),
+        (Element(0, (7, 2, 3)),),
+        (7, 2, 3),
+        (Electrode(0, 7), Electrode(1, 2), Electrode(2, 3)),
+    )
+    assert written_pattern_line(tmp_path, vector) == per_entry_pattern_line(vector, None)
+    assert written_pattern_line(tmp_path, vector, mesh) == per_entry_pattern_line(vector, [7, 2, 3])
+
+
+@SETTINGS
+@given(
+    values=st.lists(st.sampled_from([0.0, -0.0, np.nan, 1.0, -2.5, 1e-310, 1 / 3]), min_size=1, max_size=40),
+    integer=st.booleans(),
+)
+def test_nodal_pattern_lines_match_the_per_entry_writer_on_random_vectors(tmp_path, values, integer):
+    vector = np.array(values)
+    if integer:
+        vector = np.nan_to_num(vector).astype(np.int64)
+    assert written_pattern_line(tmp_path, vector) == per_entry_pattern_line(vector, None)
+
+
 @SETTINGS
 @given(
     background=positive,
