@@ -112,38 +112,35 @@ class CurrentPattern:
     def __post_init__(self):
         fixed = {int(k): float(v) for k, v in self.currents.items()}
         object.__setattr__(self, "currents", fixed)
-        _check_currents(np.array(list(fixed.values()), dtype=float))
+        fault = _current_fault(np.array(list(fixed.values()), dtype=float)[:, None])
+        if fault is not None:
+            raise fault[1]
 
 
-def _check_currents(vals: np.ndarray, blame=None) -> None:
-    """Check the currents of one drive pattern, shape (k,), or of one
-    pattern per column, shape (k, P), in one vectorized pass: each pattern's
-    currents are finite, at least two are nonzero, and they sum to zero
-    within ``ZERO_SUM_TOL``. The first failing column p raises the error of
-    its first failed check; with a ``blame`` function, ``blame(p, error)``
-    is raised instead, chained to the error."""
+def _current_fault(table: np.ndarray):
+    """``(p, error)`` for the first column p of a (k, P) table of drive
+    patterns, one pattern per column, whose currents fail a check, or None
+    when every column passes. In one vectorized pass each column's currents
+    must be finite, at least two nonzero, and sum to zero within
+    ``ZERO_SUM_TOL``; ``error`` is that of the column's first failed check."""
     # Fortran order: each column is summed along contiguous memory, in the
-    # order vals.sum() sums one pattern, so the totals match it bitwise
-    table = np.asfortranarray(vals[:, None] if vals.ndim == 1 else vals)
+    # order a 1-d sum() sums one pattern, so the totals match it bitwise
+    table = np.asfortranarray(table)
     finite = np.isfinite(table).all(axis=0)
     nonzero = np.count_nonzero(table, axis=0)
     with np.errstate(invalid="ignore"):  # inf - inf: such a column fails as not finite
         totals = table.sum(axis=0)
     failed = ~finite | (nonzero < 2) | (np.abs(totals) > ZERO_SUM_TOL)
     if not failed.any():
-        return
+        return None
     p = int(np.argmax(failed))
     if not finite[p]:
-        error = DomainError("pattern currents must be finite")
-    elif nonzero[p] < 2:
-        error = DomainError("a drive pattern needs at least two nonzero currents")
-    else:
-        error = CompatibilityError(
-            f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {float(totals[p]):g}"
-        )
-    if blame is None:
-        raise error
-    raise blame(p, error) from error
+        return p, DomainError("pattern currents must be finite")
+    if nonzero[p] < 2:
+        return p, DomainError("a drive pattern needs at least two nonzero currents")
+    return p, CompatibilityError(
+        f"injected currents must sum to zero within {ZERO_SUM_TOL:g}; got {float(totals[p]):g}"
+    )
 
 
 class _StiffnessMatrix(csc_array):
@@ -274,41 +271,37 @@ def _element_design(mesh: Mesh) -> csc_array:
     return csc_array((local, slot.ravel(), indptr), shape=(rows.size, mesh.n_elements))
 
 
-def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
+def _nodal_load(mesh: Mesh, patterns, blame=None) -> np.ndarray:
     """The checked (n, P) load table of P drive patterns, a new
     Fortran-order array with one column per pattern.
 
     A pattern is a :class:`CurrentPattern` (its currents were checked when
-    it was made) or a length-n nodal vector; ``currents``, one mapping or
-    None per pattern, adds electrode currents to the nodal vectors. Column p
-    holds the nodal entries, then each electrode's current added at its
-    node in mapping order, as one pattern resolved alone would. The nodal
-    columns are checked together by :func:`_check_currents`.
+    it was made), whose column holds each electrode's current added at its
+    node in mapping order, or a length-n nodal vector, copied as it is and
+    checked by one :func:`_current_fault` call over the nodal columns.
 
-    The first failing column p raises the error that column raises alone:
-    a wrong length is :class:`DimensionError`, then an electrode not on the
-    mesh :class:`UnknownElectrodeError`, then the current checks. With a
-    ``blame`` function, ``blame(p, error)`` is raised instead, chained to
-    the error.
+    Every fault is recorded as (column, rank, error), rank 0 for a wrong
+    length (:class:`DimensionError`), 1 for an electrode not on the mesh
+    (:class:`UnknownElectrodeError`) and 2 for the currents. The smallest
+    is raised: the first failing column, with the error it raises alone.
+    With a ``blame`` function, ``blame(p, error)`` is raised instead,
+    chained to the error.
     """
     n, count = mesh.n_nodes, len(patterns)
-    sources = [None] * count if currents is None else list(currents)
     table = np.zeros((n, count), order="F")
-    faults = []  # (column, error): the first wrong length, the first unknown electrode
-    nodal = []
+    faults, nodal, entries = [], [], []
     for p, pattern in enumerate(patterns):
         if isinstance(pattern, CurrentPattern):
-            sources[p] = pattern.currents
+            entries += [(p, eid, amp) for eid, amp in pattern.currents.items()]
             continue
         nodal.append(p)
         vector = np.asarray(pattern, dtype=float)
         if vector.shape == (n,):
             table[:, p] = vector
-        elif not faults:
-            faults.append((p, DimensionError(
-                f"nodal pattern must have length {n}, got shape {vector.shape}")))
+        else:
+            error = DimensionError(f"nodal pattern must have length {n}, got shape {vector.shape}")
+            faults.append((p, 0, error))
 
-    entries = [(p, eid, amp) for p, source in enumerate(sources) if source for eid, amp in source.items()]
     if entries:
         cols, eids, amps = zip(*entries)
         emap, index = mesh.electrode_map, mesh.node_index
@@ -316,22 +309,19 @@ def _nodal_load(mesh: Mesh, patterns, currents=None, blame=None) -> np.ndarray:
         known = rows >= 0
         if not known.all():
             k = int(np.argmin(known))
-            faults.append((cols[k], UnknownElectrodeError(f"electrode {eids[k]} is not on the mesh")))
+            faults.append((cols[k], 1, UnknownElectrodeError(f"electrode {eids[k]} is not on the mesh")))
         np.add.at(table, (rows[known], np.array(cols)[known]), np.array(amps)[known])
 
-    # a column's length and electrodes are checked before its currents
-    stop, error = min(faults, key=lambda fault: fault[0], default=(count, None))
-    checked = [p for p in nodal if p < stop]
-    if checked:
-        _check_currents(
-            table if len(checked) == count else table[:, checked],
-            None if blame is None else lambda k, exc: blame(checked[k], exc),
-        )
-    if error is None:
+    if nodal:  # a CurrentPattern was checked when it was made
+        fault = _current_fault(table if len(nodal) == count else table[:, nodal])
+        if fault is not None:
+            faults.append((nodal[fault[0]], 2, fault[1]))
+    if not faults:
         return table
+    p, _, error = min(faults, key=lambda fault: fault[:2])
     if blame is None:
         raise error
-    raise blame(stop, error) from error
+    raise blame(p, error) from error
 
 
 def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndarray]:

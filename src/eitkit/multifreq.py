@@ -59,6 +59,7 @@ from .errors import (
     FormatError,
     IdentifiabilityError,
     RankDeficiencyError,
+    UnknownElectrodeError,
     _check_finite,
 )
 from .forward import (
@@ -66,6 +67,7 @@ from .forward import (
     CurrentPattern,
     ForwardFactorization,
     StiffnessSystem,
+    _current_fault,
     _element_design,
     _nodal_load,
     assemble,
@@ -234,8 +236,11 @@ class SweepConfig:
 class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
 
-    ``Phi`` and ``F`` are finite n x N arrays; each load column sums to
-    zero. ``labels`` records (frequency, pattern index, ground node) per
+    ``Phi`` and ``F`` are finite, read-only n x N float arrays; each load
+    column sums to zero. A writable array given is copied, so a later
+    write to the caller's array cannot undo the checks; one given
+    read-only, as :func:`simulate_sweep` gives its own, is kept as it is.
+    ``labels`` records (frequency, pattern index, ground node) per
     column in stacking order. ``sigma_spread`` is the worst per-element
     relative spread of the simulated conductivity across the sweep
     frequencies (0 when the constant-matrix assumption held exactly).
@@ -247,6 +252,12 @@ class StackedSystem:
     sigma_spread: float = 0.0
 
     def __post_init__(self):
+        for name in ("Phi", "F"):
+            values = np.asarray(getattr(self, name), dtype=float)
+            if values.flags.writeable:  # the caller could still write to it
+                values = np.array(values)
+                values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.Phi.shape != self.F.shape:
             raise DimensionError(
                 f"Phi {self.Phi.shape} and F {self.F.shape} must have equal shapes"
@@ -366,6 +377,8 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         except EitError as exc:
             raise _annotated(exc, where(block[0])) from exc
 
+    Phi.setflags(write=False)  # handed over, not copied: the stack would double the peak
+    F.setflags(write=False)
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
         Phi=Phi,
@@ -664,8 +677,8 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
     missing or empty ``[frequencies]`` or ``[patterns]`` section are a
     :class:`FormatError` at the section's header, without a line when the
     section is missing.
-    Each section is read line by line in one pass; the pattern lines are
-    resolved by one resolver call (:func:`_parse_patterns`).
+    Each section is read line by line in one pass; the nodal pattern lines
+    are checked together in one table (:func:`_parse_patterns`).
     """
     groups = sections(read_lines(path), ("frequencies", "patterns", "model", "sweep"))
     frequencies: dict[float, None] = {}  # in line order
@@ -772,41 +785,46 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
     a :class:`CurrentPattern` of the electrode totals.
 
     The lines are read in order up to the first one that does not read: an
-    entry that does not parse, a node not on the mesh, or electrode totals
-    that make no :class:`CurrentPattern`. The node entries of the lines
-    before it go into one (n, P) table by one ``np.add.at``; one
-    :func:`_nodal_load` call resolves its columns with those lines' electrode
-    totals and raises the first failing line's error. Only then does the
-    stopping line raise its own.
-    Every error is a :class:`FormatError` at its line, chained to the
-    resolver's error where there is one.
+    entry that does not parse, a node not on the mesh, totals that make no
+    :class:`CurrentPattern`, then an electrode not on the mesh. The P nodal
+    lines before it fill one (n, P) table, whose columns are returned, by
+    one ``np.add.at`` in line order; one :func:`~eitkit.forward._current_fault`
+    call checks them all. The first failing line raises its error, then
+    the stopping line its own: a :class:`FormatError` at the line, chained
+    to the failed check's error where there is one.
     """
-    index = mesh.node_index
-    read, at, failure = [], [], None  # each line read: (electrode totals, CurrentPattern or None); node entries
-    for k, (line_no, text) in enumerate(lines):
+    index, emap = mesh.node_index, mesh.electrode_map
+    read, nodal, at, failure = [], [], [], None  # per line: CurrentPattern or table column; nodal line numbers
+    for line_no, text in lines:
         try:
             entries = [_pattern_entry(chunk, line_no) for chunk in text.split(",") if chunk.strip()]
-            nodes, electrodes = [], {}
+            column, electrodes, nodes = len(nodal), {}, []  # nodes: (row, column, amps)
             for is_node, target, amp in entries:
                 if not is_node:
                     electrodes[target] = electrodes.get(target, 0.0) + amp
                 elif target in index:
-                    nodes.append((index[target], k, amp))
+                    nodes.append((index[target], column, amp))
                 else:
                     raise FormatError(f"unknown node {target}", line_no=line_no)
-            read.append((electrodes, None if nodes else _at_line(line_no, CurrentPattern, electrodes)))
+            pattern = None if nodes else _at_line(line_no, CurrentPattern, electrodes)
+            unknown = [eid for eid in electrodes if eid not in emap]
+            if unknown:
+                error = UnknownElectrodeError(f"electrode {unknown[0]} is not on the mesh")
+                raise FormatError(str(error), line_no=line_no) from error
         except FormatError as exc:
             failure = exc
             break
-        at += nodes
-    nodal = np.zeros((mesh.n_nodes, len(read)), order="F")
+        read.append(column if pattern is None else pattern)
+        if pattern is None:
+            nodal.append(line_no)
+            at += nodes + [(index[emap[eid]], column, amp) for eid, amp in electrodes.items()]
+    table = np.zeros((mesh.n_nodes, len(nodal)), order="F")
     rows, cols, amps = zip(*at) if at else ((), (), ())
-    np.add.at(nodal, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), amps)  # in line order
-    patterns = [nodal[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
-    loads = _nodal_load(
-        mesh, patterns, [electrodes for electrodes, _ in read],
-        blame=lambda k, exc: FormatError(str(exc), line_no=lines[k][0]),
-    )
+    np.add.at(table, (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)), amps)  # in line order
+    fault = _current_fault(table)
+    if fault is not None:
+        column, error = fault
+        raise FormatError(str(error), line_no=nodal[column]) from error
     if failure is not None:
         raise failure
-    return [loads[:, k] if pattern is None else pattern for k, (_, pattern) in enumerate(read)]
+    return [table[:, p] if isinstance(p, int) else p for p in read]

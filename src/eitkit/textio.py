@@ -139,7 +139,9 @@ def records(lines, name: str, fields, kinds, error=FormatError) -> list[list]:
 
 
 def float_rows(lines) -> np.ndarray:
-    """Comma-separated float rows as one 2-D array (``(0,)`` when empty)."""
+    """Comma-separated float rows as one 2-D array (``(0,)`` when empty).
+    A NaN or an infinity is an error at the first row that holds one, found
+    by one ``np.isfinite`` pass over the array."""
     rows: list[list[float]] = []
     for line_no, text in lines:
         try:
@@ -151,7 +153,13 @@ def float_rows(lines) -> np.ndarray:
                 f"ragged rows: {len(row)} fields, the first row has {len(rows[0])}", line_no=line_no
             )
         rows.append(row)
-    return np.array(rows)
+    table = np.array(rows)
+    finite = np.isfinite(table)
+    bad = np.flatnonzero(~finite.all(axis=-1))
+    if bad.size:
+        k = bad[0]
+        raise FormatError(f"non-finite value {float(table[k][~finite[k]][0])!r}", line_no=lines[k][0])
+    return table
 
 
 def format_row(values) -> str:

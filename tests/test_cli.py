@@ -1,3 +1,7 @@
+import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eitkit.cli
 from eitkit import (
     DimensionError,
     DomainError,
@@ -895,3 +900,63 @@ def test_mesh_validate_reads_its_config(capsys, tmp_path, mesh_file):
     config.write_text("[mesh validate]\nseed = 4\n")
     code, out, _ = run(capsys, "mesh", "validate", "--config", str(config), str(mesh_file))
     assert (code, out) == (0, report)
+
+
+# ------------------------------------------------- input rejections ----
+
+
+@pytest.mark.parametrize("field", [["--uniform", "1.0", "--sigma", "sigma.csv"], []], ids=["both", "neither"])
+def test_forward_needs_exactly_one_field_source(capsys, tmp_path, mesh_file, field):
+    pattern = tmp_path / "pattern.txt"
+    write_pattern(pattern, [(0, 1.0), (4, -1.0)])
+    code, _, err = run(capsys, "forward", "--mesh", str(mesh_file), *field,
+                       "--pattern", str(pattern), "--out", str(tmp_path / "v.csv"))
+    assert code == 1
+    assert "eitkit: error: forward needs exactly one of --sigma or --uniform\n" in err
+    assert not (tmp_path / "v.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (["--ensemble", "e.csv", "--demo-fixture"], "give either --ensemble or --demo-fixture, not both"),
+        ([], "reconstruct svd needs --ensemble or --demo-fixture"),
+    ],
+    ids=["both", "neither"],
+)
+def test_reconstruct_svd_needs_exactly_one_ensemble_source(capsys, tmp_path, source, message):
+    out = tmp_path / "cands.csv"
+    code, _, err = run(capsys, "reconstruct", "svd", *source, "--out", str(out))
+    assert code == 1
+    assert f"eitkit: error: {message}\n" in err
+    assert not out.exists()
+
+
+def test_reconstruct_multifreq_reports_negative_estimates(capsys, tmp_path, monkeypatch):
+    mesh_path, sweep = tmp_path / "m.mesh", tmp_path / "sweep.cfg"
+    main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])
+    write_sweep_config(sweep, load_mesh(mesh_path))
+    real = eitkit.cli.recover_conductivity
+
+    def negative_first(*args, **options):
+        recovered = real(*args, **options)
+        sigma = recovered.sigma.copy()
+        sigma[[0, 3]] = -1.0
+        return dataclasses.replace(recovered, sigma=sigma, negative_elements=(0, 3))
+
+    monkeypatch.setattr(eitkit.cli, "recover_conductivity", negative_first)
+    sigma_out = tmp_path / "s.csv"
+    code, out, _ = run(capsys, "reconstruct", "multifreq", "--mesh", str(mesh_path), "--sweep", str(sweep),
+                       "--out-sigma", str(sigma_out), "--out-image", str(tmp_path / "s.pgm"))
+    assert code == 0
+    assert "# negative_elements = [0, 3]" in sigma_out.read_text().splitlines()
+    assert out.splitlines()[-1] == "warning: negative estimates at elements [0, 3]"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(eitkit.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "eitkit.cli", "demo"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "all claims hold" in done.stdout

@@ -810,3 +810,31 @@ def test_gauge_that_inserts_a_diagonal_takes_its_own_plan(monkeypatch):
     want = np.linalg.solve(Sg.toarray(), Fg)
     assert len(calls) == 1
     assert np.abs(phi - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ------------------------------------------------- input rejections ----
+
+
+def wrong_size_system(mesh):
+    small = build_disk_mesh(1.0, 0)
+    apply_pattern(assemble(small, np.ones(small.n_elements)), mesh, {0: 1.0, 1: -1.0}, mesh.nodes[0].id)
+
+
+# case -> (call, error class, message)
+REJECTIONS = {
+    "field-2d": (lambda mesh: ConductivityField(np.ones((2, 2))), DimensionError,
+                 "conductivity field must be 1-d, got shape (2, 2)"),
+    "field-empty": (lambda mesh: ConductivityField(np.array([])), DimensionError, "conductivity field is empty"),
+    "triangle-shape": (lambda mesh: element_stiffness(np.zeros((2, 2)), 1.0), DimensionError,
+                       "expected three 2-d vertices, got shape (2, 2)"),
+    "system-size": (wrong_size_system, DimensionError, "system size (9, 9) does not match mesh node count 25"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_forward_input_is_rejected_with_its_message(disk_r1, case):
+    call, kind, message = REJECTIONS[case]
+    with pytest.raises(kind) as err:
+        call(disk_r1)
+    assert type(err.value) is kind
+    assert str(err.value) == message

@@ -1237,7 +1237,7 @@ def oracle_resolve(mesh, pattern):
     """The per-injection resolver ``simulate_sweep`` called before it
     resolved each pattern once."""
     from eitkit import UnknownElectrodeError
-    from eitkit.forward import _check_currents
+    from eitkit.forward import _current_fault
 
     if isinstance(pattern, CurrentPattern):
         F = np.zeros(mesh.n_nodes)
@@ -1249,7 +1249,9 @@ def oracle_resolve(mesh, pattern):
     f = np.asarray(pattern, dtype=float)
     if f.shape != (mesh.n_nodes,):
         raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {f.shape}")
-    _check_currents(f)
+    fault = _current_fault(f[:, None])
+    if fault is not None:
+        raise fault[1]
     return f
 
 
@@ -1390,17 +1392,17 @@ def test_simulate_sweep_resolves_each_pattern_once(monkeypatch):
 # ------------------------------------------------------- load table ----
 
 
-def per_pattern_nodal_load(mesh, pattern, currents=None):
-    """The one-pattern resolver the batched table replaced: the nodal
-    entries, then each electrode's current at its node in mapping order,
-    then the current checks of a nodal vector."""
+def per_pattern_nodal_load(mesh, pattern):
+    """The one-pattern resolver the batched table replaced: a nodal
+    vector with its current checks, or each electrode's current at its
+    node in mapping order."""
     from eitkit import UnknownElectrodeError
 
     nodal = not isinstance(pattern, CurrentPattern)
     F = np.array(pattern, dtype=float) if nodal else np.zeros(mesh.n_nodes)
     if F.shape != (mesh.n_nodes,):
         raise DimensionError(f"nodal pattern must have length {mesh.n_nodes}, got shape {F.shape}")
-    for eid, current in ((currents or {}) if nodal else pattern.currents).items():
+    for eid, current in ({} if nodal else pattern.currents).items():
         if eid not in mesh.electrode_map:
             raise UnknownElectrodeError(f"electrode {eid} is not on the mesh")
         F[mesh.node_index[mesh.electrode_map[eid]]] += current
@@ -1433,33 +1435,31 @@ def load_outcome(resolve):
 
 @st.composite
 def pattern_batches(draw):
-    """A refine-1 disk and 1-12 patterns: electrode patterns, nodal vectors
-    with and without electrode currents, some with an electrode off the
-    mesh, a wrong length, a lone or non-finite current, or no cancelling."""
+    """A refine-1 disk and 1-12 patterns: electrode patterns and nodal
+    vectors, some with an electrode off the mesh, a wrong length, a lone
+    or non-finite current, or no cancelling."""
     mesh = build_disk_mesh(1.0, 1)
     n = mesh.n_nodes
     electrodes = st.sampled_from(sorted(mesh.electrode_map) * 4 + [99])
     amps = st.sampled_from([1.0, 0.5, 0.25, 2.0, 1e-13, 0.0, float("nan")])
-    patterns, currents = [], []
+    patterns = []
     for _ in range(draw(st.integers(1, 12))):
         a, b = draw(electrodes), draw(electrodes)
         amp = draw(amps)
         mapping = {a: amp, b: -draw(st.sampled_from([amp, 1.0]))} if a != b else {a: amp}
-        kind = draw(st.sampled_from(["electrodes", "nodal", "nodal+electrodes", "short"]))
+        kind = draw(st.sampled_from(["electrodes", "nodal", "short"]))
         if kind == "electrodes":
             try:
                 patterns.append(CurrentPattern(mapping))
             except eitkit.EitError:
                 patterns.append(CurrentPattern({0: 1.0, 1: -1.0}))
-            currents.append(None)
             continue
         f = np.zeros(n if kind != "short" else n - 1)
         i, j = draw(st.integers(0, f.size - 1)), draw(st.integers(0, f.size - 1))
         f[i] += draw(amps)
         f[j] -= draw(st.sampled_from([f[i], 1.0]))
         patterns.append(f)
-        currents.append(mapping if kind == "nodal+electrodes" else None)
-    return mesh, patterns, currents
+    return mesh, patterns
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1468,19 +1468,19 @@ def pattern_batches(draw):
 def test_load_table_equals_the_per_pattern_resolver(case):
     from eitkit.forward import _nodal_load
 
-    mesh, patterns, currents = case
+    mesh, patterns = case
 
     def one_at_a_time():
         columns = []
-        for p, (pattern, extra) in enumerate(zip(patterns, currents)):
+        for p, pattern in enumerate(patterns):
             try:
-                columns.append(per_pattern_nodal_load(mesh, pattern, extra))
+                columns.append(per_pattern_nodal_load(mesh, pattern))
             except eitkit.EitError as exc:
                 raise Blamed(p, exc) from exc
         return np.stack(columns, axis=1)
 
     want = load_outcome(one_at_a_time)
-    got = load_outcome(lambda: _nodal_load(mesh, patterns, currents, blame=Blamed))
+    got = load_outcome(lambda: _nodal_load(mesh, patterns, blame=Blamed))
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -1523,7 +1523,7 @@ def test_one_bad_pattern_line_among_81_is_named_by_its_line(tmp_path, bad, cause
             assert str(err.value) == f"{err.value.__cause__} (line 44)"
 
 
-def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
+def test_loaded_patterns_keep_their_types_and_values(tmp_path):
     mesh = build_disk_mesh(1.0, 2)
     path = tmp_path / "sweep.cfg"
     lines = [
@@ -1532,17 +1532,10 @@ def test_loaded_patterns_keep_their_types_and_values(tmp_path, monkeypatch):
         "node 0: 0.5, node 0: 1, node 5: -0.5, node 5: -1",
     ] + GOOD_LINES[:3]
     path.write_text("[frequencies]\n1000\n[patterns]\n" + "\n".join(lines) + "\n[model]\n" + MODEL)
-    real, tables = eitkit.multifreq._nodal_load, []
-
-    def recording(*args, **options):
-        tables.append(real(*args, **options))
-        return tables[-1]
-
-    monkeypatch.setattr(eitkit.multifreq, "_nodal_load", recording)
     config, _ = load_sweep_config(path, mesh)
-    [table] = tables  # read in one pass, not line by line
+    table = config.patterns[1].base  # read into one table, not line by line
+    assert table is not None and all(pattern.base is table for pattern in config.patterns[1:])
     assert config.patterns[0] == CurrentPattern({0: 1.0, 4: -1.0})
-    assert table[:, 0].tobytes() == per_pattern_nodal_load(mesh, config.patterns[0]).tobytes()
     want = np.zeros(mesh.n_nodes)
     want[mesh.node_index[0]] += 1.0
     want[mesh.node_index[0]] += 0.25
@@ -1576,7 +1569,7 @@ def test_reconstruct_multifreq_resolves_in_one_call_per_stage(tmp_path, monkeypa
     code = main(["reconstruct", "multifreq", "--mesh", str(mesh_path), "--sweep", str(sweep_path),
                  "--out-sigma", str(tmp_path / "s.csv"), "--out-image", str(tmp_path / "s.pgm")])
     assert code == 0, capsys.readouterr().err
-    assert calls == [81, 81]  # the loader, then simulate_sweep
+    assert calls == [81]  # simulate_sweep; the loader checks its own table
 
 
 def test_simulate_sweep_pattern_error_comes_before_any_assembly_error(monkeypatch):
@@ -1606,3 +1599,80 @@ def test_sweep_ground_follows_the_integer_rule():
     assert stacked.labels == ((1.0, 0, 2),)
     with pytest.raises(DomainError, match="ground node 99 is not a mesh node"):
         simulate_sweep(mesh, tissue, SweepConfig((1.0,), (pattern,), ground=np.int64(99)))
+
+
+# ------------------------------------------------- input rejections ----
+
+
+def test_stacked_system_owns_read_only_copies():
+    Phi, F = np.eye(3), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    stacked = StackedSystem(Phi=Phi, F=F, labels=())
+    Phi[0, 0], F[0, 0] = np.inf, 5.0  # a later write to the caller's arrays
+    assert_array_equal(stacked.Phi, np.eye(3))
+    assert stacked.F[0, 0] == 1.0
+    for values in (stacked.Phi, stacked.F):
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0
+    assert StackedSystem(Phi=stacked.Phi, F=stacked.F, labels=()).Phi is stacked.Phi  # read-only: kept
+
+
+def read_file(text, reader, *args):
+    """A call that writes ``text`` to a file and reads it with ``reader``."""
+    def call(tmp):
+        path = tmp / "input.txt"
+        path.write_text(text)
+        return reader(path, *args)
+    return call
+
+
+def stack_with_labels(tmp):
+    phi, f = tmp / "phi.csv", tmp / "f.csv"
+    phi.write_text("# label,1000,0,0\n1,0\n0,1\n")
+    f.write_text("1,1\n-1,-1\n")
+    load_stacked_system(phi, f)
+
+
+def tissue_for_another_mesh(tmp):
+    mesh = build_disk_mesh(1.0, 0)
+    config = SweepConfig((1000.0,), nodal_patterns(mesh.n_nodes, 1))
+    simulate_sweep(mesh, TissueModel.dispersionless(np.ones(3)), config)
+
+
+# case -> (call, error class, message, line)
+REJECTIONS = {
+    "stack-shapes": (lambda tmp: StackedSystem(np.eye(2), np.zeros((2, 3)), ()), DimensionError,
+                     "Phi (2, 2) and F (2, 3) must have equal shapes", None),
+    "tissue-size": (tissue_for_another_mesh, DimensionError, "tissue model covers 3 elements, mesh has 8", None),
+    "observed-nodes": (lambda tmp: stack_solve(StackedSystem(np.eye(2), np.zeros((2, 2)), ()), observed_nodes=[0, 2]),
+                       DimensionError, "observed node positions must lie in 0..1", None),
+    "label-count": (stack_with_labels, FormatError, "1 labels for 2 injections", None),
+    "model-key": (read_file("[frequencies]\n1000\n[patterns]\n0: 1, 4: -1\n[model]\n" + MODEL + "sigma1 = 1\n",
+                            load_sweep_config, build_disk_mesh(1.0, 0)),
+                  FormatError, "unknown model key 'sigma1' (line 9)", 9),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_multifreq_input_is_rejected_with_its_message(tmp_path, case):
+    call, kind, message, line_no = REJECTIONS[case]
+    with pytest.raises(kind) as err:
+        call(tmp_path)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no
+
+
+@pytest.mark.parametrize("value", ["nan", "1e999"])
+@pytest.mark.parametrize("bad_file", ["phi", "f"])
+def test_non_finite_stack_value_is_a_format_error_at_its_line(tmp_path, bad_file, value):
+    paths = {"phi": tmp_path / "phi.csv", "f": tmp_path / "f.csv"}
+    paths["phi"].write_text("# sigma_spread,0\n1,0\n0,1\n")
+    paths["f"].write_text("1,0\n-1,0\n")
+    text = paths[bad_file].read_text().splitlines()
+    text[-1] = f"0,{value}"
+    paths[bad_file].write_text("\n".join(text) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_stacked_system(paths["phi"], paths["f"])
+    line_no = len(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"non-finite value {float(value)!r} (line {line_no})"

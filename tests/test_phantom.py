@@ -6,6 +6,7 @@ from numpy.testing import assert_array_equal
 
 from eitkit import (
     AssumptionViolationError,
+    DimensionError,
     DomainError,
     FormatError,
     Inclusion,
@@ -285,3 +286,44 @@ def test_phantom_spec_value_errors_are_format_errors_at_their_line(tmp_path, dis
     assert type(err.value.__cause__) is DomainError
     assert str(err.value.__cause__) == message
     assert str(err.value) == f"{message} (line 4)"
+
+
+# ------------------------------------------------- input rejections ----
+
+
+def phantom_spec(text):
+    """A call that writes a phantom spec and loads it on the given mesh."""
+    def call(tmp, mesh):
+        path = tmp / "phantom.txt"
+        path.write_text(text)
+        return load_phantom_spec(path, mesh)
+    return call
+
+
+SKEWED = SourceSpec(3, "skewed")
+
+# case -> (call, error class, message, line)
+REJECTIONS = {
+    "mixing-1d": (lambda tmp, mesh: generate_ensemble(np.ones(3), SKEWED, WHITE, 10, 0), DimensionError,
+                  "mixing matrix must be 2-d, got shape (3,)", None),
+    "mixing-columns": (lambda tmp, mesh: generate_ensemble(np.eye(4, 2), SKEWED, WHITE, 10, 0), DimensionError,
+                       "mixing matrix has 2 columns but source spec has d=3", None),
+    "noise-channels": (lambda tmp, mesh: generate_noise_ensemble(0, WHITE, 10, 0), DimensionError,
+                       "need at least one channel", None),
+    "noise-samples": (lambda tmp, mesh: generate_noise_ensemble(2, WHITE, 1, 0), SampleSizeError,
+                      "sample count T must be >= 2, got 1", None),
+    "inclusion-fields": (phantom_spec("[phantom]\nbackground = 1\ninclusion = 0 0 0.5\n"), FormatError,
+                         "expected 'x y radius contrast', got '0 0 0.5' (line 3)", 3),
+    "unknown-key": (phantom_spec("[phantom]\nbackground = 1\nradius = 0.5\n"), FormatError,
+                    "unknown key 'radius' (line 3)", 3),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_phantom_input_is_rejected_with_its_message(tmp_path, disk_r1, case):
+    call, kind, message, line_no = REJECTIONS[case]
+    with pytest.raises(kind) as err:
+        call(tmp_path, disk_r1)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no

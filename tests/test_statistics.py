@@ -382,3 +382,49 @@ def test_ensemble_csv_errors(tmp_path):
     path.write_text("y0,y1\n1,2\n")
     with pytest.raises(SampleSizeError):
         load_ensemble(path)
+
+
+# ------------------------------------------------- input rejections ----
+
+
+def ensemble_file(text):
+    """A call that writes ``text`` as an ensemble file and loads it."""
+    def call(tmp):
+        path = tmp / "ensemble.csv"
+        path.write_text(text)
+        return load_ensemble(path)
+    return call
+
+
+# case -> (call, error class, message, line)
+REJECTIONS = {
+    "no-channels": (lambda tmp: MeasurementEnsemble(np.zeros((3, 0))), DimensionError,
+                    "ensemble needs at least one channel", None),
+    "accumulator-channels": (lambda tmp: MomentAccumulator(0), DimensionError, "need at least one channel", None),
+    "accumulator-non-finite": (lambda tmp: MomentAccumulator(2).update([[1.0, np.nan]]), DomainError,
+                               "samples contain non-finite entries", None),
+    "accumulator-one-sample": (lambda tmp: MomentAccumulator(2).update([[1.0, 2.0]]).correlation(), SampleSizeError,
+                               "correlation needs at least 2 samples", None),
+    "row-width": (ensemble_file("# made by hand\ny0,y1\n1,2,3\n4,5,6\n"), FormatError,
+                  "expected 2 columns, got 3 (line 3)", 3),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_statistics_input_is_rejected_with_its_message(tmp_path, case):
+    call, kind, message, line_no = REJECTIONS[case]
+    with pytest.raises(kind) as err:
+        call(tmp_path)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no
+
+
+@pytest.mark.parametrize("value", ["nan", "1e999"])
+def test_non_finite_ensemble_value_is_a_format_error_at_its_line(tmp_path, value):
+    path = tmp_path / "ensemble.csv"
+    path.write_text(f"# made by hand\ny0,y1\n1,2\n3,4\n{value},5\n6,7\n")
+    with pytest.raises(FormatError) as err:
+        load_ensemble(path)
+    assert err.value.line_no == 5
+    assert str(err.value) == f"non-finite value {float(value)!r} (line 5)"

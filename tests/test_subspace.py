@@ -371,3 +371,57 @@ def test_load_candidates_rejects_ragged_block(tmp_path):
     with pytest.raises(FormatError) as err:
         load_candidates(path)
     assert err.value.line_no == 5
+
+
+# ------------------------------------------------- input rejections ----
+
+CANDIDATE_HEADER = "# M,3\n# d,2\n# eigenvalues,0,0,0,0\n"
+BLOCK = "1,0\n0,1\n0,0\n"
+
+
+def candidate_file(text):
+    """A call that writes ``text`` as a candidate file and loads it."""
+    def call(tmp):
+        path = tmp / "candidates.csv"
+        path.write_text(text)
+        return load_candidates(path)
+    return call
+
+
+# case -> (call, error class, message, line)
+REJECTIONS = {
+    "projector-1d": (lambda tmp: build_projector(np.ones(3), 1), DimensionError,
+                     "R must be an M x d matrix, got shape (3,)", None),
+    "projector-rank": (lambda tmp: build_projector(np.ones((2, 3)), 3), DimensionError,
+                       "need 1 <= d <= M, got d=3, M=2", None),
+    "residual-1d": (lambda tmp: fitting_residual(np.ones(3), np.eye(3)), DimensionError,
+                    "A must be an M x d matrix, got shape (3,)", None),
+    "residual-basis-not-orthonormal": (lambda tmp: fitting_residual(np.ones((4, 2)), np.ones((4, 2))), DomainError,
+                                       "direct basis R must have orthonormal columns", None),
+    "residual-basis-rows": (lambda tmp: fitting_residual(np.ones((4, 2)), np.eye(3)), DimensionError,
+                            "basis has 3 rows, A has 4", None),
+    "block-count": (candidate_file(CANDIDATE_HEADER + "\n".join([BLOCK] * 3)), FormatError,
+                    "expected 4 candidate blocks, found 3", None),
+    "block-shape": (candidate_file(CANDIDATE_HEADER + "\n".join([BLOCK] * 3 + ["1,0\n0,1\n"])), FormatError,
+                    "candidate block has shape (2, 2), expected (3, 2)", None),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_bad_subspace_input_is_rejected_with_its_message(tmp_path, case):
+    call, kind, message, line_no = REJECTIONS[case]
+    with pytest.raises(kind) as err:
+        call(tmp_path)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert getattr(err.value, "line_no", None) == line_no
+
+
+@pytest.mark.parametrize("value", ["nan", "1e999"])
+def test_non_finite_candidate_value_is_a_format_error_at_its_line(tmp_path, value):
+    path = tmp_path / "candidates.csv"
+    path.write_text(CANDIDATE_HEADER + BLOCK + f"\n1,0\n{value},1\n0,0\n" + "\n".join(["", BLOCK, BLOCK]))
+    with pytest.raises(FormatError) as err:
+        load_candidates(path)
+    assert err.value.line_no == 9
+    assert str(err.value) == f"non-finite value {float(value)!r} (line 9)"
