@@ -15,10 +15,11 @@ starts with a reproducibility header echoing the resolved configuration,
 the seed and the version, so reruns are byte-identical; timestamps go to
 standard error only.
 
-Each command and flag is declared once, in ``_COMMANDS``: the parser, the
-config sections and keys, the defaults, the required-flag checks, the
-resolution and the output header all come from that table, so no handler
-names its own command.
+Each command and flag is declared once, in ``_COMMANDS``: the dispatch,
+the parser (``main`` builds only the one its argv names), the config
+sections and keys, the defaults, the required-flag checks, the resolution
+and the output header all come from that table, so no handler names its
+own command.
 """
 
 from __future__ import annotations
@@ -63,34 +64,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="eitkit", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"eitkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    groups = {}
-    for path, (handler, help_text, flags) in _COMMANDS.items():
-        group, _, name = path.rpartition(" ")
-        if group and group not in groups:
-            group_parser = sub.add_parser(group, help=_GROUPS[group])
-            groups[group] = group_parser.add_subparsers(dest="subcommand", required=True)
-        leaf = (groups[group] if group else sub).add_parser(name, help=help_text)
-        leaf.set_defaults(handler=handler, command_path=path)
-        leaf.add_argument("--config", help="key = value config file supplying flag defaults")
-        leaf.add_argument("--seed", type=int, help="seed echoed into outputs")
-        if path == "mesh validate":
-            leaf.add_argument("path", help="mesh file to check")
-        for dest, (default, conv, text) in flags.items():
-            flag = "--" + dest.replace("_", "-")
-            if conv is _as_bool:
-                leaf.add_argument(flag, action="store_const", const=True, help=text)
-                continue
-            if default is not None and default is not REQUIRED:  # `is`, as 0 == False
-                text += f" (default {str(default).replace('e-0', 'e-')})"  # 1e-8, not 1e-08
-            if hasattr(conv, "choices"):
-                leaf.add_argument(flag, choices=conv.choices, help=text)
-            else:
-                leaf.add_argument(flag, type=conv, help=text)
-    return parser
+def _parser(argv: list[str]) -> tuple[_Parser, list[str]]:
+    """The parser of the command ``argv`` names, and the rest of ``argv``. An
+    argv naming none meets the top-level parser: it exits with help, version or error."""
+    path = next((p for p in _COMMANDS if argv[:p.count(" ") + 1] == p.split()), None)
+    if path is None:
+        top = _Parser(prog="eitkit", usage="%(prog)s [-h] [--version] command ...",
+                      description=__doc__.split("\n\n")[0])
+        top.add_argument("--version", action="version", version=f"eitkit {__version__}")
+        commands = top.add_argument_group("commands")
+        for name, (_, help_text, _) in _COMMANDS.items():
+            commands.add_argument(name, nargs="?", help=help_text)  # --help lists it; argv still errs below
+        top.parse_args(argv)
+        top.error("choose a command: " + ", ".join(_COMMANDS))
+    parser = _Parser(prog=f"eitkit {path}")
+    parser.set_defaults(command_path=path)
+    parser.add_argument("--config", help="key = value config file supplying flag defaults")
+    parser.add_argument("--seed", type=int, help="seed echoed into outputs")
+    if path == "mesh validate":
+        parser.add_argument("path", help="mesh file to check")
+    for dest, (default, conv, text) in _COMMANDS[path][2].items():
+        flag = "--" + dest.replace("_", "-")
+        if conv is _as_bool:
+            parser.add_argument(flag, action="store_const", const=True, help=text)
+            continue
+        if default is not None and default is not REQUIRED:  # `is`, as 0 == False
+            text += f" (default {str(default).replace('e-0', 'e-')})"  # 1e-8, not 1e-08
+        if hasattr(conv, "choices"):
+            parser.add_argument(flag, choices=conv.choices, help=text)
+        else:
+            parser.add_argument(flag, type=conv, help=text)
+    return parser, argv[path.count(" ") + 1:]
 
 
 def _load_config(path) -> dict[str, dict[str, tuple[int, str]]]:
@@ -486,11 +490,6 @@ def cmd_reconstruct_multifreq(args, resolved: dict, header: tuple[str, ...]) -> 
 # ---------------------------------------------------------------- main ----
 
 
-_GROUPS = {
-    "mesh": "generate or validate mesh files",
-    "reconstruct": "subspace (svd) or multi-injection reconstruction",
-}
-
 # command path -> (handler, help, {flag dest: (default, converter, help)}),
 # the handler called as handler(args, resolved flags, header lines); every
 # command also takes --config and --seed
@@ -538,12 +537,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, rest = _parser(list(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(rest)
 
     try:
         resolved = _resolve(args, args.command_path)
-        code = args.handler(args, resolved, _header(args.command_path, resolved))
+        code = _COMMANDS[args.command_path][0](args, resolved, _header(args.command_path, resolved))
     except RankDeficiencyError as exc:
         print(f"eitkit: rank deficiency: {exc}", file=sys.stderr)
         code = 4

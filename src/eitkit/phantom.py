@@ -187,7 +187,7 @@ def generate_ensemble(
             "mixing-matrix columns must be linearly independent; "
             f"singular-value ratio {sv[-1] / sv[0]:.3g}"
         )
-    if not (isinstance(T, int) and T >= 2):
+    if not (_is_int(T) and T >= 2):
         raise SampleSizeError(f"sample count T must be >= 2, got {T!r}")
 
     x = _draw_sources(source, T, _stream(seed, SOURCE_STREAM))
@@ -197,9 +197,11 @@ def generate_ensemble(
 
 def generate_noise_ensemble(channels: int, noise: NoiseSpec, T: int, seed: int) -> MeasurementEnsemble:
     """Pure-noise ensemble (no sources): y(t) = n(t)."""
+    if not _is_int(channels):
+        raise DimensionError(f"channel count must be an integer, got {channels!r}")
     if channels < 1:
         raise DimensionError("need at least one channel")
-    if not (isinstance(T, int) and T >= 2):
+    if not (_is_int(T) and T >= 2):
         raise SampleSizeError(f"sample count T must be >= 2, got {T!r}")
     n = _draw_noise(noise, T, channels, _stream(seed, NOISE_STREAM))
     return MeasurementEnsemble(n)

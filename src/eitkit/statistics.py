@@ -30,6 +30,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, SampleSizeError, _check_finite
+from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
 # bytes of one block of rows of z: _third_moment_sum sums its GEMMs over
@@ -106,7 +107,7 @@ class CumulantMatrixSet:
     def matrix(self, i: int) -> np.ndarray:
         """The i-th cumulant matrix ``C_i[j, k] = cum(y_j, y_k, y_i)``, for
         i in 0..M-1; any other i raises DomainError."""
-        if not 0 <= i < self.channel_count:
+        if not (_is_int(i) and 0 <= i < self.channel_count):
             raise DomainError(f"cumulant index {i} outside 0..{self.channel_count - 1}")
         return self.tensor[i]
 
@@ -208,6 +209,8 @@ class MomentAccumulator:
     """
 
     def __init__(self, channel_count: int):
+        if not _is_int(channel_count):
+            raise DimensionError(f"channel count must be an integer, got {channel_count!r}")
         if channel_count < 1:
             raise DimensionError("need at least one channel")
         self.channel_count = channel_count

@@ -851,6 +851,57 @@ def test_help_lists_every_table_flag(capsys, command):
     assert DEFAULT_HELP.get(command, "") in text
 
 
+def test_no_command_path_is_a_prefix_of_another():
+    words = [path.split() for path in _COMMANDS]
+    assert not [(a, b) for a in words for b in words if a != b and b[:len(a)] == a]
+
+
+@pytest.mark.parametrize("argv", [["mesh", "gen", "--out", "{tmp}/m.mesh"], ["--help"]])
+def test_main_builds_one_parser_per_call(monkeypatch, capsys, tmp_path, argv):
+    built = []
+    init = eitkit.cli._Parser.__init__
+    monkeypatch.setattr(eitkit.cli._Parser, "__init__", lambda self, **kw: built.append(kw) or init(self, **kw))
+    try:
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["mesh", "--help"], ["reconstruct", "-h"]])
+def test_top_level_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for path, (_, help_text, _) in _COMMANDS.items():
+        assert f" {path} {help_text}" in text
+
+
+@pytest.mark.parametrize("argv", [[], ["mesh"], ["reconstruct"], ["bogus"]])
+def test_argv_naming_no_command_is_a_top_level_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: eitkit [-h] [--version] ")
+
+
+def test_unrecognized_flag_is_reported_by_its_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["forward", "--bogus"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: eitkit forward ")
+    assert err.endswith("eitkit forward: error: unrecognized arguments: --bogus\n")
+
+
+def test_main_reads_sys_argv_by_default(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "m.mesh"
+    monkeypatch.setattr(sys, "argv", ["eitkit", "mesh", "gen", "--out", str(out)])
+    assert main() == 0
+    assert load_mesh(out).n_nodes == 9
+
+
 @pytest.mark.parametrize(
     "text, key, line_no",
     [

@@ -66,6 +66,15 @@ def test_generate_ensemble_deterministic_per_seed():
     assert np.max(np.abs(a.samples - c.samples)) > 1e-3
 
 
+def test_ensemble_counts_may_be_numpy_integers():
+    A = np.random.default_rng(0).standard_normal((4, 2))
+    spec, noise = SourceSpec(2, "skewed"), NoiseSpec("white", 0.1)
+    assert_array_equal(generate_ensemble(A, spec, noise, T=np.int64(100), seed=42).samples,
+                       generate_ensemble(A, spec, noise, T=100, seed=42).samples)
+    assert_array_equal(generate_noise_ensemble(np.int32(3), noise, np.int64(50), 7).samples,
+                       generate_noise_ensemble(3, noise, 50, 7).samples)
+
+
 def test_generate_ensemble_noiseless_stays_in_span():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((5, 3))
@@ -312,6 +321,10 @@ REJECTIONS = {
                        "need at least one channel", None),
     "noise-samples": (lambda tmp, mesh: generate_noise_ensemble(2, WHITE, 1, 0), SampleSizeError,
                       "sample count T must be >= 2, got 1", None),
+    "noise-channels-float": (lambda tmp, mesh: generate_noise_ensemble(2.5, WHITE, 10, 0), DimensionError,
+                             "channel count must be an integer, got 2.5", None),
+    "noise-channels-bool": (lambda tmp, mesh: generate_noise_ensemble(True, WHITE, 10, 0), DimensionError,
+                            "channel count must be an integer, got True", None),
     "inclusion-fields": (phantom_spec("[phantom]\nbackground = 1\ninclusion = 0 0 0.5\n"), FormatError,
                          "expected 'x y radius contrast', got '0 0 0.5' (line 3)", 3),
     "unknown-key": (phantom_spec("[phantom]\nbackground = 1\nradius = 0.5\n"), FormatError,

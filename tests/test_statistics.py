@@ -401,6 +401,14 @@ REJECTIONS = {
     "no-channels": (lambda tmp: MeasurementEnsemble(np.zeros((3, 0))), DimensionError,
                     "ensemble needs at least one channel", None),
     "accumulator-channels": (lambda tmp: MomentAccumulator(0), DimensionError, "need at least one channel", None),
+    "accumulator-channels-float": (lambda tmp: MomentAccumulator(2.5), DimensionError,
+                                   "channel count must be an integer, got 2.5", None),
+    "accumulator-channels-bool": (lambda tmp: MomentAccumulator(True), DimensionError,
+                                  "channel count must be an integer, got True", None),
+    "cumulant-index-bool": (lambda tmp: third_cumulants(MeasurementEnsemble(np.eye(3, 2))).matrix(True),
+                            DomainError, "cumulant index True outside 0..1", None),
+    "cumulant-index-float": (lambda tmp: third_cumulants(MeasurementEnsemble(np.eye(3, 2))).matrix(1.5),
+                             DomainError, "cumulant index 1.5 outside 0..1", None),
     "accumulator-non-finite": (lambda tmp: MomentAccumulator(2).update([[1.0, np.nan]]), DomainError,
                                "samples contain non-finite entries", None),
     "accumulator-one-sample": (lambda tmp: MomentAccumulator(2).update([[1.0, 2.0]]).correlation(), SampleSizeError,
@@ -408,6 +416,14 @@ REJECTIONS = {
     "row-width": (ensemble_file("# made by hand\ny0,y1\n1,2,3\n4,5,6\n"), FormatError,
                   "expected 2 columns, got 3 (line 3)", 3),
 }
+
+
+def test_channel_count_and_cumulant_index_may_be_numpy_integers():
+    samples = np.random.default_rng(3).standard_normal((40, 3))
+    acc = MomentAccumulator(np.int64(3)).update(samples)
+    assert_array_equal(acc.correlation().matrix, MomentAccumulator(3).update(samples).correlation().matrix)
+    cumulants = third_cumulants(MeasurementEnsemble(samples))
+    assert_array_equal(cumulants.matrix(np.int64(2)), cumulants.matrix(2))
 
 
 @pytest.mark.parametrize("case", REJECTIONS)
