@@ -298,7 +298,7 @@ def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
         peak = int(np.argmax(flat))
         if abs(flat[peak] - 1.0) > tol:
             raise DemoClaimError(
-                f"candidate {k}: largest entry magnitude {flat[peak]!r} is not 1.0 within {tol:g}"
+                f"candidate {k}: largest entry magnitude {float(flat[peak])!r} is not 1.0 within {tol:g}"
             )
         rest = np.delete(flat, peak)
         if rest.size and float(rest.max()) > DEMO_OFF_ENTRY_TOL:

@@ -26,6 +26,19 @@ def _check_finite(what: str, values) -> None:
         raise DomainError(f"{what} contains non-finite entries")
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array whose memory no writable array
+    holds, the one rule by which every value type owns a caller's array: kept
+    if its memory belongs to a read-only ndarray (itself or the array it views),
+    else a read-only copy in its memory order. The caller's array is never frozen."""
+    values = np.asarray(values, dtype=float)
+    owner = values.base if isinstance(values.base, np.ndarray) else values
+    if values.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
+        values = values.copy(order="K")
+        values.setflags(write=False)
+    return values
+
+
 class DimensionError(EitError, ValueError):
     """Array shapes or object sizes are inconsistent."""
 

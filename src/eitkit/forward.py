@@ -55,6 +55,7 @@ from .errors import (
     MeshValidationError,
     NumericalError,
     UnknownElectrodeError,
+    _read_only,
 )
 from .mesh import Mesh, _band_plan, _triangle_geometry, validate
 
@@ -70,7 +71,7 @@ class ConductivityField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = _read_only(self.values)
         if values.ndim != 1:
             raise DimensionError(f"conductivity field must be 1-d, got shape {values.shape}")
         if values.size == 0:
@@ -82,8 +83,6 @@ class ConductivityField:
             raise DomainError(
                 f"conductivity must be positive everywhere (smallest value {values[bad]} at row position {bad})"
             )
-        values = values.copy()
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:

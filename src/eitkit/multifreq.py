@@ -61,6 +61,7 @@ from .errors import (
     RankDeficiencyError,
     UnknownElectrodeError,
     _check_finite,
+    _read_only,
 )
 from .forward import (
     ZERO_SUM_TOL,
@@ -122,15 +123,11 @@ class TissueModel:
     tau: np.ndarray
 
     def __post_init__(self):
-        s0 = np.asarray(self.sigma0, dtype=float)
-        si = np.asarray(self.sigma_inf, dtype=float)
-        tau = np.asarray(self.tau, dtype=float)
+        s0, si, tau = (_read_only(arr) for arr in (self.sigma0, self.sigma_inf, self.tau))
         if not (s0.shape == si.shape == tau.shape) or s0.ndim != 1:
             raise DimensionError("sigma0, sigma_inf and tau must be equal-length 1-d arrays")
         for name, arr in (("sigma0", s0), ("sigma_inf", si), ("tau", tau)):
-            arr = _check_parameter(name, arr).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _check_parameter(name, arr))
 
     @property
     def n_elements(self) -> int:
@@ -162,8 +159,7 @@ class TissueModel:
     @classmethod
     def dispersionless(cls, sigma) -> "TissueModel":
         """Frequency-independent medium with the given per-element field."""
-        sigma = np.asarray(sigma, dtype=float)
-        return cls(sigma.copy(), sigma.copy(), np.zeros_like(sigma))
+        return cls(sigma, sigma, np.zeros(np.shape(sigma)))
 
 
 def _check_frequency(frequency: float, earlier) -> float:
@@ -237,9 +233,9 @@ class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
 
     ``Phi`` and ``F`` are finite, read-only n x N float arrays; each load
-    column sums to zero. A writable array given is copied, so a later
-    write to the caller's array cannot undo the checks; one given
-    read-only, as :func:`simulate_sweep` gives its own, is kept as it is.
+    column sums to zero. Both are stored by :func:`~eitkit.errors._read_only`
+    before the checks, so no later write through the caller's array or its
+    base can undo them; :func:`simulate_sweep` hands its own over uncopied.
     ``labels`` records (frequency, pattern index, ground node) per
     column in stacking order. ``sigma_spread`` is the worst per-element
     relative spread of the simulated conductivity across the sweep
@@ -253,11 +249,7 @@ class StackedSystem:
 
     def __post_init__(self):
         for name in ("Phi", "F"):
-            values = np.asarray(getattr(self, name), dtype=float)
-            if values.flags.writeable:  # the caller could still write to it
-                values = np.array(values)
-                values.setflags(write=False)
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
         if self.Phi.shape != self.F.shape:
             raise DimensionError(
                 f"Phi {self.Phi.shape} and F {self.F.shape} must have equal shapes"
@@ -357,8 +349,8 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         return f"injection {col} (frequency {freq:g} Hz, pattern {p_idx})"
 
     table = _nodal_load(mesh, config.patterns, blame=lambda p, exc: _annotated(exc, where(p)))
-    F = table[:, [p_idx for _, p_idx in injections]]
-    del table  # F holds every load; the table would only raise the peak
+    loads_t = table.T[[p_idx for _, p_idx in injections]]  # owned: its frozen transpose is F, uncopied
+    del table  # loads_t holds every load; the table would only raise the peak
     Phi = np.zeros((n, cols.size))
     width = max(1, BLOCK_BYTES // (8 * n))
 
@@ -370,7 +362,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
             factor = ForwardFactorization(StiffnessSystem(S=Sg, F=zero, ground_node=mesh.nodes[first].id))
             for start in range(0, len(block), width):
                 part = block[start:start + width]
-                loads = F[:, part]
+                loads = loads_t[part].T
                 loads[first] = 0.0  # the gauge row, as ground_system zeroes it
                 phi = factor.solve(loads).phi
                 Phi[:, part] = phi - phi[grounds[part], np.arange(len(part))]
@@ -378,11 +370,11 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
             raise _annotated(exc, where(block[0])) from exc
 
     Phi.setflags(write=False)  # handed over, not copied: the stack would double the peak
-    F.setflags(write=False)
+    loads_t.setflags(write=False)
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
         Phi=Phi,
-        F=F,
+        F=loads_t.T,
         labels=tuple((f, p_idx, mesh.nodes[g].id) for (f, p_idx), g in zip(injections, grounds)),
         sigma_spread=float(spread.max()) if spread.size else 0.0,
     )
@@ -479,8 +471,9 @@ def _sparse_lstsq(design, target: np.ndarray):
 
     An exactly singular factor and ``lam_min <= GRAM_TOL * lam_max``
     (``cond(A) >= 1e6``) raise :class:`IdentifiabilityError`. Its gap is
-    the number of singular values of the dense design at or below ``1e-6``
-    times the largest, at least 1.
+    the number of columns less the count of eigenvalues of the smaller Gram
+    matrix (``A^T A``, or ``A A^T`` for a wide design) above ``GRAM_TOL``
+    times the largest (the squared singular values of A), at least 1.
     """
     gram = (design.T @ design).tocsc()
     try:
@@ -492,8 +485,9 @@ def _sparse_lstsq(design, target: np.ndarray):
         lam_max = _largest_eigenvalue(gram, v0)
         lam_min = 1.0 / _largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)
     if lu is None or not lam_min > GRAM_TOL * lam_max:
-        s = np.linalg.svd(design.toarray(), compute_uv=False)
-        rank = int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
+        small = gram if design.shape[0] >= design.shape[1] else design @ design.T
+        w = np.linalg.eigvalsh(small.toarray())
+        rank = int(np.count_nonzero(w > GRAM_TOL * w[-1]))
         raise IdentifiabilityError(
             "assembly operator is rank deficient; conductivity is not identifiable",
             rank_gap=max(design.shape[1] - rank, 1),

@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     SampleSizeError,
     _check_finite,
+    _read_only,
 )
 from .mesh import Mesh, _is_int
 from .statistics import MeasurementEnsemble
@@ -116,7 +117,8 @@ class Inclusion:
 
 @dataclass(frozen=True, eq=False)
 class Phantom:
-    """Ground-truth conductivity field with its generating descriptors."""
+    """Ground-truth conductivity field with its generating descriptors;
+    ``sigma`` is held read-only, and a writable array given is copied, never frozen."""
 
     mesh: Mesh
     sigma: np.ndarray
@@ -125,9 +127,7 @@ class Phantom:
     warnings: tuple[str, ...]
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _read_only(self.sigma))
 
 
 def _stream(seed, index: int) -> np.random.Generator:

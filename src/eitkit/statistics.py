@@ -29,7 +29,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, SampleSizeError, _check_finite
+from .errors import DimensionError, DomainError, FormatError, SampleSizeError, _check_finite, _read_only
 from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
@@ -46,7 +46,7 @@ class MeasurementEnsemble:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _read_only(self.samples)
         if samples.ndim != 2:
             raise DimensionError(f"ensemble must be a T x M array, got shape {samples.shape}")
         if samples.shape[0] < 2:
@@ -54,8 +54,6 @@ class MeasurementEnsemble:
         if samples.shape[1] < 1:
             raise DimensionError("ensemble needs at least one channel")
         _check_finite("ensemble", samples)
-        samples = samples.copy()
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -69,15 +67,14 @@ class MeasurementEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """M x M symmetric second-moment matrix (volts squared)."""
+    """M x M symmetric second-moment matrix (volts squared), held read-only:
+    a writable array given is copied, never frozen (:func:`~eitkit.errors._read_only`)."""
 
     matrix: np.ndarray
     centered: bool
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(self.matrix))
 
     @property
     def channel_count(self) -> int:
@@ -90,15 +87,14 @@ class CumulantMatrixSet:
 
     ``tensor[i, j, k] = cum(y_j, y_k, y_i)``; the tensor is symmetric in
     all three indices exactly, by construction, since the matrices are
-    slices of one symmetric third-order tensor.
+    slices of one symmetric third-order tensor. It is held read-only: a
+    writable array given is copied, never frozen.
     """
 
     tensor: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "tensor", t)
+        object.__setattr__(self, "tensor", _read_only(self.tensor))
 
     @property
     def channel_count(self) -> int:
@@ -179,8 +175,6 @@ def correlation(ensemble: MeasurementEnsemble, center: bool = False) -> Correlat
     The default is the raw second moment, which is what deterministic
     noise-free ensembles feed into the subspace decomposition.
     """
-    if ensemble.sample_count < 2:
-        raise SampleSizeError("correlation needs at least 2 samples")
     z = ensemble.samples
     if center:
         z = z - z.mean(axis=0)
@@ -251,7 +245,6 @@ class MomentAccumulator:
         if center:
             m = self.s1 / self.n
             raw2 = raw2 - np.outer(m, m)
-            raw2 = 0.5 * (raw2 + raw2.T)
         return CorrelationMatrix(matrix=raw2, centered=center)
 
     def third_cumulants(self) -> CumulantMatrixSet:

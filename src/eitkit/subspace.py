@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite
+from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _read_only
 from .mesh import _is_int
 from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
 from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
@@ -66,7 +66,8 @@ class SubspaceDecomposition:
 @dataclass(frozen=True, eq=False)
 class ProjectorQ:
     """Orthogonal projector onto the complement of range(B), held as the
-    M x d orthonormal basis R it is built from (read-only).
+    M x d orthonormal basis R it is built from, read-only: a writable R
+    given, even to the constructor directly, is copied, never frozen.
 
     The dense forms are derived on first access and then cached: ``Q =
     I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
@@ -75,6 +76,9 @@ class ProjectorQ:
     """
 
     R: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "R", _read_only(self.R))
 
     @property
     def channel_count(self) -> int:
@@ -154,15 +158,15 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
 
 def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     """Projector onto the complement of the vectorized subspace-consistent
-    matrices, ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``, kept as
-    a read-only copy of R (see :class:`ProjectorQ`).
+    matrices, ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``, held as
+    R alone (see :class:`ProjectorQ`).
 
     ``R`` must be finite with orthonormal columns (within 1e-8), so
     ``B^T B = I`` and the spectrum of the exactly symmetric Q is
     {0 (x d**2), 1 (x Md - d**2)}.
     Nothing is solved, so no :class:`NumericalError` is raised.
     """
-    R = np.array(R, dtype=float)
+    R = np.asarray(R, dtype=float)
     if R.ndim != 2:
         raise DimensionError(f"R must be an M x d matrix, got shape {R.shape}")
     m, cols = R.shape
@@ -174,7 +178,6 @@ def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     gram = R.T @ R
     if float(np.max(np.abs(gram - np.eye(d)))) > ORTHONORMALITY_TOL:
         raise DomainError("columns of R must be orthonormal within 1e-8")
-    R.setflags(write=False)
     return ProjectorQ(R=R)
 
 

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,41 @@ def test_demo_failed_claim_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, "demo")
     assert code == 3
     assert "claim failed" in err
+
+
+def candidates_changed_by(change):
+    """A stand-in for ``extract_candidates`` whose every candidate is ``change(candidate)``."""
+    real = eitkit.cli.extract_candidates
+
+    def extract(projector, m, d):
+        cset = real(projector, m, d)
+        return dataclasses.replace(cset, candidates=tuple(change(mat) for mat in cset.candidates))
+
+    return extract
+
+
+# claim -> (the cli stage that feeds it, a stand-in that breaks it, what stderr names)
+BROKEN_CLAIMS = {
+    "basis shape": ("build_projector", lambda R, d: types.SimpleNamespace(R=R, channel_count=5, rank=d),
+                    "basis factor shape (15, 9), expected (12, 9)"),
+    "candidate shape": ("extract_candidates", candidates_changed_by(lambda mat: np.hstack([mat, 0 * mat[:, :1]])),
+                        "candidate 0 has shape (4, 4), expected (4, 3)"),
+    "unit peak": ("extract_candidates", candidates_changed_by(lambda mat: 2.0 * mat),
+                  "candidate 0: largest entry magnitude 2.0 is not 1.0 within 1e-08"),
+    "off-peak entries": ("extract_candidates", candidates_changed_by(lambda mat: np.where(mat == 0, 0.5, mat)),
+                         "candidate 0: second-largest entry 5.000e-01 exceeds 1e-10"),
+    "fit residual": ("fitting_residual", lambda A, basis: 1.0, "candidate fit residual 1.000e+00 exceeds 1e-08"),
+}
+
+
+@pytest.mark.parametrize("claim", BROKEN_CLAIMS)
+def test_demo_each_broken_claim_exits_3_and_names_it(capsys, monkeypatch, claim):
+    stage, fake, named = BROKEN_CLAIMS[claim]
+    monkeypatch.setattr(eitkit.cli, stage, fake)
+    code, out, err = run(capsys, "demo")
+    assert code == 3
+    assert f"demonstration claim failed: {named}" in err
+    assert "claims hold" not in out
 
 
 def test_reconstruct_svd_cumulant_statistic(capsys, tmp_path):

@@ -782,6 +782,31 @@ def test_sparse_lstsq_rejects_a_repeated_or_an_ill_scaled_column(case, column):
     assert err.value.rank_gap >= 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    case=sparse_designs(),
+    wide=st.booleans(),
+    planted=st.lists(st.tuples(st.integers(0, 119), st.integers(-3, 3)), max_size=4),  # (column, power of two)
+)
+def test_sparse_lstsq_rank_gap_equals_the_dense_svd_gap(case, wide, planted):
+    from eitkit.multifreq import GRAM_TOL, _sparse_lstsq
+
+    design, rng = case
+    if wide:  # full row rank and more columns than rows
+        design = design.T.tocsc()
+    elif not planted:
+        planted = [(0, 0)]
+    # each planted column is a power-of-two multiple of a column, so it is exactly dependent
+    copies = [2.0**power * design[:, [column % design.shape[1]]] for column, power in planted]
+    design = sparse.hstack([design, *copies]).tocsc()
+    s = np.linalg.svd(design.toarray(), compute_uv=False)
+    gap = design.shape[1] - int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
+    with pytest.raises(IdentifiabilityError) as err:
+        _sparse_lstsq(design, rng.standard_normal(design.shape[0]))
+    assert err.value.rank_gap == gap
+    assert gap == (design.shape[1] - design.shape[0] if wide else len(planted))
+
+
 def two_pass_recover(S_hat, mesh):
     """Oracle: ``recover_conductivity`` as it was before the single pass and
     the least-squares core, as ``(sigma, fit_residual, sensitivity,

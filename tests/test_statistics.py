@@ -353,6 +353,23 @@ def test_accumulator_any_chunking_and_merge_tree_matches_one_shot(data):
     assert_allclose(acc.third_cumulants().tensor, third_cumulants(whole).tensor, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_centered_accumulator_correlation_equals_its_transpose_exactly(data):
+    t = data.draw(st.integers(2, 40), label="T")
+    m = data.draw(st.integers(1, 9), label="M")
+    offset = data.draw(st.floats(-1e3, 1e3), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.standard_normal((t, m)) * rng.uniform(0.1, 10.0, m) + offset
+    cuts = sorted(data.draw(st.lists(st.integers(0, t), max_size=6), label="cuts"))
+    chunks = np.split(samples, cuts)
+    acc = MomentAccumulator(m).update(chunks[0])  # one accumulator updated in turn, merged with the rest
+    for chunk in chunks[1:]:
+        acc = acc.update(chunk) if data.draw(st.booleans()) else acc.merge(MomentAccumulator(m).update(chunk))
+    matrix = acc.correlation(center=True).matrix
+    assert_array_equal(matrix, matrix.T)
+
+
 def test_accumulator_merge_shape_guard():
     with pytest.raises(DimensionError):
         MomentAccumulator(3).merge(MomentAccumulator(4))
