@@ -26,6 +26,18 @@ def _check_finite(what: str, values) -> None:
         raise DomainError(f"{what} contains non-finite entries")
 
 
+def _frozen(*arrays):
+    """Make each array, one the program made itself, read-only in place
+    together with the ndarray that owns its memory, so that neither can be
+    made writable again, and return it (a tuple for several). The one place
+    eitkit freezes an array; a caller's array goes through :func:`_read_only`."""
+    for array in arrays:
+        for part in (array, array.base):
+            if isinstance(part, np.ndarray):
+                part.setflags(write=False)
+    return arrays[0] if len(arrays) == 1 else arrays
+
+
 def _read_only(values) -> np.ndarray:
     """``values`` as a read-only float array whose memory no writable array
     holds, the one rule by which every value type owns a caller's array: kept
@@ -34,8 +46,7 @@ def _read_only(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     owner = values.base if isinstance(values.base, np.ndarray) else values
     if values.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
-        values = values.copy(order="K")
-        values.setflags(write=False)
+        values = _frozen(values.copy(order="K"))
     return values
 
 

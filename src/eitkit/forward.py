@@ -55,6 +55,7 @@ from .errors import (
     MeshValidationError,
     NumericalError,
     UnknownElectrodeError,
+    _frozen,
     _read_only,
 )
 from .mesh import Mesh, _band_plan, _triangle_geometry, validate
@@ -403,10 +404,9 @@ class ForwardFactorization:
                 "Cholesky factorization failed: matrix is not positive definite",
                 pivot_index=int(perm[info - 1]) + 1 if info > 0 else int(info),
             )
-        factor.setflags(write=False)
         self._S = S
         self._perm = perm
-        self._factor = factor
+        self._factor = _frozen(factor)
 
     def solve(self, F: np.ndarray) -> VoltageSolution:
         """Potentials for one load of shape (n,) or for k loads at once,
@@ -426,7 +426,7 @@ class ForwardFactorization:
                 f"solve residual {residual.flat[over[0]]:g} exceeds bound {bound.flat[over[0]]:g}"
             )
         return VoltageSolution(
-            phi=phi, ground_node=self.ground_node, residual_inf=float(np.max(residual, initial=0.0))
+            phi=_frozen(phi), ground_node=self.ground_node, residual_inf=float(np.max(residual, initial=0.0))
         )
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
-from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError
+from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError, _frozen
 from .textio import read_lines, records, sections, write_lines
 
 DEGENERACY_FACTOR = 1e-14
@@ -111,9 +111,7 @@ class Mesh:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        c = np.array([[node.x, node.y] for node in self.nodes], dtype=float).reshape(-1, 2)
-        c.setflags(write=False)
-        return c
+        return _frozen(np.array([[node.x, node.y] for node in self.nodes], dtype=float).reshape(-1, 2))
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -127,8 +125,7 @@ class Mesh:
         t = pos[corners]
         if (t < 0).any():
             raise MeshValidationError(self.validation_report)
-        t.setflags(write=False)
-        return t
+        return _frozen(t)
 
     @cached_property
     def _id_table(self) -> tuple[np.ndarray, ...]:
@@ -167,10 +164,7 @@ class Mesh:
         # int32 indices, as scipy itself builds them for a matrix of this size
         rows = (entries % n).astype(np.int32)
         indptr = np.searchsorted(entries // n, np.arange(n + 1)).astype(np.int32)
-        plan = (order, np.flatnonzero(starts), rows, indptr, slot.reshape(tri.shape[0], 3, 3))
-        for array in plan:
-            array.setflags(write=False)
-        return plan
+        return _frozen(order, np.flatnonzero(starts), rows, indptr, slot.reshape(tri.shape[0], 3, 3))
 
     @cached_property
     def _geometry(self) -> tuple[np.ndarray, ...]:
@@ -183,10 +177,7 @@ class Mesh:
         read raises again."""
         four_area, outer = _triangle_geometry(self.coords[self.triangles], self.bounding_box_diagonal)
         order = self._placement[0]
-        plan = (four_area, outer.ravel()[order], order // 9)
-        for array in plan:
-            array.setflags(write=False)
-        return plan
+        return _frozen(four_area, outer.ravel()[order], order // 9)
 
     @cached_property
     def _band(self) -> tuple:
@@ -263,9 +254,7 @@ def _band_plan(indices: np.ndarray, indptr: np.ndarray) -> tuple:
     offsets = rows[slots] - cols[slots]
     depth = int(offsets.max(initial=0)) + 1
     positions = offsets + cols[slots].astype(np.intp) * depth
-    for array in (perm, slots, positions):
-        array.setflags(write=False)
-    return perm, slots, positions, depth
+    return (*_frozen(perm, slots, positions), depth)
 
 
 def element_areas(mesh: Mesh) -> np.ndarray:

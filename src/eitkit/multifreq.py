@@ -61,6 +61,7 @@ from .errors import (
     RankDeficiencyError,
     UnknownElectrodeError,
     _check_finite,
+    _frozen,
     _read_only,
 )
 from .forward import (
@@ -232,9 +233,10 @@ class SweepConfig:
 class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
 
-    ``Phi`` and ``F`` are finite, read-only n x N float arrays; each load
-    column sums to zero. Both are stored by :func:`~eitkit.errors._read_only`
-    before the checks, so no later write through the caller's array or its
+    ``Phi`` and ``F`` are finite, read-only n x N float arrays with
+    n, N >= 1 (else :class:`DimensionError`); each load column sums to
+    zero. Both are stored by :func:`~eitkit.errors._read_only` before the
+    checks, so no later write through the caller's array or its
     base can undo them; :func:`simulate_sweep` hands its own over uncopied.
     ``labels`` records (frequency, pattern index, ground node) per
     column in stacking order. ``sigma_spread`` is the worst per-element
@@ -250,6 +252,8 @@ class StackedSystem:
     def __post_init__(self):
         for name in ("Phi", "F"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.Phi.ndim != 2 or 0 in self.Phi.shape:
+            raise DimensionError(f"Phi must be an n x N matrix with n, N >= 1, got shape {self.Phi.shape}")
         if self.Phi.shape != self.F.shape:
             raise DimensionError(
                 f"Phi {self.Phi.shape} and F {self.F.shape} must have equal shapes"
@@ -369,8 +373,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         except EitError as exc:
             raise _annotated(exc, where(block[0])) from exc
 
-    Phi.setflags(write=False)  # handed over, not copied: the stack would double the peak
-    loads_t.setflags(write=False)
+    _frozen(Phi, loads_t)  # handed over, not copied: the stack would double the peak
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
         Phi=Phi,
@@ -382,7 +385,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
 
 def _stack_svd(Phi: np.ndarray):
     """Thin SVD ``(U, s, Vt)`` of a matrix plus its numerical rank under ``RANK_TOL``."""
-    U, s, Vt = np.linalg.svd(Phi, full_matrices=False)
+    U, s, Vt = _frozen(*np.linalg.svd(Phi, full_matrices=False))
     rank = int(np.count_nonzero(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     return U, s, Vt, rank
 
@@ -442,7 +445,7 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
 
     C = (U.T @ F @ Vt.T) * s
     S_hat = U @ ((C + C.T) / np.add.outer(s**2, s**2)) @ U.T
-    S_hat = 0.5 * (S_hat + S_hat.T)
+    S_hat = _frozen(0.5 * (S_hat + S_hat.T))
     residual = float(np.linalg.norm(S_hat @ Phi - F))
     return StackSolveResult(S_hat=S_hat, residual=residual, phi_singular_values=s)
 
@@ -560,7 +563,7 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     misfit = target - design @ sigma
     negative = tuple(int(e) for e in np.flatnonzero(~(sigma > 0.0)))
     return RecoveredField(
-        sigma=sigma,
+        sigma=_frozen(sigma),
         negative_elements=negative,
         fit_residual=float(np.sqrt(off_pattern + misfit @ misfit)),
         sensitivity=float(1.0 / np.sqrt(lam_min)),

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _read_only
+from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _frozen, _read_only
 from .mesh import _is_int
 from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
 from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
@@ -67,7 +67,8 @@ class SubspaceDecomposition:
 class ProjectorQ:
     """Orthogonal projector onto the complement of range(B), held as the
     M x d orthonormal basis R it is built from, read-only: a writable R
-    given, even to the constructor directly, is copied, never frozen.
+    given, even to the constructor directly, is copied, never frozen. An R
+    that is not 2-D raises :class:`DimensionError`.
 
     The dense forms are derived on first access and then cached: ``Q =
     I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
@@ -79,6 +80,8 @@ class ProjectorQ:
 
     def __post_init__(self):
         object.__setattr__(self, "R", _read_only(self.R))
+        if self.R.ndim != 2:
+            raise DimensionError(f"R must be an M x d matrix, got shape {self.R.shape}")
 
     @property
     def channel_count(self) -> int:
@@ -145,7 +148,7 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
     if d >= m:
         raise DimensionError(f"rank d must satisfy d < M, got d={d}, M={m}")
 
-    U, s, Vt = np.linalg.svd(Y)
+    U, s, Vt = _frozen(*np.linalg.svd(Y))
     gap = float(s[d - 1] - s[d])
     return SubspaceDecomposition(
         U=U[:, :d],
@@ -208,12 +211,10 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     columns = np.where(flip, -columns, columns)
     # [b, a] holds column a in column b; like B's entries, each zero is
     # 0 * R[i, a] and keeps that entry's sign
-    stack = np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]
-    stack = stack.reshape(d * d, M, d)
-    stack.setflags(write=False)
+    stack = _frozen((np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]).reshape(d * d, M, d))
     return CandidateSet(
         candidates=tuple(stack),
-        eigenvalues=np.repeat(w[:d], d),
+        eigenvalues=_frozen(np.repeat(w[:d], d)),
         channel_count=M,
         rank=d,
         null_count=d * int(np.count_nonzero(w < 1e-8)),
@@ -299,7 +300,7 @@ def load_candidates(path) -> CandidateSet:
     for arr in matrices:
         if arr.shape != (m, d):
             raise FormatError(f"candidate block has shape {arr.shape}, expected ({m}, {d})")
-        arr.setflags(write=False)
+    _frozen(*matrices, eigenvalues)
     return CandidateSet(
         candidates=tuple(matrices),
         eigenvalues=eigenvalues,

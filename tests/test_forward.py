@@ -452,6 +452,16 @@ def test_kernel_assembly_matches_element_loop(refine, seed):
     dense = np.linalg.solve(grounded.S.toarray(), grounded.F)
     assert np.abs(phi - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    # positive semidefinite with the constants as its only null direction
+    w = np.linalg.eigvalsh(S)
+    assert w[0] >= -1e-12 * w[-1]
+    assert w[1] > 1e-10 * w[-1]
+    # reciprocity: driving ab and sensing cd reads what driving cd and sensing ab does
+    a, b, c, d = (int(v) for v in rng.choice(8, size=4, replace=False))
+    v1 = _transfer(mesh, sigma, (a, b), (c, d), ground)
+    v2 = _transfer(mesh, sigma, (c, d), (a, b), ground)
+    assert abs(v1 - v2) <= 1e-9 * max(abs(v1), abs(v2))
+
 
 def test_assemble_rejects_sliver_that_passes_validation():
     # slivers over the hypotenuse (element 1) and the left edge (element 2):

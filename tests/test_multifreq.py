@@ -1667,6 +1667,14 @@ def tissue_for_another_mesh(tmp):
 REJECTIONS = {
     "stack-shapes": (lambda tmp: StackedSystem(np.eye(2), np.zeros((2, 3)), ()), DimensionError,
                      "Phi (2, 2) and F (2, 3) must have equal shapes", None),
+    "stack-1d": (lambda tmp: StackedSystem(np.ones(3), np.zeros(3), ()), DimensionError,
+                 "Phi must be an n x N matrix with n, N >= 1, got shape (3,)", None),
+    "stack-3d": (lambda tmp: StackedSystem(np.ones((2, 2, 2)), np.zeros((2, 2, 2)), ()), DimensionError,
+                 "Phi must be an n x N matrix with n, N >= 1, got shape (2, 2, 2)", None),
+    "stack-empty": (lambda tmp: StackedSystem(np.ones((0, 0)), np.zeros((0, 0)), ()), DimensionError,
+                    "Phi must be an n x N matrix with n, N >= 1, got shape (0, 0)", None),
+    "stack-no-injections": (lambda tmp: StackedSystem(np.ones((3, 0)), np.zeros((3, 0)), ()), DimensionError,
+                            "Phi must be an n x N matrix with n, N >= 1, got shape (3, 0)", None),
     "tissue-size": (tissue_for_another_mesh, DimensionError, "tissue model covers 3 elements, mesh has 8", None),
     "observed-nodes": (lambda tmp: stack_solve(StackedSystem(np.eye(2), np.zeros((2, 2)), ()), observed_nodes=[0, 2]),
                        DimensionError, "observed node positions must lie in 0..1", None),

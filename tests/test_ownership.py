@@ -1,7 +1,9 @@
 """Every value type stores a caller's array by one rule: an array that is
 read-only and whose memory belongs to a read-only ndarray is kept, and any
 other becomes a read-only copy, so no later write can reach a stored value
-and the caller's own array is never frozen."""
+and the caller's own array is never frozen. Every array a result type holds
+is made by eitkit and frozen where it is made, with the array that owns its
+memory."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,19 @@ from eitkit import (
     ProjectorQ,
     StackedSystem,
     TissueModel,
+    apply_pattern,
+    assemble,
     build_disk_mesh,
+    build_projector,
+    extract_candidates,
+    fitting_residual,
+    load_candidates,
+    recover_conductivity,
+    save_candidates,
+    solve_forward,
+    stack_solve,
+    truncated_svd,
+    uniform_field,
 )
 
 MESH = build_disk_mesh(1.0, 0)
@@ -65,3 +79,69 @@ def test_value_types_own_their_arrays_by_one_rule(field, given):
     assert memory.flags.writeable  # the caller's array is not frozen
     memory.fill(-1.0)  # a later write to the caller's array, or through its base
     assert_array_equal(stored, template)
+
+
+
+Y = np.diag([9.0, 4.0, 1.0, 0.0])
+LAPLACIAN = np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]])
+PHI = np.array([[1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, -1.0], [3.0, 1.0, 0.0, 2.0]])  # full row rank
+
+
+def candidates():
+    return extract_candidates(build_projector(truncated_svd(Y, 2).R, 2), 4, 2)
+
+
+def loaded_candidates(tmp_path):
+    save_candidates(candidates(), tmp_path / "candidates.csv")
+    return load_candidates(tmp_path / "candidates.csv")
+
+
+def potentials():
+    system = assemble(MESH, uniform_field(MESH, 1.0))
+    return solve_forward(apply_pattern(system, MESH, {0: 1.0, 4: -1.0}, MESH.nodes[0].id)).phi
+
+
+DECOMPOSITION = {f"SubspaceDecomposition.{name}": (lambda tmp, name=name: getattr(truncated_svd(Y, 2), name))
+                 for name in ("U", "sigma", "R", "G")}
+# result array -> a call that makes it; the loads L Phi cancel column by column
+RESULTS = {
+    **DECOMPOSITION,
+    "StackSolveResult.S_hat": lambda tmp: stack_solve(StackedSystem(PHI, LAPLACIAN @ PHI, ())).S_hat,
+    "StackSolveResult.phi_singular_values":
+        lambda tmp: stack_solve(StackedSystem(PHI, LAPLACIAN @ PHI, ())).phi_singular_values,
+    "RecoveredField.sigma":
+        lambda tmp: recover_conductivity(assemble(MESH, uniform_field(MESH, 2.0)).S.toarray(), MESH).sigma,
+    "CandidateSet.eigenvalues (extract_candidates)": lambda tmp: candidates().eigenvalues,
+    "CandidateSet.eigenvalues (load_candidates)": lambda tmp: loaded_candidates(tmp).eigenvalues,
+    "VoltageSolution.phi": lambda tmp: potentials(),
+}
+
+
+@pytest.mark.parametrize("result", RESULTS)
+def test_result_arrays_are_read_only(tmp_path, result):
+    array = RESULTS[result](tmp_path)
+    with pytest.raises(ValueError):
+        array[(0,) * array.ndim] = 5.0
+
+
+# views of a frozen owner -> a call that makes them
+VIEWS = {
+    **{name: (lambda get=get: [get(None)]) for name, get in DECOMPOSITION.items()},
+    "CandidateSet.candidates": lambda: candidates().candidates,
+}
+
+
+@pytest.mark.parametrize("views", VIEWS)
+def test_result_arrays_cannot_be_made_writable_again(views):
+    for array in VIEWS[views]():
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+
+
+def test_a_decomposition_cannot_be_changed_behind_its_diagnostics():
+    dec = truncated_svd(Y, 3)
+    A = dec.R.copy()
+    with pytest.raises(ValueError):
+        dec.R[0, 0] = 5.0
+    assert fitting_residual(A, dec) == 0.0
+    assert build_projector(dec.R, 3).R is dec.R  # a read-only view of a read-only owner is kept

@@ -11,6 +11,7 @@ from eitkit import (
     DomainError,
     FormatError,
     MeasurementEnsemble,
+    ProjectorQ,
     build_projector,
     extract_candidates,
     fitting_residual,
@@ -394,6 +395,8 @@ REJECTIONS = {
                      "R must be an M x d matrix, got shape (3,)", None),
     "projector-rank": (lambda tmp: build_projector(np.ones((2, 3)), 3), DimensionError,
                        "need 1 <= d <= M, got d=3, M=2", None),
+    "projector-direct-1d": (lambda tmp: extract_candidates(ProjectorQ(R=np.ones(3)), 3, 1), DimensionError,
+                            "R must be an M x d matrix, got shape (3,)", None),
     "residual-1d": (lambda tmp: fitting_residual(np.ones(3), np.eye(3)), DimensionError,
                     "A must be an M x d matrix, got shape (3,)", None),
     "residual-basis-not-orthonormal": (lambda tmp: fitting_residual(np.ones((4, 2)), np.ones((4, 2))), DomainError,
