@@ -12,27 +12,30 @@ potential) on a connected mesh; fixing one reference node to zero
 potential makes it positive definite. The gauge zeroes that node's row and
 column in a copy of the CSC data, in O(nnz).
 
-:class:`ForwardFactorization` orders the grounded matrix by reverse
-Cuthill-McKee, which keeps its nonzeros in a band of half-width b around
-the diagonal (b = 129 at n = 4225), and runs banded Cholesky (LAPACK
-``dpbtrf``/``dpbtrs``) in O(n b^2) time and O(n b) memory. A matrix that is
-not positive definite raises :class:`NumericalError` whose ``pivot_index``
-is the 1-based row, in the caller's node order, at which elimination broke
-down.
+:class:`ForwardFactorization` orders the grounded matrix so that its
+nonzeros lie in a band of half-width b around the diagonal, and runs banded
+Cholesky (LAPACK ``dpbtrf``/``dpbtrs``) in O(n b^2) time and O(n b) memory.
+On a mesh's pattern the order is breadth-first from the first fifth of the
+boundary loop, so the fronts sweep across the domain from one arc: b = 81
+at n = 4225, where reverse Cuthill-McKee gives 129. Reverse Cuthill-McKee
+is kept where the front order is not strictly shallower, and for every
+matrix that is not on a mesh's pattern. A matrix that is not positive
+definite raises :class:`NumericalError` whose ``pivot_index`` is the
+1-based row, in the caller's node order, at which elimination broke down.
 
 Only the conductivity changes from one solve to the next, so what depends
 on the mesh alone is planned once per mesh, on first use, and cached on
 the :class:`~eitkit.mesh.Mesh`: where each local entry lands in ``S``
 (``_placement``), each element's ``4 area`` and ``b b^T + c c^T`` in that
-order (``_geometry``, 1.2 MB at refine 5), and the reverse Cuthill-McKee
-order and band position of each lower-triangle entry (``_band``, 0.3 MB).
+order (``_geometry``, 1.2 MB at refine 5), and the band order and band
+position of each lower-triangle entry (``_band``, 0.3 MB).
 ``assemble`` is then one product and one ``np.add.reduceat``, and a
 factorization fills the band and calls ``dpbtrf``. A band ordering
-depends only on the sparsity pattern, so a matrix uses its mesh's band
-plan while it has the mesh's pattern, whichever arrays hold it; any other
-(dense, built by hand, or one whose gauge inserted a diagonal) is planned
-from its own pattern by the same function. The results are the same to
-the bit either way.
+depends only on the mesh, not on the conductivity, so a matrix uses its
+mesh's band plan while it has the mesh's pattern, whichever arrays hold
+it; any other (dense, built by hand, or one whose gauge inserted a
+diagonal) is planned by reverse Cuthill-McKee from its own pattern, and
+its potentials can differ from the mesh-planned ones in the last digits.
 
 ``assemble`` and ``solve_forward`` are pure functions; independent drive
 patterns on the same (mesh, field) may be solved concurrently. Use
@@ -377,12 +380,13 @@ def apply_pattern(system: StiffnessSystem, mesh: Mesh, pattern, ground_node: int
 class ForwardFactorization:
     """Banded Cholesky factorization of a grounded system, reusable across loads.
 
-    The rows and columns are permuted by reverse Cuthill-McKee, and the
+    The rows and columns are permuted into a narrow band, and the
     permuted lower band is factored with LAPACK ``dpbtrf``. While ``S``
     has the pattern of the mesh it was assembled on, the order and the band
-    layout come from the mesh's band plan (0.3 MB at refine 5, computed
-    once per mesh), so a factorization only fills the band (4.4 MB at
-    refine 5) and factors it; any other ``S`` is planned from its own
+    layout come from the mesh's band plan (the front order from a boundary
+    arc, 0.3 MB at refine 5, computed once per mesh), so a factorization
+    only fills the band (82 x 4225, 2.8 MB at refine 5) and factors it;
+    any other ``S`` is planned by reverse Cuthill-McKee from its own
     pattern. The factor is a
     read-only array computed once, so it is safe to share across
     concurrent solves. A dense ``S`` is accepted and converted to CSC.

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError, _frozen
 from .textio import read_lines, records, sections, write_lines
@@ -182,9 +182,13 @@ class Mesh:
     @cached_property
     def _band(self) -> tuple:
         """The band layout of the stiffness pattern of ``_placement``,
-        :func:`_band_plan` of its index arrays."""
+        :func:`_band_plan` of its index arrays with the first fifth of the
+        boundary loop (the nearest whole number of its nodes) as the front
+        the order starts from: on the disk, depth 24/43/82 at refine 3/4/5,
+        against reverse Cuthill-McKee's 34/66/130."""
+        pos, _, _, _, _, loop, _ = self._id_table
         _, _, rows, indptr, _ = self._placement
-        return _band_plan(rows, indptr)
+        return _band_plan(rows, indptr, pos[loop[:(loop.size + 2) // 5]])
 
     @cached_property
     def electrode_map(self) -> dict[int, int]:
@@ -235,17 +239,36 @@ def _triangle_geometry(pts: np.ndarray, scale: float) -> tuple[np.ndarray, np.nd
     return 4.0 * area, b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
 
 
-def _band_plan(indices: np.ndarray, indptr: np.ndarray) -> tuple:
+def _band_plan(indices: np.ndarray, indptr: np.ndarray, front=None) -> tuple:
     """The banded-Cholesky layout of a symmetric CSC pattern, as
     ``(perm, slots, positions, depth)``.
 
     ``perm`` is the reverse Cuthill-McKee order of the pattern (explicit
-    zeros count as entries). Permuted by it, the lower triangle fits in a
-    Fortran-order ``(depth, n)`` LAPACK band: the CSC data at ``slots``
-    lands at the flat ``positions`` of that band."""
+    zeros count as entries), unless ``front`` names rows to start from: then
+    it is the breadth-first order that visits those rows first, in the order
+    given, and level by level the rows they reach, kept only when it visits
+    every row and its band is strictly shallower than reverse Cuthill-McKee's.
+    Permuted by ``perm``, the lower triangle fits in a Fortran-order
+    ``(depth, n)`` LAPACK band: the CSC data at ``slots`` lands at the flat
+    ``positions`` of that band."""
     n = indptr.size - 1
     pattern = csc_array((np.ones(indices.size), indices, indptr), shape=(n, n))
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    plan = _band_of(reverse_cuthill_mckee(pattern, symmetric_mode=True), indices, indptr)
+    if front is not None:
+        # one extra row that links to the front; a symmetric pattern's CSC
+        # arrays are its CSR rows
+        graph = csr_array((np.ones(indices.size + len(front)), np.concatenate((indices, front)),
+                           np.append(indptr, indptr[-1] + len(front))), shape=(n + 1, n + 1))
+        order = breadth_first_order(graph, n, return_predecessors=False)[1:]
+        if order.size == n:
+            fronts = _band_of(order, indices, indptr)
+            plan = fronts if fronts[3] < plan[3] else plan
+    return (*_frozen(*plan[:3]), plan[3])
+
+
+def _band_of(perm: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> tuple:
+    """``(perm, slots, positions, depth)`` of the CSC pattern permuted by ``perm``."""
+    n = perm.size
     inverse = np.empty_like(perm)
     inverse[perm] = np.arange(n)
     rows = inverse[indices]
@@ -254,7 +277,7 @@ def _band_plan(indices: np.ndarray, indptr: np.ndarray) -> tuple:
     offsets = rows[slots] - cols[slots]
     depth = int(offsets.max(initial=0)) + 1
     positions = offsets + cols[slots].astype(np.intp) * depth
-    return (*_frozen(perm, slots, positions), depth)
+    return perm, slots, positions, depth
 
 
 def element_areas(mesh: Mesh) -> np.ndarray:

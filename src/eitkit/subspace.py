@@ -24,6 +24,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,8 +71,8 @@ class ProjectorQ:
     given, even to the constructor directly, is copied, never frozen. An R
     that is not 2-D raises :class:`DimensionError`.
 
-    The dense forms are derived on first access and then cached: ``Q =
-    I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
+    The dense forms are derived on first access and then cached, read-only:
+    ``Q = I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
     factor ``B = I_d (x) R``, (M d) x d**2. Nothing in eitkit reads them;
     :func:`extract_candidates` works from R directly.
     """
@@ -94,11 +95,11 @@ class ProjectorQ:
     @cached_property
     def Q(self) -> np.ndarray:
         block = np.eye(self.channel_count) - self.R @ self.R.T
-        return np.kron(np.eye(self.rank), 0.5 * (block + block.T))
+        return _frozen(np.kron(np.eye(self.rank), 0.5 * (block + block.T)))
 
     @cached_property
     def B(self) -> np.ndarray:
-        return np.kron(np.eye(self.rank), self.R)
+        return _frozen(np.kron(np.eye(self.rank), self.R))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +237,9 @@ def fitting_residual(A: np.ndarray, basis) -> float:
         Where the signal subspace comes from. Ensembles use the raw
         (uncentered) correlation; square matrices are decomposed at
         rank ``A.shape[1]``.
+
+    A residual that is not finite because A or a direct R holds a NaN or
+    an infinity raises :class:`DomainError` naming that input.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -257,7 +261,11 @@ def fitting_residual(A: np.ndarray, basis) -> float:
             R = truncated_svd(arr, d).R
     if R.shape[0] != m:
         raise DimensionError(f"basis has {R.shape[0]} rows, A has {m}")
-    return float(np.linalg.norm(A - R @ (R.T @ A)))
+    residual = float(np.linalg.norm(A - R @ (R.T @ A)))
+    if not math.isfinite(residual):  # checked only here, so a finite fit costs no pass
+        _check_finite("A", A)
+        _check_finite("direct basis R", R)
+    return residual
 
 
 def save_candidates(cset: CandidateSet, path, header_lines: tuple[str, ...] = ()) -> None:

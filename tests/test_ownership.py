@@ -114,6 +114,8 @@ RESULTS = {
     "CandidateSet.eigenvalues (extract_candidates)": lambda tmp: candidates().eigenvalues,
     "CandidateSet.eigenvalues (load_candidates)": lambda tmp: loaded_candidates(tmp).eigenvalues,
     "VoltageSolution.phi": lambda tmp: potentials(),
+    "ProjectorQ.Q": lambda tmp: build_projector(np.eye(3)[:, :1], 1).Q,
+    "ProjectorQ.B": lambda tmp: build_projector(np.eye(3)[:, :1], 1).B,
 }
 
 

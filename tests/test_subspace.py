@@ -380,6 +380,14 @@ CANDIDATE_HEADER = "# M,3\n# d,2\n# eigenvalues,0,0,0,0\n"
 BLOCK = "1,0\n0,1\n0,0\n"
 
 
+def nan_basis():
+    """An orthonormal (4, 2) basis with a NaN at [0, 0], which the
+    orthonormality check does not see: a NaN compares False."""
+    R = np.eye(4)[:, :2].copy()
+    R[0, 0] = np.nan
+    return R
+
+
 def candidate_file(text):
     """A call that writes ``text`` as a candidate file and loads it."""
     def call(tmp):
@@ -403,6 +411,13 @@ REJECTIONS = {
                                        "direct basis R must have orthonormal columns", None),
     "residual-basis-rows": (lambda tmp: fitting_residual(np.ones((4, 2)), np.eye(3)), DimensionError,
                             "basis has 3 rows, A has 4", None),
+    "residual-basis-nan": (lambda tmp: fitting_residual(np.ones((4, 2)), nan_basis()), DomainError,
+                           "direct basis R contains non-finite entries", None),
+    "residual-A-nan": (lambda tmp: fitting_residual(np.full((4, 2), np.nan), np.eye(4)[:, :2]), DomainError,
+                       "A contains non-finite entries", None),
+    "residual-A-nan-on-a-decomposition": (
+        lambda tmp: fitting_residual(np.full((4, 2), np.nan), truncated_svd(np.diag([4.0, 3.0, 2.0, 1.0]), 2)),
+        DomainError, "A contains non-finite entries", None),
     "block-count": (candidate_file(CANDIDATE_HEADER + "\n".join([BLOCK] * 3)), FormatError,
                     "expected 4 candidate blocks, found 3", None),
     "block-shape": (candidate_file(CANDIDATE_HEADER + "\n".join([BLOCK] * 3 + ["1,0\n0,1\n"])), FormatError,
