@@ -20,8 +20,8 @@ class DomainError(EitError, ValueError):
 
 def _check_finite(what: str, values) -> None:
     """Raise :class:`DomainError` "<what> contains non-finite entries" if
-    ``values`` holds a NaN or an infinity. Checked before any SVD, which
-    LAPACK may never finish on an infinite entry."""
+    ``values`` holds a NaN or an infinity. Checked before any SVD or
+    eigendecomposition, which LAPACK may never finish on an infinite entry."""
     if not np.isfinite(values).all():
         raise DomainError(f"{what} contains non-finite entries")
 

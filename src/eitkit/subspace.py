@@ -18,6 +18,14 @@ Every one of those objects follows from R alone, so :class:`ProjectorQ`
 keeps only R: the candidates are built straight from its columns, and the
 dense (Md)**2 Q and (Md) x d**2 B are derived only when a caller asks.
 
+Both dense eigenproblems are no larger than the symmetry requires. A
+symmetric ``Y = V diag(lambda) V^T`` has its SVD already: singular values
+``|lambda|``, right vectors V and left vectors ``V sign(lambda)`` (Golub &
+Van Loan, *Matrix Computations*, 8.6), so one ``eigh`` gives the truncated
+SVD. The d smallest eigenvalues of ``I_M - R R^T`` are ``1 - eig(R^T R)``
+and the other M - d are 1, so the candidate spectrum comes from the d x d
+Gram matrix, not an M x M eigenproblem.
+
 All operations here are pure; the candidate sign is fixed so outputs are
 deterministic.
 """
@@ -133,7 +141,16 @@ def _as_symmetric_matrix(Y) -> np.ndarray:
 
 
 def truncated_svd(Y, d: int) -> SubspaceDecomposition:
-    """Rank-d truncated SVD of a symmetric statistic matrix.
+    """Rank-d truncated SVD of a symmetric statistic matrix, from one
+    symmetric eigendecomposition ``Y = V diag(lambda) V^T``.
+
+    The eigenpairs are ordered by descending ``|lambda|`` (a stable sort, so
+    equal magnitudes keep ``eigh``'s ascending order): ``sigma`` is the
+    leading d of ``|lambda|``, R the leading d eigenvectors, G the rest, and
+    ``U = R sign(lambda)`` with +1 for ``lambda >= 0``. ``eigh`` reads only
+    the lower triangle; the symmetry check holds it to the upper within
+    1e-8 of the largest entry. Every field is a read-only view of one
+    frozen array; U, R and G are Fortran-ordered.
 
     Parameters
     ----------
@@ -149,13 +166,20 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
     if d >= m:
         raise DimensionError(f"rank d must satisfy d < M, got d={d}, M={m}")
 
-    U, s, Vt = _frozen(*np.linalg.svd(Y))
+    w, V = np.linalg.eigh(Y)
+    order = np.argsort(-np.abs(w), kind="stable")
+    # one owner for every vector field: the eigenvectors as rows by descending
+    # |lambda|, then the leading d again, negated where lambda < 0, for U
+    rows = V.T[np.concatenate((order, order[:d]))]
+    rows[m:][w[order[:d]] < 0] *= -1.0
+    s = np.abs(w[order])
+    _frozen(rows, s)
     gap = float(s[d - 1] - s[d])
     return SubspaceDecomposition(
-        U=U[:, :d],
+        U=rows[m:].T,
         sigma=s[:d],
-        R=Vt[:d].T,
-        G=Vt[d:].T,
+        R=rows[:d].T,
+        G=rows[d:m].T,
         ill_conditioned=bool(gap < GAP_FACTOR * s[0]),
     )
 
@@ -193,7 +217,9 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     sign makes the largest-magnitude entry positive, so results are
     deterministic. As ``Q = I_d (x) P`` with ``P = sym(I_M - R R^T)``,
     ``eigenvalues`` and ``null_count`` come from P's spectrum, each value
-    taken d times.
+    taken d times. R R^T shares its nonzero eigenvalues with the d x d
+    ``R^T R``, so P's d smallest are ``1 - eig(R^T R)``, ascending, and its
+    other M - d are 1 and never null: P itself is not formed.
     """
     R = projector.R
     if R.shape != (M, d):
@@ -201,9 +227,8 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
         raise DimensionError(
             f"projector was built for shape {(m * r, r * r)}, not (M d, d^2) = ({M * d}, {d * d})"
         )
-    block = np.eye(M) - R @ R.T
     try:
-        w = np.linalg.eigvalsh(0.5 * (block + block.T))
+        w = 1.0 - np.linalg.eigvalsh(R.T @ R)[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
@@ -215,7 +240,7 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     stack = _frozen((np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]).reshape(d * d, M, d))
     return CandidateSet(
         candidates=tuple(stack),
-        eigenvalues=_frozen(np.repeat(w[:d], d)),
+        eigenvalues=_frozen(np.repeat(w, d)),
         channel_count=M,
         rank=d,
         null_count=d * int(np.count_nonzero(w < 1e-8)),

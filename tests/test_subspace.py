@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import subspace_angles
@@ -37,11 +37,12 @@ def normal_equations_projector(R: np.ndarray, d: int):
 def column_loop_candidates(R: np.ndarray, d: int):
     """Reference: the candidates as the normalized, sign-fixed columns of
     the dense ``B = I_d (x) R``, one column at a time, and the eigenvalues
-    from the leading M x M block of the dense ``Q``."""
+    in closed form: the d smallest of ``I_M - R R^T`` are ``1 - eig(R^T R)``
+    (the other M - d are 1); the dense spectrum is checked against it in
+    :func:`test_closed_form_matches_normal_equations_oracle` and
+    :func:`test_candidate_spectrum_of_a_perturbed_basis_matches_the_block`."""
     m = R.shape[0]
-    block = np.eye(m) - R @ R.T
-    Q = np.kron(np.eye(d), 0.5 * (block + block.T))
-    w = np.linalg.eigvalsh(Q[:m, :m])
+    w = 1.0 - np.linalg.eigvalsh(R.T @ R)[::-1]
     mats = []
     for vec in np.kron(np.eye(d), R).T:
         vec = vec / np.linalg.norm(vec)
@@ -49,7 +50,7 @@ def column_loop_candidates(R: np.ndarray, d: int):
         if vec[peak] < 0:
             vec = -vec
         mats.append(vec.reshape((m, d), order="F"))
-    return mats, np.repeat(w[:d], d), d * int(np.count_nonzero(w < 1e-8))
+    return mats, np.repeat(w, d), d * int(np.count_nonzero(w < 1e-8))
 
 
 def test_truncated_svd_diagonal_input():
@@ -105,6 +106,49 @@ def test_truncated_svd_rank_follows_the_integer_rule():
 def test_truncated_svd_flags_ambiguous_truncation():
     assert truncated_svd(np.diag([2.0, 1.0, 1.0, 0.0]), 2).ill_conditioned
     assert not truncated_svd(np.diag([2.0, 1.0, 1.0, 0.0]), 3).ill_conditioned
+
+
+def symmetric_with_spectrum(kind: str, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A symmetric M x M matrix with a random eigenbasis and a spectrum of
+    the given kind: PSD (a correlation), indefinite, or +-lambda pairs (a
+    cumulant slice), scaled by a random power of ten."""
+    if kind == "psd":
+        lam = rng.uniform(0.0, 1.0, m)
+    elif kind == "indefinite":
+        lam = rng.uniform(-1.0, 1.0, m)
+    else:
+        half = rng.uniform(0.0, 1.0, m // 2)
+        lam = np.concatenate((half, -half, np.zeros(m % 2)))
+    basis = random_orthonormal(m, m, rng)
+    Y = (basis * (lam * 10.0 ** rng.integers(-3, 4))) @ basis.T
+    return 0.5 * (Y + Y.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_truncated_svd_matches_the_general_svd(data):
+    m = data.draw(st.integers(2, 40), label="M")
+    d = data.draw(st.integers(1, m - 1), label="d")
+    kind = data.draw(st.sampled_from(["psd", "indefinite", "pairs"]), label="kind")
+    Y = symmetric_with_spectrum(kind, m, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    dec = truncated_svd(Y, d)
+    U_ref, s_ref, Vt_ref = np.linalg.svd(Y)
+    scale = s_ref[0]
+
+    assert np.all(dec.sigma >= 0) and np.all(np.diff(dec.sigma) <= 0)
+    assert np.max(np.abs(dec.sigma - s_ref[:d])) <= 1e-12 * scale
+    for basis in (dec.U, dec.R, dec.G):
+        assert np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-12
+    assert np.max(np.abs(dec.R.T @ dec.G)) <= 1e-12
+    # U diag(sigma) R^T is a best rank-d approximation (Eckart-Young), with Y R = U diag(sigma)
+    truncation = (dec.U * dec.sigma) @ dec.R.T
+    assert abs(np.linalg.norm(Y - truncation) - np.linalg.norm(s_ref[d:])) <= 1e-12 * scale
+    assert abs(np.linalg.norm(Y - truncation, 2) - s_ref[d]) <= 1e-12 * scale
+    assert np.max(np.abs(Y @ dec.R - dec.U * dec.sigma)) <= 1e-12 * scale
+    if s_ref[d - 1] - s_ref[d] > 1e-6 * scale:  # the split is unique: the SVD's subspace
+        R_ref = Vt_ref[:d].T
+        assert np.linalg.norm(dec.R @ dec.R.T - R_ref @ R_ref.T, 2) <= 1e-8
+        assert np.max(np.abs(truncation - (U_ref[:, :d] * s_ref[:d]) @ Vt_ref[:d])) <= 1e-8 * scale
 
 
 def test_build_projector_canonical_shapes():
@@ -220,6 +264,40 @@ def test_candidates_from_R_match_column_loop(data):
     block = np.eye(m) - R @ R.T
     assert_array_equal(proj.Q, np.kron(np.eye(d), 0.5 * (block + block.T)))
     assert_array_equal(proj.B, np.kron(np.eye(d), R))
+
+
+def block_spectrum(R: np.ndarray) -> np.ndarray:
+    """Oracle: the ascending spectrum of the dense M x M ``sym(I_M - R R^T)``."""
+    block = np.eye(R.shape[0]) - R @ R.T
+    return np.linalg.eigvalsh(0.5 * (block + block.T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_candidate_spectrum_of_a_perturbed_basis_matches_the_block(data):
+    # R off orthonormal by up to 1e-9 an entry, inside build_projector's 1e-8 check
+    m = data.draw(st.integers(1, 40), label="M")
+    d = data.draw(st.integers(1, m), label="d")
+    size = data.draw(st.floats(0.0, 1e-9), label="perturbation")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    R = random_orthonormal(m, d, rng) + rng.uniform(-size, size, (m, d))
+    assume(np.max(np.abs(R.T @ R - np.eye(d))) <= 1e-8)
+    cset = extract_candidates(build_projector(R, d), m, d)
+    w = block_spectrum(R)
+    assert np.max(np.abs(cset.eigenvalues - np.repeat(w[:d], d))) <= 1e-12
+    assert cset.null_count == d * int(np.count_nonzero(w < 1e-8))
+
+
+@pytest.mark.parametrize("m, d", [(2, 2), (6, 3), (40, 5)])
+def test_null_count_of_a_shrunk_basis_matches_the_block(m, d):
+    # R (I - eps J / 2) has Gram entries near -eps, inside build_projector's 1e-8
+    # check, and one projector eigenvalue near d eps, above the 1e-8 null threshold
+    eps = 0.9e-8
+    R = random_orthonormal(m, d, np.random.default_rng(m)) @ (np.eye(d) - 0.5 * eps * np.ones((d, d)))
+    cset = extract_candidates(build_projector(R, d), m, d)
+    w = block_spectrum(R)
+    assert cset.null_count == d * int(np.count_nonzero(w < 1e-8)) == d * (d - 1)
+    assert np.max(np.abs(cset.eigenvalues - np.repeat(w[:d], d))) <= 1e-12
 
 
 def test_projector_builds_dense_forms_only_on_access():
