@@ -460,7 +460,7 @@ def cmd_reconstruct_multifreq(args, resolved: dict, header: tuple[str, ...]) -> 
     config, tissue = load_sweep_config(resolved["sweep"], mesh)
     stacked = simulate_sweep(mesh, tissue, config)
     solve = stack_solve(stacked)
-    recovered = recover_conductivity(solve.S_hat, mesh, solve_residual=solve.residual)
+    recovered = recover_conductivity(solve.S_hat, mesh)
 
     diagnostics = [
         f"matrix_solve_residual = {solve.residual:.17g}",

@@ -7,6 +7,8 @@ context (pivot index, numerical rank, ...) expose it as attributes.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -26,26 +28,31 @@ def _check_finite(what: str, values) -> None:
         raise DomainError(f"{what} contains non-finite entries")
 
 
+_FROZEN = weakref.WeakValueDictionary()  # id -> each live array _frozen froze
+
+
 def _frozen(*arrays):
     """Make each array, one the program made itself, read-only in place
-    together with the ndarray that owns its memory, so that neither can be
-    made writable again, and return it (a tuple for several). The one place
-    eitkit freezes an array; a caller's array goes through :func:`_read_only`."""
+    together with the ndarray that owns its memory, so that no view of it can
+    be made writable again, record both in ``_FROZEN``, and return it (a tuple
+    for several). The one place eitkit freezes an array."""
     for array in arrays:
         for part in (array, array.base):
             if isinstance(part, np.ndarray):
                 part.setflags(write=False)
+                _FROZEN[id(part)] = part
     return arrays[0] if len(arrays) == 1 else arrays
 
 
 def _read_only(values) -> np.ndarray:
     """``values`` as a read-only float array whose memory no writable array
-    holds, the one rule by which every value type owns a caller's array: kept
-    if its memory belongs to a read-only ndarray (itself or the array it views),
-    else a read-only copy in its memory order. The caller's array is never frozen."""
+    holds, the one rule by which every value type owns a given array: kept if
+    its memory belongs to a still read-only ndarray (itself or the array it
+    views) in ``_FROZEN``, else a read-only copy in its memory order. A
+    caller's array, even a read-only one, is copied and never frozen."""
     values = np.asarray(values, dtype=float)
     owner = values.base if isinstance(values.base, np.ndarray) else values
-    if values.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
+    if _FROZEN.get(id(owner)) is not owner or owner.flags.writeable:
         values = _frozen(values.copy(order="K"))
     return values
 

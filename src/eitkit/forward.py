@@ -89,9 +89,6 @@ class ConductivityField:
             )
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def uniform_field(mesh: Mesh, value: float) -> ConductivityField:
     """Conductivity ``value`` S/m on every element of ``mesh``; a value that
@@ -181,10 +178,6 @@ class StiffnessSystem:
     @property
     def grounded(self) -> bool:
         return self.ground_node is not None
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -286,7 +286,8 @@ class StackSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class RecoveredField:
-    """Per-element conductivity estimate with per-stage diagnostics.
+    """Per-element conductivity estimate with the diagnostics of its fit
+    (the stack solve's residual stays in its :class:`StackSolveResult`).
 
     Negative estimates are flagged in ``negative_elements``, never clipped.
     ``sensitivity`` bounds the propagation of matrix error into the field:
@@ -298,7 +299,6 @@ class RecoveredField:
     fit_residual: float
     sensitivity: float
     operator_condition: float
-    solve_residual: float | None = None
 
 
 def _annotated(exc: EitError, where: str) -> EitError:
@@ -501,7 +501,7 @@ def _sparse_lstsq(design, target: np.ndarray):
     return x, lam_min, lam_max
 
 
-def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | None = None) -> RecoveredField:
+def recover_conductivity(S_hat: np.ndarray, mesh: Mesh) -> RecoveredField:
     """Invert the assembly map: ``argmin_sigma |assemble(mesh, sigma) - sym(S_hat)|_F``.
 
     The map is linear in sigma and writes only the nonzeros of S (the
@@ -526,6 +526,7 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
     :class:`DomainError`, and more elements than the n(n+1)/2 independent
     entries raise :class:`IdentifiabilityError` with the excess as the gap;
     the core raises its own for a rank-deficient or ill-conditioned design.
+    The residual of the solve that gave ``S_hat`` stays with the caller.
     """
     S_hat = np.asarray(S_hat, dtype=float)
     n = mesh.n_nodes
@@ -568,7 +569,6 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh, solve_residual: float | 
         fit_residual=float(np.sqrt(off_pattern + misfit @ misfit)),
         sensitivity=float(1.0 / np.sqrt(lam_min)),
         operator_condition=float(np.sqrt(lam_max / lam_min)),
-        solve_residual=solve_residual,
     )
 
 

@@ -118,7 +118,7 @@ class Inclusion:
 @dataclass(frozen=True, eq=False)
 class Phantom:
     """Ground-truth conductivity field with its generating descriptors;
-    ``sigma`` is held read-only, and a writable array given is copied, never frozen."""
+    ``sigma`` is held read-only, and a caller's array given is copied, never frozen."""
 
     mesh: Mesh
     sigma: np.ndarray

@@ -68,17 +68,13 @@ class MeasurementEnsemble:
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """M x M symmetric second-moment matrix (volts squared), held read-only:
-    a writable array given is copied, never frozen (:func:`~eitkit.errors._read_only`)."""
+    a caller's array given is copied, never frozen (:func:`~eitkit.errors._read_only`)."""
 
     matrix: np.ndarray
     centered: bool
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _read_only(self.matrix))
-
-    @property
-    def channel_count(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +84,7 @@ class CumulantMatrixSet:
     ``tensor[i, j, k] = cum(y_j, y_k, y_i)``; the tensor is symmetric in
     all three indices exactly, by construction, since the matrices are
     slices of one symmetric third-order tensor. It is held read-only: a
-    writable array given is copied, never frozen.
+    caller's array given is copied, never frozen.
     """
 
     tensor: np.ndarray

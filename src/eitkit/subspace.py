@@ -15,8 +15,8 @@ non-uniqueness of single-injection subspace inversion; picking one member
 requires outside information.
 
 Every one of those objects follows from R alone, so :class:`ProjectorQ`
-keeps only R: the candidates are built straight from its columns, and the
-dense (Md)**2 Q and (Md) x d**2 B are derived only when a caller asks.
+keeps only R: the candidates are built straight from its columns, B is
+never formed, and the dense (Md)**2 Q is derived only when a caller asks.
 
 Both dense eigenproblems are no larger than the symmetry requires. A
 symmetric ``Y = V diag(lambda) V^T`` has its SVD already: singular values
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _frozen, _read_only
 from .mesh import _is_int
-from .statistics import CorrelationMatrix, MeasurementEnsemble, correlation
+from .statistics import CorrelationMatrix
 from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
 
 ORTHONORMALITY_TOL = 1e-8
@@ -63,26 +63,17 @@ class SubspaceDecomposition:
     G: np.ndarray
     ill_conditioned: bool
 
-    @property
-    def channel_count(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectorQ:
     """Orthogonal projector onto the complement of range(B), held as the
-    M x d orthonormal basis R it is built from, read-only: a writable R
+    M x d orthonormal basis R it is built from, read-only: a caller's R
     given, even to the constructor directly, is copied, never frozen. An R
     that is not 2-D raises :class:`DimensionError`.
 
-    The dense forms are derived on first access and then cached, read-only:
-    ``Q = I_d (x) sym(I_M - R R^T)``, (M d) x (M d), and the Kronecker basis
-    factor ``B = I_d (x) R``, (M d) x d**2. Nothing in eitkit reads them;
-    :func:`extract_candidates` works from R directly.
+    The dense ``Q = I_d (x) sym(I_M - R R^T)``, (M d) x (M d), is derived on
+    first access and then cached, read-only; nothing in eitkit reads it. B
+    is never formed: :func:`extract_candidates` works from R directly.
     """
 
     R: np.ndarray
@@ -104,10 +95,6 @@ class ProjectorQ:
     def Q(self) -> np.ndarray:
         block = np.eye(self.channel_count) - self.R @ self.R.T
         return _frozen(np.kron(np.eye(self.rank), 0.5 * (block + block.T)))
-
-    @cached_property
-    def B(self) -> np.ndarray:
-        return _frozen(np.kron(np.eye(self.rank), self.R))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +174,7 @@ def truncated_svd(Y, d: int) -> SubspaceDecomposition:
 def build_projector(R: np.ndarray, d: int) -> ProjectorQ:
     """Projector onto the complement of the vectorized subspace-consistent
     matrices, ``Q = I_d (x) (I_M - R R^T)`` with ``B = I_d (x) R``, held as
-    R alone (see :class:`ProjectorQ`).
+    R alone (see :class:`ProjectorQ`); neither Q nor B is formed here.
 
     ``R`` must be finite with orthonormal columns (within 1e-8), so
     ``B^T B = I`` and the spectrum of the exactly symmetric Q is
@@ -257,11 +244,9 @@ def fitting_residual(A: np.ndarray, basis) -> float:
     ----------
     A : (M, d) array
         Candidate matrix.
-    basis : SubspaceDecomposition, MeasurementEnsemble, square statistic
-        matrix, or an (M, d) orthonormal matrix R
-        Where the signal subspace comes from. Ensembles use the raw
-        (uncentered) correlation; square matrices are decomposed at
-        rank ``A.shape[1]``.
+    basis : SubspaceDecomposition, or an (M, k) R with orthonormal columns
+        The signal basis, of any column count k. An ensemble's or a raw
+        statistic's is one call away: ``truncated_svd(correlation(ens), d)``.
 
     A residual that is not finite because A or a direct R holds a NaN or
     an infinity raises :class:`DomainError` naming that input.
@@ -269,21 +254,16 @@ def fitting_residual(A: np.ndarray, basis) -> float:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionError(f"A must be an M x d matrix, got shape {A.shape}")
-    m, d = A.shape
+    m = A.shape[0]
 
     if isinstance(basis, SubspaceDecomposition):
         R = basis.R
-    elif isinstance(basis, MeasurementEnsemble):
-        R = truncated_svd(correlation(basis).matrix, d).R
     else:
-        arr = np.asarray(basis, dtype=float)
-        if arr.ndim == 2 and arr.shape == (m, d) and m != d:
-            R = arr
-            gram = R.T @ R
-            if float(np.max(np.abs(gram - np.eye(d)))) > ORTHONORMALITY_TOL:
-                raise DomainError("direct basis R must have orthonormal columns")
-        else:
-            R = truncated_svd(arr, d).R
+        R = np.asarray(basis, dtype=float)
+        if R.ndim != 2:
+            raise DimensionError(f"basis R must be an M x k matrix, got shape {R.shape}")
+        if float(np.max(np.abs(R.T @ R - np.eye(R.shape[1])), initial=0.0)) > ORTHONORMALITY_TOL:
+            raise DomainError("direct basis R must have orthonormal columns")
     if R.shape[0] != m:
         raise DimensionError(f"basis has {R.shape[0]} rows, A has {m}")
     residual = float(np.linalg.norm(A - R @ (R.T @ A)))

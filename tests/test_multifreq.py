@@ -515,9 +515,8 @@ def test_recover_conductivity_localizes_inclusion(disk_r1):
     tissue = TissueModel.dispersionless(phantom.sigma)
     stacked = simulate_sweep(disk_r1, tissue, full_rank_sweep(disk_r1))
     result = stack_solve(stacked)
-    recovered = recover_conductivity(result.S_hat, disk_r1, solve_residual=result.residual)
+    recovered = recover_conductivity(result.S_hat, disk_r1)
     assert int(np.argmax(recovered.sigma)) == target
-    assert recovered.solve_residual == result.residual
 
 
 def test_recover_conductivity_requires_symmetry(disk_r1):
@@ -958,7 +957,7 @@ def test_end_to_end_identity_with_dispersion_diversity():
     stacked = simulate_sweep(mesh, tissue, config)
     assert stacked.sigma_spread > 0.1
     result = stack_solve(stacked)
-    recovered = recover_conductivity(result.S_hat, mesh, solve_residual=result.residual)
+    recovered = recover_conductivity(result.S_hat, mesh)
     table = np.stack([tissue.sigma_at(f) for f in config.frequencies])
     assert np.all(recovered.sigma >= table.min(axis=0) - 0.05)
     assert np.all(recovered.sigma <= table.max(axis=0) + 0.05)
@@ -1675,6 +1674,8 @@ REJECTIONS = {
                     "Phi must be an n x N matrix with n, N >= 1, got shape (0, 0)", None),
     "stack-no-injections": (lambda tmp: StackedSystem(np.ones((3, 0)), np.zeros((3, 0)), ()), DimensionError,
                             "Phi must be an n x N matrix with n, N >= 1, got shape (3, 0)", None),
+    "stack-loads-cancel": (lambda tmp: StackedSystem(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), ()),
+                           CompatibilityError, "a load column sums to 1; columns must cancel", None),
     "tissue-size": (tissue_for_another_mesh, DimensionError, "tissue model covers 3 elements, mesh has 8", None),
     "observed-nodes": (lambda tmp: stack_solve(StackedSystem(np.eye(2), np.zeros((2, 2)), ()), observed_nodes=[0, 2]),
                        DimensionError, "observed node positions must lie in 0..1", None),

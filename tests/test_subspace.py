@@ -154,7 +154,7 @@ def test_truncated_svd_matches_the_general_svd(data):
 def test_build_projector_canonical_shapes():
     R = np.eye(4)[:, :3]
     proj = build_projector(R, 3)
-    assert proj.B.shape == (12, 9)
+    assert np.kron(np.eye(3), proj.R).shape == (12, 9)
     assert proj.Q.shape == (12, 12)
     w = np.sort(np.linalg.eigvalsh(proj.Q))
     assert np.all(np.abs(w[:9]) <= 1e-10)
@@ -171,7 +171,7 @@ def test_projector_annihilates_its_basis():
     rng = np.random.default_rng(2)
     R = random_orthonormal(5, 2, rng)
     proj = build_projector(R, 2)
-    assert np.max(np.abs(proj.Q @ proj.B)) <= 1e-10
+    assert np.max(np.abs(proj.Q @ np.kron(np.eye(2), proj.R))) <= 1e-10
 
 
 def test_build_projector_requires_orthonormal_columns():
@@ -263,7 +263,7 @@ def test_candidates_from_R_match_column_loop(data):
     assert cset.null_count == null_count
     block = np.eye(m) - R @ R.T
     assert_array_equal(proj.Q, np.kron(np.eye(d), 0.5 * (block + block.T)))
-    assert_array_equal(proj.B, np.kron(np.eye(d), R))
+    assert_array_equal(proj.R, R)  # so B = np.kron(np.eye(d), proj.R) is the one the column loop read
 
 
 def block_spectrum(R: np.ndarray) -> np.ndarray:
@@ -304,9 +304,9 @@ def test_projector_builds_dense_forms_only_on_access():
     R = random_orthonormal(6, 2, np.random.default_rng(10))
     proj = build_projector(R, 2)
     extract_candidates(proj, 6, 2)
-    assert "Q" not in vars(proj) and "B" not in vars(proj)
-    assert proj.Q is proj.Q and proj.B is proj.B
-    assert "Q" in vars(proj) and "B" in vars(proj)
+    assert "Q" not in vars(proj)
+    assert proj.Q is proj.Q
+    assert "Q" in vars(proj)
     assert (proj.channel_count, proj.rank) == (6, 2)
     R[0, 0] = 5.0  # the projector keeps its own read-only copy
     assert proj.R[0, 0] != 5.0 and not proj.R.flags.writeable
@@ -384,17 +384,32 @@ def test_fitting_residual_matches_numeric_minimization():
     assert claimed <= best + 1e-12  # closed form is never beaten
 
 
-def test_fitting_residual_accepts_matrix_and_ensemble():
-    rng = np.random.default_rng(7)
-    A_mix = rng.standard_normal((4, 2))
-    x = rng.standard_normal((50, 2))
-    ens = MeasurementEnsemble(x @ A_mix.T)
-    from eitkit import correlation
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fitting_residual_of_a_decomposition_equals_that_of_its_basis(data):
+    m = data.draw(st.integers(2, 40), label="M")
+    d = data.draw(st.integers(1, m - 1), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((m, m))
+    dec = truncated_svd(Y + Y.T, d)
+    A = rng.standard_normal((m, d))
+    assert fitting_residual(A, dec) == fitting_residual(A, dec.R)
 
-    Y = correlation(ens).matrix
-    dec = truncated_svd(Y, 2)
-    for basis in (dec, Y, ens):
-        assert fitting_residual(A_mix, basis) <= 1e-8 * np.linalg.norm(Y)
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fitting_residual_of_a_direct_basis_of_any_width(data):
+    m = data.draw(st.integers(1, 40), label="M")
+    k = data.draw(st.integers(0, m), label="k")
+    d = data.draw(st.integers(1, 8), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    R, complement = basis[:, :k], basis[:, k:]
+    A = rng.standard_normal((m, d))
+    # |A - R R^T A|_F is the norm of A's part in the complement: |A|_F for
+    # k = 0, and 0 for k = M, where a square orthonormal R is a basis, not a statistic
+    oracle = np.linalg.norm(complement.T @ A)
+    assert abs(fitting_residual(A, R) - oracle) <= 1e-12 * np.linalg.norm(A)
 
 
 def test_noise_free_statistic_annihilated_by_complement():
@@ -485,6 +500,8 @@ REJECTIONS = {
                             "R must be an M x d matrix, got shape (3,)", None),
     "residual-1d": (lambda tmp: fitting_residual(np.ones(3), np.eye(3)), DimensionError,
                     "A must be an M x d matrix, got shape (3,)", None),
+    "residual-basis-1d": (lambda tmp: fitting_residual(np.ones((4, 2)), np.ones(4)), DimensionError,
+                          "basis R must be an M x k matrix, got shape (4,)", None),
     "residual-basis-not-orthonormal": (lambda tmp: fitting_residual(np.ones((4, 2)), np.ones((4, 2))), DomainError,
                                        "direct basis R must have orthonormal columns", None),
     "residual-basis-rows": (lambda tmp: fitting_residual(np.ones((4, 2)), np.eye(3)), DimensionError,
