@@ -49,12 +49,19 @@ def _read_only(values) -> np.ndarray:
     holds, the one rule by which every value type owns a given array: kept if
     its memory belongs to a still read-only ndarray (itself or the array it
     views) in ``_FROZEN``, else a read-only copy in its memory order. A
-    caller's array, even a read-only one, is copied and never frozen."""
-    values = np.asarray(values, dtype=float)
-    owner = values.base if isinstance(values.base, np.ndarray) else values
+    caller's array, even a read-only one, is copied and never frozen. When
+    the conversion to float already made a new array of its own (from a
+    list, or an array of another dtype), that array is frozen, not copied
+    again; one handed out by a caller's ``__array__`` is still copied."""
+    array = np.asarray(values, dtype=float)
+    if array.base is None and array is not values and (
+        isinstance(values, np.ndarray) or not hasattr(values, "__array__")
+    ):
+        return _frozen(array)
+    owner = array.base if isinstance(array.base, np.ndarray) else array
     if _FROZEN.get(id(owner)) is not owner or owner.flags.writeable:
-        values = _frozen(values.copy(order="K"))
-    return values
+        array = _frozen(array.copy(order="K"))
+    return array
 
 
 class DimensionError(EitError, ValueError):

@@ -128,7 +128,9 @@ def _current_fault(table: np.ndarray):
     table = np.asfortranarray(table)
     finite = np.isfinite(table).all(axis=0)
     nonzero = np.count_nonzero(table, axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf: such a column fails as not finite
+    # inf - inf: such a column fails as not finite; a finite column whose
+    # sum overflows fails the zero-sum check with an infinite total
+    with np.errstate(invalid="ignore", over="ignore"):
         totals = table.sum(axis=0)
     failed = ~finite | (nonzero < 2) | (np.abs(totals) > ZERO_SUM_TOL)
     if not failed.any():

@@ -260,7 +260,8 @@ class StackedSystem:
             )
         _check_finite("Phi", self.Phi)
         _check_finite("F", self.F)  # a NaN column sum would pass the check below
-        colsums = np.abs(self.F.sum(axis=0))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails
+            colsums = np.abs(self.F.sum(axis=0))
         if colsums.size and float(colsums.max()) > ZERO_SUM_TOL:
             raise CompatibilityError(
                 f"a load column sums to {float(colsums.max()):g}; columns must cancel"

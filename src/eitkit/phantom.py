@@ -22,10 +22,11 @@ from .errors import (
     FormatError,
     SampleSizeError,
     _check_finite,
+    _frozen,
     _read_only,
 )
 from .mesh import Mesh, _is_int
-from .statistics import MeasurementEnsemble
+from .statistics import MeasurementEnsemble, _block_rows
 from .textio import _at_line, convert, key_value, put_once, read_lines, sections, write_lines
 
 SOURCE_STREAM = 0
@@ -136,32 +137,37 @@ def _stream(seed, index: int) -> np.random.Generator:
 
 def _draw_sources(spec: SourceSpec, T: int, rng: np.random.Generator) -> np.ndarray:
     if spec.distribution == "symmetric-binary":
-        signs = rng.integers(0, 2, size=(T, spec.d)) * 2 - 1
-        return np.sqrt(spec.variance) * signs.astype(float)
+        signs = rng.integers(0, 2, size=(T, spec.d))
+        signs *= 2
+        signs -= 1
+        return np.multiply(signs, np.sqrt(spec.variance), dtype=float)
     # centered gamma: var = k theta^2, third central moment = 2 k theta^3
     theta = abs(spec.third_moment) / (2.0 * spec.variance)
     k = spec.variance / theta**2
-    x = rng.gamma(shape=k, scale=theta, size=(T, spec.d)) - k * theta
+    x = rng.gamma(shape=k, scale=theta, size=(T, spec.d))
+    x -= k * theta
     if spec.third_moment < 0:
-        x = -x
+        np.negative(x, out=x)
     return x
 
 
 def _draw_noise(spec: NoiseSpec, T: int, channels: int, rng: np.random.Generator) -> np.ndarray:
-    """(T, channels) samples; colored noise runs ``n_t = a n_{t-1} + w_t``
-    over time from the stationary draw ``n_0``, all channels at once."""
+    """(T, channels) samples in one new array, the only (T, channels) array
+    made; colored noise runs ``n_t = a n_{t-1} + w_t`` over time from the
+    stationary draw ``n_0``, all channels at once, in place over the rows of
+    the drive ``w``."""
     if spec.std == 0.0:
         return np.zeros((T, channels))
     if spec.kind == "white":
         return rng.normal(0.0, spec.std, size=(T, channels))
     a = spec.coefficients[0]
-    drive_std = spec.std * np.sqrt(1.0 - a * a)
-    w = rng.normal(0.0, drive_std, size=(T, channels))
+    out = rng.normal(0.0, spec.std * np.sqrt(1.0 - a * a), size=(T, channels))
     n0 = rng.normal(0.0, spec.std, size=channels)
-    out = np.empty((T, channels))
-    prev = n0
-    for t in range(T):
-        prev = out[t] = a * prev + w[t]
+    prev = out[0]
+    prev += a * n0
+    for row in out[1:]:
+        row += a * prev
+        prev = row
     return out
 
 
@@ -173,6 +179,13 @@ def generate_ensemble(
     The mixing matrix must have linearly independent columns; passing a
     rank-deficient A raises :class:`AssumptionViolationError`. With
     ``noise.std == 0`` every sample lies exactly in the column span of A.
+
+    The noise is drawn into the one T x M buffer that the ensemble keeps
+    uncopied, and ``x @ A.T`` is added into it a block of at most
+    ``_BLOCK_BYTES`` of rows at a time. Beyond the ``8 T M`` bytes returned,
+    the peak is the ``8 T d`` bytes of sources (``16 T d`` while binary
+    signs are drawn, before the buffer exists), one block, and the ``T M``
+    booleans of the ensemble's finiteness check.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -191,8 +204,11 @@ def generate_ensemble(
         raise SampleSizeError(f"sample count T must be >= 2, got {T!r}")
 
     x = _draw_sources(source, T, _stream(seed, SOURCE_STREAM))
-    n = _draw_noise(noise, T, m, _stream(seed, NOISE_STREAM))
-    return MeasurementEnsemble(x @ A.T + n)
+    y = _draw_noise(noise, T, m, _stream(seed, NOISE_STREAM))
+    rows = _block_rows(m)
+    for start in range(0, T, rows):
+        y[start : start + rows] += x[start : start + rows] @ A.T
+    return MeasurementEnsemble(_frozen(y))
 
 
 def generate_noise_ensemble(channels: int, noise: NoiseSpec, T: int, seed: int) -> MeasurementEnsemble:
@@ -203,8 +219,7 @@ def generate_noise_ensemble(channels: int, noise: NoiseSpec, T: int, seed: int) 
         raise DimensionError("need at least one channel")
     if not (_is_int(T) and T >= 2):
         raise SampleSizeError(f"sample count T must be >= 2, got {T!r}")
-    n = _draw_noise(noise, T, channels, _stream(seed, NOISE_STREAM))
-    return MeasurementEnsemble(n)
+    return MeasurementEnsemble(_frozen(_draw_noise(noise, T, channels, _stream(seed, NOISE_STREAM))))
 
 
 def make_demo_fixture():
@@ -244,7 +259,7 @@ def make_demo_fixture():
     def generator(repeats: int = 1) -> MeasurementEnsemble:
         if not (_is_int(repeats) and repeats >= 1):
             raise DomainError(f"repeats must be a positive integer, got {repeats!r}")
-        return MeasurementEnsemble(np.tile(samples, (repeats, 1)))
+        return MeasurementEnsemble(_frozen(np.tile(samples, (repeats, 1))))
 
     return A, generator
 

@@ -29,14 +29,27 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, SampleSizeError, _check_finite, _read_only
+from .errors import (
+    DimensionError,
+    DomainError,
+    FormatError,
+    SampleSizeError,
+    _check_finite,
+    _frozen,
+    _read_only,
+)
 from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
-# bytes of one block of rows of z: _third_moment_sum sums its GEMMs over
-# blocks of at most this size, so each block and each product temporary
-# stays in a core's L2 cache
+# bytes of one block of rows: _third_moment_sum sums its GEMMs over blocks
+# of at most this size, so each block and each product temporary stays in a
+# core's L2 cache, and generate_ensemble mixes its sources in such blocks
 _BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(m: int) -> int:
+    """Rows of an ``(rows, m)`` float block of at most ``_BLOCK_BYTES`` (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +152,9 @@ def _second_moment_sum(z: np.ndarray) -> np.ndarray:
     return _fill_symmetric(z.T @ z)
 
 
-def _third_moment_sum(z: np.ndarray) -> np.ndarray:
-    """Raw sums ``sum_t z_i z_j z_k`` as an exactly symmetric (M, M, M)
-    tensor.
+def _third_moment_sum(samples: np.ndarray, mean=0.0) -> np.ndarray:
+    """Sums ``sum_t z_i z_j z_k`` of ``z = samples - mean`` as an exactly
+    symmetric (M, M, M) tensor; ``mean`` is 0 for raw sums.
 
     Only the sorted entries ``i <= j <= k`` that :func:`_fill_symmetric`
     reads are computed, by one GEMM per middle index j:
@@ -150,15 +163,16 @@ def _third_moment_sum(z: np.ndarray) -> np.ndarray:
     a sixth of the full tensor's ``2 T M^3``. The sums run over blocks of
     at most ``_BLOCK_BYTES`` of rows, each added into a zeroed ``out``:
     a GEMM over all T rows would stream its product temporary (up to
-    ``8 T M`` bytes) from memory and run memory-bound. A Fortran-ordered
-    ``z`` makes every column slice of a block a view that BLAS reads as it
-    is, so no GEMM operand is copied."""
-    z = np.asfortranarray(z)
-    t, m = z.shape
-    rows = max(1, _BLOCK_BYTES // (8 * m))
+    ``8 T M`` bytes) from memory and run memory-bound. Each block is
+    centered into a Fortran-ordered copy of its own, which makes every
+    column slice of it a view that BLAS reads as it is, so no GEMM operand
+    is copied, and the memory used beyond ``samples`` and the result is
+    two blocks whatever T is."""
+    t, m = samples.shape
+    rows = _block_rows(m)
     out = np.zeros((m, m, m))
     for start in range(0, t, rows):
-        block = z[start : start + rows]
+        block = np.subtract(samples[start : start + rows], mean, order="F")
         for j in range(m):
             out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
     return _fill_symmetric(out)
@@ -185,8 +199,8 @@ def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:
     """
     if ensemble.sample_count < 3:
         raise SampleSizeError("third cumulants need at least 3 samples")
-    z = np.subtract(ensemble.samples, ensemble.samples.mean(axis=0), order="F")
-    return CumulantMatrixSet(tensor=_third_moment_sum(z) / z.shape[0])
+    samples = ensemble.samples
+    return CumulantMatrixSet(tensor=_third_moment_sum(samples, samples.mean(axis=0)) / samples.shape[0])
 
 
 class MomentAccumulator:
@@ -268,7 +282,8 @@ def save_ensemble(ensemble: MeasurementEnsemble, path, header_lines: tuple[str, 
 
 
 def load_ensemble(path) -> MeasurementEnsemble:
-    """Read an ensemble CSV written by :func:`save_ensemble`."""
+    """Read an ensemble CSV written by :func:`save_ensemble`; the ensemble
+    keeps the parsed array uncopied."""
     lines = data_lines(read_lines(path))
     if not lines:
         raise FormatError("ensemble file has no header row")
@@ -284,4 +299,4 @@ def load_ensemble(path) -> MeasurementEnsemble:
     samples = float_rows(rows)  # holds every later row to the first row's width
     if len(samples) < 2:
         raise SampleSizeError(f"ensemble file holds {len(samples)} samples, need at least 2")
-    return MeasurementEnsemble(samples)
+    return MeasurementEnsemble(_frozen(samples))

@@ -207,6 +207,11 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     taken d times. R R^T shares its nonzero eigenvalues with the d x d
     ``R^T R``, so P's d smallest are ``1 - eig(R^T R)``, ascending, and its
     other M - d are 1 and never null: P itself is not formed.
+
+    Every column of candidate ``(b, a)`` but column b is ``0 * R[:, a]``, so
+    the d candidates of one a are M x d windows, at offsets ``d - 1 - b``,
+    of one M x (2d - 1) array whose middle column is ``R[:, a]``: the set
+    holds ``8 M d (2d - 1)`` bytes, not the ``8 M d^3`` of a dense stack.
     """
     R = projector.R
     if R.shape != (M, d):
@@ -222,11 +227,10 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     columns = R / np.linalg.norm(R, axis=0)
     flip = columns[np.argmax(np.abs(columns), axis=0), np.arange(d)] < 0
     columns = np.where(flip, -columns, columns)
-    # [b, a] holds column a in column b; like B's entries, each zero is
-    # 0 * R[i, a] and keeps that entry's sign
-    stack = _frozen((np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]).reshape(d * d, M, d))
+    # like B's entries, each zero is 0 * R[i, a] and keeps that entry's sign
+    windows = _frozen(np.eye(1, 2 * d - 1, d - 1) * columns.T[:, :, None])
     return CandidateSet(
-        candidates=tuple(stack),
+        candidates=tuple(windows[a, :, d - 1 - b : 2 * d - 1 - b] for b in range(d) for a in range(d)),
         eigenvalues=_frozen(np.repeat(w, d)),
         channel_count=M,
         rank=d,
@@ -234,6 +238,10 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
     )
 
 
+# a non-finite A or R makes inf * 0 or inf - inf: the NaN that results is
+# named below, with no RuntimeWarning first; as a decorator, errstate costs
+# half what a with-block does on each of the many calls per fit
+@np.errstate(invalid="ignore")
 def fitting_residual(A: np.ndarray, basis) -> float:
     """Distance of A from the signal subspace: ``min_C |A - R C|_F``.
 

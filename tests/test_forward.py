@@ -932,6 +932,9 @@ REJECTIONS = {
     "triangle-shape": (lambda mesh: element_stiffness(np.zeros((2, 2)), 1.0), DimensionError,
                        "expected three 2-d vertices, got shape (2, 2)"),
     "system-size": (wrong_size_system, DimensionError, "system size (9, 9) does not match mesh node count 25"),
+    # finite currents whose sum overflows: an infinite total, with no RuntimeWarning
+    "pattern-sum-overflows": (lambda mesh: CurrentPattern({0: 1e308, 1: 1e308, 2: -1e308}), CompatibilityError,
+                              "injected currents must sum to zero within 1e-12; got inf"),
 }
 
 

@@ -1676,6 +1676,9 @@ REJECTIONS = {
                             "Phi must be an n x N matrix with n, N >= 1, got shape (3, 0)", None),
     "stack-loads-cancel": (lambda tmp: StackedSystem(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), ()),
                            CompatibilityError, "a load column sums to 1; columns must cancel", None),
+    # finite loads whose column sum overflows: an infinite sum, with no RuntimeWarning
+    "stack-load-sum-overflows": (read_file("1e308\n1e308\n", lambda path: load_stacked_system(path, path)),
+                                 CompatibilityError, "a load column sums to inf; columns must cancel", None),
     "tissue-size": (tissue_for_another_mesh, DimensionError, "tissue model covers 3 elements, mesh has 8", None),
     "observed-nodes": (lambda tmp: stack_solve(StackedSystem(np.eye(2), np.zeros((2, 2)), ()), observed_nodes=[0, 2]),
                        DimensionError, "observed node positions must lie in 0..1", None),

@@ -32,6 +32,7 @@ from eitkit import (
     truncated_svd,
     uniform_field,
 )
+from eitkit.errors import _read_only
 
 MESH = build_disk_mesh(1.0, 0)
 TISSUE = {"sigma0": np.full(3, 2.0), "sigma_inf": np.ones(3), "tau": np.full(3, 1e-4)}
@@ -80,6 +81,36 @@ def test_value_types_own_their_arrays_by_one_rule(field, given):
     memory.fill(-1.0)  # a later write to the caller's array, or through its base
     assert_array_equal(stored, template)
 
+
+def test_an_array_the_float_conversion_made_is_frozen_not_copied_again():
+    import tracemalloc
+
+    ints = np.arange(10**6)
+    tracemalloc.start()
+    try:
+        stored = _read_only(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * stored.nbytes, peak / stored.nbytes  # a second copy made it 2
+    assert not stored.flags.writeable
+    assert ints.flags.writeable
+    assert_array_equal(stored, ints)
+
+
+def test_an_array_a_caller_hands_out_through_its_array_method_is_copied():
+    class Holder:  # hands out its own float array
+        def __init__(self):
+            self.values = np.ones(3)
+
+        def __array__(self, dtype=None, copy=None):
+            return self.values
+
+    holder = Holder()
+    stored = _read_only(holder)
+    assert holder.values.flags.writeable  # never frozen
+    assert not np.shares_memory(stored, holder.values)
+    assert not stored.flags.writeable
 
 
 Y = np.diag([9.0, 4.0, 1.0, 0.0])

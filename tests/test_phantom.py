@@ -22,7 +22,8 @@ from eitkit import (
     save_phantom_spec,
     third_cumulants,
 )
-from eitkit.phantom import NOISE_STREAM, _draw_noise, _stream
+from eitkit.phantom import NOISE_STREAM, SOURCE_STREAM, _draw_noise, _draw_sources, _stream
+from eitkit.statistics import _block_rows
 
 WHITE = NoiseSpec("white", 0.0)
 
@@ -166,6 +167,93 @@ def test_colored_noise_equals_lfilter_bitwise(a, std, T, channels, seed):
     source = SourceSpec(1, "skewed")
     signal = generate_ensemble(A, source, WHITE, T, seed).samples
     assert_array_equal(generate_ensemble(A, source, noise, T, seed).samples, signal + expected)
+
+
+def whole_array_sources(spec, T, rng):
+    """The sources as they were drawn before the draw ran in place."""
+    if spec.distribution == "symmetric-binary":
+        signs = rng.integers(0, 2, size=(T, spec.d)) * 2 - 1
+        return np.sqrt(spec.variance) * signs.astype(float)
+    theta = abs(spec.third_moment) / (2.0 * spec.variance)
+    k = spec.variance / theta**2
+    x = rng.gamma(shape=k, scale=theta, size=(T, spec.d)) - k * theta
+    return -x if spec.third_moment < 0 else x
+
+
+def step_loop_noise(spec, T, channels, rng):
+    """The noise as it was drawn before the colored recursion ran in place
+    over its drive: a separate drive array and an output written a step at
+    a time."""
+    if spec.std == 0.0:
+        return np.zeros((T, channels))
+    if spec.kind == "white":
+        return rng.normal(0.0, spec.std, size=(T, channels))
+    a = spec.coefficients[0]
+    w = rng.normal(0.0, spec.std * np.sqrt(1.0 - a * a), size=(T, channels))
+    n0 = rng.normal(0.0, spec.std, size=channels)
+    out = np.empty((T, channels))
+    prev = n0
+    for t in range(T):
+        prev = out[t] = a * prev + w[t]
+    return out
+
+
+NOISES = [NoiseSpec("white", 0.3), NoiseSpec("colored", 0.3, (0.6,)), NoiseSpec("colored", 2.0, (-0.9,)), WHITE]
+SOURCES = [SourceSpec(1, "symmetric-binary", variance=2.5), SourceSpec(1, "skewed"),
+           SourceSpec(1, "skewed", variance=0.5, third_moment=-3.0)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(16, 40),
+    length=st.sampled_from(["below one block", "whole blocks", "ragged tail"]),
+    blocks=st.integers(1, 2),
+    d=st.integers(1, 8),
+    source=st.sampled_from(SOURCES),
+    noise=st.sampled_from(NOISES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ensemble_matches_the_whole_array_formulas(m, length, blocks, d, source, noise, seed):
+    rng = np.random.default_rng(seed)
+    rows = _block_rows(m)  # rows of x @ A.T mixed in at a time
+    part = int(rng.integers(2, rows))
+    T = {"below one block": part, "whole blocks": blocks * rows, "ragged tail": blocks * rows + part}[length]
+    A = rng.standard_normal((m, d))
+    source = SourceSpec(d, source.distribution, source.variance, source.third_moment)
+    x = whole_array_sources(source, T, _stream(seed, SOURCE_STREAM))
+    n = step_loop_noise(noise, T, m, _stream(seed, NOISE_STREAM))
+    assert_array_equal(_draw_sources(source, T, _stream(seed, SOURCE_STREAM)), x)
+    assert_array_equal(_draw_noise(noise, T, m, _stream(seed, NOISE_STREAM)), n)
+    expected = x @ A.T + n
+    samples = generate_ensemble(A, source, noise, T, seed).samples
+    # BLAS may round a block of rows of x @ A.T differently from the whole
+    # product: each is a d-term dot product within d eps of the exact one,
+    # and adding the noise rounds once more
+    eps = np.finfo(float).eps
+    bound = 2 * (d + 1) * eps * (np.abs(x) @ np.abs(A).T + np.abs(n))
+    assert np.all(np.abs(samples - expected) <= bound)
+    assert_array_equal(generate_noise_ensemble(m, noise, T, seed).samples, n)
+
+
+@pytest.mark.parametrize(
+    "distribution, noise",
+    [("symmetric-binary", NoiseSpec("white", 0.3)), ("skewed", NoiseSpec("white", 0.3)),
+     ("skewed", NoiseSpec("colored", 0.3, (0.6,)))],
+)
+def test_generate_ensemble_peak_memory(distribution, noise):
+    import tracemalloc
+
+    A = np.random.default_rng(2).standard_normal((32, 8))
+    tracemalloc.start()
+    try:
+        samples = generate_ensemble(A, SourceSpec(8, distribution), noise, 100_000, 5).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the T x M buffer the ensemble keeps, the T x d sources, one block of
+    # mixed rows and the finiteness check's booleans: 1.375 x here; the
+    # whole-array sum x @ A.T + n peaked at 3.375 x
+    assert peak <= 1.5 * samples.nbytes, peak / samples.nbytes
 
 
 def test_noise_spec_validation():

@@ -224,6 +224,64 @@ def test_row_blocked_kernel_matches_the_per_slice_kernel_on_noisy_data(t, m, ske
     assert_allclose(new, old, rtol=0, atol=1e-12 * np.abs(old).max())
 
 
+def whole_copy_third_moment_sum(z: np.ndarray) -> np.ndarray:
+    """``_third_moment_sum`` as it was before it formed each row block
+    itself: one Fortran-ordered copy of all of z, then the same GEMMs per
+    middle index over row-block views of that copy."""
+    z = np.asfortranarray(z)
+    t, m = z.shape
+    rows = kernel_rows(m)
+    out = np.zeros((m, m, m))
+    for start in range(0, t, rows):
+        block = z[start : start + rows]
+        for j in range(m):
+            out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
+    return _fill_symmetric(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    length=st.sampled_from(["below one block", "whole blocks", "ragged tail"]),
+    blocks=st.integers(1, 2),
+    layout=st.sampled_from(["C", "F", "rows[::2]", "cols[::-1]"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_centered_one_at_a_time_match_the_whole_copy_bitwise(m, length, blocks, layout, seed):
+    rng = np.random.default_rng(seed)
+    rows = kernel_rows(m)
+    part = int(rng.integers(3, rows))
+    t = {"below one block": part, "whole blocks": blocks * rows, "ragged tail": blocks * rows + part}[length]
+    samples = layouts(rng.exponential(size=(2 * t, m)) + rng.uniform(-5.0, 5.0, size=m))[layout]
+    mean = samples.mean(axis=0)
+    # the same products in the same order: equal bits, not a tolerance
+    expect = whole_copy_third_moment_sum(np.subtract(samples, mean, order="F")) / t
+    assert_array_equal(third_cumulants(MeasurementEnsemble(samples)).tensor, expect)
+    raw = whole_copy_third_moment_sum(samples)
+    assert_array_equal(_third_moment_sum(samples), raw)
+    assert_array_equal(MomentAccumulator(m).update(samples).s3, raw)
+
+
+def test_third_moments_need_no_copy_of_the_samples():
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    ensemble = MeasurementEnsemble(rng.exponential(size=(100_000, 32)))
+    for name, call in {
+        "third_cumulants": lambda: third_cumulants(ensemble),
+        "update": lambda: MomentAccumulator(32).update(ensemble.samples),
+    }.items():
+        tracemalloc.start()
+        try:
+            call()
+            extra = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two blocks of rows and the tensor (2.3 MiB), or the finiteness
+        # check's T x M booleans (3.1 MiB); a whole centered copy was 24.4 MiB
+        assert extra <= 4 * 2**20, (name, extra / 2**20)
+
+
 @pytest.mark.parametrize("ndim", [2, 3])
 @pytest.mark.parametrize("m", [1, 2, 5, 32])
 def test_fill_symmetric_reads_only_the_sorted_index(ndim, m):

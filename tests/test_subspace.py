@@ -53,6 +53,16 @@ def column_loop_candidates(R: np.ndarray, d: int):
     return mats, np.repeat(w, d), d * int(np.count_nonzero(w < 1e-8))
 
 
+def dense_stack_candidates(R: np.ndarray, d: int) -> np.ndarray:
+    """Reference: the candidates as one dense (d**2, M, d) stack, the way
+    ``extract_candidates`` built them before they were windows of one
+    (d, M, 2d - 1) array."""
+    columns = R / np.linalg.norm(R, axis=0)
+    flip = columns[np.argmax(np.abs(columns), axis=0), np.arange(d)] < 0
+    columns = np.where(flip, -columns, columns)
+    return (np.eye(d)[:, None, None, :] * columns.T[None, :, :, None]).reshape(d * d, R.shape[0], d)
+
+
 def test_truncated_svd_diagonal_input():
     dec = truncated_svd(np.diag([3.0, 2.0, 1.0, 0.0]), 3)
     assert_allclose(dec.sigma, [3.0, 2.0, 1.0])
@@ -255,15 +265,33 @@ def test_candidates_from_R_match_column_loop(data):
     proj = build_projector(R, d)
     cset = extract_candidates(proj, m, d)
     assert len(cset.candidates) == d * d
-    for got, want in zip(cset.candidates, mats):
+    for got, want, dense in zip(cset.candidates, mats, dense_stack_candidates(R, d)):
         assert got.shape == (m, d) and not got.flags.writeable
         assert np.max(np.abs(got - want)) <= 1e-15
         assert_array_equal(np.signbit(got), np.signbit(want))
+        assert_array_equal(got, dense)  # the same products: equal bits, zeros' signs included
+        assert_array_equal(np.signbit(got), np.signbit(dense))
     assert_array_equal(cset.eigenvalues, eigenvalues)
     assert cset.null_count == null_count
     block = np.eye(m) - R @ R.T
     assert_array_equal(proj.Q, np.kron(np.eye(d), 0.5 * (block + block.T)))
     assert_array_equal(proj.R, R)  # so B = np.kron(np.eye(d), proj.R) is the one the column loop read
+
+
+def test_candidate_set_holds_one_window_array_not_a_dense_stack():
+    import tracemalloc
+
+    m, d = 128, 16
+    proj = build_projector(random_orthonormal(m, d, np.random.default_rng(9)), d)
+    tracemalloc.start()
+    try:
+        cset = extract_candidates(proj, m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    windows = 8 * m * d * (2 * d - 1)  # 508 KB; the dense stack was 8 m d**3, 4 MiB
+    assert {mat.base.nbytes for mat in cset.candidates} == {windows}
+    assert peak <= 1.5 * windows, peak / windows
 
 
 def block_spectrum(R: np.ndarray) -> np.ndarray:
@@ -473,11 +501,12 @@ CANDIDATE_HEADER = "# M,3\n# d,2\n# eigenvalues,0,0,0,0\n"
 BLOCK = "1,0\n0,1\n0,0\n"
 
 
-def nan_basis():
+def nan_basis(value=np.nan):
     """An orthonormal (4, 2) basis with a NaN at [0, 0], which the
-    orthonormality check does not see: a NaN compares False."""
+    orthonormality check does not see: a NaN compares False. An infinity
+    there makes ``inf * 0``, a NaN in ``R^T R``, so it is not seen either."""
     R = np.eye(4)[:, :2].copy()
-    R[0, 0] = np.nan
+    R[0, 0] = value
     return R
 
 
@@ -508,10 +537,16 @@ REJECTIONS = {
                             "basis has 3 rows, A has 4", None),
     "residual-basis-nan": (lambda tmp: fitting_residual(np.ones((4, 2)), nan_basis()), DomainError,
                            "direct basis R contains non-finite entries", None),
+    "residual-basis-inf": (lambda tmp: fitting_residual(np.ones((4, 2)), nan_basis(np.inf)), DomainError,
+                           "direct basis R contains non-finite entries", None),
     "residual-A-nan": (lambda tmp: fitting_residual(np.full((4, 2), np.nan), np.eye(4)[:, :2]), DomainError,
                        "A contains non-finite entries", None),
     "residual-A-nan-on-a-decomposition": (
         lambda tmp: fitting_residual(np.full((4, 2), np.nan), truncated_svd(np.diag([4.0, 3.0, 2.0, 1.0]), 2)),
+        DomainError, "A contains non-finite entries", None),
+    # inf * 0 in the projection: the DomainError comes with no RuntimeWarning
+    "residual-A-inf-on-a-decomposition": (
+        lambda tmp: fitting_residual(np.full((4, 2), np.inf), truncated_svd(np.diag([4.0, 3.0, 2.0, 1.0]), 2)),
         DomainError, "A contains non-finite entries", None),
     "block-count": (candidate_file(CANDIDATE_HEADER + "\n".join([BLOCK] * 3)), FormatError,
                     "expected 4 candidate blocks, found 3", None),
