@@ -12,11 +12,15 @@ independently (possibly concurrently) and merged, with the merged result
 matching a single pass over the concatenated data.
 
 Both moments are GEMMs. Third moments take one GEMM per middle index j
-over row blocks of at most ``_BLOCK_BYTES``, which computes only the
-sorted entries ``i <= j <= k`` (``T M (M + 1) (M + 2) / 3`` flops, a sixth
-of the full tensor's ``2 T M^3``) with every operand and temporary small
-enough to stay in cache. Every entry is then read from its sorted index,
-so both statistics are exactly symmetric.
+over row blocks, which computes only the sorted entries ``i <= j <= k``
+(``T M (M + 1) (M + 2) / 3`` flops, a sixth of the full tensor's
+``2 T M^3``); each GEMM scales its narrower operand by ``z_j``, and the
+block and its products share one reused array of at most
+``_BLOCK_BYTES``, small enough to stay in cache. Centered second moments
+are also summed per row block, so neither statistic copies its whole
+input. Every entry is then read from its sorted index, gathered through
+a flat index made once per shape, so both statistics are exactly
+symmetric.
 
 Ensemble file format (the shared text rules are in :mod:`eitkit.textio`):
 CSV, one time sample per row, header ``y0..y{M-1}``.
@@ -25,7 +29,7 @@ CSV, one time sample per row, header ``y0..y{M-1}``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -42,8 +46,9 @@ from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
 
 # bytes of one block of rows: _third_moment_sum sums its GEMMs over blocks
-# of at most this size, so each block and each product temporary stays in a
-# core's L2 cache, and generate_ensemble mixes its sources in such blocks
+# whose rows and products together take at most this size, so they stay in
+# a core's L2 cache; centered correlation and generate_ensemble work in
+# blocks of rows of this size
 _BLOCK_BYTES = 1 << 20
 
 
@@ -130,21 +135,35 @@ class CumulantMatrixSet:
         return np.tensordot(w, self.tensor, axes=(0, 0))
 
 
+@lru_cache(maxsize=4)
+def _sorted_flat_index(shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only flat index, into an array of the square 2-D or cubic 3-D
+    ``shape``, of each entry's sorted index: ``lo`` and ``hi`` are the
+    elementwise min and max of the index and, in 3-D,
+    ``mid = i + j + k - lo - hi``.
+
+    Made once per shape and kept for the last four shapes asked for. Each
+    index holds 8 bytes per entry, as many as the float array it gathers
+    from, so the cache holds at most ``4 * 8 * M**3`` bytes for the largest
+    cube filled (1 MiB at M = 32)."""
+    idx = np.indices(shape, sparse=True)
+    lo = reduce(np.minimum, idx)
+    hi = reduce(np.maximum, idx)
+    ordered = (lo, hi) if len(shape) == 2 else (lo, sum(idx) - lo - hi, hi)
+    flat = np.ravel_multi_index(ordered, shape)
+    flat.flags.writeable = False
+    return flat
+
+
 def _fill_symmetric(a: np.ndarray) -> np.ndarray:
     """Copy of a square 2-D or cubic 3-D array in which every entry is read
     from its sorted index (``out[j, i] = a[i, j]`` for ``i <= j``), so the
     result is exactly symmetric whatever rounding produced ``a``.
 
     Only the entries of ``a`` whose index is sorted are read; the others may
-    hold anything. The sorted index is formed in closed form: ``lo`` and
-    ``hi`` are the elementwise min and max of the index and, in 3-D,
-    ``mid = i + j + k - lo - hi``."""
-    idx = np.indices(a.shape, sparse=True)
-    lo = reduce(np.minimum, idx)
-    hi = reduce(np.maximum, idx)
-    if a.ndim == 2:
-        return a[lo, hi]
-    return a[lo, sum(idx) - lo - hi, hi]
+    hold anything. The copy is one gather through the per-shape
+    :func:`_sorted_flat_index`."""
+    return a.ravel()[_sorted_flat_index(a.shape)]
 
 
 def _second_moment_sum(z: np.ndarray) -> np.ndarray:
@@ -157,38 +176,67 @@ def _third_moment_sum(samples: np.ndarray, mean=0.0) -> np.ndarray:
     symmetric (M, M, M) tensor; ``mean`` is 0 for raw sums.
 
     Only the sorted entries ``i <= j <= k`` that :func:`_fill_symmetric`
-    reads are computed, by one GEMM per middle index j:
-    ``(z[:, :j+1] * z_j)^T z[:, j:]`` is the block ``[:j+1, j, j:]``. That
-    is ``2 T (j + 1) (M - j)`` flops, ``T M (M + 1) (M + 2) / 3`` in all,
-    a sixth of the full tensor's ``2 T M^3``. The sums run over blocks of
-    at most ``_BLOCK_BYTES`` of rows, each added into a zeroed ``out``:
-    a GEMM over all T rows would stream its product temporary (up to
-    ``8 T M`` bytes) from memory and run memory-bound. Each block is
-    centered into a Fortran-ordered copy of its own, which makes every
-    column slice of it a view that BLAS reads as it is, so no GEMM operand
-    is copied, and the memory used beyond ``samples`` and the result is
-    two blocks whatever T is."""
+    reads are computed, by one GEMM per middle index j over the block
+    ``[:j+1, j, j:]``. Its narrower operand is scaled by ``z_j``: for
+    ``j + 1 <= M - j`` the GEMM is ``(z[:, :j+1] * z_j)^T z[:, j:]``,
+    otherwise ``z[:, :j+1]^T (z[:, j:] * z_j)``, so the elementwise
+    products number about ``T M^2 / 4``, not ``T M (M + 1) / 2``. The GEMMs
+    take ``2 T (j + 1) (M - j)`` flops, ``T M (M + 1) (M + 2) / 3`` in all,
+    a sixth of the full tensor's ``2 T M^3``.
+
+    The sums run over blocks of rows, each added into a zeroed ``out``: a
+    GEMM over all T rows would stream its product from memory and run
+    memory-bound. One Fortran-ordered ``(rows, M + ceil(M / 2))`` array is
+    made per call and reused for every block: each block is centered into
+    its first M columns, and each product written into the rest, so every
+    GEMM operand is a column slice that BLAS reads as it is, and none is
+    allocated per block or per j. That array, the only memory used beyond
+    ``samples`` and the result, takes at most ``_BLOCK_BYTES`` whatever T
+    is."""
     t, m = samples.shape
-    rows = _block_rows(m)
+    half = (m + 1) // 2
+    rows = _block_rows(m + half)
     out = np.zeros((m, m, m))
+    work = np.empty((min(rows, t), m + half), order="F")
     for start in range(0, t, rows):
-        block = np.subtract(samples[start : start + rows], mean, order="F")
+        chunk = samples[start : start + rows]
+        block = np.subtract(chunk, mean, out=work[: len(chunk), :m])
+        products = work[: len(chunk), m:]
         for j in range(m):
-            out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
+            middle = block[:, j : j + 1]
+            if j + 1 <= m - j:
+                scaled = np.multiply(block[:, : j + 1], middle, out=products[:, : j + 1])
+                out[: j + 1, j, j:] += scaled.T @ block[:, j:]
+            else:
+                scaled = np.multiply(block[:, j:], middle, out=products[:, : m - j])
+                out[: j + 1, j, j:] += block[:, : j + 1].T @ scaled
     return _fill_symmetric(out)
 
 
 def correlation(ensemble: MeasurementEnsemble, center: bool = False) -> CorrelationMatrix:
     """Sample correlation ``(1/T) sum_t y(t) y(t)^T``.
 
-    With ``center`` set the sample mean is removed first (covariance).
-    The default is the raw second moment, which is what deterministic
-    noise-free ensembles feed into the subspace decomposition.
+    With ``center`` set the sample mean is removed first (covariance),
+    one block of at most ``_BLOCK_BYTES`` of rows at a time into one reused
+    array, so the memory used beyond the samples is one block whatever T
+    is. The default is the raw second moment (one GEMM), which is what
+    deterministic noise-free ensembles feed into the subspace
+    decomposition.
     """
     z = ensemble.samples
-    if center:
-        z = z - z.mean(axis=0)
-    return CorrelationMatrix(matrix=_second_moment_sum(z) / z.shape[0], centered=center)
+    t, m = z.shape
+    if not center:
+        return CorrelationMatrix(matrix=_second_moment_sum(z) / t, centered=False)
+    # centered one block of rows at a time into one reused array
+    mean = z.mean(axis=0)
+    rows = _block_rows(m)
+    work = np.empty((min(rows, t), m))
+    total = np.zeros((m, m))
+    for start in range(0, t, rows):
+        chunk = z[start : start + rows]
+        block = np.subtract(chunk, mean, out=work[: len(chunk)])
+        total += block.T @ block
+    return CorrelationMatrix(matrix=_fill_symmetric(total) / t, centered=True)
 
 
 def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:

@@ -239,9 +239,10 @@ def extract_candidates(projector: ProjectorQ, M: int, d: int) -> CandidateSet:
 
 
 # a non-finite A or R makes inf * 0 or inf - inf: the NaN that results is
-# named below, with no RuntimeWarning first; as a decorator, errstate costs
-# half what a with-block does on each of the many calls per fit
-@np.errstate(invalid="ignore")
+# named below, with no RuntimeWarning first, and a finite A whose squared
+# norm overflows is refitted scaled; as a decorator, errstate costs half
+# what a with-block does on each of the many calls per fit
+@np.errstate(invalid="ignore", over="ignore")
 def fitting_residual(A: np.ndarray, basis) -> float:
     """Distance of A from the signal subspace: ``min_C |A - R C|_F``.
 
@@ -257,7 +258,9 @@ def fitting_residual(A: np.ndarray, basis) -> float:
         statistic's is one call away: ``truncated_svd(correlation(ens), d)``.
 
     A residual that is not finite because A or a direct R holds a NaN or
-    an infinity raises :class:`DomainError` naming that input.
+    an infinity raises :class:`DomainError` naming that input. A finite A
+    so large that its squared norm overflows is fitted again divided by its
+    largest magnitude, so its residual is finite when the true one is.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -278,6 +281,10 @@ def fitting_residual(A: np.ndarray, basis) -> float:
     if not math.isfinite(residual):  # checked only here, so a finite fit costs no pass
         _check_finite("A", A)
         _check_finite("direct basis R", R)
+        # finite inputs whose sum of squares overflowed: fit A / max|A|
+        scale = float(np.max(np.abs(A)))
+        unit = A / scale
+        residual = scale * float(np.linalg.norm(unit - R @ (R.T @ unit)))
     return residual
 
 

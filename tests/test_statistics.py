@@ -19,7 +19,7 @@ from eitkit import (
     save_ensemble,
     third_cumulants,
 )
-from eitkit.statistics import _BLOCK_BYTES, _fill_symmetric, _third_moment_sum
+from eitkit.statistics import _BLOCK_BYTES, _fill_symmetric, _sorted_flat_index, _third_moment_sum
 
 
 def brute_third_cumulants(samples: np.ndarray) -> np.ndarray:
@@ -73,6 +73,40 @@ def test_correlation_symmetric_exactly():
     rng = np.random.default_rng(4)
     Y = correlation(MeasurementEnsemble(rng.standard_normal((100, 6)))).matrix
     assert_array_equal(Y, Y.T)
+
+
+@settings(max_examples=40, deadline=None)
+@example(t=2, m=1, blocks=0, seed=1)
+@example(t=3, m=32, blocks=2, seed=2)  # two whole blocks and a ragged tail
+@given(
+    t=st.integers(2, 300),
+    m=st.integers(1, 40),
+    blocks=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_centered_correlation_matches_the_whole_copy_formula(t, m, blocks, seed):
+    rng = np.random.default_rng(seed)
+    t += blocks * max(1, _BLOCK_BYTES // (8 * m))  # below one block, or past one or two
+    samples = rng.standard_normal((t, m)) * rng.uniform(0.1, 10.0, m) + rng.uniform(-1e3, 1e3, m)
+    z = samples - samples.mean(axis=0)
+    expect = (z.T @ z) / t
+    matrix = correlation(MeasurementEnsemble(samples), center=True).matrix
+    assert_allclose(matrix, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+    assert_array_equal(matrix, matrix.T)
+
+
+def test_centered_correlation_needs_no_copy_of_the_samples():
+    import tracemalloc
+
+    ensemble = MeasurementEnsemble(np.random.default_rng(16).exponential(size=(100_000, 32)))
+    tracemalloc.start()
+    try:
+        correlation(ensemble, center=True)
+        extra = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block of rows (1 MiB); a whole centered copy was 24.4 MiB
+    assert extra <= 2 * 2**20, extra / 2**20
 
 
 def test_third_cumulants_match_brute_force_oracle():
@@ -140,8 +174,10 @@ def test_third_moment_kernel_matches_einsum_for_any_layout(m):
 
 
 def kernel_rows(m: int) -> int:
-    """Rows in one block of the third-moment kernel at ``m`` channels."""
-    return max(1, _BLOCK_BYTES // (8 * m))
+    """Rows in one block of the third-moment kernel at ``m`` channels: the
+    block and its ``(rows, ceil(m / 2))`` product buffer fill one
+    ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * (m + (m + 1) // 2)))
 
 
 @pytest.mark.parametrize(
@@ -225,9 +261,10 @@ def test_row_blocked_kernel_matches_the_per_slice_kernel_on_noisy_data(t, m, ske
 
 
 def whole_copy_third_moment_sum(z: np.ndarray) -> np.ndarray:
-    """``_third_moment_sum`` as it was before it formed each row block
-    itself: one Fortran-ordered copy of all of z, then the same GEMMs per
-    middle index over row-block views of that copy."""
+    """``_third_moment_sum`` without its per-block copies and product
+    buffer: one Fortran-ordered copy of all of z, then the same GEMMs per
+    middle index over row-block views of that copy, each scaling the
+    narrower operand into an array of its own."""
     z = np.asfortranarray(z)
     t, m = z.shape
     rows = kernel_rows(m)
@@ -235,7 +272,10 @@ def whole_copy_third_moment_sum(z: np.ndarray) -> np.ndarray:
     for start in range(0, t, rows):
         block = z[start : start + rows]
         for j in range(m):
-            out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
+            if j + 1 <= m - j:
+                out[: j + 1, j, j:] += (block[:, : j + 1] * block[:, j : j + 1]).T @ block[:, j:]
+            else:
+                out[: j + 1, j, j:] += block[:, : j + 1].T @ (block[:, j:] * block[:, j : j + 1])
     return _fill_symmetric(out)
 
 
@@ -262,6 +302,33 @@ def test_blocks_centered_one_at_a_time_match_the_whole_copy_bitwise(m, length, b
     assert_array_equal(MomentAccumulator(m).update(samples).s3, raw)
 
 
+@settings(max_examples=25, deadline=None)
+@example(m=1, length="ragged tail", blocks=1, seed=1)
+@example(m=2, length="whole blocks", blocks=2, seed=2)
+@example(m=39, length="ragged tail", blocks=2, seed=3)
+@example(m=40, length="below one block", blocks=1, seed=4)
+@given(
+    m=st.integers(1, 40),
+    length=st.sampled_from(["below one block", "whole blocks", "ragged tail"]),
+    blocks=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_scaled_operands_match_einsum(m, length, blocks, seed):
+    rng = np.random.default_rng(seed)
+    rows = kernel_rows(m)
+    part = int(rng.integers(3, rows))
+    t = {"below one block": part, "whole blocks": blocks * rows, "ragged tail": blocks * rows + part}[length]
+    samples = rng.exponential(size=(t, m)) + rng.uniform(-5.0, 5.0, size=m)
+    raw = einsum_third_moments(samples)
+    s3 = _third_moment_sum(samples)
+    atol = 1e-12 * np.abs(raw).max()
+    for j in range(m):
+        # middle index j scales z[:, :j+1] while it is the narrower operand, z[:, j:] after
+        branch = "z[:, :j+1] scaled" if j + 1 <= m - j else "z[:, j:] scaled"
+        assert_allclose(s3[: j + 1, j, j:], raw[: j + 1, j, j:], rtol=0, atol=atol, err_msg=f"j={j}, {branch}")
+    assert_exactly_symmetric(s3)
+
+
 def test_third_moments_need_no_copy_of_the_samples():
     import tracemalloc
 
@@ -277,8 +344,9 @@ def test_third_moments_need_no_copy_of_the_samples():
             extra = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two blocks of rows and the tensor (2.3 MiB), or the finiteness
-        # check's T x M booleans (3.1 MiB); a whole centered copy was 24.4 MiB
+        # one block of rows with its products, the tensor and, on the first
+        # call, its sorted index (2.5 MiB), or the finiteness check's T x M
+        # booleans (3.1 MiB); a whole centered copy was 24.4 MiB
         assert extra <= 4 * 2**20, (name, extra / 2**20)
 
 
@@ -296,6 +364,47 @@ def test_fill_symmetric_reads_only_the_sorted_index(ndim, m):
     out = _fill_symmetric(a)
     assert not np.isnan(out).any()
     assert_array_equal(out, expect)
+
+
+def fancy_index_fill_symmetric(a: np.ndarray) -> np.ndarray:
+    """``_fill_symmetric`` as it was before its index was cached per shape:
+    the sorted index in closed form, gathered by a 2- or 3-index fancy
+    index on every call."""
+    idx = np.indices(a.shape, sparse=True)
+    lo = reduce(np.minimum, idx)
+    hi = reduce(np.maximum, idx)
+    if a.ndim == 2:
+        return a[lo, hi]
+    return a[lo, sum(idx) - lo - hi, hi]
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_fill_symmetric_through_the_cached_index_matches_the_fancy_index_bitwise(ndim):
+    rng = np.random.default_rng(15 + ndim)
+    for m in range(1, 41):
+        a = rng.standard_normal((m,) * ndim)
+        for _ in range(2):  # the index is made on the first call and reused on the second
+            assert_array_equal(_fill_symmetric(a), fancy_index_fill_symmetric(a), err_msg=str(m))
+
+
+def test_sorted_index_cache_keeps_a_few_shapes_within_its_stated_bytes():
+    import tracemalloc
+
+    _sorted_flat_index.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in range(1, 41):
+            for ndim in (2, 3):
+                _fill_symmetric(np.zeros((m,) * ndim))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _sorted_flat_index.cache_info().currsize == 4
+    assert _sorted_flat_index((40, 40, 40)) is _sorted_flat_index((40, 40, 40))
+    assert not _sorted_flat_index((40, 40, 40)).flags.writeable
+    # the docstring's bound, 4 * 8 * M**3 bytes at the largest cube filled;
+    # the last four shapes (39 and 40, 2-D and 3-D) hold 1.0 MB of it
+    assert held <= 4 * 8 * 40**3, held
 
 
 def test_pooled_cumulants_weighted():

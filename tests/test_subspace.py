@@ -440,6 +440,18 @@ def test_fitting_residual_of_a_direct_basis_of_any_width(data):
     assert abs(fitting_residual(A, R) - oracle) <= 1e-12 * np.linalg.norm(A)
 
 
+def test_fitting_residual_of_a_finite_A_whose_squared_norm_overflows():
+    import warnings
+
+    A = np.full((4, 2), 1e200)
+    R = np.eye(4)[:, :1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = fitting_residual(A, R)
+    # the three rows outside span(R) hold six entries of 1e200
+    assert residual == pytest.approx(np.sqrt(6.0) * 1e200, rel=1e-12)
+
+
 def test_noise_free_statistic_annihilated_by_complement():
     rng = np.random.default_rng(8)
     m, d = 6, 3
