@@ -33,15 +33,20 @@ _FROZEN = weakref.WeakValueDictionary()  # id -> each live array _frozen froze
 
 def _frozen(*arrays):
     """Make each array, one the program made itself, read-only in place
-    together with the ndarray that owns its memory, so that no view of it can
-    be made writable again, record both in ``_FROZEN``, and return it (a tuple
-    for several). The one place eitkit freezes an array."""
+    together with the ndarray that owns its memory, record both in
+    ``_FROZEN``, and return a read-only view of each (a tuple for several):
+    a new view of an array that owns its memory, the array itself if it is
+    a view. The owner, the one array whose writing could be switched back
+    on, is never handed out, so no returned array can be made writable
+    again. The one place eitkit freezes an array."""
+    views = []
     for array in arrays:
         for part in (array, array.base):
             if isinstance(part, np.ndarray):
                 part.setflags(write=False)
                 _FROZEN[id(part)] = part
-    return arrays[0] if len(arrays) == 1 else arrays
+        views.append(array.view() if array.base is None else array)
+    return views[0] if len(views) == 1 else tuple(views)
 
 
 def _read_only(values) -> np.ndarray:

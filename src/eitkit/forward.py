@@ -40,16 +40,20 @@ its potentials can differ from the mesh-planned ones in the last digits.
 ``assemble`` and ``solve_forward`` are pure functions; independent drive
 patterns on the same (mesh, field) may be solved concurrently. Use
 :class:`ForwardFactorization` to factor once and solve many loads.
+
+Like the rest of eitkit, this module imports each scipy routine in the
+function that calls it, so ``import eitkit`` loads no scipy module and
+the first assembly or factorization loads what it needs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import lapack
-from scipy.sparse import csc_array
 
 from .errors import (
     CompatibilityError,
@@ -62,6 +66,9 @@ from .errors import (
     _read_only,
 )
 from .mesh import Mesh, _band_plan, _triangle_geometry, validate
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 ZERO_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
@@ -145,16 +152,34 @@ def _current_fault(table: np.ndarray):
     )
 
 
-class _StiffnessMatrix(csc_array):
-    """CSC array whose ``nbytes`` is its true storage size (the data,
-    row-index and column-pointer arrays). ``mesh`` is the mesh it was
-    assembled on (kept through the gauge), or None."""
+@cache
+def _stiffness_matrix_class() -> type:
+    """``_StiffnessMatrix``, a CSC array whose ``nbytes`` is its true
+    storage size (the data, row-index and column-pointer arrays) and whose
+    ``mesh`` is the mesh it was assembled on (kept through the gauge), or
+    None. It subclasses scipy's ``csc_array``, so it is defined on first
+    use, not when eitkit is imported."""
+    from scipy.sparse import csc_array
 
-    mesh = None
+    class _StiffnessMatrix(csc_array):
+        mesh = None
 
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+        @property
+        def nbytes(self) -> int:
+            return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+        def __reduce__(self):  # the class has no importable name to pickle by
+            return _stiffness_matrix, ((self.data, self.indices, self.indptr), self.shape, self.mesh)
+
+    return _StiffnessMatrix
+
+
+def _stiffness_matrix(arg, shape=None, mesh=None, copy=False):
+    """A ``_StiffnessMatrix`` (see :func:`_stiffness_matrix_class`) made by
+    ``csc_array(arg, shape=shape, copy=copy)``, on ``mesh``."""
+    S = _stiffness_matrix_class()(arg, shape=shape, copy=copy)
+    S.mesh = mesh
+    return S
 
 
 def _band_layout(S: csc_array, mesh: Mesh | None) -> tuple:
@@ -251,8 +276,7 @@ def assemble(mesh: Mesh, conductivity) -> StiffnessSystem:
     four_area, outer, element = mesh._geometry
     _, first, rows, indptr, _ = mesh._placement
     data = np.add.reduceat((sigma / four_area)[element] * outer, first)
-    S = _StiffnessMatrix((data, rows, indptr), shape=(mesh.n_nodes, mesh.n_nodes))
-    S.mesh = mesh
+    S = _stiffness_matrix((data, rows, indptr), (mesh.n_nodes, mesh.n_nodes), mesh)
     return StiffnessSystem(S=S, F=np.zeros(mesh.n_nodes), ground_node=None)
 
 
@@ -261,6 +285,8 @@ def _element_design(mesh: Mesh) -> csc_array:
     ``S`` in CSC order: column e holds element e's unit-conductivity local
     stiffness at its nine placement slots, so ``design @ sigma`` is the data
     of ``assemble(mesh, sigma).S`` up to rounding."""
+    from scipy.sparse import csc_array
+
     four_area, outer, element = mesh._geometry
     order, _, rows, _, slot = mesh._placement
     local = np.empty_like(outer)
@@ -332,7 +358,7 @@ def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndar
     itself is left as it was.
     Keeps the matrix symmetric and, on a connected mesh, positive definite.
     """
-    Sg = _StiffnessMatrix(S)  # a CSC input lends its index arrays
+    Sg = _stiffness_matrix(S)  # a CSC input lends its index arrays
     indices, indptr = Sg.indices, Sg.indptr
     start, stop = indptr[ground_pos], indptr[ground_pos + 1]
     Sg.data = data = Sg.data.astype(np.result_type(Sg.data, 0.0))
@@ -342,7 +368,7 @@ def ground_system(S, F: np.ndarray, ground_pos: int) -> tuple[csc_array, np.ndar
     if diagonal.size == 1:
         data[diagonal] = 1.0
     else:
-        Sg = _StiffnessMatrix(Sg, copy=True)  # the insertion must not reorder S's arrays
+        Sg = _stiffness_matrix(Sg, copy=True)  # the insertion must not reorder S's arrays
         Sg[ground_pos, ground_pos] = 1.0
     Sg.mesh = getattr(S, "mesh", None)
     Fg = F.copy()
@@ -390,6 +416,9 @@ class ForwardFactorization:
     def __init__(self, system: StiffnessSystem):
         if not system.grounded:
             raise DomainError("system must be grounded (positive definite) before factorization")
+        from scipy.linalg import lapack
+        from scipy.sparse import csc_array
+
         self.ground_node = system.ground_node
         # residual checks must not see later mutation of system.S
         S = csc_array(system.S, dtype=float, copy=True)
@@ -411,6 +440,8 @@ class ForwardFactorization:
         """Potentials for one load of shape (n,) or for k loads at once,
         shape (n, k); ``phi`` has the shape of ``F``. Each column must meet
         its own residual bound, as if it were solved alone."""
+        from scipy.linalg import lapack
+
         F = np.asarray(F, dtype=float)
         x, info = lapack.dpbtrs(self._factor, F[self._perm], lower=1)
         if info != 0:

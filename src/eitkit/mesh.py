@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
-from scipy.sparse.csgraph import breadth_first_order, connected_components, reverse_cuthill_mckee
 
 from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError, _frozen
 from .textio import read_lines, records, sections, write_lines
@@ -251,6 +249,9 @@ def _band_plan(indices: np.ndarray, indptr: np.ndarray, front=None) -> tuple:
     Permuted by ``perm``, the lower triangle fits in a Fortran-order
     ``(depth, n)`` LAPACK band: the CSC data at ``slots`` lands at the flat
     ``positions`` of that band."""
+    from scipy.sparse import csc_array, csr_array
+    from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
+
     n = indptr.size - 1
     pattern = csc_array((np.ones(indices.size), indices, indptr), shape=(n, n))
     plan = _band_of(reverse_cuthill_mckee(pattern, symmetric_mode=True), indices, indptr)
@@ -498,6 +499,9 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
         if n:
             flag("empty-mesh", [], "mesh has nodes but no elements")
         return ValidationReport(tuple(defects))
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     # elements sharing an edge key are adjacent: each side links its element
     # to the first element that has the same side
     links = (np.ones(3 * n_e), owner[edge] // 3, np.arange(0, 3 * n_e + 1, 3))

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .errors import (
     CompatibilityError,
@@ -374,7 +373,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         except EitError as exc:
             raise _annotated(exc, where(block[0])) from exc
 
-    _frozen(Phi, loads_t)  # handed over, not copied: the stack would double the peak
+    Phi, loads_t = _frozen(Phi, loads_t)  # handed over, not copied: the stack would double the peak
     spread = tissue.spread(config.frequencies)
     return StackedSystem(
         Phi=Phi,
@@ -457,6 +456,8 @@ def _largest_eigenvalue(operator, v0: np.ndarray) -> float:
     its own eigenvalue."""
     if v0.size == 1:
         return float((operator @ v0)[0] / v0[0])
+    from scipy.sparse.linalg import eigsh
+
     return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
 
 
@@ -479,6 +480,8 @@ def _sparse_lstsq(design, target: np.ndarray):
     matrix (``A^T A``, or ``A A^T`` for a wide design) above ``GRAM_TOL``
     times the largest (the squared singular values of A), at least 1.
     """
+    from scipy.sparse.linalg import LinearOperator, splu
+
     gram = (design.T @ design).tocsc()
     try:
         lu = splu(gram)

@@ -37,6 +37,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    NumericalError,
     SampleSizeError,
     _check_finite,
     _frozen,
@@ -166,14 +167,40 @@ def _fill_symmetric(a: np.ndarray) -> np.ndarray:
     return a.ravel()[_sorted_flat_index(a.shape)]
 
 
-def _second_moment_sum(z: np.ndarray) -> np.ndarray:
-    """Raw sum ``z^T z`` (one GEMM), exactly symmetric."""
-    return _fill_symmetric(z.T @ z)
+def _finite_sum(total: np.ndarray, order: str) -> np.ndarray:
+    """``total``, a finished moment sum of finite samples, if it is finite;
+    one that overflowed raises :class:`NumericalError`."""
+    if not np.isfinite(total).all():
+        raise NumericalError(f"{order}-moment sums overflow: the samples are too large for float64")
+    return total
 
 
-def _third_moment_sum(samples: np.ndarray, mean=0.0) -> np.ndarray:
+def _second_moment_sum(samples: np.ndarray, center: bool = False) -> np.ndarray:
+    """Sums ``z^T z`` of ``z = samples - mean`` as an exactly symmetric
+    (M, M) matrix, ``mean`` the sample mean with ``center`` set and 0
+    without. A raw sum is one GEMM; a centered one is summed one block of
+    at most ``_BLOCK_BYTES`` of rows at a time into one reused array, so
+    the memory used beyond the samples is one block whatever T is. Sums
+    that overflow raise :class:`NumericalError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not center:
+            return _finite_sum(_fill_symmetric(samples.T @ samples), "second")
+        t, m = samples.shape
+        mean = samples.mean(axis=0)
+        rows = _block_rows(m)
+        work = np.empty((min(rows, t), m))
+        total = np.zeros((m, m))
+        for start in range(0, t, rows):
+            chunk = samples[start : start + rows]
+            block = np.subtract(chunk, mean, out=work[: len(chunk)])
+            total += block.T @ block
+    return _finite_sum(_fill_symmetric(total), "second")
+
+
+def _third_moment_sum(samples: np.ndarray, center: bool = False) -> np.ndarray:
     """Sums ``sum_t z_i z_j z_k`` of ``z = samples - mean`` as an exactly
-    symmetric (M, M, M) tensor; ``mean`` is 0 for raw sums.
+    symmetric (M, M, M) tensor, ``mean`` the sample mean with ``center``
+    set and 0 without; sums that overflow raise :class:`NumericalError`.
 
     Only the sorted entries ``i <= j <= k`` that :func:`_fill_symmetric`
     reads are computed, by one GEMM per middle index j over the block
@@ -198,57 +225,47 @@ def _third_moment_sum(samples: np.ndarray, mean=0.0) -> np.ndarray:
     rows = _block_rows(m + half)
     out = np.zeros((m, m, m))
     work = np.empty((min(rows, t), m + half), order="F")
-    for start in range(0, t, rows):
-        chunk = samples[start : start + rows]
-        block = np.subtract(chunk, mean, out=work[: len(chunk), :m])
-        products = work[: len(chunk), m:]
-        for j in range(m):
-            middle = block[:, j : j + 1]
-            if j + 1 <= m - j:
-                scaled = np.multiply(block[:, : j + 1], middle, out=products[:, : j + 1])
-                out[: j + 1, j, j:] += scaled.T @ block[:, j:]
-            else:
-                scaled = np.multiply(block[:, j:], middle, out=products[:, : m - j])
-                out[: j + 1, j, j:] += block[:, : j + 1].T @ scaled
-    return _fill_symmetric(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = samples.mean(axis=0) if center else 0.0
+        for start in range(0, t, rows):
+            chunk = samples[start : start + rows]
+            block = np.subtract(chunk, mean, out=work[: len(chunk), :m])
+            products = work[: len(chunk), m:]
+            for j in range(m):
+                middle = block[:, j : j + 1]
+                if j + 1 <= m - j:
+                    scaled = np.multiply(block[:, : j + 1], middle, out=products[:, : j + 1])
+                    out[: j + 1, j, j:] += scaled.T @ block[:, j:]
+                else:
+                    scaled = np.multiply(block[:, j:], middle, out=products[:, : m - j])
+                    out[: j + 1, j, j:] += block[:, : j + 1].T @ scaled
+    return _finite_sum(_fill_symmetric(out), "third")
 
 
 def correlation(ensemble: MeasurementEnsemble, center: bool = False) -> CorrelationMatrix:
     """Sample correlation ``(1/T) sum_t y(t) y(t)^T``.
 
     With ``center`` set the sample mean is removed first (covariance),
-    one block of at most ``_BLOCK_BYTES`` of rows at a time into one reused
-    array, so the memory used beyond the samples is one block whatever T
-    is. The default is the raw second moment (one GEMM), which is what
+    one block of rows at a time (see :func:`_second_moment_sum`). The
+    default is the raw second moment (one GEMM), which is what
     deterministic noise-free ensembles feed into the subspace
-    decomposition.
+    decomposition. Samples whose sums overflow raise :class:`NumericalError`.
     """
     z = ensemble.samples
-    t, m = z.shape
-    if not center:
-        return CorrelationMatrix(matrix=_second_moment_sum(z) / t, centered=False)
-    # centered one block of rows at a time into one reused array
-    mean = z.mean(axis=0)
-    rows = _block_rows(m)
-    work = np.empty((min(rows, t), m))
-    total = np.zeros((m, m))
-    for start in range(0, t, rows):
-        chunk = z[start : start + rows]
-        block = np.subtract(chunk, mean, out=work[: len(chunk)])
-        total += block.T @ block
-    return CorrelationMatrix(matrix=_fill_symmetric(total) / t, centered=True)
+    return CorrelationMatrix(matrix=_second_moment_sum(z, center) / z.shape[0], centered=bool(center))
 
 
 def third_cumulants(ensemble: MeasurementEnsemble) -> CumulantMatrixSet:
     """Sample third-cumulant matrices ``C_i[j,k] = (1/T) sum_t ~y_j ~y_k ~y_i``.
 
     The sample mean is always removed first; for zero-mean data the third
-    cumulant equals the third moment.
+    cumulant equals the third moment. Samples whose sums overflow raise
+    :class:`NumericalError`.
     """
     if ensemble.sample_count < 3:
         raise SampleSizeError("third cumulants need at least 3 samples")
     samples = ensemble.samples
-    return CumulantMatrixSet(tensor=_third_moment_sum(samples, samples.mean(axis=0)) / samples.shape[0])
+    return CumulantMatrixSet(tensor=_third_moment_sum(samples, center=True) / samples.shape[0])
 
 
 class MomentAccumulator:
@@ -257,7 +274,10 @@ class MomentAccumulator:
     Accumulates ``n``, ``sum y``, ``sum y y^T`` and ``sum y x y x y`` so that
     ``merge`` over chunks followed by a finalizer equals the one-shot
     estimate on the concatenated data within 1e-12. ``update`` adds a
-    chunk's raw sums as they are, so an empty chunk changes nothing.
+    chunk's raw sums as they are, so an empty chunk changes nothing. An
+    update or merge whose second or third moment sums overflow raises
+    :class:`NumericalError`; merging anything but an accumulator with the
+    same channel count raises :class:`DimensionError`.
     """
 
     def __init__(self, channel_count: int):
@@ -279,21 +299,28 @@ class MomentAccumulator:
             )
         if not np.all(np.isfinite(z)):
             raise DomainError("samples contain non-finite entries")
+        # every sum is checked before any is kept, so an update that
+        # overflows raises NumericalError and changes nothing
+        with np.errstate(over="ignore"):
+            s2 = _finite_sum(self.s2 + _second_moment_sum(z), "second")
+            s3 = _finite_sum(self.s3 + _third_moment_sum(z), "third")
         self.n += z.shape[0]
         self.s1 += z.sum(axis=0)
-        self.s2 += _second_moment_sum(z)
-        self.s3 += _third_moment_sum(z)
+        self.s2, self.s3 = s2, s3
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         """Combined accumulator; both inputs are left untouched."""
+        if not isinstance(other, MomentAccumulator):
+            raise DimensionError(f"can only merge another MomentAccumulator, got {type(other).__name__}")
         if other.channel_count != self.channel_count:
             raise DimensionError("cannot merge accumulators with different channel counts")
         out = MomentAccumulator(self.channel_count)
         out.n = self.n + other.n
         out.s1 = self.s1 + other.s1
-        out.s2 = self.s2 + other.s2
-        out.s3 = self.s3 + other.s3
+        with np.errstate(over="ignore"):
+            out.s2 = _finite_sum(self.s2 + other.s2, "second")
+            out.s3 = _finite_sum(self.s3 + other.s3, "third")
         return out
 
     def correlation(self, center: bool = False) -> CorrelationMatrix:

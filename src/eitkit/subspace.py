@@ -328,7 +328,7 @@ def load_candidates(path) -> CandidateSet:
     for arr in matrices:
         if arr.shape != (m, d):
             raise FormatError(f"candidate block has shape {arr.shape}, expected ({m}, {d})")
-    _frozen(*matrices, eigenvalues)
+    *matrices, eigenvalues = _frozen(*matrices, eigenvalues)
     return CandidateSet(
         candidates=tuple(matrices),
         eigenvalues=eigenvalues,

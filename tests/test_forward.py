@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+import scipy.sparse.csgraph
 from scipy.sparse import csc_array
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -185,6 +186,22 @@ def test_ground_system_matches_copy_and_setitem_at_every_node(disk_r1):
         assert Sg.nbytes == S.nbytes
     for array, saved in zip((S.data, S.indices, S.indptr, F), before):
         assert_array_equal(array, saved)
+
+
+def test_a_pickled_stiffness_matrix_keeps_its_class_mesh_and_size(disk_r1):
+    import pickle
+
+    system = apply_pattern(assemble(disk_r1, uniform_field(disk_r1, 2.0)), disk_r1, {0: 1.0, 4: -1.0}, 0)
+    for S in (assemble(disk_r1, uniform_field(disk_r1, 2.0)).S, system.S):
+        copy = pickle.loads(pickle.dumps(S))
+        assert type(copy) is type(S)
+        assert copy.nbytes == S.nbytes
+        assert copy.mesh.n_nodes == disk_r1.n_nodes
+        for got, expected in ((copy.data, S.data), (copy.indices, S.indices), (copy.indptr, S.indptr)):
+            assert_array_equal(got, expected)
+    grounded = pickle.loads(pickle.dumps(system))
+    assert_array_equal(ForwardFactorization(grounded).solve(grounded.F).phi,
+                       ForwardFactorization(system).solve(system.F).phi)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.sparse.SparseEfficiencyWarning")
@@ -723,7 +740,9 @@ def test_planned_factorization_reports_the_oracle_pivot():
 
 
 def counting(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper that records each call."""
+    """Replace ``module.name`` by a wrapper that records each call. eitkit
+    imports each scipy routine in the function that calls it, so a
+    ``scipy.sparse.csgraph`` routine is counted where it is defined."""
     real, calls = getattr(module, name), []
 
     def wrapper(*args, **kwargs):
@@ -735,8 +754,8 @@ def counting(monkeypatch, module, name):
 
 
 def test_band_plan_is_computed_once_per_mesh(monkeypatch):
-    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
-    fronts = counting(monkeypatch, eitkit.mesh, "breadth_first_order")
+    calls = counting(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+    fronts = counting(monkeypatch, scipy.sparse.csgraph, "breadth_first_order")
     mesh = build_disk_mesh(1.0, 2)
     for value in (1.0, 2.5):
         system = assemble(mesh, uniform_field(mesh, value))
@@ -809,7 +828,7 @@ def test_planned_solve_matches_a_dense_solve(refine, seed):
 @settings(max_examples=20, deadline=None)
 @given(refine=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_matrix_on_copies_of_the_mesh_pattern_uses_the_mesh_plan(refine, seed):
-    from eitkit.forward import _StiffnessMatrix, ground_system
+    from eitkit.forward import _stiffness_matrix, ground_system
 
     rng = np.random.default_rng(seed)
     mesh = build_disk_mesh(1.0, refine)
@@ -820,9 +839,8 @@ def test_matrix_on_copies_of_the_mesh_pattern_uses_the_mesh_plan(refine, seed):
     Sg, Fg = ground_system(S, F, g)
     want = ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=mesh.nodes[g].id))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
-        copied = _StiffnessMatrix((Sg.data, Sg.indices.copy(), Sg.indptr.copy()), shape=Sg.shape)
-        copied.mesh = mesh
+        calls = counting(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+        copied = _stiffness_matrix((Sg.data, Sg.indices.copy(), Sg.indptr.copy()), Sg.shape, mesh)
         assert not np.shares_memory(copied.indices, mesh._placement[2])
         got = ForwardFactorization(StiffnessSystem(S=copied, F=Fg, ground_node=mesh.nodes[g].id))
         assert calls == []
@@ -866,8 +884,8 @@ def grounded_disk(refine=2, ground=5):
 
 def test_dense_system_takes_its_own_plan(monkeypatch):
     Sg, Fg = grounded_disk()
-    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
-    fronts = counting(monkeypatch, eitkit.mesh, "breadth_first_order")
+    calls = counting(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+    fronts = counting(monkeypatch, scipy.sparse.csgraph, "breadth_first_order")
     dense = Sg.toarray()
     phi = ForwardFactorization(StiffnessSystem(S=dense, F=Fg, ground_node=5)).solve(Fg).phi
     want = np.linalg.solve(dense, Fg)
@@ -877,8 +895,8 @@ def test_dense_system_takes_its_own_plan(monkeypatch):
 
 def test_hand_built_csc_takes_its_own_plan(monkeypatch):
     Sg, Fg = grounded_disk()
-    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
-    fronts = counting(monkeypatch, eitkit.mesh, "breadth_first_order")
+    calls = counting(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+    fronts = counting(monkeypatch, scipy.sparse.csgraph, "breadth_first_order")
     # the same entries with each column's row indices reversed and split in two
     # duplicates: a read-write, non-canonical CSC that no mesh planned
     starts, ends = Sg.indptr[:-1], Sg.indptr[1:]
@@ -906,8 +924,8 @@ def test_gauge_that_inserts_a_diagonal_takes_its_own_plan(monkeypatch):
                       shape=S.shape)
     F = np.random.default_rng(10).standard_normal(mesh.n_nodes)
     F -= F.mean()
-    calls = counting(monkeypatch, eitkit.mesh, "reverse_cuthill_mckee")
-    fronts = counting(monkeypatch, eitkit.mesh, "breadth_first_order")
+    calls = counting(monkeypatch, scipy.sparse.csgraph, "reverse_cuthill_mckee")
+    fronts = counting(monkeypatch, scipy.sparse.csgraph, "breadth_first_order")
     Sg, Fg = ground_system(holed, F, 5)
     assert Sg.nnz == S.nnz
     phi = ForwardFactorization(StiffnessSystem(S=Sg, F=Fg, ground_node=5)).solve(Fg).phi

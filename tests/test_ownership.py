@@ -16,7 +16,9 @@ from eitkit import (
     MeasurementEnsemble,
     Phantom,
     ProjectorQ,
+    CurrentPattern,
     StackedSystem,
+    SweepConfig,
     TissueModel,
     apply_pattern,
     assemble,
@@ -27,6 +29,7 @@ from eitkit import (
     load_candidates,
     recover_conductivity,
     save_candidates,
+    simulate_sweep,
     solve_forward,
     stack_solve,
     truncated_svd,
@@ -132,6 +135,11 @@ def potentials():
     return solve_forward(apply_pattern(system, MESH, {0: 1.0, 4: -1.0}, MESH.nodes[0].id)).phi
 
 
+def sweep():
+    config = SweepConfig((1e3,), (CurrentPattern({0: 1.0, 4: -1.0}),), ground=MESH.nodes[0].id)
+    return simulate_sweep(MESH, TissueModel.dispersionless(np.ones(MESH.n_elements)), config)
+
+
 DECOMPOSITION = {f"SubspaceDecomposition.{name}": (lambda tmp, name=name: getattr(truncated_svd(Y, 2), name))
                  for name in ("U", "sigma", "R", "G")}
 # result array -> a call that makes it; the loads L Phi cancel column by column
@@ -146,6 +154,8 @@ RESULTS = {
     "CandidateSet.eigenvalues (load_candidates)": lambda tmp: loaded_candidates(tmp).eigenvalues,
     "VoltageSolution.phi": lambda tmp: potentials(),
     "ProjectorQ.Q": lambda tmp: build_projector(np.eye(3)[:, :1], 1).Q,
+    "StackedSystem.Phi (simulate_sweep)": lambda tmp: sweep().Phi,
+    "StackedSystem.F (simulate_sweep)": lambda tmp: sweep().F,
 }
 
 
@@ -156,16 +166,19 @@ def test_result_arrays_are_read_only(tmp_path, result):
         array[(0,) * array.ndim] = 5.0
 
 
-# views of a frozen owner -> a call that makes them
+# views of a frozen owner -> a call that makes them: every result array is
+# handed out as a view, so no caller holds the owner that could switch
+# writing back on
 VIEWS = {
-    **{name: (lambda get=get: [get(None)]) for name, get in DECOMPOSITION.items()},
-    "CandidateSet.candidates": lambda: candidates().candidates,
+    **{name: (lambda tmp, make=make: [make(tmp)]) for name, make in RESULTS.items()},
+    "CandidateSet.candidates": lambda tmp: candidates().candidates,
+    "CandidateSet.candidates (load_candidates)": lambda tmp: loaded_candidates(tmp).candidates,
 }
 
 
 @pytest.mark.parametrize("views", VIEWS)
-def test_result_arrays_cannot_be_made_writable_again(views):
-    for array in VIEWS[views]():
+def test_result_arrays_cannot_be_made_writable_again(tmp_path, views):
+    for array in VIEWS[views](tmp_path):
         with pytest.raises(ValueError):
             array.setflags(write=True)
 

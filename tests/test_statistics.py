@@ -13,6 +13,7 @@ from eitkit import (
     FormatError,
     MeasurementEnsemble,
     MomentAccumulator,
+    NumericalError,
     SampleSizeError,
     correlation,
     load_ensemble,
@@ -540,8 +541,58 @@ def test_centered_accumulator_correlation_equals_its_transpose_exactly(data):
 def test_accumulator_merge_shape_guard():
     with pytest.raises(DimensionError):
         MomentAccumulator(3).merge(MomentAccumulator(4))
+    with pytest.raises(DimensionError, match="MomentAccumulator, got int"):
+        MomentAccumulator(3).merge(5)
     with pytest.raises(DimensionError):
         MomentAccumulator(3).update(np.zeros((5, 2)))
+
+
+def alternating(value: float) -> np.ndarray:
+    """Finite samples of magnitude ``value`` whose rows alternate in sign:
+    their mean is 0, so centered sums overflow as the raw ones do."""
+    return value * np.array([[1.0, 2.0], [-1.0, -2.0], [1.0, 2.0], [-1.0, -2.0]])
+
+
+OVERFLOWING = {
+    "correlation": lambda x: correlation(MeasurementEnsemble(x)),
+    "centered correlation": lambda x: correlation(MeasurementEnsemble(x), center=True),
+    "third cumulants": lambda x: third_cumulants(MeasurementEnsemble(x)),
+    "accumulator update": lambda x: MomentAccumulator(x.shape[1]).update(x),
+}
+
+
+# RuntimeWarning fails the suite, so these also show that no overflow warning is issued
+@pytest.mark.parametrize("value", [1e200, -1e200])
+@pytest.mark.parametrize("statistic", OVERFLOWING)
+def test_finite_samples_whose_moment_sums_overflow_raise_numerical_error(statistic, value):
+    with pytest.raises(NumericalError, match="moment sums overflow"):
+        OVERFLOWING[statistic](alternating(value))
+
+
+def test_cubes_that_overflow_raise_where_the_squares_do_not():
+    samples = alternating(1e103)  # squares near 1e206, cubes past float64
+    assert np.isfinite(correlation(MeasurementEnsemble(samples), center=True).matrix).all()
+    with pytest.raises(NumericalError, match="third-moment sums overflow"):
+        third_cumulants(MeasurementEnsemble(samples))
+    with pytest.raises(NumericalError, match="third-moment sums overflow"):
+        MomentAccumulator(2).update(samples)
+
+
+def test_a_raw_sum_of_constant_samples_overflows_and_the_centered_one_does_not():
+    ensemble = MeasurementEnsemble(np.full((4, 2), 1e200))
+    assert_array_equal(correlation(ensemble, center=True).matrix, np.zeros((2, 2)))
+    assert_array_equal(third_cumulants(ensemble).tensor, np.zeros((2, 2, 2)))
+    with pytest.raises(NumericalError):
+        correlation(ensemble)
+
+
+def test_an_accumulator_whose_sums_overflow_is_left_as_it_was():
+    acc = MomentAccumulator(1).update(np.array([[5e102]]))  # its cube is finite, two are not
+    with pytest.raises(NumericalError, match="third-moment sums overflow"):
+        acc.update(np.array([[5e102]]))
+    assert acc.n == 1 and acc.s1[0] == 5e102 and acc.s3[0, 0, 0] == 5e102**3
+    with pytest.raises(NumericalError, match="third-moment sums overflow"):
+        acc.merge(acc)
 
 
 def test_ensemble_csv_round_trip(tmp_path):

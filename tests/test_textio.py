@@ -77,18 +77,64 @@ def test_only_textio_opens_files():
     assert opened == []
 
 
-def test_import_loads_only_linalg_and_sparse_from_scipy():
-    # a fresh interpreter: tests in this process may have loaded more of scipy
-    probe = (
-        "import sys, eitkit, eitkit.cli\n"
-        "print(' '.join(sorted(name for name, mod in sys.modules.items()\n"
-        "    if name.count('.') == 1 and name.startswith('scipy.')\n"
-        "    and not name.startswith('scipy._') and hasattr(mod, '__path__'))))"
-    )
+LOADED_SCIPY = "print(' '.join(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')))\n"
+
+
+def fresh_interpreter(probe: str, cwd) -> str:
+    """Standard output of ``probe`` run in a new interpreter that imports
+    eitkit from ``src/``: tests in this process may have loaded scipy."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert result.stdout.split() == ["scipy.linalg", "scipy.sparse"]
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, check=True, timeout=120).stdout
+
+
+def test_import_loads_no_scipy_module(tmp_path):
+    out = fresh_interpreter("import sys, eitkit, eitkit.cli\n" + LOADED_SCIPY, tmp_path)
+    assert out.split() == []
+
+
+def test_statistics_and_the_subspace_fit_run_without_scipy(tmp_path):
+    probe = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "import eitkit as e\n"
+        "from eitkit import cli\n"
+        "rng = np.random.default_rng(5)\n"
+        "ensemble = e.generate_ensemble(rng.normal(size=(6, 2)), e.SourceSpec(2, 'skewed'),\n"
+        "                               e.NoiseSpec('colored', 0.1, (0.5,)), 500, 7)\n"
+        "dec = e.truncated_svd(e.correlation(ensemble).matrix, 2)\n"
+        "cset = e.extract_candidates(e.build_projector(dec.R, 2), 6, 2)\n"
+        "assert all(e.fitting_residual(a, dec) < 1e-9 for a in cset.candidates)\n"
+        "tensor = e.third_cumulants(ensemble).tensor\n"
+        "merged = e.MomentAccumulator(6).update(ensemble.samples[:200]).merge(\n"
+        "    e.MomentAccumulator(6).update(ensemble.samples[200:]))\n"
+        "assert np.allclose(merged.third_cumulants().tensor, tensor, rtol=0, atol=1e-9)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['demo']) == 0\n"
+        "    assert cli.main(['reconstruct', 'svd', '--demo-fixture', '--out', 'cands.csv']) == 0\n"
+        + LOADED_SCIPY
+    )
+    assert fresh_interpreter(probe, tmp_path).split() == []
+    assert (tmp_path / "cands.csv").is_file()
+
+
+def test_the_fem_route_imports_scipy_at_its_first_call(tmp_path):
+    # nothing is imported ahead: assembly, the factor and the recovery each
+    # load what they call, and work straight after `import eitkit`
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import eitkit as e\n"
+        "mesh = e.build_disk_mesh(1.0, 1)\n"
+        "system = e.apply_pattern(e.assemble(mesh, e.uniform_field(mesh, 2.0)), mesh, {0: 1.0, 4: -1.0}, 0)\n"
+        "phi = e.ForwardFactorization(system).solve(system.F).phi\n"
+        "assert np.abs(system.S @ phi - system.F).max() < 1e-9\n"
+        "S = e.assemble(mesh, e.uniform_field(mesh, 2.0)).S.toarray()\n"
+        "assert np.allclose(e.recover_conductivity(S, mesh).sigma, 2.0, rtol=1e-9, atol=0)\n"
+        + LOADED_SCIPY
+    )
+    loaded = fresh_interpreter(probe, tmp_path).split()
+    assert {"scipy.sparse.csgraph", "scipy.linalg.lapack", "scipy.sparse.linalg"} <= set(loaded)
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
