@@ -63,7 +63,6 @@ from .multifreq import (
     save_stacked_system,
     save_sweep_config,
     simulate_sweep,
-    stack_condition,
     stack_solve,
 )
 from .phantom import (

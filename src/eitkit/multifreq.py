@@ -133,10 +133,6 @@ class TissueModel:
     def n_elements(self) -> int:
         return self.sigma0.size
 
-    @property
-    def dispersion_strength(self) -> float:
-        return float(np.max(np.abs(self.sigma0 - self.sigma_inf)))
-
     def sigma_at(self, frequency: float) -> np.ndarray:
         omega_tau = 2.0 * np.pi * frequency * self.tau
         return self.sigma_inf + (self.sigma0 - self.sigma_inf) / (1.0 + omega_tau**2)
@@ -144,8 +140,11 @@ class TissueModel:
     def spread(self, frequencies) -> np.ndarray:
         """Per-element relative spread of sigma(f) across the given
         frequencies: (max - min) / mean. Zero iff the constant-matrix
-        assumption holds exactly over the sweep."""
-        table = np.stack([self.sigma_at(f) for f in frequencies])
+        assumption holds exactly over the sweep. An empty sequence, or a
+        frequency that is not positive and finite, is a :class:`DomainError`."""
+        if len(frequencies) == 0:
+            raise DomainError("spread needs at least one frequency")
+        table = np.stack([self.sigma_at(_check_frequency(f, ())) for f in frequencies])
         return (table.max(axis=0) - table.min(axis=0)) / table.mean(axis=0)
 
     @classmethod
@@ -237,10 +236,10 @@ class StackedSystem:
     zero. Both are stored by :func:`~eitkit.errors._read_only` before the
     checks, so no later write through the caller's array or its
     base can undo them; :func:`simulate_sweep` hands its own over uncopied.
-    ``labels`` records (frequency, pattern index, ground node) per
-    column in stacking order. ``sigma_spread`` is the worst per-element
-    relative spread of the simulated conductivity across the sweep
-    frequencies (0 when the constant-matrix assumption held exactly).
+    ``labels`` is empty or a (frequency, pattern index, ground node) tuple
+    per column in stacking order (else :class:`DimensionError`). ``sigma_spread``
+    is the worst per-element relative spread of the simulated conductivity
+    across the sweep frequencies (0 when the constant-matrix assumption held exactly).
     """
 
     Phi: np.ndarray
@@ -251,12 +250,18 @@ class StackedSystem:
     def __post_init__(self):
         for name in ("Phi", "F"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "labels", tuple(self.labels))  # a later append cannot undo the checks
         if self.Phi.ndim != 2 or 0 in self.Phi.shape:
             raise DimensionError(f"Phi must be an n x N matrix with n, N >= 1, got shape {self.Phi.shape}")
         if self.Phi.shape != self.F.shape:
             raise DimensionError(
                 f"Phi {self.Phi.shape} and F {self.F.shape} must have equal shapes"
             )
+        if len(self.labels) not in (0, self.n_injections):
+            raise DimensionError(f"{len(self.labels)} labels for {self.n_injections} injections")
+        for label in self.labels:
+            if not (isinstance(label, tuple) and len(label) == 3):
+                raise DimensionError(f"label {label!r} is not a (frequency, pattern, ground) triple")
         _check_finite("Phi", self.Phi)
         _check_finite("F", self.F)  # a NaN column sum would pass the check below
         with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails
@@ -383,27 +388,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     )
 
 
-def _stack_svd(Phi: np.ndarray):
-    """Thin SVD ``(U, s, Vt)`` of a matrix plus its numerical rank under ``RANK_TOL``."""
-    U, s, Vt = _frozen(*np.linalg.svd(Phi, full_matrices=False))
-    rank = int(np.count_nonzero(s >= RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
-    return U, s, Vt, rank
-
-
-def stack_condition(stacked: StackedSystem) -> float:
-    """Smallest-singular-value-based condition estimate of the stack:
-    ``1 / sigma_min(Phi)`` over the n row directions.
-
-    Returns ``inf`` whenever the stack falls below the rank tolerance that
-    :func:`stack_solve` enforces (the computed sigma_min is pure noise
-    there). Appending an injection never increases the estimate; it is the
-    guidance metric for choosing frequencies and patterns.
-    """
-    _, s, _, rank = _stack_svd(stacked.Phi)
-    return float(1.0 / s[stacked.n - 1]) if rank == stacked.n else float("inf")
-
-
-def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult:
+def stack_solve(stacked: StackedSystem) -> StackSolveResult:
     """Least-squares stiffness estimate ``argmin_S |S Phi - F|_F`` over
     symmetric matrices, from one thin SVD ``Phi = U diag(s) V^T``.
 
@@ -415,27 +400,10 @@ def stack_solve(stacked: StackedSystem, observed_nodes=None) -> StackSolveResult
     ``S = U S~ U^T`` with ``S~_ij = (C_ij + C_ji) / (s_i^2 + s_j^2)``, where
     ``C = U^T F V diag(s)``. Neither G (which squares cond(Phi)) nor an
     n^2 x n^2 design is formed: O(n^2 N + n^3) time, O(n N + n^2) memory, n = 289 runs.
-
-    ``observed_nodes`` selects boundary-only observation: when the listed
-    node positions do not cover every node, the equation rows at
-    unobserved nodes are unknown and the symmetric block coupling the
-    unobserved nodes is structurally undetermined. That mode reports the
-    identifiability gap immediately instead of attempting a regularized
-    completion.
     """
     Phi, F, n = stacked.Phi, stacked.F, stacked.n
-    if observed_nodes is not None:
-        observed = np.unique(np.asarray(observed_nodes, dtype=int))
-        if observed.size and (observed.min() < 0 or observed.max() >= n):
-            raise DimensionError(f"observed node positions must lie in 0..{n - 1}")
-        hidden = n - observed.size
-        if hidden > 0:
-            raise IdentifiabilityError(
-                f"partial observation of {observed.size}/{n} nodes leaves the "
-                f"{hidden}x{hidden} symmetric block over unobserved nodes undetermined",
-                rank_gap=hidden * (hidden + 1) // 2,
-            )
-    U, s, Vt, rank = _stack_svd(Phi)
+    U, s, Vt = _frozen(*np.linalg.svd(Phi, full_matrices=False))
+    rank = int(np.count_nonzero(s >= RANK_TOL * s[0])) if s[0] > 0 else 0
     if rank < n:
         raise RankDeficiencyError(
             "potential stack does not have full row rank; add independent injections",

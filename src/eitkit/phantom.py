@@ -58,6 +58,8 @@ class SourceSpec:
             raise DomainError(f"unknown source distribution {self.distribution!r}")
         if not (np.isfinite(self.variance) and self.variance > 0):
             raise DomainError(f"source variance must be positive, got {self.variance!r}")
+        if not np.isfinite(self.third_moment):
+            raise DomainError(f"source third_moment must be finite, got {self.third_moment!r}")
         if self.distribution == "skewed" and self.third_moment == 0.0:
             raise DomainError("a skewed source needs a nonzero third moment")
 

@@ -122,18 +122,11 @@ class CumulantMatrixSet:
             raise DomainError(f"cumulant index {i} outside 0..{self.channel_count - 1}")
         return self.tensor[i]
 
-    def pooled(self, weights=None) -> np.ndarray:
-        """Weighted sum ``sum_i w_i C_i`` of the cumulant matrices (unit
-        weights by default); a symmetric aggregate usable wherever a single
-        slice is. This is an extension beyond picking one index."""
-        if weights is None:
-            return self.tensor.sum(axis=0)
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.channel_count,):
-            raise DimensionError(
-                f"need {self.channel_count} weights, got shape {w.shape}"
-            )
-        return np.tensordot(w, self.tensor, axes=(0, 0))
+    def pooled(self) -> np.ndarray:
+        """Sum ``sum_i C_i`` of the cumulant matrices; a symmetric aggregate
+        usable wherever a single slice is. This is an extension beyond
+        picking one index."""
+        return self.tensor.sum(axis=0)
 
 
 @lru_cache(maxsize=4)

@@ -35,7 +35,6 @@ from eitkit import (
     save_stacked_system,
     save_sweep_config,
     simulate_sweep,
-    stack_condition,
     stack_solve,
 )
 
@@ -102,7 +101,7 @@ def weighted_triangle_recover(matrices, mesh):
 def test_tissue_model_dispersionless_is_frequency_independent():
     sigma = np.array([1.0, 2.0, 3.0])
     tissue = TissueModel.dispersionless(sigma)
-    assert tissue.dispersion_strength == 0.0
+    assert np.max(np.abs(tissue.sigma0 - tissue.sigma_inf)) == 0.0
     for f in (1.0, 1e3, 1e7):
         assert_array_equal(tissue.sigma_at(f), sigma)
     assert_array_equal(tissue.spread((1.0, 1e3, 1e7)), np.zeros(3))
@@ -435,35 +434,34 @@ def test_stack_solve_recovers_laplacian_at_refine_3():
     assert np.linalg.norm(result.S_hat - S) <= 1e-9 * np.linalg.norm(S)
 
 
-def test_stack_condition_monotone_under_appending():
-    mesh = build_disk_mesh(1.0, 0)
-    tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
-    n = mesh.n_nodes
-    config = SweepConfig((1000.0,), nodal_patterns(n, n + 6), ground="rotate")
-    stacked = simulate_sweep(mesh, tissue, config)
-    previous = float("inf")
-    for count in range(1, stacked.n_injections + 1):
-        partial = StackedSystem(
-            Phi=stacked.Phi[:, :count], F=stacked.F[:, :count], labels=stacked.labels[:count]
-        )
-        estimate = stack_condition(partial)
-        assert estimate <= previous or (np.isinf(estimate) and np.isinf(previous))
-        previous = estimate
-    assert np.isfinite(previous)
-
-
-def test_stack_solve_boundary_only_observation_reports_gap():
-    mesh = build_disk_mesh(1.0, 0)
-    tissue = TissueModel.dispersionless(np.ones(mesh.n_elements))
-    stacked = simulate_sweep(mesh, tissue, full_rank_sweep(mesh))
-    boundary_positions = [mesh.node_index[n] for n in mesh.boundary_nodes]
-    with pytest.raises(IdentifiabilityError) as err:
-        stack_solve(stacked, observed_nodes=boundary_positions)
-    # one hidden node (the center): a 1x1 undetermined symmetric block
-    assert err.value.rank_gap == 1
-    # full observation through the same parameter degrades to the plain path
-    full = stack_solve(stacked, observed_nodes=range(mesh.n_nodes))
-    assert full.residual <= 1e-10
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), extra=st.integers(0, 6), rank=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_smallest_stack_singular_value_never_falls_under_appending(n, extra, rank, seed):
+    """Appending a column never lowers sigma_min(Phi) (Cauchy interlacing
+    for Phi Phi^T + phi phi^T), to 1e-10 relative to the largest singular
+    value, once the stack has full row rank; a prefix without it (by an
+    independent rank count at 1e-8) raises RankDeficiencyError with a rank
+    below n. Potentials of rank ``rank`` (capped at n) make wide prefixes
+    rank-deficient too."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n)
+    Phi = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n + extra))
+    Phi[:, rank:] += rng.standard_normal((n, n + extra - rank)) * (rng.random(n + extra - rank) < 0.5)
+    F = rng.standard_normal((n, n + extra))
+    F -= F.mean(axis=0)
+    previous = None
+    for count in range(1, n + extra + 1):
+        partial = StackedSystem(Phi=Phi[:, :count], F=F[:, :count], labels=())
+        full = np.linalg.matrix_rank(partial.Phi, rtol=1e-8) == n
+        try:
+            s = stack_solve(partial).phi_singular_values
+        except RankDeficiencyError as err:
+            assert not full and err.numerical_rank < n
+            continue
+        assert full
+        if previous is not None:
+            assert s[-1] >= previous - 1e-10 * s[0]
+        previous = s[-1]
 
 
 def test_recover_conductivity_exact_matrix(disk_r1):
@@ -573,7 +571,6 @@ def dense_svd_recover(S_hat, mesh):
     fit_residual, sensitivity, operator_condition)``; a design whose
     ``s_min < 1e-10 s_max`` raises :class:`IdentifiabilityError`."""
     from eitkit.mesh import _triangle_geometry
-    from eitkit.multifreq import _stack_svd
 
     S_hat = np.asarray(S_hat, dtype=float)
     four_area, outer = _triangle_geometry(mesh.coords[mesh.triangles], mesh.bounding_box_diagonal)
@@ -582,7 +579,8 @@ def dense_svd_recover(S_hat, mesh):
     cols = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
     design = np.zeros((rows.size, mesh.n_elements))
     design[slot, np.arange(mesh.n_elements)[:, None, None]] = local
-    U, s, Vt, rank = _stack_svd(design)
+    U, s, Vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.count_nonzero(s >= 1e-10 * s[0]))
     if rank < mesh.n_elements:
         raise IdentifiabilityError("rank deficient", rank_gap=mesh.n_elements - rank)
     residual = 0.5 * (S_hat + S_hat.T)
@@ -1630,8 +1628,11 @@ def test_sweep_ground_follows_the_integer_rule():
 
 def test_stacked_system_owns_read_only_copies():
     Phi, F = np.eye(3), np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    stacked = StackedSystem(Phi=Phi, F=F, labels=())
+    labels = [(1.0, k, k) for k in range(3)]
+    stacked = StackedSystem(Phi=Phi, F=F, labels=labels)
     Phi[0, 0], F[0, 0] = np.inf, 5.0  # a later write to the caller's arrays
+    labels.append((2.0, 0, 0))  # and a later append to the caller's label list
+    assert stacked.labels == ((1.0, 0, 0), (1.0, 1, 1), (1.0, 2, 2))
     assert_array_equal(stacked.Phi, np.eye(3))
     assert stacked.F[0, 0] == 1.0
     for values in (stacked.Phi, stacked.F):
@@ -1680,8 +1681,16 @@ REJECTIONS = {
     "stack-load-sum-overflows": (read_file("1e308\n1e308\n", lambda path: load_stacked_system(path, path)),
                                  CompatibilityError, "a load column sums to inf; columns must cancel", None),
     "tissue-size": (tissue_for_another_mesh, DimensionError, "tissue model covers 3 elements, mesh has 8", None),
-    "observed-nodes": (lambda tmp: stack_solve(StackedSystem(np.eye(2), np.zeros((2, 2)), ()), observed_nodes=[0, 2]),
-                       DimensionError, "observed node positions must lie in 0..1", None),
+    "stack-label-count": (lambda tmp: StackedSystem(np.eye(2), np.zeros((2, 2)), ((1.0, 0, 0),)), DimensionError,
+                          "1 labels for 2 injections", None),
+    "stack-label-fields": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), ((1.0, 0),)), DimensionError,
+                           "label (1.0, 0) is not a (frequency, pattern, ground) triple", None),
+    "spread-no-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([]), DomainError,
+                            "spread needs at least one frequency", None),
+    "spread-nan-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([float("nan")]),
+                             DomainError, "frequencies must be positive and finite", None),
+    "spread-negative-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([-5.0, 1e3]),
+                                  DomainError, "frequencies must be positive and finite", None),
     "label-count": (stack_with_labels, FormatError, "1 labels for 2 injections", None),
     "model-key": (read_file("[frequencies]\n1000\n[patterns]\n0: 1, 4: -1\n[model]\n" + MODEL + "sigma1 = 1\n",
                             load_sweep_config, build_disk_mesh(1.0, 0)),

@@ -1,6 +1,6 @@
 """A NaN or an infinite entry is a DomainError at every entry point that
-leads to an SVD: ``StackedSystem`` (and so ``stack_solve`` and
-``stack_condition``), ``truncated_svd``, ``build_projector`` and
+leads to an SVD: ``StackedSystem`` (and so ``stack_solve``),
+``truncated_svd``, ``build_projector`` and
 ``recover_conductivity``. ``load_stacked_system`` reports it earlier, as a
 FormatError at the line that holds it.
 

@@ -417,6 +417,10 @@ REJECTIONS = {
                          "expected 'x y radius contrast', got '0 0 0.5' (line 3)", 3),
     "unknown-key": (phantom_spec("[phantom]\nbackground = 1\nradius = 0.5\n"), FormatError,
                     "unknown key 'radius' (line 3)", 3),
+    "third-moment-nan": (lambda tmp, mesh: SourceSpec(1, "skewed", third_moment=float("nan")), DomainError,
+                         "source third_moment must be finite, got nan", None),
+    "third-moment-inf": (lambda tmp, mesh: SourceSpec(1, "skewed", third_moment=float("-inf")), DomainError,
+                         "source third_moment must be finite, got -inf", None),
 }
 
 

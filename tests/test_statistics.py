@@ -412,12 +412,6 @@ def test_pooled_cumulants_weighted():
     rng = np.random.default_rng(12)
     cset = third_cumulants(MeasurementEnsemble(rng.standard_normal((40, 3)) ** 3))
     assert_allclose(cset.pooled(), sum(cset.matrix(i) for i in range(3)), atol=1e-15)
-    w = np.array([0.5, -1.0, 2.0])
-    assert_allclose(
-        cset.pooled(w), sum(w[i] * cset.matrix(i) for i in range(3)), atol=1e-14
-    )
-    with pytest.raises(DimensionError):
-        cset.pooled(np.ones(4))
 
 
 def test_cumulant_matrix_index_outside_channels_is_domain_error():
