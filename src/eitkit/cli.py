@@ -200,7 +200,7 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
     """One ``element,sigma`` row per mesh element, after an optional header;
     a repeated row, an element id not on the mesh, or a conductivity that is
     not positive and finite is a line-numbered error."""
-    ids = {e.id for e in mesh.elements}
+    ids = dict.fromkeys(mesh.element_ids.tolist())  # in element order; the mesh was validated
     values: dict[int, float] = {}
     for k, (line_no, text) in enumerate(data_lines(read_lines(path))):
         if k == 0 and text.lower().replace(" ", "") == "element,sigma":
@@ -213,10 +213,10 @@ def _load_sigma_csv(path, mesh: Mesh) -> np.ndarray:
             raise FormatError(f"element {eid} is not on the mesh", line_no=line_no)
         sigma = _at_line(line_no, _check_sigma, eid, convert(parts[1], float, line_no, "sigma"))
         put_once(values, eid, sigma, line_no, "element")
-    missing = [e.id for e in mesh.elements if e.id not in values]
+    missing = [eid for eid in ids if eid not in values]
     if missing:
         raise FormatError(f"sigma file is missing element(s) {missing[:8]}")
-    return np.array([values[e.id] for e in mesh.elements])
+    return np.array([values[eid] for eid in ids])
 
 
 def _load_pattern_file(path, mesh: Mesh) -> CurrentPattern:
@@ -240,7 +240,7 @@ def cmd_forward(args, resolved: dict, header: tuple[str, ...]) -> int:
     else:
         field = _load_sigma_csv(resolved["sigma"], mesh)
     pattern = _load_pattern_file(resolved["pattern"], mesh)
-    ground = resolved["ground"] if resolved["ground"] is not None else mesh.nodes[0].id
+    ground = resolved["ground"] if resolved["ground"] is not None else int(mesh.node_ids[0])
     reference = resolved["reference"] if resolved["reference"] is not None else min(mesh.electrode_map)
 
     system = apply_pattern(assemble(mesh, field), mesh, pattern, ground)
@@ -469,7 +469,7 @@ def cmd_reconstruct_multifreq(args, resolved: dict, header: tuple[str, ...]) -> 
     ]
     if recovered.negative_elements:
         diagnostics.append(f"negative_elements = {list(recovered.negative_elements)}")
-    lines = ["element,sigma"] + [f"{e.id},{v:.17g}" for e, v in zip(mesh.elements, recovered.sigma)]
+    lines = ["element,sigma"] + [f"{k},{v:.17g}" for k, v in zip(mesh.element_ids.tolist(), recovered.sigma)]
     write_lines(resolved["out_sigma"], lines, header + tuple(diagnostics))
 
     grid, (vmin, vmax) = render_element_field(mesh, recovered.sigma, resolved["pixels"])

@@ -1,10 +1,11 @@
 """Triangulated 2D domains with boundary and electrode annotations.
 
-A :class:`Mesh` is immutable after construction and safe to share across
-concurrent tasks. Arrays derived from it, among them the assembly,
-geometry and band plans that :mod:`eitkit.forward` reads, are computed on
-first use and cached on it. Construction never validates invariants
-beyond basic types; :func:`validate` reports every violation, and
+A :class:`Mesh` is its read-only id, coordinate and corner arrays,
+immutable after construction and safe to share across concurrent tasks.
+Arrays derived from it, among them the assembly, geometry and band plans
+that :mod:`eitkit.forward` reads, are computed on first use and cached on
+it. Construction checks each id, coordinate and element arity;
+:func:`validate` reports every violation and never raises, and
 :func:`load_mesh` refuses meshes whose report is non-empty.
 
 Mesh file format (the shared text rules are in :mod:`eitkit.textio`)::
@@ -22,12 +23,12 @@ Mesh file format (the shared text rules are in :mod:`eitkit.textio`)::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, GeometryError, MeshFormatError, MeshValidationError, _frozen
+from .errors import DimensionError, DomainError, GeometryError, MeshFormatError, MeshValidationError, _frozen
 from .textio import read_lines, records, sections, write_lines
 
 DEGENERACY_FACTOR = 1e-14
@@ -84,32 +85,59 @@ class ValidationReport:
         return "\n".join(f"{d.kind} {list(d.ids)}: {d.detail}" for d in self.defects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, eq=False)
 class Mesh:
     """Triangulated domain: nodes, counter-clockwise triangles, an ordered
-    boundary loop, and point electrodes pinned to boundary nodes."""
+    boundary loop, and point electrodes pinned to boundary nodes. Made from
+    records, it raises :class:`DimensionError` for an element without three
+    corners and :class:`DomainError` for an id that is not an integer of at
+    most 64 bits or a coordinate that is not a real number. The records are
+    made from the arrays only when read; ``==`` compares them."""
 
-    nodes: tuple[Node, ...]
-    elements: tuple[Element, ...]
+    node_ids: np.ndarray  # (n,) int64
+    coords: np.ndarray  # (n, 2) float
+    element_ids: np.ndarray  # (n_e,) int64
+    corners: np.ndarray  # (n_e, 3) int64, the corner node ids
     boundary_nodes: tuple[int, ...]
     electrodes: tuple[Electrode, ...]
 
+    def __init__(self, nodes, elements, boundary_nodes, electrodes):
+        nodes, elements = tuple(nodes), tuple(elements)  # each is read more than once
+        for e in elements:
+            if len(e.nodes) != 3:
+                raise DimensionError(f"element {e.id} has {len(e.nodes)} corners, not 3")
+        _made(self, [n.id for n in nodes], [(n.x, n.y) for n in nodes], [e.id for e in elements],
+              [e.nodes for e in elements], tuple(boundary_nodes), tuple(electrodes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def __repr__(self) -> str:
+        return (f"Mesh(nodes={self.nodes!r}, elements={self.elements!r}, "
+                f"boundary_nodes={self.boundary_nodes!r}, electrodes={self.electrodes!r})")
+
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(Node, self.node_ids.tolist(), *self.coords.T.tolist()))
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return tuple(map(Element, self.element_ids.tolist(), map(tuple, self.corners.tolist())))
+
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return self.node_ids.size
 
     @property
     def n_elements(self) -> int:
-        return len(self.elements)
+        return self.element_ids.size
 
     @cached_property
     def node_index(self) -> dict[int, int]:
         """Node id -> row position in :attr:`coords`."""
-        return {node.id: k for k, node in enumerate(self.nodes)}
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        return _frozen(np.array([[node.x, node.y] for node in self.nodes], dtype=float).reshape(-1, 2))
+        return dict(zip(self.node_ids.tolist(), range(self.n_nodes)))
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -117,8 +145,7 @@ class Mesh:
         :attr:`coords`; an id given to two nodes names the last of them.
 
         Raises :class:`MeshValidationError` when an element names a node
-        that is not on the mesh, and :class:`DomainError` as :func:`validate`
-        does."""
+        that is not on the mesh."""
         pos, corners = self._id_table[:2]
         t = pos[corners]
         if (t < 0).any():
@@ -131,9 +158,9 @@ class Mesh:
         distinct id, node ids listed first. ``ids[code]`` is the id, ``first``
         its first place, ``pos`` the row of the last node with it (-1 if none);
         the rest are the codes of the (n_e, 3) corners, nodes, loop, electrodes."""
-        all_ids = [node.id for node in self.nodes] + [v for e in self.elements for v in e.nodes]
-        all_ids += list(self.boundary_nodes) + [el.node for el in self.electrodes]
-        uniq, first, code = np.unique(_int64(all_ids), return_index=True, return_inverse=True)
+        others = _int64([*self.boundary_nodes, *(el.node for el in self.electrodes)])
+        all_ids = np.concatenate((self.node_ids, self.corners.ravel(), others))
+        uniq, first, code = np.unique(all_ids, return_index=True, return_inverse=True)
         sizes = np.cumsum([self.n_nodes, 3 * self.n_elements, len(self.boundary_nodes)])
         nodes, corners, loop, electrodes = np.split(code, sizes)
         pos = np.full(uniq.size, -1)
@@ -372,24 +399,17 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
         tri = np.stack((v0, m01, m20, v1, m12, m01, v2, m20, m12, m01, m12, m20), axis=1).reshape(-1, 3)
         boundary = np.stack((boundary, n + rim), axis=1).ravel()
 
-    # one int object per node id, shared by every element and loop entry
-    ids = np.array(range(len(xy)), dtype=object)
-    boundary = ids[boundary].tolist()
-    return Mesh(
-        nodes=tuple(map(Node, ids.tolist(), *xy.T.tolist())),
-        elements=tuple(map(Element, range(len(tri)), zip(*ids[tri].T.tolist()))),
-        boundary_nodes=tuple(boundary),
-        electrodes=tuple(map(Electrode, range(n_electrodes), boundary[::n_boundary // n_electrodes])),
-    )
+    electrodes = tuple(map(Electrode, range(n_electrodes), boundary[::n_boundary // n_electrodes].tolist()))
+    return _made(Mesh.__new__(Mesh), np.arange(len(xy)), xy, np.arange(len(tri)), tri,
+                 tuple(boundary.tolist()), electrodes)
 
 
 def validate(mesh: Mesh) -> ValidationReport:
     """Check every structural invariant and report each violation.
 
-    Nothing is raised, except :class:`DomainError` for an id that is not an
-    integer of at most 64 bits: all problems are collected into the report
-    so a broken mesh can be diagnosed in one pass. A mesh is immutable, so
-    the check runs once per mesh and later calls return the same report.
+    Nothing is raised: all problems are collected into the report so a
+    broken mesh can be diagnosed in one pass. A mesh is immutable, so the
+    check runs once per mesh and later calls return the same report.
 
     The report lists node defects in node order, then element defects in
     element order, then the boundary loop, then electrode defects in
@@ -401,14 +421,27 @@ def validate(mesh: Mesh) -> ValidationReport:
     return mesh.validation_report
 
 
-def _int64(ids: list) -> np.ndarray:
-    array = np.array(ids)
+def _int64(ids) -> np.ndarray:
+    array = np.asarray(ids)
     if array.size and array.dtype.kind != "i":
         raise DomainError("mesh ids must be integers that fit in a signed 64-bit integer")
-    return array.astype(np.int64)
+    return array.astype(np.int64, copy=False)
 
 
-def _repeated(ids: list) -> np.ndarray:
+def _made(mesh: Mesh, node_ids, coords, element_ids, corners, boundary, electrodes) -> Mesh:
+    """``mesh`` with every id and coordinate checked and the arrays frozen:
+    the one place a mesh is made, from records or from arrays."""
+    coords = np.asarray(coords)
+    if coords.size and coords.dtype.kind not in "iuf":
+        raise DomainError("mesh coordinates must be real numbers")
+    _int64([*boundary, *(v for el in electrodes for v in (el.id, el.node))])
+    arrays = _frozen(_int64(node_ids), coords.astype(float, copy=False).reshape(-1, 2),
+                     _int64(element_ids), _int64(corners).reshape(-1, 3))
+    vars(mesh).update(zip([f.name for f in fields(Mesh)], (*arrays, boundary, electrodes)))
+    return mesh
+
+
+def _repeated(ids) -> np.ndarray:
     """True where an id already appeared earlier in ``ids``."""
     mask = np.ones(len(ids), dtype=bool)
     mask[np.unique(_int64(ids), return_index=True)[1]] = False
@@ -416,8 +449,8 @@ def _repeated(ids: list) -> np.ndarray:
 
 
 def _check_invariants(mesh: Mesh) -> ValidationReport:
-    nodes, elements, loop, electrodes = mesh.nodes, mesh.elements, mesh.boundary_nodes, mesh.electrodes
-    n, n_e, n_el = len(nodes), len(elements), len(electrodes)
+    loop, electrodes = mesh.boundary_nodes, mesh.electrodes
+    n, n_e, n_el = mesh.n_nodes, mesh.n_elements, len(electrodes)
     pos, tri, uniq, seen, node_code, loop_code, el_code = mesh._id_table
     defects: list[MeshDefect] = []
 
@@ -427,7 +460,7 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
     dup_node = seen[node_code] != np.arange(n)
     non_finite = ~np.isfinite(mesh.coords).all(axis=1)
     for k in np.flatnonzero(dup_node | non_finite):
-        node = nodes[k]
+        node = Node(int(mesh.node_ids[k]), *mesh.coords[k].tolist())
         if dup_node[k]:
             flag("duplicate-node-id", [node.id], "node id appears more than once")
         if non_finite[k]:
@@ -441,9 +474,9 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
     with np.errstate(all="ignore"):
         area[sound] = _signed_areas(mesh.coords[tri_pos[sound]])
     flipped = sound & ~(area > 0.0)
-    dup_elem = _repeated([e.id for e in elements])
+    dup_elem = _repeated(mesh.element_ids)
     for k in np.flatnonzero(dup_elem | unknown | repeated | flipped):
-        elem = elements[k]
+        elem = Element(int(mesh.element_ids[k]), tuple(mesh.corners[k].tolist()))
         if dup_elem[k]:
             flag("duplicate-element-id", [elem.id], "element id appears more than once")
         if unknown[k]:
@@ -508,7 +541,7 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
     count, label = connected_components(csr_array(links, shape=(n_e, n_e)), directed=False)
     if count > 1:
         firsts = np.unique(label, return_index=True)[1]
-        flag("not-edge-connected", sorted(elements[k].id for k in firsts),
+        flag("not-edge-connected", sorted(mesh.element_ids[firsts].tolist()),
              f"elements split into {count} edge-connected components")
     used = np.bincount(tri.ravel(), minlength=uniq.size) > 0
     isolated = uniq[(pos >= 0) & ~used]
@@ -519,15 +552,13 @@ def _check_invariants(mesh: Mesh) -> ValidationReport:
 
 def save_mesh(mesh: Mesh, path, header_lines: tuple[str, ...] = ()) -> None:
     """Write a mesh file; ``save_mesh`` then :func:`load_mesh` reproduces the
-    mesh exactly."""
-    lines = ["[nodes]"]
-    lines += [f"{n.id} {n.x:.17g} {n.y:.17g}" for n in mesh.nodes]
-    lines.append("[elements]")
-    lines += [f"{e.id} {e.nodes[0]} {e.nodes[1]} {e.nodes[2]}" for e in mesh.elements]
-    lines.append("[boundary]")
-    lines += [str(n) for n in mesh.boundary_nodes]
-    lines.append("[electrodes]")
-    lines += [f"{el.id} {el.node}" for el in mesh.electrodes]
+    mesh exactly. Each record section is one ``format`` call over its columns."""
+    nodes = [v for row in zip(mesh.node_ids.tolist(), *mesh.coords.T.tolist()) for v in row]
+    elements = np.column_stack((mesh.element_ids, mesh.corners)).ravel().tolist()
+    lines = ["[nodes]" + ("\n{} {:.17g} {:.17g}" * mesh.n_nodes).format(*nodes),
+             "[elements]" + ("\n{} {} {} {}" * mesh.n_elements).format(*elements),
+             "[boundary]", *map(str, mesh.boundary_nodes),
+             "[electrodes]", *[f"{el.id} {el.node}" for el in mesh.electrodes]]
     write_lines(path, lines, header_lines)
 
 
@@ -557,7 +588,7 @@ def parse_mesh_file(path) -> Mesh:
     Each section is read in one columnar pass (:func:`eitkit.textio.records`):
     every line is split, the field counts are checked together, each field
     column is converted by one ``map`` and each id column is range-checked
-    on its min and max; the records are then built by ``map``. A line is
+    on its min and max; the columns become the mesh's arrays. A line is
     looked at on its own only when a pass fails, to name the first bad line
     of the first bad section, in the order nodes, elements, boundary,
     electrodes."""
@@ -569,10 +600,9 @@ def parse_mesh_file(path) -> Mesh:
         kinds = (int, float, float) if name == "nodes" else (int,) * len(fields)
         return records(groups.get(name, ()), name, fields, kinds, MeshFormatError)
 
-    nodes = tuple(map(Node, *read("nodes")))
-    ids, *corners = read("elements")
-    elements = tuple(map(Element, ids, zip(*corners)))
-    boundary = tuple(read("boundary")[0])
+    node_ids, *xy = read("nodes")
+    element_ids, *corners = read("elements")
+    columns = node_ids, np.transpose(xy), element_ids, np.transpose(corners), tuple(read("boundary")[0])
     electrodes = tuple(map(Electrode, *read("electrodes")))
     missing = [f"[{name}]" for name in _FIELDS if name not in groups]
     if missing:
@@ -580,4 +610,4 @@ def parse_mesh_file(path) -> Mesh:
             f"file is truncated or incomplete: missing section(s) {', '.join(missing)}",
             line_no=len(lines),
         )
-    return Mesh(nodes, elements, boundary, electrodes)
+    return _made(Mesh.__new__(Mesh), *columns, electrodes)

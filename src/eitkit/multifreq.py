@@ -47,6 +47,7 @@ A ``[model]`` or ``[sweep]`` key, or an element override, given twice is an erro
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -237,7 +238,8 @@ class StackedSystem:
     checks, so no later write through the caller's array or its
     base can undo them; :func:`simulate_sweep` hands its own over uncopied.
     ``labels`` is empty or a (frequency, pattern index, ground node) tuple
-    per column in stacking order (else :class:`DimensionError`). ``sigma_spread``
+    per column in stacking order (else :class:`DimensionError`), a finite
+    real number and two integers (else :class:`DomainError`). ``sigma_spread``
     is the worst per-element relative spread of the simulated conductivity
     across the sweep frequencies (0 when the constant-matrix assumption held exactly).
     """
@@ -262,6 +264,9 @@ class StackedSystem:
         for label in self.labels:
             if not (isinstance(label, tuple) and len(label) == 3):
                 raise DimensionError(f"label {label!r} is not a (frequency, pattern, ground) triple")
+            freq, p_idx, ground = label
+            if not (isinstance(freq, Real) and np.isfinite(freq) and _is_int(p_idx) and _is_int(ground)):
+                raise DomainError(f"label {label!r} needs a finite real frequency, integer pattern and ground")
         _check_finite("Phi", self.Phi)
         _check_finite("F", self.F)  # a NaN column sum would pass the check below
         with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails
@@ -368,7 +373,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
         first = grounds[block[0]]
         try:
             Sg, zero = ground_system(assemble(mesh, tissue.sigma_at(freq)).S, np.zeros(n), first)
-            factor = ForwardFactorization(StiffnessSystem(S=Sg, F=zero, ground_node=mesh.nodes[first].id))
+            factor = ForwardFactorization(StiffnessSystem(S=Sg, F=zero, ground_node=int(mesh.node_ids[first])))
             for start in range(0, len(block), width):
                 part = block[start:start + width]
                 loads = loads_t[part].T
@@ -383,7 +388,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     return StackedSystem(
         Phi=Phi,
         F=loads_t.T,
-        labels=tuple((f, p_idx, mesh.nodes[g].id) for (f, p_idx), g in zip(injections, grounds)),
+        labels=tuple((f, p_idx, g) for (f, p_idx), g in zip(injections, mesh.node_ids[grounds].tolist())),
         sigma_spread=float(spread.max()) if spread.size else 0.0,
     )
 
@@ -592,8 +597,8 @@ def save_sweep_config(
 ) -> None:
     """Write a sweep config file (see module docstring for the format).
 
-    A nodal pattern's entry for row k names node ``mesh.nodes[k].id``, and
-    the override for tissue row e names element ``mesh.elements[e].id``;
+    A nodal pattern's entry for row k names node ``mesh.node_ids[k]``, and
+    the override for tissue row e names element ``mesh.element_ids[e]``;
     without a mesh they name k and e, which is right for meshes whose node
     and element ids are 0..n-1 and 0..n_e-1.
     """
@@ -601,7 +606,7 @@ def save_sweep_config(
         raise DimensionError(
             f"tissue model covers {tissue.n_elements} elements, mesh has {mesh.n_elements}"
         )
-    element_ids = range(tissue.n_elements) if mesh is None else [e.id for e in mesh.elements]
+    element_ids = range(tissue.n_elements) if mesh is None else mesh.element_ids.tolist()
     lines = ["[frequencies]"]
     lines += [f"{f:.17g}" for f in config.frequencies]
     lines.append("[patterns]")
@@ -613,7 +618,7 @@ def save_sweep_config(
         else:
             vector = np.asarray(pattern)
             rows = np.flatnonzero(vector)  # NaN is nonzero, -0.0 is not
-            ids = rows.tolist() if mesh is None else [mesh.nodes[k].id for k in rows]
+            ids = (rows if mesh is None else mesh.node_ids[rows]).tolist()
             values = vector[rows].astype(float).tolist()
             lines.append(", ".join(f"node {k}: {v:.17g}" for k, v in zip(ids, values)))
     lines.append("[model]")
@@ -681,7 +686,7 @@ def load_sweep_config(path, mesh: Mesh) -> tuple[SweepConfig, TissueModel]:
             raise FormatError(f"[{name}] section is missing or empty", line_no=header)
     n_e = mesh.n_elements
     params = np.array([np.full(n_e, model_uniform[key]) for key in ("sigma0", "sigma_inf", "tau")])
-    row = {e.id: k for k, e in enumerate(mesh.elements)}
+    row = dict(zip(mesh.element_ids.tolist(), range(n_e)))
     rows = [row.get(eid, -1) for eid in model_overrides]
     if -1 in rows:
         eid = list(model_overrides)[rows.index(-1)]

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitkit import (
+    DimensionError,
     DomainError,
     Electrode,
     Element,
@@ -16,14 +18,20 @@ from eitkit import (
     MeshFormatError,
     MeshValidationError,
     Node,
+    SweepConfig,
+    TissueModel,
+    assemble,
     build_disk_mesh,
     element_areas,
     load_mesh,
     make_phantom,
     save_mesh,
+    save_sweep_config,
     total_area,
+    uniform_field,
     validate,
 )
+from eitkit.cli import main
 from eitkit.mesh import MeshDefect, ValidationReport, parse_mesh_file
 
 
@@ -261,9 +269,27 @@ def test_validate_rejects_ids_beyond_64_bits(triangle_mesh, field, big):
         elements += (Element(big, (1, 2, 3)),)
     else:
         electrodes += (Electrode(big, 1),)
-    mesh = Mesh(nodes, elements, triangle_mesh.boundary_nodes, electrodes)
     with pytest.raises(DomainError, match="64-bit"):
-        validate(mesh)
+        Mesh(nodes, elements, triangle_mesh.boundary_nodes, electrodes)
+
+
+@pytest.mark.parametrize(
+    "corners, count",
+    [((1, 2), 2), ((1, 2, 3, 1), 4), ((), 0)],
+    ids=["two-corners", "four-corners", "no-corners"],
+)
+def test_mesh_rejects_an_element_without_three_corners(triangle_mesh, corners, count):
+    elements = triangle_mesh.elements + (Element(7, corners),)
+    with pytest.raises(DimensionError) as err:
+        Mesh(triangle_mesh.nodes, elements, triangle_mesh.boundary_nodes, triangle_mesh.electrodes)
+    assert str(err.value) == f"element 7 has {count} corners, not 3"
+
+
+@pytest.mark.parametrize("x", ["a", None, 1j, "1.5"])
+def test_mesh_rejects_a_coordinate_that_is_not_a_real_number(triangle_mesh, x):
+    nodes = triangle_mesh.nodes + (Node(4, x, 0.0),)
+    with pytest.raises(DomainError, match="^mesh coordinates must be real numbers$"):
+        Mesh(nodes, triangle_mesh.elements, triangle_mesh.boundary_nodes, triangle_mesh.electrodes)
 
 
 def test_load_unknown_node_reference_is_validation_error(tmp_path, triangle_mesh):
@@ -858,3 +884,94 @@ def test_unknown_element_node_is_validation_error_everywhere(tmp_path, triangle_
             call(mesh)
         assert err.value.report == validate(mesh)
         assert any(d.kind == "unknown-node-reference" for d in err.value.report.defects)
+
+
+# ----------------------------------------------------------- records ----
+# The frozen dataclass Mesh was before it held arrays, kept as the oracle for
+# ``==`` and ``repr``: a mesh made from records gives them back unchanged.
+
+
+@dataclass(frozen=True)
+class RecordMesh:
+    nodes: tuple
+    elements: tuple
+    boundary_nodes: tuple
+    electrodes: tuple
+
+
+record_meshes = st.tuples(
+    st.lists(st.builds(Node, mesh_ids, coordinates, coordinates), max_size=6).map(tuple),
+    st.lists(st.builds(Element, mesh_ids, st.tuples(mesh_ids, mesh_ids, mesh_ids)), max_size=6).map(tuple),
+    st.lists(mesh_ids, max_size=6).map(tuple),
+    st.lists(st.builds(Electrode, mesh_ids, mesh_ids), max_size=6).map(tuple),
+)
+
+
+def zeros_flipped(records):
+    """The same records with every zero coordinate's sign flipped."""
+    nodes, *rest = records
+    return (tuple(Node(n.id, *(-v if v == 0 else v for v in (n.x, n.y))) for n in nodes), *rest)
+
+
+def one_changed(records, data):
+    """The same records with one node, element, loop or electrode entry dropped."""
+    parts = list(records)
+    filled = [k for k, part in enumerate(parts) if part]
+    if filled:
+        k = data.draw(st.sampled_from(filled))
+        drop = data.draw(st.integers(0, len(parts[k]) - 1))
+        parts[k] = parts[k][:drop] + parts[k][drop + 1:]
+    return tuple(parts)
+
+
+def test_a_negative_zero_coordinate_is_kept_and_equals_zero():
+    records = ((Node(0, -0.0, 0.0), Node(1, 1.0, -0.0)), (Element(0, (0, 1, 1)),), (0, 1), (Electrode(0, 1),))
+    mesh = Mesh(*records)
+    assert repr(mesh) == repr(RecordMesh(*records)).replace("RecordMesh(", "Mesh(", 1)
+    assert "x=-0.0" in repr(mesh) and "y=-0.0" in repr(mesh)
+    assert mesh == Mesh(*zeros_flipped(records))
+    assert RecordMesh(*records) == RecordMesh(*zeros_flipped(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_meshes, st.data())
+def test_records_come_back_unchanged_and_compare_as_the_dataclass_did(records, data):
+    mesh = Mesh(*records)
+    assert (mesh.nodes, mesh.elements, mesh.boundary_nodes, mesh.electrodes) == records
+    assert repr(mesh) == repr(RecordMesh(*records)).replace("RecordMesh(", "Mesh(", 1)
+    assert repr(Mesh(*map(iter, records))) == repr(mesh)  # any iterable of records
+    change = data.draw(st.sampled_from(["same", "zeros-flipped", "one-changed", "other"]))
+    if change == "same":
+        other = records
+    elif change == "zeros-flipped":  # -0.0 == 0.0, for the dataclass too
+        other = zeros_flipped(records)
+    elif change == "one-changed":
+        other = one_changed(records, data)
+    else:
+        other = data.draw(record_meshes)
+    assert (mesh == Mesh(*other)) == (RecordMesh(*records) == RecordMesh(*other))
+    assert mesh != RecordMesh(*records)
+    with pytest.raises(TypeError):
+        hash(mesh)
+
+
+def test_no_node_or_element_record_is_made_from_build_to_reconstruction(tmp_path, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} record was made")
+
+    monkeypatch.setattr(Node, "__init__", refuse)
+    monkeypatch.setattr(Element, "__init__", refuse)
+    path = tmp_path / "disk.mesh"
+    save_mesh(build_disk_mesh(1.0, 1), path)
+    mesh = load_mesh(path)
+    assert validate(mesh).ok
+    assemble(mesh, uniform_field(mesh, 1.0))
+    n = mesh.n_nodes
+    patterns = [np.eye(n)[k] - np.eye(n)[(k + 7) % n] for k in range(n)]
+    config = SweepConfig((1000.0,), patterns, ground="rotate")
+    save_sweep_config(config, TissueModel.dispersionless(np.ones(mesh.n_elements)), tmp_path / "sweep.cfg",
+                      mesh=mesh)
+    argv = ["reconstruct", "multifreq", "--mesh", str(path), "--sweep", str(tmp_path / "sweep.cfg"),
+            "--out-sigma", str(tmp_path / "sigma.csv"), "--out-image", str(tmp_path / "sigma.pgm")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len((tmp_path / "sigma.csv").read_text().splitlines()) >= mesh.n_elements + 1

@@ -975,6 +975,23 @@ def test_stacked_system_csv_round_trip(tmp_path):
     assert again.sigma_spread == stacked.sigma_spread
 
 
+def test_simulated_labels_survive_save_and_load_on_a_mesh_whose_ids_are_not_rows(tmp_path):
+    disk = build_disk_mesh(1.0, 0)
+    mesh = Mesh(
+        tuple(Node(n.id + 100, n.x, n.y) for n in disk.nodes),
+        tuple(Element(e.id, tuple(v + 100 for v in e.nodes)) for e in disk.elements),
+        tuple(v + 100 for v in disk.boundary_nodes),
+        tuple(Electrode(el.id, el.node + 100) for el in disk.electrodes),
+    )
+    config = SweepConfig((100.0, 4000.0), nodal_patterns(mesh.n_nodes, 3), ground="rotate")
+    stacked = simulate_sweep(mesh, TissueModel.uniform(mesh.n_elements, 2.0, 1.0, 1e-4), config)
+    assert [label[2] for label in stacked.labels] == [100 + col % mesh.n_nodes for col in range(6)]
+    assert {tuple(map(type, label)) for label in stacked.labels} == {(float, int, int)}
+    phi_path, f_path = tmp_path / "phi.csv", tmp_path / "f.csv"
+    save_stacked_system(stacked, phi_path, f_path)
+    assert load_stacked_system(phi_path, f_path).labels == stacked.labels
+
+
 @pytest.mark.parametrize(
     "comment",
     ["label,1000", "label,1000,0,x", "sigma_spread,abc", "sigma_spread,1,2", "sigma_spread,0.5"],
@@ -1685,6 +1702,14 @@ REJECTIONS = {
                           "1 labels for 2 injections", None),
     "stack-label-fields": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), ((1.0, 0),)), DimensionError,
                            "label (1.0, 0) is not a (frequency, pattern, ground) triple", None),
+    # a label save_stacked_system would write and its loader reject, or fail to write
+    "stack-label-pattern": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), ((1.0, 0.5, 0),)), DomainError,
+                            "label (1.0, 0.5, 0) needs a finite real frequency, integer pattern and ground", None),
+    "stack-label-frequency": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), (("a", 0, 0),)), DomainError,
+                              "label ('a', 0, 0) needs a finite real frequency, integer pattern and ground", None),
+    "stack-label-nan-frequency": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), ((float("nan"), 0, 0),)),
+                                  DomainError,
+                                  "label (nan, 0, 0) needs a finite real frequency, integer pattern and ground", None),
     "spread-no-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([]), DomainError,
                             "spread needs at least one frequency", None),
     "spread-nan-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([float("nan")]),

@@ -17,6 +17,7 @@ from eitkit import (
     Phantom,
     ProjectorQ,
     CurrentPattern,
+    Mesh,
     StackedSystem,
     SweepConfig,
     TissueModel,
@@ -27,8 +28,10 @@ from eitkit import (
     extract_candidates,
     fitting_residual,
     load_candidates,
+    load_mesh,
     recover_conductivity,
     save_candidates,
+    save_mesh,
     simulate_sweep,
     solve_forward,
     stack_solve,
@@ -140,6 +143,17 @@ def sweep():
     return simulate_sweep(MESH, TissueModel.dispersionless(np.ones(MESH.n_elements)), config)
 
 
+def loaded_mesh(tmp_path):
+    save_mesh(MESH, tmp_path / "disk.mesh")
+    return load_mesh(tmp_path / "disk.mesh")
+
+
+# a mesh made by the builder, by the parser and from records
+MESHES = {
+    "build_disk_mesh": lambda tmp: build_disk_mesh(1.0, 1),
+    "load_mesh": loaded_mesh,
+    "records": lambda tmp: Mesh(MESH.nodes, MESH.elements, MESH.boundary_nodes, MESH.electrodes),
+}
 DECOMPOSITION = {f"SubspaceDecomposition.{name}": (lambda tmp, name=name: getattr(truncated_svd(Y, 2), name))
                  for name in ("U", "sigma", "R", "G")}
 # result array -> a call that makes it; the loads L Phi cancel column by column
@@ -156,6 +170,9 @@ RESULTS = {
     "ProjectorQ.Q": lambda tmp: build_projector(np.eye(3)[:, :1], 1).Q,
     "StackedSystem.Phi (simulate_sweep)": lambda tmp: sweep().Phi,
     "StackedSystem.F (simulate_sweep)": lambda tmp: sweep().F,
+    **{f"Mesh.{name} ({source})": (lambda tmp, name=name, make=make: getattr(make(tmp), name))
+       for name in ("node_ids", "coords", "element_ids", "corners")
+       for source, make in MESHES.items()},
 }
 
 
