@@ -106,8 +106,12 @@ class Mesh:
         for e in elements:
             if len(e.nodes) != 3:
                 raise DimensionError(f"element {e.id} has {len(e.nodes)} corners, not 3")
-        _made(self, [n.id for n in nodes], [(n.x, n.y) for n in nodes], [e.id for e in elements],
-              [e.nodes for e in elements], tuple(boundary_nodes), tuple(electrodes))
+        _made([n.id for n in nodes], [(n.x, n.y) for n in nodes], [e.id for e in elements],
+              [e.nodes for e in elements], tuple(boundary_nodes), tuple(electrodes), self)
+
+    def __reduce__(self):
+        # a pickled or deep-copied mesh is made again, so its arrays are frozen too
+        return _made, tuple(getattr(self, f.name) for f in fields(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -400,8 +404,7 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
         boundary = np.stack((boundary, n + rim), axis=1).ravel()
 
     electrodes = tuple(map(Electrode, range(n_electrodes), boundary[::n_boundary // n_electrodes].tolist()))
-    return _made(Mesh.__new__(Mesh), np.arange(len(xy)), xy, np.arange(len(tri)), tri,
-                 tuple(boundary.tolist()), electrodes)
+    return _made(np.arange(len(xy)), xy, np.arange(len(tri)), tri, tuple(boundary.tolist()), electrodes)
 
 
 def validate(mesh: Mesh) -> ValidationReport:
@@ -428,9 +431,11 @@ def _int64(ids) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def _made(mesh: Mesh, node_ids, coords, element_ids, corners, boundary, electrodes) -> Mesh:
-    """``mesh`` with every id and coordinate checked and the arrays frozen:
-    the one place a mesh is made, from records or from arrays."""
+def _made(node_ids, coords, element_ids, corners, boundary, electrodes, mesh: Mesh | None = None) -> Mesh:
+    """``mesh``, or a new one, with every id and coordinate checked and the
+    arrays frozen: the one place a mesh is made, from records, from arrays
+    or from a pickle."""
+    mesh = Mesh.__new__(Mesh) if mesh is None else mesh
     coords = np.asarray(coords)
     if coords.size and coords.dtype.kind not in "iuf":
         raise DomainError("mesh coordinates must be real numbers")
@@ -610,4 +615,4 @@ def parse_mesh_file(path) -> Mesh:
             f"file is truncated or incomplete: missing section(s) {', '.join(missing)}",
             line_no=len(lines),
         )
-    return _made(Mesh.__new__(Mesh), *columns, electrodes)
+    return _made(*columns, electrodes)

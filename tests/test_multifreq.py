@@ -804,12 +804,93 @@ def test_sparse_lstsq_rank_gap_equals_the_dense_svd_gap(case, wide, planted):
     assert gap == (design.shape[1] - design.shape[0] if wide else len(planted))
 
 
+@st.composite
+def designs_across_the_dense_limit(draw):
+    """``(design, rng)``: a tall random sparse design with ``DENSE_EIG_COLUMNS
+    +- 64`` columns, nine nonzeros per column on average over twice as many
+    rows, stacked on ``scale`` times the identity, with one column scaled to
+    norm ``10**u * scale``. The smallest singular value is at least, and
+    about, ``scale``, so cond(A) is about ``10**u``; half the draws put ``u``
+    within 0.5 of 6, the ``GRAM_TOL`` boundary ``cond(A) = 1e6``."""
+    from eitkit.multifreq import DENSE_EIG_COLUMNS
+
+    k = draw(st.integers(DENSE_EIG_COLUMNS - 64, DENSE_EIG_COLUMNS + 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(0.05, 1.0))
+    top = sparse.random(2 * k, k, density=9 / (2 * k), rng=rng)
+    design = sparse.vstack([top, scale * sparse.identity(k)]).tocsc()
+    u = draw(st.one_of(st.floats(5.5, 6.5), st.floats(0.0, 5.0)))
+    column = draw(st.integers(0, k - 1))
+    factors = np.ones(k)
+    factors[column] = 10**u * scale / sparse.linalg.norm(design[:, [column]])
+    return (design @ sparse.diags_array(factors)).tocsc(), rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=designs_across_the_dense_limit())
+def test_the_dense_and_arpack_gram_figures_agree_within_a_weyl_bound(case):
+    from eitkit.multifreq import DENSE_EIG_COLUMNS, GRAM_TOL, _sparse_lstsq
+
+    design, rng = case
+    k = design.shape[1]
+    target = rng.standard_normal(design.shape[0])
+
+    def figures(limit):  # (lam_min, lam_max), or None for a rejection
+        with pytest.MonkeyPatch.context() as patch:
+            if limit is not None:
+                patch.setattr(eitkit.multifreq, "DENSE_EIG_COLUMNS", limit)
+            try:
+                return _sparse_lstsq(design, target)[1:]
+            except IdentifiabilityError:
+                return None
+
+    arpack, dense = figures(0), figures(k)
+    assert figures(None) == (dense if k <= DENSE_EIG_COLUMNS else arpack)  # the size rule picks one
+    s = np.linalg.svd(design.toarray(), compute_uv=False)
+    # each route's eigenvalues are those of a Gram matrix perturbed by at most
+    # n eps lam_max, so by Weyl's theorem they differ by no more than that;
+    # 400 draws of this family reached 0.05 of it
+    bound = k * np.finfo(float).eps * s[0] ** 2
+    if arpack is not None and dense is not None:
+        assert abs(dense[0] - arpack[0]) <= bound
+        assert abs(dense[1] - arpack[1]) <= bound
+    if abs(s[-1] ** 2 - GRAM_TOL * s[0] ** 2) > 2 * bound:  # away from the boundary, one decision
+        rejected = s[-1] ** 2 < GRAM_TOL * s[0] ** 2
+        assert (arpack is None) == (dense is None) == rejected
+
+
+@pytest.mark.parametrize("defect", ["repeated column", "ill-scaled column", "wide"])
+def test_sparse_lstsq_rank_gap_above_the_dense_limit(defect):
+    from eitkit.multifreq import DENSE_EIG_COLUMNS, GRAM_TOL, _sparse_lstsq
+
+    rng = np.random.default_rng(7)
+    k = DENSE_EIG_COLUMNS + 8
+    design = sparse.vstack([sparse.random(2 * k, k, density=4 / k, rng=rng), sparse.identity(k)]).tocsc()
+    if defect == "repeated column":
+        design = sparse.hstack([design, design[:, [5]]]).tocsc()
+    elif defect == "ill-scaled column":
+        factors = np.ones(k)
+        factors[5] = 1e-7
+        design = (design @ sparse.diags_array(factors)).tocsc()
+    else:  # 3k columns over k rows
+        design = design.T.tocsc()
+    assert design.shape[1] > DENSE_EIG_COLUMNS
+    s = np.linalg.svd(design.toarray(), compute_uv=False)
+    gap = design.shape[1] - int(np.count_nonzero(s * s > GRAM_TOL * s[0] ** 2))
+    with pytest.raises(IdentifiabilityError) as err:
+        _sparse_lstsq(design, rng.standard_normal(design.shape[0]))
+    assert err.value.rank_gap == gap
+    assert gap == (2 * k if defect == "wide" else 1)
+
+
 def two_pass_recover(S_hat, mesh):
     """Oracle: ``recover_conductivity`` as it was before the single pass and
     the least-squares core, as ``(sigma, fit_residual, sensitivity,
     operator_condition)``. The symmetry check and the off-pattern squares
     each read ``S_hat`` in column blocks of ``eitkit.multifreq.BLOCK_BYTES``,
-    and the pattern entries are gathered by fancy indexing."""
+    and the pattern entries are gathered by fancy indexing. The figures
+    follow the core's size rule: one dense ``eigvalsh`` of the Gram matrix
+    for at most ``DENSE_EIG_COLUMNS`` elements, ARPACK above."""
     from eitkit.forward import _element_design
 
     def column_blocks(S_hat):
@@ -819,8 +900,6 @@ def two_pass_recover(S_hat, mesh):
             yield start, S_hat[:, start:start + width], S_hat[start:start + width, :].T
 
     def largest_eigenvalue(operator, v0):
-        if v0.size == 1:
-            return float((operator @ v0)[0] / v0[0])
         return float(eigsh(operator, k=1, which="LM", v0=v0, return_eigenvectors=False)[0])
 
     S_hat = np.asarray(S_hat, dtype=float)
@@ -843,7 +922,10 @@ def two_pass_recover(S_hat, mesh):
         lu = splu(gram)
     except RuntimeError:
         lu = None
-    if lu is not None:
+    if mesh.n_elements <= eitkit.multifreq.DENSE_EIG_COLUMNS:  # the core's size rule for its figures
+        w = np.linalg.eigvalsh(gram.toarray())
+        lam_min, lam_max = w[0], w[-1]
+    elif lu is not None:
         v0 = np.random.default_rng(0).standard_normal(mesh.n_elements)
         lam_max = largest_eigenvalue(gram, v0)
         lam_min = 1.0 / largest_eigenvalue(LinearOperator(gram.shape, matvec=lu.solve, dtype=float), v0)

@@ -5,6 +5,9 @@ so no later write can reach a stored value and the caller's own array is
 never frozen. Every array a result type holds is made by eitkit and frozen
 where it is made, with the array that owns its memory."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -148,11 +151,15 @@ def loaded_mesh(tmp_path):
     return load_mesh(tmp_path / "disk.mesh")
 
 
-# a mesh made by the builder, by the parser and from records
+# a mesh made by the builder, by the parser, from records, and made again by
+# pickle (at every protocol) and by deepcopy
 MESHES = {
     "build_disk_mesh": lambda tmp: build_disk_mesh(1.0, 1),
     "load_mesh": loaded_mesh,
     "records": lambda tmp: Mesh(MESH.nodes, MESH.elements, MESH.boundary_nodes, MESH.electrodes),
+    **{f"pickle protocol {protocol}": (lambda tmp, protocol=protocol: pickle.loads(pickle.dumps(MESH, protocol)))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+    "deepcopy": lambda tmp: copy.deepcopy(MESH),
 }
 DECOMPOSITION = {f"SubspaceDecomposition.{name}": (lambda tmp, name=name: getattr(truncated_svd(Y, 2), name))
                  for name in ("U", "sigma", "R", "G")}
@@ -207,3 +214,13 @@ def test_a_decomposition_cannot_be_changed_behind_its_diagnostics():
         dec.R[0, 0] = 5.0
     assert fitting_residual(A, dec) == 0.0
     assert build_projector(dec.R, 3).R is dec.R  # a view of an array eitkit froze is kept
+
+
+@pytest.mark.parametrize("source", [name for name in MESHES if name.startswith(("pickle", "deepcopy"))])
+def test_a_pickled_or_deep_copied_mesh_equals_the_original(tmp_path, source):
+    mesh = MESHES[source](tmp_path)
+    assert mesh == MESH
+    assert repr(mesh) == repr(MESH)
+    assert_array_equal(mesh.triangles, MESH.triangles)  # its cached views are made again
+    for name in ("node_ids", "coords", "element_ids", "corners"):
+        assert not np.shares_memory(getattr(mesh, name), getattr(MESH, name))
