@@ -106,12 +106,28 @@ class Mesh:
         for e in elements:
             if len(e.nodes) != 3:
                 raise DimensionError(f"element {e.id} has {len(e.nodes)} corners, not 3")
-        _made([n.id for n in nodes], [(n.x, n.y) for n in nodes], [e.id for e in elements],
-              [e.nodes for e in elements], tuple(boundary_nodes), tuple(electrodes), self)
+        made = Mesh._from_arrays([n.id for n in nodes], [(n.x, n.y) for n in nodes], [e.id for e in elements],
+                                 [e.nodes for e in elements], tuple(boundary_nodes), tuple(electrodes))
+        vars(self).update(vars(made))
+
+    @classmethod
+    def _from_arrays(cls, node_ids, coords, element_ids, corners, boundary, electrodes) -> Mesh:
+        """A new mesh with every id and coordinate checked and the arrays
+        frozen: the one place a mesh is made, from records, from arrays or
+        from a pickle. Pickles name this method, so it keeps its name."""
+        coords = np.asarray(coords)
+        if coords.size and coords.dtype.kind not in "iuf":
+            raise DomainError("mesh coordinates must be real numbers")
+        _int64([*boundary, *(v for el in electrodes for v in (el.id, el.node))])
+        arrays = _frozen(_int64(node_ids), coords.astype(float, copy=False).reshape(-1, 2),
+                         _int64(element_ids), _int64(corners).reshape(-1, 3))
+        mesh = cls.__new__(cls)
+        vars(mesh).update(zip([f.name for f in fields(cls)], (*arrays, boundary, electrodes)))
+        return mesh
 
     def __reduce__(self):
         # a pickled or deep-copied mesh is made again, so its arrays are frozen too
-        return _made, tuple(getattr(self, f.name) for f in fields(self))
+        return Mesh._from_arrays, tuple(getattr(self, f.name) for f in fields(self))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -404,7 +420,7 @@ def build_disk_mesh(radius: float, refinement: int, n_electrodes: int = 8) -> Me
         boundary = np.stack((boundary, n + rim), axis=1).ravel()
 
     electrodes = tuple(map(Electrode, range(n_electrodes), boundary[::n_boundary // n_electrodes].tolist()))
-    return _made(np.arange(len(xy)), xy, np.arange(len(tri)), tri, tuple(boundary.tolist()), electrodes)
+    return Mesh._from_arrays(np.arange(len(xy)), xy, np.arange(len(tri)), tri, tuple(boundary.tolist()), electrodes)
 
 
 def validate(mesh: Mesh) -> ValidationReport:
@@ -429,21 +445,6 @@ def _int64(ids) -> np.ndarray:
     if array.size and array.dtype.kind != "i":
         raise DomainError("mesh ids must be integers that fit in a signed 64-bit integer")
     return array.astype(np.int64, copy=False)
-
-
-def _made(node_ids, coords, element_ids, corners, boundary, electrodes, mesh: Mesh | None = None) -> Mesh:
-    """``mesh``, or a new one, with every id and coordinate checked and the
-    arrays frozen: the one place a mesh is made, from records, from arrays
-    or from a pickle."""
-    mesh = Mesh.__new__(Mesh) if mesh is None else mesh
-    coords = np.asarray(coords)
-    if coords.size and coords.dtype.kind not in "iuf":
-        raise DomainError("mesh coordinates must be real numbers")
-    _int64([*boundary, *(v for el in electrodes for v in (el.id, el.node))])
-    arrays = _frozen(_int64(node_ids), coords.astype(float, copy=False).reshape(-1, 2),
-                     _int64(element_ids), _int64(corners).reshape(-1, 3))
-    vars(mesh).update(zip([f.name for f in fields(Mesh)], (*arrays, boundary, electrodes)))
-    return mesh
 
 
 def _repeated(ids) -> np.ndarray:
@@ -615,4 +616,4 @@ def parse_mesh_file(path) -> Mesh:
             f"file is truncated or incomplete: missing section(s) {', '.join(missing)}",
             line_no=len(lines),
         )
-    return _made(*columns, electrodes)
+    return Mesh._from_arrays(*columns, electrodes)

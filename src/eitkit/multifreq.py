@@ -453,6 +453,12 @@ def _sparse_lstsq(design, target: np.ndarray):
     call takes 0.64 / 1.6 / 3.0 / 4.8 ms at 128 / 192 / 256 / 320 columns
     against ARPACK's 1.8 / 2.4 / 3.1 / 3.2 ms, and 16 ms against 4.5 ms at
     512: the two cross at about 256 columns, on random sparse designs too.
+    ARPACK stays above the limit because the dense call grows as n^3 and
+    its Gram as 8 n^2 bytes: at 2048 columns (the disk at refine 4) it
+    takes 0.86 s against ARPACK's 19 ms, and at 8192 the Gram alone is
+    512 MiB. These timings are in-process only: the benchmark's one fit
+    has 128 columns, so no workload checks the ARPACK side or where the
+    limit lies (on the disk, any limit from 128 to 511 acts alike).
 
     An exactly singular factor and ``lam_min <= GRAM_TOL * lam_max``
     (``cond(A) >= 1e6``) raise :class:`IdentifiabilityError`. Its gap is
