@@ -278,7 +278,9 @@ def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
     for k, (mat, lam) in enumerate(zip(candidates.candidates, candidates.eigenvalues)):
         print(f"candidate {k} (eigenvalue {lam:.3e}):")
         print("\n".join("  " + "  ".join(f"{v: .6f}" for v in row) for row in mat))
-    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates]
+    # candidate b d + a holds column a of R in its column b, and its residual depends on
+    # a alone: the first d candidates (b = 0) give every residual of the d^2
+    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates[:d]]
     print(f"max fit residual over candidates: {max(residuals):.3e}")
     print(f"solution set is non-unique: all {len(candidates.candidates)} candidates "
           "minimize the fit exactly")
@@ -340,7 +342,7 @@ def cmd_reconstruct_svd(args, resolved: dict, header: tuple[str, ...]) -> int:
     candidates = extract_candidates(projector, ensemble.channel_count, d)
     save_candidates(candidates, resolved["out"], header_lines=header)
 
-    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates]
+    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates[:d]]  # see cmd_demo
     print(f"wrote {resolved['out']}: {len(candidates.candidates)} candidate matrices")
     print(f"non-uniqueness notice: the subspace fit admits d^2 = {d * d} solutions; "
           f"max residual {max(residuals):.3e}. A single injection cannot pick one; "

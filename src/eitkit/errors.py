@@ -8,6 +8,7 @@ context (pivot index, numerical rank, ...) expose it as attributes.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -67,6 +68,40 @@ def _read_only(values) -> np.ndarray:
     if _FROZEN.get(id(owner)) is not owner or owner.flags.writeable:
         array = _frozen(array.copy(order="K"))
     return array
+
+
+def _value(*arrays: str, tuples: tuple[str, ...] = ()):
+    """Class decorator, the one statement of how a value type owns its
+    arrays: a frozen dataclass compared by identity, whose constructor
+    stores each field named in ``arrays``, and each entry but a dataclass of
+    each tuple field named in ``tuples``, by :func:`_read_only` before the
+    class's own ``__post_init__`` checks run. ``pickle`` and ``deepcopy``
+    remake it through that constructor; ``copy.copy`` gives it back as is."""
+    def decorate(cls):
+        checks = cls.__dict__.get("__post_init__", lambda self: None)
+
+        def __post_init__(self):
+            for name in arrays:
+                object.__setattr__(self, name, _read_only(getattr(self, name)))
+            for name in tuples:
+                entries = tuple(e if is_dataclass(e) else _read_only(e) for e in getattr(self, name))
+                object.__setattr__(self, name, entries)
+            checks(self)
+
+        cls.__post_init__ = __post_init__
+        cls.__copy__ = lambda self: self
+        cls.__reduce__ = lambda self: (_remade, (type(self), *(getattr(self, f.name) for f in fields(self))))
+        return dataclass(frozen=True, eq=False)(cls)
+    return decorate
+
+
+def _remade(cls, *values):
+    """``cls(*values)``, each array among the values, or in a tuple among
+    them, just made by unpickling or deepcopy, first replaced by the view
+    :func:`_frozen` returns, so the constructor keeps it uncopied."""
+    def frozen(value):
+        return _frozen(value) if isinstance(value, np.ndarray) else value
+    return cls(*(tuple(map(frozen, v)) if isinstance(v, tuple) else frozen(v) for v in values))
 
 
 class DimensionError(EitError, ValueError):

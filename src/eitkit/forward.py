@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -63,18 +64,20 @@ from .errors import (
     NumericalError,
     UnknownElectrodeError,
     _frozen,
-    _read_only,
+    _value,
 )
 from .mesh import Mesh, _band_plan, _triangle_geometry, validate
 
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
     from scipy.sparse import csc_array
 
 ZERO_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@_value("values")
 class ConductivityField:
     """Per-element conductivity in S/m; every value finite and > 0. It
     knows no element ids, so an error names a value by its row position."""
@@ -82,7 +85,7 @@ class ConductivityField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _read_only(self.values)
+        values = self.values
         if values.ndim != 1:
             raise DimensionError(f"conductivity field must be 1-d, got shape {values.shape}")
         if values.size == 0:
@@ -94,7 +97,6 @@ class ConductivityField:
             raise DomainError(
                 f"conductivity must be positive everywhere (smallest value {values[bad]} at row position {bad})"
             )
-        object.__setattr__(self, "values", values)
 
 
 def uniform_field(mesh: Mesh, value: float) -> ConductivityField:
@@ -112,16 +114,20 @@ class CurrentPattern:
 
     Entries must sum to zero within ``1e-12`` (discrete solvability of the
     current-flux boundary condition) and at least two must be nonzero.
+    ``currents`` is a read-only mapping, so no write can undo the check.
     """
 
-    currents: dict[int, float]
+    currents: Mapping[int, float]
 
     def __post_init__(self):
         fixed = {int(k): float(v) for k, v in self.currents.items()}
-        object.__setattr__(self, "currents", fixed)
+        object.__setattr__(self, "currents", MappingProxyType(fixed))
         fault = _current_fault(np.array(list(fixed.values()), dtype=float)[:, None])
         if fault is not None:
             raise fault[1]
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return CurrentPattern, (dict(self.currents),)
 
 
 def _current_fault(table: np.ndarray):
@@ -207,7 +213,7 @@ class StiffnessSystem:
         return self.ground_node is not None
 
 
-@dataclass(frozen=True, eq=False)
+@_value("phi")
 class VoltageSolution:
     """Nodal potentials in volts, shape (n,), or (n, k) for k loads solved
     at once; the ground node is pinned to zero and every column satisfies

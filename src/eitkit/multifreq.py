@@ -46,7 +46,6 @@ A ``[model]`` or ``[sweep]`` key, or an element override, given twice is an erro
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
@@ -62,7 +61,7 @@ from .errors import (
     UnknownElectrodeError,
     _check_finite,
     _frozen,
-    _read_only,
+    _value,
 )
 from .forward import (
     ZERO_SUM_TOL,
@@ -111,7 +110,7 @@ def _check_parameter(name: str, values):
     return values
 
 
-@dataclass(frozen=True, eq=False)
+@_value("sigma0", "sigma_inf", "tau")
 class TissueModel:
     """Per-element single-dispersion conductivity magnitude response:
 
@@ -127,11 +126,11 @@ class TissueModel:
     tau: np.ndarray
 
     def __post_init__(self):
-        s0, si, tau = (_read_only(arr) for arr in (self.sigma0, self.sigma_inf, self.tau))
+        s0, si, tau = self.sigma0, self.sigma_inf, self.tau
         if not (s0.shape == si.shape == tau.shape) or s0.ndim != 1:
             raise DimensionError("sigma0, sigma_inf and tau must be equal-length 1-d arrays")
         for name, arr in (("sigma0", s0), ("sigma_inf", si), ("tau", tau)):
-            object.__setattr__(self, name, _check_parameter(name, arr))
+            _check_parameter(name, arr)
 
     @property
     def n_elements(self) -> int:
@@ -181,7 +180,7 @@ def _check_pairing(pairing: str) -> str:
     return pairing
 
 
-@dataclass(frozen=True)
+@_value(tuples=("patterns",))
 class SweepConfig:
     """Injection plan: which frequencies, which drive patterns, how they
     pair up, and which node is the per-injection potential reference.
@@ -189,8 +188,9 @@ class SweepConfig:
     patterns
         Each entry is a :class:`~eitkit.forward.CurrentPattern`
         (electrode-addressed) or a length-n nodal current vector summing to
-        zero. Nodal patterns exist because electrode-addressed injections
-        alone can never span enough directions for a full-rank stack.
+        zero, held as a read-only float array. Nodal patterns exist because
+        electrode-addressed injections alone can never span enough
+        directions for a full-rank stack.
     pairing
         ``cross`` runs every frequency against every pattern (frequency
         major); ``zip`` pairs them one-to-one and requires equal lengths.
@@ -207,7 +207,6 @@ class SweepConfig:
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
-        object.__setattr__(self, "patterns", tuple(self.patterns))
         if not freqs:
             raise DomainError("sweep needs at least one frequency")
         if not self.patterns:
@@ -231,15 +230,14 @@ class SweepConfig:
         return [(f, k) for f in self.frequencies for k in range(len(self.patterns))]
 
 
-@dataclass(frozen=True, eq=False)
+@_value("Phi", "F")
 class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
 
-    ``Phi`` and ``F`` are finite, read-only n x N float arrays with
-    n, N >= 1 (else :class:`DimensionError`); each load column sums to
-    zero. Both are stored by :func:`~eitkit.errors._read_only` before the
-    checks, so no later write through the caller's array or its
-    base can undo them; :func:`simulate_sweep` hands its own over uncopied.
+    ``Phi`` and ``F`` are finite n x N float arrays with n, N >= 1 (else
+    :class:`DimensionError`); each load column sums to zero. Both are
+    stored read-only before the checks, so no later write can undo them;
+    :func:`simulate_sweep` hands its own over uncopied.
     ``labels`` is empty or a (frequency, pattern index, ground node) tuple
     per column in stacking order (else :class:`DimensionError`), a finite
     real number and two integers (else :class:`DomainError`). ``sigma_spread``
@@ -253,8 +251,6 @@ class StackedSystem:
     sigma_spread: float = 0.0
 
     def __post_init__(self):
-        for name in ("Phi", "F"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
         object.__setattr__(self, "labels", tuple(self.labels))  # a later append cannot undo the checks
         if self.Phi.ndim != 2 or 0 in self.Phi.shape:
             raise DimensionError(f"Phi must be an n x N matrix with n, N >= 1, got shape {self.Phi.shape}")
@@ -288,7 +284,7 @@ class StackedSystem:
         return self.Phi.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@_value("S_hat", "phi_singular_values")
 class StackSolveResult:
     """Symmetric least-squares estimate of the stiffness matrix."""
 
@@ -297,7 +293,7 @@ class StackSolveResult:
     phi_singular_values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_value("sigma")
 class RecoveredField:
     """Per-element conductivity estimate with the diagnostics of its fit
     (the stack solve's residual stays in its :class:`StackSolveResult`).
@@ -822,4 +818,5 @@ def _parse_patterns(lines, mesh: Mesh) -> list:
         raise FormatError(str(error), line_no=nodal[column]) from error
     if failure is not None:
         raise failure
+    table = _frozen(table)  # each nodal pattern is a view of it, which SweepConfig keeps uncopied
     return [table[:, p] if isinstance(p, int) else p for p in read]

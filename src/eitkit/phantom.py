@@ -23,7 +23,7 @@ from .errors import (
     SampleSizeError,
     _check_finite,
     _frozen,
-    _read_only,
+    _value,
 )
 from .mesh import Mesh, _is_int
 from .statistics import MeasurementEnsemble, _block_rows
@@ -118,19 +118,15 @@ class Inclusion:
             raise DomainError(f"inclusion contrast must be positive, got {self.contrast!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@_value("sigma")
 class Phantom:
-    """Ground-truth conductivity field with its generating descriptors;
-    ``sigma`` is held read-only, and a caller's array given is copied, never frozen."""
+    """Ground-truth conductivity field with its generating descriptors."""
 
     mesh: Mesh
     sigma: np.ndarray
     background: float
     inclusions: tuple[Inclusion, ...]
     warnings: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", _read_only(self.sigma))
 
 
 def _stream(seed, index: int) -> np.random.Generator:

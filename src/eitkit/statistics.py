@@ -28,7 +28,6 @@ CSV, one time sample per row, header ``y0..y{M-1}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -41,7 +40,7 @@ from .errors import (
     SampleSizeError,
     _check_finite,
     _frozen,
-    _read_only,
+    _value,
 )
 from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
@@ -58,14 +57,14 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * m))
 
 
-@dataclass(frozen=True, eq=False)
+@_value("samples")
 class MeasurementEnsemble:
     """T x M array of voltage samples: T time samples of an M-channel vector."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = _read_only(self.samples)
+        samples = self.samples
         if samples.ndim != 2:
             raise DimensionError(f"ensemble must be a T x M array, got shape {samples.shape}")
         if samples.shape[0] < 2:
@@ -73,7 +72,6 @@ class MeasurementEnsemble:
         if samples.shape[1] < 1:
             raise DimensionError("ensemble needs at least one channel")
         _check_finite("ensemble", samples)
-        object.__setattr__(self, "samples", samples)
 
     @property
     def sample_count(self) -> int:
@@ -84,32 +82,24 @@ class MeasurementEnsemble:
         return self.samples.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@_value("matrix")
 class CorrelationMatrix:
-    """M x M symmetric second-moment matrix (volts squared), held read-only:
-    a caller's array given is copied, never frozen (:func:`~eitkit.errors._read_only`)."""
+    """M x M symmetric second-moment matrix (volts squared)."""
 
     matrix: np.ndarray
     centered: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _read_only(self.matrix))
 
-
-@dataclass(frozen=True, eq=False)
+@_value("tensor")
 class CumulantMatrixSet:
     """All M third-cumulant matrices as one symmetric M x M x M tensor.
 
     ``tensor[i, j, k] = cum(y_j, y_k, y_i)``; the tensor is symmetric in
     all three indices exactly, by construction, since the matrices are
-    slices of one symmetric third-order tensor. It is held read-only: a
-    caller's array given is copied, never frozen.
+    slices of one symmetric third-order tensor.
     """
 
     tensor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "tensor", _read_only(self.tensor))
 
     @property
     def channel_count(self) -> int:
@@ -323,7 +313,7 @@ class MomentAccumulator:
         if center:
             m = self.s1 / self.n
             raw2 = raw2 - np.outer(m, m)
-        return CorrelationMatrix(matrix=raw2, centered=center)
+        return CorrelationMatrix(matrix=raw2, centered=bool(center))
 
     def third_cumulants(self) -> CumulantMatrixSet:
         if self.n < 3:

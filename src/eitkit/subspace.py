@@ -33,12 +33,11 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _frozen, _read_only
+from .errors import DimensionError, DomainError, FormatError, NumericalError, _check_finite, _frozen, _value
 from .mesh import _is_int
 from .statistics import CorrelationMatrix
 from .textio import convert, float_rows, format_row, put_once, read_lines, write_lines
@@ -47,7 +46,7 @@ ORTHONORMALITY_TOL = 1e-8
 GAP_FACTOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@_value("U", "sigma", "R", "G")
 class SubspaceDecomposition:
     """Rank-d truncated SVD of a symmetric matrix plus the orthonormal
     complement G of the right singular subspace.
@@ -64,12 +63,11 @@ class SubspaceDecomposition:
     ill_conditioned: bool
 
 
-@dataclass(frozen=True, eq=False)
+@_value("R")
 class ProjectorQ:
     """Orthogonal projector onto the complement of range(B), held as the
-    M x d orthonormal basis R it is built from, read-only: a caller's R
-    given, even to the constructor directly, is copied, never frozen. An R
-    that is not 2-D raises :class:`DimensionError`.
+    M x d orthonormal basis R it is built from. An R that is not 2-D raises
+    :class:`DimensionError`.
 
     The dense ``Q = I_d (x) sym(I_M - R R^T)``, (M d) x (M d), is derived on
     first access and then cached, read-only; nothing in eitkit reads it. B
@@ -79,7 +77,6 @@ class ProjectorQ:
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "R", _read_only(self.R))
         if self.R.ndim != 2:
             raise DimensionError(f"R must be an M x d matrix, got shape {self.R.shape}")
 
@@ -97,7 +94,7 @@ class ProjectorQ:
         return _frozen(np.kron(np.eye(self.rank), 0.5 * (block + block.T)))
 
 
-@dataclass(frozen=True, eq=False)
+@_value("eigenvalues")
 class CandidateSet:
     """The d**2 unvectorized least-eigenvalue solutions.
 

@@ -485,6 +485,7 @@ def test_accumulator_merge_equals_concatenated(splits):
         acc.correlation(center=True).matrix, correlation(whole, center=True).matrix, atol=1e-12
     )
     assert_allclose(acc.third_cumulants().tensor, third_cumulants(whole).tensor, atol=1e-12)
+    assert acc.correlation(center=1).centered is correlation(whole, center=1).centered is True
 
 
 @settings(max_examples=60, deadline=None)
