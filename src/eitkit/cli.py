@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import DimensionError, DomainError, EitError, FormatError, RankDeficiencyError
+from .errors import DimensionError, DomainError, EitError, FormatError, RankDeficiencyError, _block_rows
 from .forward import CurrentPattern, apply_pattern, assemble, measure, solve_forward, uniform_field
 from .mesh import Mesh, build_disk_mesh, load_mesh, parse_mesh_file, save_mesh, validate
 from .multifreq import _pattern_entry, load_sweep_config, recover_conductivity, simulate_sweep, stack_solve
@@ -43,7 +43,6 @@ from .textio import _at_line, convert, data_lines, key_value, put_once, read_lin
 DEMO_OFF_ENTRY_TOL = 1e-10
 DEMO_RESIDUAL_TOL = 1e-8
 STATISTICS = ("correlation", "cumulant", "pooled")
-RENDER_PAIR_BUDGET = 8192  # element-pixel pairs tested at once by render_element_field
 # each gray level 0..255 as a PGM token: its digits, zero padding, a space
 _PGM_TOKENS = np.array([list(str(v).encode().ljust(3, b"\0") + b" ") for v in range(256)], dtype=np.uint8)
 REQUIRED = object()  # the table default of a flag its command cannot run without
@@ -258,19 +257,28 @@ def cmd_forward(args, resolved: dict, header: tuple[str, ...]) -> int:
 # ---------------------------------------------------------------- demo ----
 
 
+def _subspace_fit(statistic, m: int, d: int):
+    """The rank-d subspace fit of an m-channel statistic, as (projector,
+    candidates, the worst fitting residual over the candidates). Candidate
+    b d + a holds column a of R in its column b, and its residual depends
+    on a alone: the first d candidates (b = 0) give every residual of the d^2."""
+    decomposition = truncated_svd(statistic, d)
+    projector = build_projector(decomposition.R, d)
+    candidates = extract_candidates(projector, m, d)
+    worst = max(fitting_residual(mat, decomposition) for mat in candidates.candidates[:d])
+    return projector, candidates, worst
+
+
 def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
     tol = resolved["tolerance"]
     if not (np.isfinite(tol) and tol >= 0):  # a NaN tolerance would pass every claim
         raise UsageError(f"--tolerance must be finite and at least 0, got {tol}")
     d = resolved["d"]
 
-    mixing, generator = make_demo_fixture()
+    _, generator = make_demo_fixture()
     ensemble = generator(resolved["repeats"])
     m = ensemble.channel_count
-    stat = correlation(ensemble)
-    decomposition = truncated_svd(stat, d)
-    projector = build_projector(decomposition.R, d)
-    candidates = extract_candidates(projector, m, d)
+    projector, candidates, worst = _subspace_fit(correlation(ensemble), m, d)
     basis_shape = (projector.channel_count * projector.rank, projector.rank ** 2)
 
     print("\n".join(f"# {line}" for line in header))
@@ -278,10 +286,7 @@ def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
     for k, (mat, lam) in enumerate(zip(candidates.candidates, candidates.eigenvalues)):
         print(f"candidate {k} (eigenvalue {lam:.3e}):")
         print("\n".join("  " + "  ".join(f"{v: .6f}" for v in row) for row in mat))
-    # candidate b d + a holds column a of R in its column b, and its residual depends on
-    # a alone: the first d candidates (b = 0) give every residual of the d^2
-    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates[:d]]
-    print(f"max fit residual over candidates: {max(residuals):.3e}")
+    print(f"max fit residual over candidates: {worst:.3e}")
     print(f"solution set is non-unique: all {len(candidates.candidates)} candidates "
           "minimize the fit exactly")
 
@@ -308,7 +313,6 @@ def cmd_demo(args, resolved: dict, header: tuple[str, ...]) -> int:
                 f"candidate {k}: second-largest entry {float(rest.max()):.3e} exceeds "
                 f"{DEMO_OFF_ENTRY_TOL:g}"
             )
-    worst = max(residuals)
     if worst > DEMO_RESIDUAL_TOL:
         raise DemoClaimError(f"candidate fit residual {worst:.3e} exceeds {DEMO_RESIDUAL_TOL:g}")
     print("all claims hold: 12x9 factor, 9 single-entry unit candidates, exact fits")
@@ -337,15 +341,11 @@ def cmd_reconstruct_svd(args, resolved: dict, header: tuple[str, ...]) -> int:
     else:
         matrix = third_cumulants(ensemble).pooled()
 
-    decomposition = truncated_svd(matrix, d)
-    projector = build_projector(decomposition.R, d)
-    candidates = extract_candidates(projector, ensemble.channel_count, d)
+    _, candidates, worst = _subspace_fit(matrix, ensemble.channel_count, d)
     save_candidates(candidates, resolved["out"], header_lines=header)
-
-    residuals = [fitting_residual(mat, decomposition) for mat in candidates.candidates[:d]]  # see cmd_demo
     print(f"wrote {resolved['out']}: {len(candidates.candidates)} candidate matrices")
     print(f"non-uniqueness notice: the subspace fit admits d^2 = {d * d} solutions; "
-          f"max residual {max(residuals):.3e}. A single injection cannot pick one; "
+          f"max residual {worst:.3e}. A single injection cannot pick one; "
           "extra injections (multifreq) can.")
     return 0
 
@@ -362,7 +362,7 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     Each element is tested only against the pixels of its bounding box,
     widened by 1e-9 of the mesh's bounding-box diagonal so that every pixel
     the tolerance admits is a candidate. The element-pixel pairs are
-    tested in blocks of about ``RENDER_PAIR_BUDGET``, so the cost is
+    tested in blocks of about ``_block_rows(16)`` (8192), so the cost is
     O(P² + pairs) and the memory O(P²) plus one block.
     Returns (grid, (vmin, vmax)).
     """
@@ -402,7 +402,7 @@ def render_element_field(mesh: Mesh, values: np.ndarray, pixels: int):
     owner = np.full(pixels * pixels, n_e)  # n_e marks a pixel outside every element
     start = 0
     while start < n_e:
-        stop = int(np.searchsorted(firsts, firsts[start] + RENDER_PAIR_BUDGET))
+        stop = int(np.searchsorted(firsts, firsts[start] + _block_rows(16)))  # 16 float temporaries a pair
         e = np.repeat(np.arange(start, stop), counts[start:stop])
         pair = np.arange(firsts[start], firsts[start] + e.size) - firsts[e]  # index within its box
         row, col = np.divmod(pair, width[e])

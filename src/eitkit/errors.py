@@ -2,7 +2,9 @@
 
 Every error raised by eitkit derives from :class:`EitError`, so callers can
 catch the whole family with one handler. Subclasses that carry structured
-context (pivot index, numerical rank, ...) expose it as attributes.
+context (pivot index, numerical rank, ...) expose it as attributes. The
+private helpers every module imports live here too: the finiteness check,
+the array ownership rule and the one block budget of every blocked loop.
 """
 
 from __future__ import annotations
@@ -29,6 +31,17 @@ def _check_finite(what: str, values) -> None:
         raise DomainError(f"{what} contains non-finite entries")
 
 
+# bytes of temporaries in one block: every loop that streams a large array
+# (moment sums, ensemble mixing, stacked solves, the S_hat pass, the sigma
+# image) takes its block size from _block_rows, so blocks stay in L2 cache
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a ``(rows, width)`` float block of at most ``_BLOCK_BYTES`` (at least 1)."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
 _FROZEN = weakref.WeakValueDictionary()  # id -> each live array _frozen froze
 
 
@@ -38,8 +51,10 @@ def _frozen(*arrays):
     ``_FROZEN``, and return a read-only view of each (a tuple for several):
     a new view of an array that owns its memory, the array itself if it is
     a view. The owner, the one array whose writing could be switched back
-    on, is never handed out, so no returned array can be made writable
-    again. The one place eitkit freezes an array."""
+    on, is never handed out, so ``setflags(write=True)`` on a returned
+    array raises. That stops accidental writes, not deliberate ones: a
+    caller who switches the owner back on through ``.base`` can write. The
+    one place eitkit freezes an array."""
     views = []
     for array in arrays:
         for part in (array, array.base):

@@ -59,6 +59,7 @@ from .errors import (
     IdentifiabilityError,
     RankDeficiencyError,
     UnknownElectrodeError,
+    _block_rows,
     _check_finite,
     _frozen,
     _value,
@@ -89,9 +90,6 @@ from .textio import (
 )
 
 RANK_TOL = 1e-10
-# bytes of one (n, k) block of columns: simulate_sweep solves its loads and
-# recover_conductivity reads S_hat in blocks of at most this size
-BLOCK_BYTES = 1 << 20
 # _sparse_lstsq rejects a design whose Gram matrix has
 # lambda_min <= GRAM_TOL * lambda_max, that is cond(design) >= 1e6
 GRAM_TOL = 1e-12
@@ -230,6 +228,25 @@ class SweepConfig:
         return [(f, k) for f in self.frequencies for k in range(len(self.patterns))]
 
 
+def _check_label(label):
+    """``label``, if it is a (frequency, pattern index, ground node) triple
+    (else :class:`DimensionError`) of a finite real number and two integers
+    (else :class:`DomainError`)."""
+    if not (isinstance(label, tuple) and len(label) == 3):
+        raise DimensionError(f"label {label!r} is not a (frequency, pattern, ground) triple")
+    freq, p_idx, ground = label
+    if not (isinstance(freq, Real) and np.isfinite(freq) and _is_int(p_idx) and _is_int(ground)):
+        raise DomainError(f"label {label!r} needs a finite real frequency, integer pattern and ground")
+    return label
+
+
+def _check_spread(spread):
+    """``spread``, if it is a finite real number, at least 0."""
+    if not (isinstance(spread, Real) and np.isfinite(spread) and spread >= 0):
+        raise DomainError(f"sigma_spread must be a finite real number, at least 0, got {spread!r}")
+    return spread
+
+
 @_value("Phi", "F")
 class StackedSystem:
     """Stacked nodal potentials and pre-gauge load vectors.
@@ -239,10 +256,11 @@ class StackedSystem:
     stored read-only before the checks, so no later write can undo them;
     :func:`simulate_sweep` hands its own over uncopied.
     ``labels`` is empty or a (frequency, pattern index, ground node) tuple
-    per column in stacking order (else :class:`DimensionError`), a finite
-    real number and two integers (else :class:`DomainError`). ``sigma_spread``
-    is the worst per-element relative spread of the simulated conductivity
-    across the sweep frequencies (0 when the constant-matrix assumption held exactly).
+    per column in stacking order (else :class:`DimensionError`), each one
+    :func:`_check_label` accepts. ``sigma_spread`` is the worst per-element
+    relative spread of the simulated conductivity across the sweep
+    frequencies (0 when the constant-matrix assumption held exactly), a
+    finite real number, at least 0 (else :class:`DomainError`).
     """
 
     Phi: np.ndarray
@@ -261,11 +279,8 @@ class StackedSystem:
         if len(self.labels) not in (0, self.n_injections):
             raise DimensionError(f"{len(self.labels)} labels for {self.n_injections} injections")
         for label in self.labels:
-            if not (isinstance(label, tuple) and len(label) == 3):
-                raise DimensionError(f"label {label!r} is not a (frequency, pattern, ground) triple")
-            freq, p_idx, ground = label
-            if not (isinstance(freq, Real) and np.isfinite(freq) and _is_int(p_idx) and _is_int(ground)):
-                raise DomainError(f"label {label!r} needs a finite real frequency, integer pattern and ground")
+            _check_label(label)
+        _check_spread(self.sigma_spread)
         _check_finite("Phi", self.Phi)
         _check_finite("F", self.F)  # a NaN column sum would pass the check below
         with np.errstate(over="ignore"):  # a sum past the float range is inf, and fails
@@ -326,8 +341,8 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     gives the per-element conductivity, and the system is assembled,
     grounded at the reference node of the frequency's first injection and
     factored once. The loads of every injection at that frequency are
-    solved with this one factorization, in blocks of columns of at most
-    ``BLOCK_BYTES`` each, giving ``phi``; each column's potential against
+    solved with this one factorization, in blocks of ``_block_rows(n)``
+    columns, giving ``phi``; each column's potential against
     its own reference node ``g`` is ``phi - phi[g]``. That shift is exact,
     not an approximation: ``S`` has zero row sums, so
     ``S (phi - phi[g]) = S phi``, every load sums to zero, so the grounded
@@ -365,7 +380,7 @@ def simulate_sweep(mesh: Mesh, tissue: TissueModel, config: SweepConfig) -> Stac
     loads_t = table.T[[p_idx for _, p_idx in injections]]  # owned: its frozen transpose is F, uncopied
     del table  # loads_t holds every load; the table would only raise the peak
     Phi = np.zeros((n, cols.size))
-    width = max(1, BLOCK_BYTES // (8 * n))
+    width = _block_rows(n)
 
     for freq in config.frequencies:
         block = [col for col, (f, _) in enumerate(injections) if f == freq]
@@ -508,7 +523,7 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh) -> RecoveredField:
     disk up to refine 2), ARPACK above.
 
     ``S_hat`` and its transpose are read once, side by side, in blocks of
-    columns of at most ``BLOCK_BYTES``, so no n x n temporary is made. Each
+    ``_block_rows(n)`` columns, so no n x n temporary is made. Each
     block adds its share of the asymmetry, writes ``0.5 * (S_hat[r, c] +
     S_hat[c, r])`` at its pattern entries into the target, then zeroes
     those entries and adds the squares of ``sym(S_hat)`` off the pattern:
@@ -532,7 +547,7 @@ def recover_conductivity(S_hat: np.ndarray, mesh: Mesh) -> RecoveredField:
     cols = np.repeat(np.arange(n), np.diff(indptr))
     target = np.empty(rows.size)  # sym(S_hat) on the pattern
     asymmetry = off_pattern = 0.0  # the squares of S_hat - S_hat^T, and of sym(S_hat) off the pattern
-    width = max(1, BLOCK_BYTES // (8 * n))
+    width = _block_rows(n)
     for start in range(0, n, width):
         a, b = S_hat[:, start:start + width], S_hat[start:start + width, :].T
         d = a - b
@@ -579,7 +594,10 @@ def save_stacked_system(stacked: StackedSystem, phi_path, f_path) -> None:
 
 
 def load_stacked_system(phi_path, f_path) -> StackedSystem:
-    """Read a stack written by :func:`save_stacked_system`."""
+    """Read a stack written by :func:`save_stacked_system`. A comment that
+    does not parse, a repeated ``sigma_spread``, and a label or spread that
+    :class:`StackedSystem` would reject are a :class:`FormatError` at the
+    comment's line."""
     lines = read_lines(phi_path)
     Phi = float_rows(data_lines(lines))
     F = float_rows(data_lines(read_lines(f_path)))
@@ -593,10 +611,11 @@ def load_stacked_system(phi_path, f_path) -> StackedSystem:
         comment = text[1:].strip()
         try:
             if comment.startswith("sigma_spread,"):
-                put_once(spread, "sigma_spread", float(comment[len("sigma_spread,"):]), line_no)
+                value = float(comment[len("sigma_spread,"):])
+                put_once(spread, "sigma_spread", _at_line(line_no, _check_spread, value), line_no)
             elif comment.startswith("label,"):
                 _, freq, p_idx, ground = comment.split(",")
-                labels.append((float(freq), int(p_idx), int(ground)))
+                labels.append(_at_line(line_no, _check_label, (float(freq), int(p_idx), int(ground))))
         except ValueError:
             raise FormatError(f"bad comment {comment!r}", line_no=line_no) from None
     if labels and len(labels) != Phi.shape[1]:

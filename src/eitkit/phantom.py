@@ -21,12 +21,13 @@ from .errors import (
     DomainError,
     FormatError,
     SampleSizeError,
+    _block_rows,
     _check_finite,
     _frozen,
     _value,
 )
 from .mesh import Mesh, _is_int
-from .statistics import MeasurementEnsemble, _block_rows
+from .statistics import MeasurementEnsemble
 from .textio import _at_line, convert, key_value, put_once, read_lines, sections, write_lines
 
 SOURCE_STREAM = 0
@@ -179,8 +180,8 @@ def generate_ensemble(
     ``noise.std == 0`` every sample lies exactly in the column span of A.
 
     The noise is drawn into the one T x M buffer that the ensemble keeps
-    uncopied, and ``x @ A.T`` is added into it a block of at most
-    ``_BLOCK_BYTES`` of rows at a time. Beyond the ``8 T M`` bytes returned,
+    uncopied, and ``x @ A.T`` is added into it one block of
+    ``_block_rows(M)`` rows at a time. Beyond the ``8 T M`` bytes returned,
     the peak is the ``8 T d`` bytes of sources (``16 T d`` while binary
     signs are drawn, before the buffer exists), one block, and the ``T M``
     booleans of the ensemble's finiteness check.

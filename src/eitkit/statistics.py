@@ -15,12 +15,12 @@ Both moments are GEMMs. Third moments take one GEMM per middle index j
 over row blocks, which computes only the sorted entries ``i <= j <= k``
 (``T M (M + 1) (M + 2) / 3`` flops, a sixth of the full tensor's
 ``2 T M^3``); each GEMM scales its narrower operand by ``z_j``, and the
-block and its products share one reused array of at most
-``_BLOCK_BYTES``, small enough to stay in cache. Centered second moments
-are also summed per row block, so neither statistic copies its whole
-input. Every entry is then read from its sorted index, gathered through
-a flat index made once per shape, so both statistics are exactly
-symmetric.
+block and its products share one reused array within the 1 MiB block
+budget of :mod:`eitkit.errors`, small enough to stay in cache. Centered
+second moments are also summed per row block, so neither statistic
+copies its whole input. Every entry is then read from its sorted index,
+gathered through a flat index made once per shape, so both statistics
+are exactly symmetric.
 
 Ensemble file format (the shared text rules are in :mod:`eitkit.textio`):
 CSV, one time sample per row, header ``y0..y{M-1}``.
@@ -38,24 +38,13 @@ from .errors import (
     FormatError,
     NumericalError,
     SampleSizeError,
+    _block_rows,
     _check_finite,
     _frozen,
     _value,
 )
 from .mesh import _is_int
 from .textio import data_lines, float_rows, format_row, read_lines, write_lines
-
-# bytes of one block of rows: _third_moment_sum sums its GEMMs over blocks
-# whose rows and products together take at most this size, so they stay in
-# a core's L2 cache; centered correlation and generate_ensemble work in
-# blocks of rows of this size
-_BLOCK_BYTES = 1 << 20
-
-
-def _block_rows(m: int) -> int:
-    """Rows of an ``(rows, m)`` float block of at most ``_BLOCK_BYTES`` (at least 1)."""
-    return max(1, _BLOCK_BYTES // (8 * m))
-
 
 @_value("samples")
 class MeasurementEnsemble:
@@ -162,7 +151,7 @@ def _second_moment_sum(samples: np.ndarray, center: bool = False) -> np.ndarray:
     """Sums ``z^T z`` of ``z = samples - mean`` as an exactly symmetric
     (M, M) matrix, ``mean`` the sample mean with ``center`` set and 0
     without. A raw sum is one GEMM; a centered one is summed one block of
-    at most ``_BLOCK_BYTES`` of rows at a time into one reused array, so
+    ``_block_rows(M)`` rows at a time into one reused array, so
     the memory used beyond the samples is one block whatever T is. Sums
     that overflow raise :class:`NumericalError`."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,8 +190,8 @@ def _third_moment_sum(samples: np.ndarray, center: bool = False) -> np.ndarray:
     its first M columns, and each product written into the rest, so every
     GEMM operand is a column slice that BLAS reads as it is, and none is
     allocated per block or per j. That array, the only memory used beyond
-    ``samples`` and the result, takes at most ``_BLOCK_BYTES`` whatever T
-    is."""
+    ``samples`` and the result, has ``_block_rows`` rows, so it takes at
+    most the block budget whatever T is."""
     t, m = samples.shape
     half = (m + 1) // 2
     rows = _block_rows(m + half)

@@ -3,7 +3,9 @@ lives in the module that reads it.
 
 * Files are UTF-8; one that does not decode raises :class:`FormatError`
   (or the caller's subclass).
-* Lines starting with ``#`` are comments; comment and blank lines carry no data.
+* Lines starting with ``#`` are comments. Blank lines and comments carry no
+  data, except the ``# key,value`` header lines of voltage stacks and
+  candidate sets.
 * ``[name]`` section headers match case-insensitively. A name the format does
   not know, a repeated header, and data before the first header are errors;
   so is a key given twice in one section.

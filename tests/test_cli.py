@@ -465,6 +465,42 @@ def test_reconstruct_multifreq_recovers_phantom_at_refine_3(capsys, tmp_path):
         assert v == pytest.approx(5.0 if eid == 2 else 1.0, rel=1e-9)
 
 
+def test_reconstruct_multifreq_under_a_tiny_block_budget_matches_the_default(capsys, tmp_path, monkeypatch):
+    """Three columns a block for the stacked solves and the ``S_hat`` pass,
+    and fifteen element-pixel pairs a block for the image, change no sigma
+    value and no image byte; only the fit residual's sums follow the block
+    order. The tissue disperses, so that residual is not rounding noise."""
+    from eitkit import SweepConfig, TissueModel, save_sweep_config
+
+    mesh = build_disk_mesh(1.0, 2)
+    n, rng = mesh.n_nodes, np.random.default_rng(5)
+    patterns = tuple(np.eye(n)[k] - np.eye(n)[(k + 7) % n] for k in range(n))
+    tissue = TissueModel(rng.uniform(1.0, 3.0, mesh.n_elements), rng.uniform(0.2, 0.9, mesh.n_elements),
+                         np.full(mesh.n_elements, 1e-4))
+    paths = {key: tmp_path / name for key, name in
+             (("mesh", "m.mesh"), ("sweep", "sweep.cfg"), ("sigma", "s.csv"), ("image", "s.pgm"))}
+    save_mesh(mesh, paths["mesh"])
+    save_sweep_config(SweepConfig((1e3, 4e3), patterns, ground="rotate"), tissue, paths["sweep"], mesh=mesh)
+
+    def reconstruct():
+        code, *_ = run(capsys, "reconstruct", "multifreq", "--mesh", str(paths["mesh"]),
+                       "--sweep", str(paths["sweep"]), "--out-sigma", str(paths["sigma"]),
+                       "--out-image", str(paths["image"]), "--pixels", "48")
+        assert code == 0
+        text = paths["sigma"].read_text()
+        residual = next(line for line in text.splitlines() if line.startswith("# assembly_fit_residual = "))
+        return read_id_values(paths["sigma"]), paths["image"].read_bytes(), float(residual.split(" = ")[1])
+
+    sigma, image, fit_residual = reconstruct()
+    monkeypatch.setattr(eitkit.errors, "_BLOCK_BYTES", 8 * n * 3)
+    assert (eitkit.errors._block_rows(n), eitkit.errors._block_rows(16)) == (3, 15)
+    small_sigma, small_image, small_fit_residual = reconstruct()
+    assert small_sigma == sigma
+    assert small_image == image
+    assert fit_residual > 1e-6
+    assert small_fit_residual == pytest.approx(fit_residual, rel=1e-12, abs=0)
+
+
 def test_reconstruct_multifreq_bad_pattern_line_exits_2_with_its_line(capsys, tmp_path):
     mesh_path = tmp_path / "m.mesh"
     main(["mesh", "gen", "--radius", "1.0", "--refine", "0", "--out", str(mesh_path)])

@@ -333,7 +333,7 @@ def test_sweep_in_small_column_blocks_equals_per_injection_loop(monkeypatch, pai
     patterns = nodal_patterns(n, n if pairing == "cross" else 3)
     config = SweepConfig(frequencies, patterns, pairing=pairing, ground=ground)
     want = simulate_sweep_per_injection(mesh, tissue, config)
-    monkeypatch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * 7)  # seven columns a block
+    monkeypatch.setattr(eitkit.errors, "_BLOCK_BYTES", 8 * n * 7)  # seven columns a block
     stacked = simulate_sweep(mesh, tissue, config)
     assert_array_equal(stacked.Phi, want[0])
     assert_array_equal(stacked.F, want[1])
@@ -536,7 +536,7 @@ def test_fit_residual_counts_every_entry_in_column_blocks(refine, seed, width):
     S_hat = 0.5 * (E + E.T) + 1e-9 * rng.standard_normal((n, n))  # random, symmetric within 1e-6
     with pytest.MonkeyPatch.context() as patch:
         if width is not None:  # blocks of `width` columns; None keeps one block
-            patch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * width)
+            patch.setattr(eitkit.errors, "_BLOCK_BYTES", 8 * n * width)
         recovered = recover_conductivity(S_hat, mesh)
         asymmetric = S_hat.copy()
         asymmetric[n - 1, 0] += 1e-5 * np.linalg.norm(S_hat)  # in the last block
@@ -887,7 +887,7 @@ def two_pass_recover(S_hat, mesh):
     """Oracle: ``recover_conductivity`` as it was before the single pass and
     the least-squares core, as ``(sigma, fit_residual, sensitivity,
     operator_condition)``. The symmetry check and the off-pattern squares
-    each read ``S_hat`` in column blocks of ``eitkit.multifreq.BLOCK_BYTES``,
+    each read ``S_hat`` in column blocks of ``eitkit.errors._BLOCK_BYTES``,
     and the pattern entries are gathered by fancy indexing. The figures
     follow the core's size rule: one dense ``eigvalsh`` of the Gram matrix
     for at most ``DENSE_EIG_COLUMNS`` elements, ARPACK above."""
@@ -895,7 +895,7 @@ def two_pass_recover(S_hat, mesh):
 
     def column_blocks(S_hat):
         n = S_hat.shape[0]
-        width = max(1, eitkit.multifreq.BLOCK_BYTES // (8 * n))
+        width = max(1, eitkit.errors._BLOCK_BYTES // (8 * n))
         for start in range(0, n, width):
             yield start, S_hat[:, start:start + width], S_hat[start:start + width, :].T
 
@@ -983,7 +983,7 @@ def test_single_pass_recovery_equals_the_two_pass_oracle_bitwise(refine, seed, n
     asymmetric[n - 1, 0] += 1e-5 * np.linalg.norm(S_hat)  # in the last block
     with pytest.MonkeyPatch.context() as patch:
         if width is not None:  # blocks of `width` columns; None keeps the default
-            patch.setattr(eitkit.multifreq, "BLOCK_BYTES", 8 * n * width)
+            patch.setattr(eitkit.errors, "_BLOCK_BYTES", 8 * n * width)
         recovered = recover_conductivity(S_hat, mesh)
         sigma, fit_residual, sensitivity, condition = two_pass_recover(S_hat, mesh)
         assert_array_equal(recovered.sigma, sigma)
@@ -1749,6 +1749,11 @@ def read_file(text, reader, *args):
     return call
 
 
+def read_stack(text):
+    """A call that reads ``text`` as both the potential and the load file of a stack."""
+    return read_file(text, lambda path: load_stacked_system(path, path))
+
+
 def stack_with_labels(tmp):
     phi, f = tmp / "phi.csv", tmp / "f.csv"
     phi.write_text("# label,1000,0,0\n1,0\n0,1\n")
@@ -1792,6 +1797,21 @@ REJECTIONS = {
     "stack-label-nan-frequency": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), ((float("nan"), 0, 0),)),
                                   DomainError,
                                   "label (nan, 0, 0) needs a finite real frequency, integer pattern and ground", None),
+    "stack-spread-nan": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), (), sigma_spread=float("nan")),
+                         DomainError, "sigma_spread must be a finite real number, at least 0, got nan", None),
+    "stack-spread-negative": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), (), sigma_spread=-3.0),
+                              DomainError, "sigma_spread must be a finite real number, at least 0, got -3.0", None),
+    "stack-spread-not-real": (lambda tmp: StackedSystem(np.eye(1), np.zeros((1, 1)), (), sigma_spread="x"),
+                              DomainError, "sigma_spread must be a finite real number, at least 0, got 'x'", None),
+    # a lone spread, or a label, that the type would reject is an error at its comment's line
+    "stack-file-spread-nan": (read_stack("1,-1\n# sigma_spread,nan\n-1,1\n"), FormatError,
+                              "sigma_spread must be a finite real number, at least 0, got nan (line 2)", 2),
+    "stack-file-spread-inf": (read_stack("# sigma_spread,inf\n1,-1\n-1,1\n"), FormatError,
+                              "sigma_spread must be a finite real number, at least 0, got inf (line 1)", 1),
+    "stack-file-spread-negative": (read_stack("# sigma_spread,-1\n1,-1\n-1,1\n"), FormatError,
+                                   "sigma_spread must be a finite real number, at least 0, got -1.0 (line 1)", 1),
+    "stack-file-label-inf": (read_stack("# label,1000,0,0\n# label,inf,1,0\n1,-1\n-1,1\n"), FormatError,
+                             "label (inf, 1, 0) needs a finite real frequency, integer pattern and ground (line 2)", 2),
     "spread-no-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([]), DomainError,
                             "spread needs at least one frequency", None),
     "spread-nan-frequency": (lambda tmp: TissueModel.dispersionless(np.ones(2)).spread([float("nan")]),

@@ -228,8 +228,8 @@ def test_result_arrays_are_read_only(tmp_path, result):
 
 
 # views of a frozen owner -> a call that makes the value holding them: every
-# result array is handed out as a view, so no caller holds the owner that
-# could switch writing back on
+# result array is handed out as a view, so setflags(write=True) on it raises
+# (the owner stays reachable through .base: the rule stops accidental writes)
 VIEWS = {
     **RESULTS,
     "CandidateSet.candidates": lambda tmp: candidates(),

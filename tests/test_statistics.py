@@ -20,7 +20,8 @@ from eitkit import (
     save_ensemble,
     third_cumulants,
 )
-from eitkit.statistics import _BLOCK_BYTES, _fill_symmetric, _sorted_flat_index, _third_moment_sum
+from eitkit.errors import _BLOCK_BYTES
+from eitkit.statistics import _fill_symmetric, _sorted_flat_index, _third_moment_sum
 
 
 def brute_third_cumulants(samples: np.ndarray) -> np.ndarray:
